@@ -39,10 +39,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rpls_bits::BitString;
-use rpls_core::engine::{self, mix_seed, MessagePattern, RunSpec, SeedSource, StreamMode};
+use rpls_core::engine::{self, mix_seed, MessagePattern, RunSpec, SeedSource};
+use rpls_core::stats::EstimateOpts;
 use rpls_core::{
     CertView, CertificateBuffer, CompiledRpls, Configuration, DetView, Labeling, Pls, PrepCache,
-    ProbeSketch, RandView, Received, RoundScratch, Rpls,
+    ProbeSketch, RandView, Received, RoundScratch, Rpls, Unprepared,
 };
 use rpls_graph::{generators, Graph, NodeId, Port};
 use rpls_schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
@@ -237,12 +238,10 @@ fn bench_round_matrix(c: &mut Criterion, rows: &mut Vec<MatrixRow>) {
                 });
                 group.bench_with_input(BenchmarkId::new(format!("rand/{fam}"), n), &n, |b, _| {
                     b.iter(|| {
-                        black_box(engine::run_randomized_with(
-                            &scheme,
+                        black_box(engine::run_prepared(
+                            &RunSpec::trial(1),
+                            &Unprepared::new(&scheme, &config, &labeling),
                             &config,
-                            &labeling,
-                            1,
-                            StreamMode::EdgeIndependent,
                             &mut scratch,
                         ))
                     });
@@ -267,12 +266,10 @@ fn bench_round_matrix(c: &mut Criterion, rows: &mut Vec<MatrixRow>) {
             );
             let rand_t = time_per_iter(
                 || {
-                    black_box(engine::run_randomized_with(
-                        &scheme,
+                    black_box(engine::run_prepared(
+                        &RunSpec::trial(1),
+                        &Unprepared::new(&scheme, &config, &labeling),
                         &config,
-                        &labeling,
-                        1,
-                        StreamMode::EdgeIndependent,
                         &mut scratch,
                     ));
                 },
@@ -344,7 +341,7 @@ impl<S: Rpls + Sync> Workload for SchemeWorkload<'_, S> {
         )
     }
     /// The prepared *scalar* path: prepare once, then one
-    /// `run_randomized_prepared_with` round per trial with the estimator's
+    /// `engine::run_prepared` trial per trial seed with the estimator's
     /// seed derivation. This is exactly what `acceptance_probability` ran
     /// before the batched engine, so `prepared_speedup` keeps its meaning
     /// across the JSON trajectory.
@@ -353,11 +350,10 @@ impl<S: Rpls + Sync> Workload for SchemeWorkload<'_, S> {
         let prepared = self.scheme.prepare(self.config, self.labeling, trials);
         let accepts = (0..trials)
             .filter(|&t| {
-                engine::run_randomized_prepared_with(
+                engine::run_prepared(
+                    &RunSpec::trial(rpls_core::stats::trial_seed(seed, t as u64)),
                     &*prepared,
                     self.config,
-                    rpls_core::stats::trial_seed(seed, t as u64),
-                    StreamMode::EdgeIndependent,
                     &mut scratch,
                 )
                 .accepted
@@ -373,12 +369,10 @@ impl<S: Rpls + Sync> Workload for SchemeWorkload<'_, S> {
         let mut scratch = RoundScratch::new();
         let accepts = (0..trials)
             .filter(|&t| {
-                engine::run_randomized_with(
-                    self.scheme,
+                engine::run_prepared(
+                    &RunSpec::trial(rpls_core::stats::trial_seed(seed, t as u64)),
+                    &Unprepared::new(self.scheme, self.config, self.labeling),
                     self.config,
-                    self.labeling,
-                    rpls_core::stats::trial_seed(seed, t as u64),
-                    StreamMode::EdgeIndependent,
                     &mut scratch,
                 )
                 .accepted
@@ -387,14 +381,15 @@ impl<S: Rpls + Sync> Workload for SchemeWorkload<'_, S> {
         accepts as f64 / trials as f64
     }
     fn parallel(&self, trials: usize, seed: u64) -> f64 {
-        rpls_core::stats::acceptance_probability_par(
+        rpls_core::stats::estimate_par(
             self.scheme,
             self.config,
             self.labeling,
-            trials,
-            seed,
+            &RunSpec::trial(seed),
+            &EstimateOpts::new(trials),
             None,
         )
+        .acceptance()
     }
     fn baseline(&self, trials: usize, seed: u64) -> f64 {
         baseline_acceptance_probability(self.scheme, self.config, self.labeling, trials, seed)
@@ -611,15 +606,16 @@ fn bench_adversary_sweep(results: &mut Vec<SweepResult>) {
         let estimates: Vec<f64> = candidates
             .iter()
             .map(|lab| {
-                rpls_core::stats::acceptance_probability_cached(
+                rpls_core::stats::estimate_with(
                     &st,
                     &config,
                     lab,
-                    trials,
-                    seed,
+                    &RunSpec::trial(seed),
+                    &EstimateOpts::new(trials),
                     &mut scratch,
                     &mut cache,
                 )
+                .acceptance()
             })
             .collect();
         sweep_secs = sweep_secs.min(t0.elapsed().as_secs_f64());
@@ -634,14 +630,16 @@ fn bench_adversary_sweep(results: &mut Vec<SweepResult>) {
         let estimates: Vec<f64> = candidates
             .iter()
             .map(|lab| {
-                rpls_core::stats::acceptance_probability_with(
+                rpls_core::stats::estimate_with(
                     &st,
                     &config,
                     lab,
-                    trials,
-                    seed,
+                    &RunSpec::trial(seed),
+                    &EstimateOpts::new(trials),
                     &mut scratch,
+                    &mut PrepCache::new(),
                 )
+                .acceptance()
             })
             .collect();
         per_prepare_secs = per_prepare_secs.min(t1.elapsed().as_secs_f64());
@@ -727,15 +725,13 @@ fn bench_tradeoff(results: &mut Vec<TradeoffRow>) {
                 rpls_core::stats::acceptance_probability(scheme, &config, &honest, trials, seed);
             let one_round_tampered =
                 rpls_core::stats::acceptance_probability(scheme, &config, &tampered, trials, seed);
-            let one_round_bits = engine::run_randomized_with(
-                scheme,
+            let one_round_bits = engine::run_prepared(
+                &RunSpec::trial(1),
+                &Unprepared::new(scheme, &config, &honest),
                 &config,
-                &honest,
-                1,
-                StreamMode::EdgeIndependent,
                 &mut scratch,
             )
-            .max_certificate_bits;
+            .max_bits_per_round;
 
             let mut t1_bits = 0usize;
             for t in [1usize, 2, 4, 8, 16] {
@@ -745,39 +741,41 @@ fn bench_tradeoff(results: &mut Vec<TradeoffRow>) {
                 let mut honest_estimate = 0.0;
                 for _ in 0..3 {
                     let t0 = Instant::now();
-                    honest_estimate = rpls_core::stats::multiround_acceptance_probability(
-                        scheme, &config, &honest, t, trials, seed,
-                    );
+                    honest_estimate = rpls_core::stats::estimate(
+                        scheme,
+                        &config,
+                        &honest,
+                        &RunSpec::trial(seed).with_rounds(t),
+                        &EstimateOpts::new(trials),
+                    )
+                    .acceptance();
                     secs = secs.min(t0.elapsed().as_secs_f64());
                 }
-                let summary = engine::run_multiround_with(
+                let report = engine::run(
+                    &RunSpec::trial(seed).with_rounds(t),
                     scheme,
                     &config,
                     &honest,
-                    seed,
-                    t,
-                    StreamMode::EdgeIndependent,
-                    &mut scratch,
                 );
                 let profile = rpls_core::stats::rounds_to_reject_profile(
                     scheme, &config, &tampered, t, trials, seed,
                 );
                 let tampered_estimate = profile.accepts as f64 / trials as f64;
                 if t == 1 {
-                    t1_bits = summary.max_bits_per_round;
+                    t1_bits = report.max_bits_per_round;
                 }
                 let t1_identical = (t == 1).then_some(
                     honest_estimate == one_round_honest
                         && tampered_estimate == one_round_tampered
-                        && summary.max_bits_per_round == one_round_bits,
+                        && report.max_bits_per_round == one_round_bits,
                 );
                 let row = TradeoffRow {
                     scheme: name,
                     t,
                     trials,
-                    max_bits_per_round: summary.max_bits_per_round,
-                    total_bits: summary.total_bits,
-                    bits_shrink: t1_bits as f64 / summary.max_bits_per_round.max(1) as f64,
+                    max_bits_per_round: report.max_bits_per_round,
+                    total_bits: report.total_bits,
+                    bits_shrink: t1_bits as f64 / report.max_bits_per_round.max(1) as f64,
                     secs,
                     honest_estimate,
                     tampered_estimate,
@@ -861,24 +859,26 @@ fn bench_faults(results: &mut Vec<FaultRow>) {
     };
     let mut scratch = RoundScratch::new();
     let mut cache = PrepCache::new();
-    let clean_honest = rpls_core::stats::acceptance_probability_cached(
+    let clean_honest = rpls_core::stats::estimate_with(
         &scheme,
         &config,
         &honest,
-        trials,
-        seed,
+        &RunSpec::trial(seed),
+        &EstimateOpts::new(trials),
         &mut scratch,
         &mut cache,
-    );
-    let clean_tampered = rpls_core::stats::acceptance_probability_cached(
+    )
+    .acceptance();
+    let clean_tampered = rpls_core::stats::estimate_with(
         &scheme,
         &config,
         &tampered,
-        trials,
-        seed,
+        &RunSpec::trial(seed),
+        &EstimateOpts::new(trials),
         &mut scratch,
         &mut cache,
-    );
+    )
+    .acceptance();
 
     // 512 directed ports: per-message rates are small so the per-trial
     // survival probability (1 - p)^512 spans the whole decay curve.
@@ -902,28 +902,26 @@ fn bench_faults(results: &mut Vec<FaultRow>) {
     for &(kind, spec) in specs {
         let plan = FaultPlan::new(spec, fault_seed);
         let mut secs = f64::INFINITY;
-        let mut fh = rpls_core::stats::FaultedAcceptance::default();
+        let mut fh = rpls_core::stats::Estimate::default();
         for _ in 0..2 {
             let t0 = Instant::now();
-            fh = rpls_core::stats::acceptance_under_faults_cached(
+            fh = rpls_core::stats::estimate_with(
                 &scheme,
                 &config,
                 &honest,
-                trials,
-                seed,
-                &plan,
+                &RunSpec::trial(seed).with_faults(plan.clone()),
+                &EstimateOpts::new(trials),
                 &mut scratch,
                 &mut cache,
             );
             secs = secs.min(t0.elapsed().as_secs_f64());
         }
-        let ft = rpls_core::stats::acceptance_under_faults_cached(
+        let ft = rpls_core::stats::estimate_with(
             &scheme,
             &config,
             &tampered,
-            trials,
-            seed,
-            &plan,
+            &RunSpec::trial(seed).with_faults(plan.clone()),
+            &EstimateOpts::new(trials),
             &mut scratch,
             &mut cache,
         );
@@ -1034,12 +1032,10 @@ fn bench_patterns(results: &mut Vec<PatternRow>) {
         // one-round bit accounting.
         let reference =
             rpls_core::stats::acceptance_probability(&scheme, config, &honest, trials, seed);
-        let reference_summary = engine::run_randomized_with(
-            &scheme,
+        let reference_report = engine::run_prepared(
+            &RunSpec::trial(1),
+            &Unprepared::new(&scheme, config, &honest),
             config,
-            &honest,
-            1,
-            StreamMode::EdgeIndependent,
             &mut scratch,
         );
         let prepared = scheme.prepare_cached(config, &honest, trials, &mut cache);
@@ -1052,22 +1048,22 @@ fn bench_patterns(results: &mut Vec<PatternRow>) {
             let mut honest_estimate = 0.0;
             for _ in 0..3 {
                 let t0 = Instant::now();
-                honest_estimate = rpls_core::stats::acceptance_probability_patterned_cached(
+                honest_estimate = rpls_core::stats::estimate_with(
                     &scheme,
                     config,
                     &honest,
-                    trials,
-                    seed,
-                    pattern,
+                    &RunSpec::trial(seed).with_pattern(pattern),
+                    &EstimateOpts::new(trials),
                     &mut scratch,
                     &mut cache,
-                );
+                )
+                .acceptance();
                 secs = secs.min(t0.elapsed().as_secs_f64());
             }
             let per_port_identical = (pattern == MessagePattern::PerPort).then_some(
                 honest_estimate == reference
-                    && cost.max_bits_per_round == reference_summary.max_certificate_bits
-                    && cost.total_bits == reference_summary.total_certificate_bits,
+                    && cost.max_bits_per_round == reference_report.max_bits_per_round
+                    && cost.total_bits == reference_report.total_bits,
             );
             if pattern == MessagePattern::PerPort {
                 per_port_total = cost.total_bits;

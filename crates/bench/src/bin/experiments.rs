@@ -6,25 +6,29 @@
 //! cargo run -p rpls-bench --release --bin experiments -- --markdown
 //! ```
 
-use rpls_bench::all_experiments;
+use rpls_bench::{all_experiments, select};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let markdown = args.iter().any(|a| a == "--markdown");
-    let wanted: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
+    let wanted: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
 
     let experiments = all_experiments();
-    if wanted.iter().any(|w| w.as_str() == "list") {
+    if wanted.contains(&"list") {
         for (id, desc, _) in &experiments {
             println!("{id:6} {desc}");
         }
         return;
     }
-    let mut ran = 0usize;
-    for (id, desc, gen) in &experiments {
-        if !wanted.is_empty() && !wanted.iter().any(|w| w.as_str() == *id) {
-            continue;
-        }
+    let selected = select(&experiments, &wanted).unwrap_or_else(|unknown| {
+        eprintln!("unknown experiment id `{unknown}`; use `experiments list` to see ids");
+        std::process::exit(2);
+    });
+    for (id, desc, gen) in selected {
         eprintln!("[{id}] {desc} ...");
         let table = gen();
         if markdown {
@@ -32,10 +36,5 @@ fn main() {
         } else {
             println!("{table}");
         }
-        ran += 1;
-    }
-    if ran == 0 {
-        eprintln!("no experiment matched; use `experiments list` to see ids");
-        std::process::exit(2);
     }
 }

@@ -140,9 +140,44 @@ pub fn all_experiments() -> Vec<Experiment> {
     ]
 }
 
+/// The experiments named by `wanted`, in presentation order — every
+/// experiment when `wanted` is empty.
+///
+/// # Errors
+///
+/// Returns the first id in `wanted` that names no experiment.
+pub fn select<'a>(
+    experiments: &'a [Experiment],
+    wanted: &[&str],
+) -> Result<Vec<&'a Experiment>, String> {
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| !experiments.iter().any(|(id, _, _)| id == *w))
+    {
+        return Err((*unknown).to_string());
+    }
+    Ok(experiments
+        .iter()
+        .filter(|(id, _, _)| wanted.is_empty() || wanted.contains(id))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn selection_names_the_first_unknown_id() {
+        let all = all_experiments();
+        let ids = |picked: Vec<&Experiment>| -> Vec<&str> {
+            picked.into_iter().map(|(id, _, _)| *id).collect()
+        };
+        assert_eq!(ids(select(&all, &[]).unwrap()).len(), all.len());
+        // Presentation order, whatever order the ids were asked in.
+        assert_eq!(ids(select(&all, &["f2", "e31"]).unwrap()), ["e31", "f2"]);
+        assert_eq!(select(&all, &["e31", "bogus"]), Err("bogus".to_string()));
+        assert_eq!(select(&all, &["nope", "bogus"]), Err("nope".to_string()));
+    }
 
     #[test]
     fn experiment_ids_are_unique() {

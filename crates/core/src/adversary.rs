@@ -177,17 +177,14 @@ pub fn random_forge_rpls<S: Rpls + ?Sized>(
     // acceptance estimate reuses both.
     let mut scratch = crate::buffer::RoundScratch::new();
     let mut cache = crate::prep::PrepCache::new();
+    let spec = crate::engine::RunSpec::trial(seed);
+    let opts = stats::EstimateOpts::new(trials);
+    let acceptance = |labeling: &Labeling, scratch: &mut _, cache: &mut _| {
+        stats::estimate_with(scheme, config, labeling, &spec, &opts, scratch, cache).acceptance()
+    };
     for _ in 0..restarts {
         let mut current: Labeling = (0..n).map(|_| random_bits(label_bits, rng)).collect();
-        let mut current_acc = stats::acceptance_probability_cached(
-            scheme,
-            config,
-            &current,
-            trials,
-            seed,
-            &mut scratch,
-            &mut cache,
-        );
+        let mut current_acc = acceptance(&current, &mut scratch, &mut cache);
         for _ in 0..steps_per_restart {
             if current_acc >= 1.0 {
                 break;
@@ -195,15 +192,7 @@ pub fn random_forge_rpls<S: Rpls + ?Sized>(
             let v = NodeId::new(rng.random_range(0..n));
             let mut candidate = current.clone();
             candidate.set(v, flip_random_bit(candidate.get(v), label_bits, rng));
-            let acc = stats::acceptance_probability_cached(
-                scheme,
-                config,
-                &candidate,
-                trials,
-                seed,
-                &mut scratch,
-                &mut cache,
-            );
+            let acc = acceptance(&candidate, &mut scratch, &mut cache);
             if acc >= current_acc {
                 current = candidate;
                 current_acc = acc;

@@ -52,8 +52,9 @@
 //!
 //! The space–time trade-off axis (Patt-Shamir & Perry's t-PLS model)
 //! verifies a proof of size κ over `t` rounds at `O(κ/t + log t)` bits per
-//! round. The compiled scheme's [`PreparedRpls::run_multiround`] override
-//! implements **chunked fingerprint streaming**: the length-prefixed inner
+//! round. For schedules of `t ≥ 2` rounds the compiled scheme's
+//! [`PreparedRpls::run_block`] override implements **chunked fingerprint
+//! streaming**: the length-prefixed inner
 //! label is cut into `⌈λ/t⌉`-bit slices and round `r` carries one fresh
 //! `(x, A_r(x))` fingerprint of slice `r`, so per-round communication is
 //! the message width of the *slice-length* protocol and verdicts
@@ -66,11 +67,9 @@
 
 use crate::buffer::{Received, RoundScratch};
 use crate::engine::{
-    multiround_seed, MessagePattern, MultiRoundSummary, PatternCost, RoundSummary, StreamMode,
+    multiround_seed, FaultReport, MessagePattern, PatternCost, RunReport, RunSpec, StreamMode,
 };
-use crate::fault::{
-    DeliveryOutcome, FaultCounts, FaultPlan, FaultedMultiRoundSummary, FaultedRoundSummary,
-};
+use crate::fault::{DeliveryOutcome, FaultCounts, FaultPlan};
 use crate::labeling::Labeling;
 use crate::prep::{CachedLabel, CachedReplication, EqStore, PrepCache};
 use crate::rng::{edge_stream_first_word, node_stream_word, sketch_stream_word};
@@ -864,7 +863,7 @@ impl BatchPlan {
 }
 
 /// The `t`-round **chunked fingerprint streaming** plan (the compiled
-/// scheme's [`PreparedRpls::run_multiround`] schedule). Instead of
+/// scheme's `t ≥ 2` schedule in [`PreparedRpls::run_block`]). Instead of
 /// fingerprinting the whole length-prefixed inner label once, the prover
 /// cuts it into `⌈λ/t⌉`-bit slices and sends, in round `r`, one fresh
 /// `(x, A_r(x))` fingerprint of slice `r` — per-round communication
@@ -1269,48 +1268,99 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
         self.inner_verdict(node.index())
     }
 
-    /// The batched trial loop the ROADMAP's "batch whole trials per node"
-    /// lever asked for. Certificates are never materialised: with
-    /// edge-independent streams, each (node, port, trial) certificate is a
-    /// pure function of `(seed_t, node, port)` — one SplitMix64 word
-    /// reduced into the sender's field — so the fingerprint check collapses
-    /// to comparing two prepared polynomial probes at that point. The
-    /// BitSlice parse, the table-vs-Horner dispatch, the arena writes, and
-    /// the per-trial vote loop of the scalar path are all hoisted out of
-    /// (or dropped from) the inner loop; summaries stay bit-identical to
-    /// the scalar path, which the golden tests pin.
-    fn run_trials(
+    /// The one trial hook, dispatched once per block on the spec's
+    /// `(faults, rounds)` shape to the four batched kernels below. A
+    /// transparent fault plan runs the clean kernels and reports all-zero
+    /// fault statistics.
+    fn run_block(
+        &self,
+        spec: &RunSpec,
+        config: &Configuration,
+        seeds: &[u64],
+        scratch: &mut RoundScratch,
+        emit: &mut dyn FnMut(RunReport),
+    ) {
+        let (pattern, mode) = (spec.pattern, spec.stream_mode);
+        // The shared-stream violation mode threads one generator across a
+        // node's ports sequentially; batching per (node, port) would
+        // reorder its draws, so one-round trials in that diagnostics mode
+        // keep the scalar reference for the per-port-keyed patterns.
+        // Broadcast and k-messages key their streams by slot and ignore the
+        // stream mode entirely, and the streaming schedule keys every
+        // round's words explicitly, so those always batch.
+        if spec.rounds == 1
+            && matches!(pattern, MessagePattern::PerPort | MessagePattern::Unicast)
+            && mode != StreamMode::EdgeIndependent
+        {
+            crate::engine::scalar_block(spec, self, config, seeds, scratch, emit);
+            return;
+        }
+        let clean_fault = spec.faults.as_ref().map(|_| FaultReport::default());
+        let faults = spec.faults.as_ref().filter(|plan| !plan.is_transparent());
+        match (faults, spec.rounds) {
+            (None, 1) => {
+                // Pattern-adjusted bit accounting, identical by
+                // construction to what the scalar path reports (it
+                // overrides its transcript-derived bits with the same
+                // `pattern_cost`). For `PerPort` the formula reproduces
+                // `plan.{max,total}_bits` exactly, keeping the golden
+                // transcripts intact.
+                let cost =
+                    pattern_cost_from_dims(pattern, self.plan.dims.iter().map(|&(w, d)| (w, d, 1)));
+                for accepted in self.probe_block(config, seeds, pattern) {
+                    emit(RunReport {
+                        fault: clean_fault,
+                        ..RunReport::one_round(accepted, cost.max_bits_per_round, cost.total_bits)
+                    });
+                }
+            }
+            (None, rounds) => {
+                let plan = self.multiround_plan(rounds);
+                // Pattern-adjusted bit accounting; reproduces the plan's own
+                // `{max,total}_bits` exactly under `PerPort`.
+                let cost = pattern_cost_from_dims(pattern, plan.dims.iter().copied());
+                for reject_at in self.stream_block(&plan, config, seeds, rounds, pattern, mode) {
+                    let accepted = reject_at == NO_REJECT;
+                    emit(RunReport {
+                        accepted,
+                        rounds,
+                        decided_round: if accepted { rounds } else { reject_at },
+                        max_bits_per_round: cost.max_bits_per_round,
+                        total_bits: cost.total_bits,
+                        fault: clean_fault,
+                    });
+                }
+            }
+            (Some(plan), 1) => self.faulted_block(config, seeds, plan, pattern, emit),
+            (Some(plan), rounds) => {
+                self.faulted_stream_block(config, seeds, rounds, plan, pattern, mode, emit);
+            }
+        }
+    }
+}
+
+/// The sentinel first-rejection round of a trial no node has rejected yet.
+const NO_REJECT: usize = usize::MAX;
+
+impl<S: Pls> PreparedCompiled<'_, S> {
+    /// The batched one-round trial loop the ROADMAP's "batch whole trials
+    /// per node" lever asked for; returns each trial's verdict.
+    /// Certificates are never materialised: with edge-independent streams,
+    /// each (node, port, trial) certificate is a pure function of
+    /// `(seed_t, node, port)` — one SplitMix64 word reduced into the
+    /// sender's field — so the fingerprint check collapses to comparing two
+    /// prepared polynomial probes at that point. The BitSlice parse, the
+    /// table-vs-Horner dispatch, the arena writes, and the per-trial vote
+    /// loop of the scalar path are all hoisted out of (or dropped from) the
+    /// inner loop; verdicts stay bit-identical to the scalar path, which
+    /// the golden tests pin.
+    fn probe_block(
         &self,
         config: &Configuration,
         seeds: &[u64],
         pattern: MessagePattern,
-        mode: StreamMode,
-        scratch: &mut RoundScratch,
-        emit: &mut dyn FnMut(RoundSummary),
-    ) {
-        // The shared-stream violation mode threads one generator across a
-        // node's ports sequentially; batching per (node, port) would
-        // reorder its draws, so that diagnostics mode keeps the scalar
-        // loop for the per-port-keyed patterns. Broadcast and k-messages
-        // key their streams by slot and ignore the stream mode entirely,
-        // so they always batch.
-        let scalar = matches!(pattern, MessagePattern::PerPort | MessagePattern::Unicast)
-            && mode != StreamMode::EdgeIndependent;
-        if scalar {
-            for &seed in seeds {
-                emit(crate::engine::run_randomized_prepared_patterned_with(
-                    self, config, seed, pattern, mode, scratch,
-                ));
-            }
-            return;
-        }
+    ) -> Vec<bool> {
         let plan = &self.plan;
-        // Pattern-adjusted bit accounting, identical by construction to
-        // what the scalar patterned path reports (it overrides its
-        // transcript-derived bits with the same `pattern_cost`). For
-        // `PerPort` the formula reproduces `plan.{max,total}_bits`
-        // exactly, keeping the golden transcripts intact.
-        let cost = pattern_cost_from_dims(pattern, plan.dims.iter().map(|&(w, d)| (w, d, 1)));
         let g = config.graph();
         let trials = seeds.len();
         let mut acc = vec![true; trials];
@@ -1387,62 +1437,32 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
                 }
             }
         }
-        for &accepted in &acc {
-            emit(RoundSummary {
-                accepted,
-                max_certificate_bits: cost.max_bits_per_round,
-                total_certificate_bits: cost.total_bits,
-            });
-        }
+        acc
     }
 
-    /// One t-round chunked-fingerprint trial (see [`MultiRoundPlan`]).
-    fn run_multiround(
+    /// The batched t-round trial loop (see [`MultiRoundPlan`]): chunked
+    /// fingerprint streaming with early rejection, certificates never
+    /// materialised; returns each trial's first rejection round
+    /// ([`NO_REJECT`] when it accepts). Each non-trivial (port, round,
+    /// trial) probe is one SplitMix64 word of round `r`'s stream reduced
+    /// into the sender's slice field, compared through two prepared slice
+    /// polynomials; everything else — per-round widths, coverage
+    /// mismatches, statically satisfied slices — was resolved at plan-build
+    /// time. Probes that can no longer move a trial's first-rejection round
+    /// are skipped (streams are per-(node, port, round, trial), so nothing
+    /// downstream observes the skipped draws).
+    fn stream_block(
         &self,
-        config: &Configuration,
-        seed: u64,
-        rounds: usize,
-        pattern: MessagePattern,
-        mode: StreamMode,
-        scratch: &mut RoundScratch,
-    ) -> MultiRoundSummary {
-        let mut out = None;
-        self.run_multiround_trials(config, &[seed], rounds, pattern, mode, scratch, &mut |s| {
-            out = Some(s);
-        });
-        out.expect("one summary per seed")
-    }
-
-    /// The batched t-round trial loop: chunked fingerprint streaming with
-    /// early rejection, certificates never materialised. Each non-trivial
-    /// (port, round, trial) probe is one SplitMix64 word of round `r`'s
-    /// stream reduced into the sender's slice field, compared through two
-    /// prepared slice polynomials; everything else — per-round widths,
-    /// coverage mismatches, statically satisfied slices — was resolved at
-    /// plan-build time. Probes that can no longer move a trial's
-    /// first-rejection round are skipped (streams are per-(node, port,
-    /// round, trial), so nothing downstream observes the skipped draws).
-    fn run_multiround_trials(
-        &self,
+        plan: &MultiRoundPlan,
         config: &Configuration,
         seeds: &[u64],
         rounds: usize,
         pattern: MessagePattern,
         mode: StreamMode,
-        scratch: &mut RoundScratch,
-        emit: &mut dyn FnMut(MultiRoundSummary),
-    ) {
-        assert!(rounds > 0, "a schedule needs at least one round");
-        let _ = scratch;
-        let plan = self.multiround_plan(rounds);
-        // Pattern-adjusted bit accounting; reproduces the plan's own
-        // `{max,total}_bits` exactly under `PerPort`.
-        let cost = pattern_cost_from_dims(pattern, plan.dims.iter().copied());
+    ) -> Vec<usize> {
         let g = config.graph();
         let trials = seeds.len();
-        /// Sentinel for "no rejection observed yet".
-        const NONE: usize = usize::MAX;
-        let mut reject_at = vec![NONE; trials];
+        let mut reject_at = vec![NO_REJECT; trials];
         let mut node_fail: Vec<usize> = Vec::new();
         for (u, nb) in plan.nodes.iter().enumerate() {
             match nb {
@@ -1463,7 +1483,7 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
                     checks,
                 } => {
                     node_fail.clear();
-                    node_fail.resize(trials, static_reject.unwrap_or(NONE));
+                    node_fail.resize(trials, static_reject.unwrap_or(NO_REJECT));
                     for c in checks {
                         let send = c.sender.evaluator();
                         let recv = c.receiver.evaluator();
@@ -1509,15 +1529,15 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
                     // all passed, matching the one-round order; its `false`
                     // verdict surfaces when the node votes after the last
                     // round.
-                    let inner = if node_fail.contains(&NONE) {
+                    let inner = if node_fail.contains(&NO_REJECT) {
                         self.inner_verdict(u)
                     } else {
                         true // unused: every trial already failed a probe
                     };
                     for (slot, &fail) in reject_at.iter_mut().zip(&node_fail) {
-                        let fail = if fail == NONE {
+                        let fail = if fail == NO_REJECT {
                             if inner {
-                                NONE
+                                NO_REJECT
                             } else {
                                 rounds
                             }
@@ -1529,51 +1549,30 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
                 }
             }
         }
-        for &r in &reject_at {
-            let accepted = r == NONE;
-            emit(MultiRoundSummary {
-                accepted,
-                rounds,
-                decided_round: if accepted { rounds } else { r },
-                max_bits_per_round: cost.max_bits_per_round,
-                total_bits: cost.total_bits,
-            });
-        }
+        reject_at
     }
 
-    /// The faulted batched trial loop: the clean probe kernel
-    /// ([`PreparedRpls::run_trials`]) plus a per-trial fault scan over
-    /// **every** directed edge. The scan runs over all ports — not just the
-    /// plan's dynamic checks — so a message the batch plan statically
-    /// skipped (a shared-preparation probe, a static-pass node) still fails
-    /// its trial when the plan perturbs it: a dropped or corrupted message
-    /// never silently counts as a passed probe. The global verdict is the
-    /// clean kernel's AND "no message missing", which is exactly the scalar
-    /// reference semantics (a node missing input rejects conservatively, so
-    /// the conjunction over nodes factors).
-    fn run_trials_faulted(
+    /// The faulted batched one-round loop: the clean probe kernel plus a
+    /// per-trial fault scan over **every** directed edge. The scan runs
+    /// over all ports — not just the plan's dynamic checks — so a message
+    /// the batch plan statically skipped (a shared-preparation probe, a
+    /// static-pass node) still fails its trial when the plan perturbs it:
+    /// a dropped or corrupted message never silently counts as a passed
+    /// probe. The global verdict is the clean kernel's AND "no message
+    /// missing", which is exactly the scalar reference semantics (a node
+    /// missing input rejects conservatively, so the conjunction over nodes
+    /// factors). The fault layer models point-to-point delivery, so the
+    /// scan stays per directed link under every pattern: a broadcast
+    /// message crossing d links is hazarded (and accounted) d times.
+    fn faulted_block(
         &self,
         config: &Configuration,
         seeds: &[u64],
         plan: &FaultPlan,
         pattern: MessagePattern,
-        mode: StreamMode,
-        scratch: &mut RoundScratch,
-        emit: &mut dyn FnMut(FaultedRoundSummary),
+        emit: &mut dyn FnMut(RunReport),
     ) {
-        if plan.is_transparent() {
-            self.run_trials(config, seeds, pattern, mode, scratch, &mut |s| {
-                emit(FaultedRoundSummary::clean(s));
-            });
-            return;
-        }
-        // The fault layer models point-to-point delivery, so the scan
-        // below stays per directed link under every pattern: a broadcast
-        // message crossing d links is hazarded (and accounted) d times.
-        let mut clean: Vec<bool> = Vec::with_capacity(seeds.len());
-        self.run_trials(config, seeds, pattern, mode, scratch, &mut |s| {
-            clean.push(s.accepted);
-        });
+        let clean = self.probe_block(config, seeds, pattern);
 
         // Per-node transmitted certificate width, label-static: exactly
         // what `certify_into` writes (the prover's message width, or zero
@@ -1637,15 +1636,13 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
                     }
                 }
             }
-            emit(FaultedRoundSummary {
-                summary: RoundSummary {
-                    accepted: clean[t] && missing_messages == 0,
-                    max_certificate_bits: max_bits,
-                    total_certificate_bits: total_bits,
-                },
-                insufficient_nodes,
-                missing_messages,
-                counts,
+            emit(RunReport {
+                fault: Some(FaultReport {
+                    insufficient_nodes,
+                    missing_messages,
+                    counts,
+                }),
+                ..RunReport::one_round(clean[t] && missing_messages == 0, max_bits, total_bits)
             });
         }
     }
@@ -1659,9 +1656,11 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
     /// again); senders crash-stop at their first firing hazard. A receiver
     /// still missing a chunk after retries rejects at the end of that
     /// round, so `decided_round` is the earlier of the clean kernel's
-    /// decision and the first unrecovered loss.
+    /// decision and the first unrecovered loss. As in
+    /// [`Self::faulted_block`], the overlay stays per directed link under
+    /// every pattern.
     #[allow(clippy::too_many_arguments)]
-    fn run_multiround_trials_faulted(
+    fn faulted_stream_block(
         &self,
         config: &Configuration,
         seeds: &[u64],
@@ -1669,22 +1668,10 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
         plan: &FaultPlan,
         pattern: MessagePattern,
         mode: StreamMode,
-        scratch: &mut RoundScratch,
-        emit: &mut dyn FnMut(FaultedMultiRoundSummary),
+        emit: &mut dyn FnMut(RunReport),
     ) {
-        assert!(rounds > 0, "a schedule needs at least one round");
-        if plan.is_transparent() {
-            self.run_multiround_trials(config, seeds, rounds, pattern, mode, scratch, &mut |s| {
-                emit(FaultedMultiRoundSummary::clean(s));
-            });
-            return;
-        }
-        // As in `run_trials_faulted`, the overlay stays per directed link
-        // under every pattern (point-to-point delivery model).
-        let mut clean: Vec<MultiRoundSummary> = Vec::with_capacity(seeds.len());
-        self.run_multiround_trials(config, seeds, rounds, pattern, mode, scratch, &mut |s| {
-            clean.push(s);
-        });
+        let stream_plan = self.multiround_plan(rounds);
+        let clean = self.stream_block(&stream_plan, config, seeds, rounds, pattern, mode);
 
         // The streaming schedule's per-node message shape, mirroring the
         // plan builder's `SenderSchedule`: slice-message width and covered
@@ -1777,23 +1764,24 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
                     max_round_bits = max_round_bits.max(round_bits);
                 }
             }
-            let cl = clean[t];
+            let clean_accepted = clean[t] == NO_REJECT;
+            let clean_decided = if clean_accepted { rounds } else { clean[t] };
             let decided_round = if missing_messages > 0 {
-                cl.decided_round.min(earliest_missing + 1)
+                clean_decided.min(earliest_missing + 1)
             } else {
-                cl.decided_round
+                clean_decided
             };
-            emit(FaultedMultiRoundSummary {
-                summary: MultiRoundSummary {
-                    accepted: cl.accepted && missing_messages == 0,
-                    rounds,
-                    decided_round,
-                    max_bits_per_round: max_round_bits,
-                    total_bits,
-                },
-                insufficient_nodes,
-                missing_messages,
-                counts,
+            emit(RunReport {
+                accepted: clean_accepted && missing_messages == 0,
+                rounds,
+                decided_round,
+                max_bits_per_round: max_round_bits,
+                total_bits,
+                fault: Some(FaultReport {
+                    insufficient_nodes,
+                    missing_messages,
+                    counts,
+                }),
             });
         }
     }
@@ -1930,15 +1918,9 @@ mod tests {
             .collect();
         let prepared = Rpls::prepare(&scheme, &config, &labeling, usize::MAX);
         let mut scratch = crate::buffer::RoundScratch::new();
-        let summary = engine::run_randomized_prepared_with(
-            &*prepared,
-            &config,
-            1,
-            crate::engine::StreamMode::EdgeIndependent,
-            &mut scratch,
-        );
+        let report = engine::run_prepared(&RunSpec::trial(1), &*prepared, &config, &mut scratch);
         let rec = engine::run_randomized(&scheme, &config, &labeling, 1);
-        assert_eq!(summary.accepted, rec.outcome.accepted());
+        assert_eq!(report.accepted, rec.outcome.accepted());
         assert_eq!(scratch.votes(), rec.outcome.votes());
         assert_eq!(
             scratch.certificates().to_nested(config.port_base()),
@@ -1966,21 +1948,10 @@ mod tests {
             let cached = scheme.prepare_cached(&config, labeling, 64, &mut cache);
             let fresh = Rpls::prepare(&scheme, &config, labeling, 64);
             for seed in [1u64, 9, 33] {
-                let a = engine::run_randomized_prepared_with(
-                    &*cached,
-                    &config,
-                    seed,
-                    crate::engine::StreamMode::EdgeIndependent,
-                    &mut scratch,
-                );
+                let a =
+                    engine::run_prepared(&RunSpec::trial(seed), &*cached, &config, &mut scratch);
                 let cached_votes = scratch.votes().to_vec();
-                let b = engine::run_randomized_prepared_with(
-                    &*fresh,
-                    &config,
-                    seed,
-                    crate::engine::StreamMode::EdgeIndependent,
-                    &mut scratch,
-                );
+                let b = engine::run_prepared(&RunSpec::trial(seed), &*fresh, &config, &mut scratch);
                 assert_eq!(a, b, "seed {seed}");
                 assert_eq!(cached_votes, scratch.votes(), "seed {seed}");
             }
@@ -2031,20 +2002,8 @@ mod tests {
                 .collect();
             let cached = scheme.prepare_cached(&config, &labeling, 4, &mut cache);
             let fresh = Rpls::prepare(&scheme, &config, &labeling, 4);
-            let a = engine::run_randomized_prepared_with(
-                &*cached,
-                &config,
-                round,
-                crate::engine::StreamMode::EdgeIndependent,
-                &mut scratch,
-            );
-            let b = engine::run_randomized_prepared_with(
-                &*fresh,
-                &config,
-                round,
-                crate::engine::StreamMode::EdgeIndependent,
-                &mut scratch,
-            );
+            let a = engine::run_prepared(&RunSpec::trial(round), &*cached, &config, &mut scratch);
+            let b = engine::run_prepared(&RunSpec::trial(round), &*fresh, &config, &mut scratch);
             assert_eq!(a, b, "round {round}");
             assert!(!a.accepted);
             assert!(cache.retained_key_bits() <= PrepCache::KEY_BITS_BUDGET);
@@ -2134,31 +2093,24 @@ mod tests {
         let prepared = Rpls::prepare(&scheme, &config, &labeling, 32);
         let mut scratch = crate::buffer::RoundScratch::new();
         for seed in [0u64, 5, 99] {
-            let one = engine::run_randomized_prepared_with(
-                &*prepared,
-                &config,
-                seed,
-                crate::engine::StreamMode::EdgeIndependent,
-                &mut scratch,
-            );
+            let one =
+                engine::run_prepared(&RunSpec::trial(seed), &*prepared, &config, &mut scratch);
             for rounds in [1usize, 2, 4, 16, 1 << 40] {
-                let multi = engine::run_multiround_prepared_with(
+                let multi = engine::run_prepared(
+                    &RunSpec::trial(seed).with_rounds(rounds),
                     &*prepared,
                     &config,
-                    seed,
-                    rounds,
-                    crate::engine::StreamMode::EdgeIndependent,
                     &mut scratch,
                 );
                 assert!(multi.accepted, "seed {seed} rounds {rounds}");
                 assert_eq!(multi.decided_round, rounds);
                 if rounds == 1 {
-                    assert_eq!(multi.max_bits_per_round, one.max_certificate_bits);
-                    assert_eq!(multi.total_bits, one.total_certificate_bits);
+                    assert_eq!(multi.max_bits_per_round, one.max_bits_per_round);
+                    assert_eq!(multi.total_bits, one.total_bits);
                 }
                 // Chunked streaming: per-round messages fingerprint
                 // shorter slices, so they can only shrink as t grows.
-                assert!(multi.max_bits_per_round <= one.max_certificate_bits);
+                assert!(multi.max_bits_per_round <= one.max_bits_per_round);
             }
         }
     }
@@ -2187,19 +2139,12 @@ mod tests {
         let mut rejected_somewhere = false;
         for rounds in [1usize, 2, 3, 8] {
             for seed in 0..64u64 {
-                let one = engine::run_randomized_prepared_with(
+                let one =
+                    engine::run_prepared(&RunSpec::trial(seed), &*prepared, &config, &mut scratch);
+                let multi = engine::run_prepared(
+                    &RunSpec::trial(seed).with_rounds(rounds),
                     &*prepared,
                     &config,
-                    seed,
-                    crate::engine::StreamMode::EdgeIndependent,
-                    &mut scratch,
-                );
-                let multi = engine::run_multiround_prepared_with(
-                    &*prepared,
-                    &config,
-                    seed,
-                    rounds,
-                    crate::engine::StreamMode::EdgeIndependent,
                     &mut scratch,
                 );
                 // Different t re-randomises the slice probes, so verdicts
@@ -2242,12 +2187,10 @@ mod tests {
         let mut scratch = crate::buffer::RoundScratch::new();
         let mut rejects = 0usize;
         for seed in 0..200u64 {
-            let multi = engine::run_multiround_prepared_with(
+            let multi = engine::run_prepared(
+                &RunSpec::trial(seed).with_rounds(2),
                 &*prepared,
                 &config,
-                seed,
-                2,
-                crate::engine::StreamMode::EdgeIndependent,
                 &mut scratch,
             );
             if !multi.accepted {
@@ -2263,12 +2206,10 @@ mod tests {
         // Garbage labels fail the parse: decided in round 1 at any t.
         let garbage = Labeling::new(vec![BitString::zeros(5); 7]);
         let prepared = Rpls::prepare(&scheme, &config, &garbage, 4);
-        let multi = engine::run_multiround_prepared_with(
+        let multi = engine::run_prepared(
+            &RunSpec::trial(0).with_rounds(8),
             &*prepared,
             &config,
-            0,
-            8,
-            crate::engine::StreamMode::EdgeIndependent,
             &mut scratch,
         );
         assert!(!multi.accepted);
@@ -2286,12 +2227,10 @@ mod tests {
         let mut scratch = crate::buffer::RoundScratch::new();
         let mut last = usize::MAX;
         for rounds in [1usize, 2, 4, 8, 16] {
-            let multi = engine::run_multiround_prepared_with(
+            let multi = engine::run_prepared(
+                &RunSpec::trial(1).with_rounds(rounds),
                 &*prepared,
                 &config,
-                1,
-                rounds,
-                crate::engine::StreamMode::EdgeIndependent,
                 &mut scratch,
             );
             assert!(

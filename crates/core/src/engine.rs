@@ -1,4 +1,4 @@
-//! One-round synchronous execution of schemes.
+//! Synchronous execution of schemes.
 //!
 //! The model of §2.1 is a single round: every node sends one value to each
 //! neighbor, receives one value from each, and outputs a boolean. The
@@ -8,58 +8,45 @@
 //! * randomized schemes generate one certificate per (node, port) from an
 //!   **independent** random stream keyed by `(seed, node, port)` —
 //!   edge-independence (Definition 4.5) holds by construction — and deliver
-//!   each certificate to the far endpoint of its edge
-//!   ([`run_randomized`]);
-//! * [`run_randomized_shared`] deliberately reuses one stream per node
-//!   across its ports, the violation mode used to probe the hypothesis of
-//!   Proposition 4.6.
+//!   each certificate to the far endpoint of its edge ([`run_randomized`]
+//!   materialises the whole round as a [`RoundRecord`]).
+//!
+//! # One run surface
+//!
+//! Every other randomized run is named by one value. A [`RunSpec`] carries
+//! the job's `rounds` (the t-round trade-off), `pattern` (the
+//! broadcast/unicast spectrum), `stream_mode` (edge-independent streams or
+//! the deliberate Proposition 4.6 violation), optional `faults`, and a
+//! [`SeedSource`] (private trial seed or public beacon coins). [`run`],
+//! [`run_prepared`] and [`run_trials`] execute it and return one
+//! [`RunReport`] per trial.
+//!
+//! [`run_trials`] hands a whole block of seeds to the prepared scheme's one
+//! trial hook, [`PreparedRpls::run_block`]. The hook's default is the
+//! scalar reference in this module: certificate generation into a flat
+//! [`CertificateBuffer`] arena, then delivery and verification.
+//! [`CompiledRpls`](crate::compiler::CompiledRpls) overrides the hook with
+//! batched kernels that never materialise a certificate and emit
+//! bit-identical reports (`tests/engine_golden.rs` pins this). To run the
+//! scalar reference on an unprepared scheme, wrap it in
+//! [`Unprepared`].
+//!
+//! [`run_degraded`] is the one per-node diagnostic: a one-round faulted
+//! trial reported with each node's verdict and missing-message count.
 //!
 //! # Throughput
 //!
-//! Monte-Carlo estimation runs tens of thousands of rounds per data point,
-//! so the round loop is built for reuse: certificates live in a flat
-//! [`CertificateBuffer`](crate::buffer::CertificateBuffer) arena indexed by
-//! the configuration's CSR port layout, per-port randomness comes from
-//! counter-based [`PortRng`] streams (no per-stream key expansion),
-//! and [`run_randomized_with`] executes a round against a caller-owned
-//! [`RoundScratch`] without allocating after warm-up. [`run_randomized`]
-//! is the convenience wrapper that additionally materialises a full
-//! [`RoundRecord`]; both produce bit-identical certificates and votes for
-//! the same seed.
-//!
-//! For many rounds against one labeling, [`Rpls::prepare`] hoists label
-//! parsing and polynomial construction out of the loop entirely;
-//! [`run_randomized_prepared_with`] then runs a round of the prepared
-//! scheme — still bit-identical to the unprepared path, which the golden
-//! tests pin. For many *trials* against one prepared labeling (the
-//! Monte-Carlo regime), [`run_trials_batched_with`] hands the whole block
-//! of per-trial seeds to [`PreparedRpls::run_trials`], letting schemes
-//! batch trials node-at-a-time — the compiled schemes skip certificate
-//! materialisation entirely — while emitting summaries bit-identical to
-//! the scalar loop.
-//!
-//! # One dispatch surface
-//!
-//! The entry points above grew as axes were added (multiround × faulted ×
-//! patterned × batched), and every combination spawned a `run_*` twin. The
-//! redesigned surface folds the axes into one value: a [`RunSpec`] names
-//! the job — `rounds`, `pattern`, `stream_mode`, optional `faults`, and a
-//! [`SeedSource`] (private trial seed or GRAIL-style public beacon coins)
-//! — and [`run`] / [`run_prepared`] / [`run_trials`] execute it, returning
-//! uniform [`RunReport`]s. Every legacy `run_*` entry is a thin shim over
-//! this dispatch (except the `DegradedSummary`-returning diagnostics
-//! entries, which share its cores, and the multiround fault-overlay
-//! family, which keeps its distinct `t = 1` semantics — see each entry's
-//! docs), so the golden suites pin the new surface transitively.
+//! Monte-Carlo estimation runs tens of thousands of rounds per data point.
+//! Certificates live in an arena indexed by the configuration's CSR port
+//! layout, per-port randomness comes from counter-based [`PortRng`]
+//! streams (no per-stream key expansion), and a round runs against a
+//! caller-owned [`RoundScratch`] without allocating after warm-up.
 
-use crate::buffer::{Received, RoundScratch};
-use crate::fault::{
-    DegradedSummary, DeliveryOutcome, FaultCounts, FaultPlan, FaultedMultiRoundSummary,
-    FaultedRoundSummary, NodeVerdict,
-};
+use crate::buffer::{CertificateBuffer, Received, RoundScratch};
+use crate::fault::{DegradedSummary, DeliveryOutcome, FaultCounts, FaultPlan, NodeVerdict};
 use crate::labeling::Labeling;
 use crate::rng::PortRng;
-use crate::scheme::{DetView, LocalContext, Pls, PreparedRpls, Rpls, UnpreparedRpls};
+use crate::scheme::{DetView, LocalContext, Pls, PreparedRpls, Rpls, Unprepared};
 use crate::state::Configuration;
 use rpls_bits::BitString;
 use rpls_graph::{NodeId, Port};
@@ -136,75 +123,6 @@ impl RoundRecord {
     }
 }
 
-/// The cheap, `Copy` summary of a round executed through
-/// [`run_randomized_with`]: everything the Monte-Carlo estimators need
-/// without materialising a [`RoundRecord`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundSummary {
-    /// Whether every node voted `true`.
-    pub accepted: bool,
-    /// Largest certificate of the round, in bits (Definition 2.1).
-    pub max_certificate_bits: usize,
-    /// Total certificate bits over all directed edges.
-    pub total_certificate_bits: usize,
-}
-
-/// The summary of a **t-round** verification schedule (the space–time
-/// trade-off axis: a proof of size κ verified in `t` rounds with `O(κ/t)`
-/// bits communicated per round per edge). Produced by
-/// [`run_multiround_with`] / [`run_multiround_prepared_with`] and the
-/// batched [`run_multiround_trials_batched_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultiRoundSummary {
-    /// Whether every node's accumulated verdict is `true` after all
-    /// `rounds` rounds. The default certificate-splitting schedule only
-    /// re-times communication, so this equals the one-round
-    /// [`RoundSummary::accepted`] of the same trial seed for any `t`;
-    /// schedules that re-randomise per round (the compiled
-    /// chunked-fingerprint streaming) preserve perfect completeness and
-    /// the soundness *bound* for every `t`, and are bit-identical to the
-    /// one-round trial at `t = 1`.
-    pub accepted: bool,
-    /// The schedule length `t` this trial ran with.
-    pub rounds: usize,
-    /// The 1-based round at which the global verdict became known: the
-    /// earliest round in which some node's accumulated verdict turned
-    /// `false` (early rejection), or `rounds` for accepting trials (and
-    /// for schedules, like the default certificate-splitting one, whose
-    /// verifiers only vote once the last chunk has arrived).
-    pub decided_round: usize,
-    /// The largest number of bits any single directed edge carries in any
-    /// single round — the per-round communication the trade-off shrinks as
-    /// ≈ κ/t. At `t = 1` this equals
-    /// [`RoundSummary::max_certificate_bits`].
-    pub max_bits_per_round: usize,
-    /// Total bits communicated over all directed edges and all rounds. At
-    /// `t = 1` this equals [`RoundSummary::total_certificate_bits`].
-    pub total_bits: usize,
-}
-
-impl MultiRoundSummary {
-    /// The default **certificate-splitting** schedule, derived from a
-    /// one-round summary: the one-round certificate of each directed edge
-    /// is cut into `rounds` equal chunks (the last possibly short) and
-    /// chunk `r` is delivered in round `r`; verifiers reassemble and vote
-    /// after the last round. Verdicts and total bits are exactly the
-    /// one-round ones; per-round communication is
-    /// `⌈max_certificate_bits / rounds⌉` (ceiling division is monotone, so
-    /// the per-edge maximum commutes with the split).
-    #[must_use]
-    pub fn from_split(summary: RoundSummary, rounds: usize) -> Self {
-        assert!(rounds > 0, "a schedule needs at least one round");
-        Self {
-            accepted: summary.accepted,
-            rounds,
-            decided_round: rounds,
-            max_bits_per_round: summary.max_certificate_bits.div_ceil(rounds),
-            total_bits: summary.total_certificate_bits,
-        }
-    }
-}
-
 /// Seed-derivation tag of per-round streams beyond the first, chosen to
 /// collide with neither the estimator tags in [`stats`](crate::stats) nor
 /// any (node, port) mixing.
@@ -246,10 +164,8 @@ pub enum StreamMode {
 /// The engine realises the spectrum as a first-class parameter next to
 /// [`StreamMode`]:
 ///
-/// * [`MessagePattern::PerPort`] — today's implicit assumption: one
-///   independently drawn message per port. The default everywhere; all
-///   legacy entry points are thin wrappers over it, and the golden tests
-///   pin it transcript-identical to the pre-pattern engine.
+/// * [`MessagePattern::PerPort`] — one independently drawn message per
+///   port, the classic RPLS model and the [`RunSpec`] default.
 /// * [`MessagePattern::Broadcast`] — one message per node per round,
 ///   drawn from the node's single stream and shared across all its ports.
 ///   A one-round broadcast therefore *coincides* with what
@@ -271,11 +187,10 @@ pub enum StreamMode {
 /// Patterns re-time and re-share *messages*; they never change verdict
 /// semantics: `PerPort` and `Unicast` are transcript-identical, and
 /// `Broadcast`/`KMessages` deliver each slot's message on every port that
-/// maps to the slot, so phase 2 (delivery + verification) is untouched.
+/// maps to the slot, so delivery and verification are untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessagePattern {
-    /// One independent message per port (the classic RPLS model and the
-    /// engine's historical implicit behaviour).
+    /// One independent message per port (the classic RPLS model).
     PerPort,
     /// One message per node per round, shared across all its ports.
     Broadcast,
@@ -335,11 +250,11 @@ pub struct PatternCost {
 }
 
 /// Where the base seed of a [`RunSpec`] comes from — the private-coin /
-/// public-coin axis of the redesigned dispatch surface.
+/// public-coin axis of the run surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedSource {
     /// An ordinary private trial seed: the caller picks (or derives) a
-    /// 64-bit seed, exactly as every legacy entry point did.
+    /// 64-bit seed.
     Trial(u64),
     /// GRAIL-style **public coins**: the seed is derived from a randomness
     /// beacon pulse via [`beacon_seed`](crate::rng::beacon_seed), so any
@@ -365,9 +280,8 @@ impl SeedSource {
     }
 }
 
-/// One verification job, fully specified — the single dispatch surface the
-/// historical `run_*` twins collapse into. Every axis the engine grew over
-/// the PRs is a field:
+/// One verification job, fully specified — the engine's single run
+/// surface. Every axis is a field:
 ///
 /// * `rounds` — the t-round space–time trade-off (1 = the paper's
 ///   one-round model);
@@ -380,13 +294,14 @@ impl SeedSource {
 ///
 /// Execute a spec with [`run`] (unprepared convenience), [`run_prepared`]
 /// (against a prepared scheme) or [`run_trials`] (whole seed blocks, the
-/// Monte-Carlo regime). **Semantics note:** with faults at `rounds = 1`
-/// the spec runs the one-round fault model (single-shot delivery, no
-/// retries — what [`run_trials_faulted_with`] always measured); with
-/// faults at `rounds > 1` it runs the multiround overlay (chunked
-/// schedule, retry budget). The legacy `run_multiround_*faulted*` entries
-/// keep the overlay semantics at every `t`, including 1, and therefore
-/// delegate to the scheme hooks directly rather than through a spec.
+/// Monte-Carlo regime).
+///
+/// With faults, `rounds = 1` is single-shot delivery: no retries, and every
+/// directed edge is hazarded, even one whose certificate has zero bits.
+/// `rounds ≥ 2` runs the multiround schedule, where only message-bearing
+/// chunks are hazarded and the plan's retry budget
+/// ([`FaultSpec::with_retry_budget`](crate::fault::FaultSpec::with_retry_budget))
+/// re-sends failed chunks within their round.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// Schedule length `t` (must be ≥ 1; enforced at execution).
@@ -403,7 +318,7 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// A one-round, per-port, edge-independent, fault-free spec over
-    /// `seed_source` — the defaults every legacy entry point implied.
+    /// `seed_source`.
     #[must_use]
     pub fn new(seed_source: SeedSource) -> Self {
         Self {
@@ -476,125 +391,65 @@ pub struct FaultReport {
     /// Nodes that were missing at least one incident message (and so voted
     /// a conservative reject).
     pub insufficient_nodes: usize,
-    /// Messages that never arrived, over all rounds.
+    /// Messages that never arrived, over all rounds (after retries).
     pub missing_messages: usize,
     /// Fault events that fired.
     pub counts: FaultCounts,
 }
 
-/// The uniform result of executing one [`RunSpec`] trial — what every
-/// summary type ([`RoundSummary`], [`MultiRoundSummary`],
-/// [`FaultedRoundSummary`], [`FaultedMultiRoundSummary`]) projects into,
-/// losslessly: the legacy shims convert back without information loss.
+/// The result of executing one [`RunSpec`] trial — the one report type
+/// every engine path emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunReport {
-    /// Whether every node's (accumulated) verdict is accept.
+    /// Whether every node's (accumulated) verdict is accept. Under faults,
+    /// a node missing input rejects, so faults only flip accept → reject.
     pub accepted: bool,
     /// The schedule length the trial ran with (1 for one-round specs).
     pub rounds: usize,
-    /// The 1-based round the global verdict became known in (see
-    /// [`MultiRoundSummary::decided_round`]; always 1 for one-round specs).
+    /// The 1-based round the global verdict became known in: the earliest
+    /// round in which some node's accumulated verdict turned `false`
+    /// (early rejection), or `rounds` for accepting trials and for
+    /// schedules whose verifiers only vote once the last chunk arrived.
     pub decided_round: usize,
-    /// Largest bits any single directed edge carried in any single round.
+    /// Largest bits any single directed edge carried in any single round —
+    /// the per-round communication the trade-off shrinks as ≈ κ/t. For a
+    /// one-round clean trial this is the largest certificate
+    /// (Definition 2.1).
     pub max_bits_per_round: usize,
-    /// Total bits over all directed edges and rounds.
+    /// Total bits over all directed edges and rounds, including duplicate
+    /// and retry transmissions and excluding what crashed senders never
+    /// sent.
     pub total_bits: usize,
     /// Fault statistics, `Some` iff the spec carried a fault plan.
     pub fault: Option<FaultReport>,
 }
 
 impl RunReport {
-    fn from_round(summary: RoundSummary) -> Self {
+    /// The report of a clean one-round trial.
+    pub(crate) fn one_round(accepted: bool, max_bits: usize, total_bits: usize) -> Self {
         Self {
-            accepted: summary.accepted,
+            accepted,
             rounds: 1,
             decided_round: 1,
-            max_bits_per_round: summary.max_certificate_bits,
-            total_bits: summary.total_certificate_bits,
+            max_bits_per_round: max_bits,
+            total_bits,
             fault: None,
         }
     }
 
-    fn from_multiround(summary: MultiRoundSummary) -> Self {
+    /// The default **certificate-splitting** schedule, derived from a
+    /// one-round report: each directed edge's certificate is cut into
+    /// `rounds` chunks (the last possibly short) and chunk `r` is delivered
+    /// in round `r`; verifiers reassemble and vote after the last round.
+    /// Verdicts and total bits are exactly the one-round ones; per-round
+    /// communication is `⌈max_bits / rounds⌉` (ceiling division is
+    /// monotone, so the per-edge maximum commutes with the split).
+    fn split(self, rounds: usize) -> Self {
         Self {
-            accepted: summary.accepted,
-            rounds: summary.rounds,
-            decided_round: summary.decided_round,
-            max_bits_per_round: summary.max_bits_per_round,
-            total_bits: summary.total_bits,
-            fault: None,
-        }
-    }
-
-    fn from_faulted_round(summary: FaultedRoundSummary) -> Self {
-        Self {
-            fault: Some(FaultReport {
-                insufficient_nodes: summary.insufficient_nodes,
-                missing_messages: summary.missing_messages,
-                counts: summary.counts,
-            }),
-            ..Self::from_round(summary.summary)
-        }
-    }
-
-    fn from_faulted_multiround(summary: FaultedMultiRoundSummary) -> Self {
-        Self {
-            fault: Some(FaultReport {
-                insufficient_nodes: summary.insufficient_nodes,
-                missing_messages: summary.missing_messages,
-                counts: summary.counts,
-            }),
-            ..Self::from_multiround(summary.summary)
-        }
-    }
-
-    /// This report viewed as a one-round summary. Exact for one-round
-    /// specs (`rounds == 1`); for longer schedules the bits fields carry
-    /// the per-round maximum and the all-rounds total.
-    #[must_use]
-    pub fn round_summary(&self) -> RoundSummary {
-        RoundSummary {
-            accepted: self.accepted,
-            max_certificate_bits: self.max_bits_per_round,
-            total_certificate_bits: self.total_bits,
-        }
-    }
-
-    /// This report viewed as a t-round summary (exact at any `rounds`).
-    #[must_use]
-    pub fn multiround_summary(&self) -> MultiRoundSummary {
-        MultiRoundSummary {
-            accepted: self.accepted,
-            rounds: self.rounds,
-            decided_round: self.decided_round,
-            max_bits_per_round: self.max_bits_per_round,
-            total_bits: self.total_bits,
-        }
-    }
-
-    /// This report viewed as a faulted one-round summary; a report without
-    /// fault statistics converts as clean.
-    #[must_use]
-    pub fn faulted_round_summary(&self) -> FaultedRoundSummary {
-        let fault = self.fault.unwrap_or_default();
-        FaultedRoundSummary {
-            summary: self.round_summary(),
-            insufficient_nodes: fault.insufficient_nodes,
-            missing_messages: fault.missing_messages,
-            counts: fault.counts,
-        }
-    }
-
-    /// This report viewed as a faulted t-round summary; a report without
-    /// fault statistics converts as clean.
-    #[must_use]
-    pub fn faulted_multiround_summary(&self) -> FaultedMultiRoundSummary {
-        let fault = self.fault.unwrap_or_default();
-        FaultedMultiRoundSummary {
-            summary: self.multiround_summary(),
-            insufficient_nodes: fault.insufficient_nodes,
-            missing_messages: fault.missing_messages,
-            counts: fault.counts,
+            rounds,
+            decided_round: rounds,
+            max_bits_per_round: self.max_bits_per_round.div_ceil(rounds),
+            ..self
         }
     }
 }
@@ -624,18 +479,14 @@ pub fn run<S: Rpls + ?Sized>(
     run_prepared(spec, &*prepared, config, &mut RoundScratch::new())
 }
 
-/// Executes one [`RunSpec`] trial of a **prepared** scheme — the dispatch
-/// core every legacy scalar entry point is a shim over. The four-way
-/// dispatch on `(faults, rounds)`:
+/// Executes one [`RunSpec`] trial of a **prepared** scheme, seeded by
+/// `spec.seed()`.
 ///
-/// * clean, `rounds == 1` — the scalar one-round core (after the call
-///   `scratch.votes()` / `scratch.certificates()` hold the round, exactly
-///   as [`run_randomized_prepared_with`] always promised);
-/// * clean, `rounds > 1` — [`PreparedRpls::run_multiround`];
-/// * faulted, `rounds == 1` — the one-round fault model (single-shot
-///   delivery, no retries);
-/// * faulted, `rounds > 1` — [`PreparedRpls::run_multiround_faulted`]
-///   (the chunked overlay with the plan's retry budget).
+/// A one-round spec runs the scalar reference, so afterwards
+/// `scratch.votes()` and `scratch.certificates()` hold the round (for a
+/// faulted spec, the votes are the conservative faulted ones). A longer
+/// schedule runs through [`PreparedRpls::run_block`], exactly as
+/// [`run_trials`] would for a one-seed block.
 ///
 /// # Panics
 ///
@@ -648,56 +499,21 @@ pub fn run_prepared<P: PreparedRpls + ?Sized>(
 ) -> RunReport {
     assert!(spec.rounds > 0, "a schedule needs at least one round");
     let seed = spec.seed();
-    match (&spec.faults, spec.rounds) {
-        (None, 1) => RunReport::from_round(clean_round_patterned(
-            prepared,
-            config,
-            seed,
-            spec.pattern,
-            spec.stream_mode,
-            scratch,
-        )),
-        (None, rounds) => RunReport::from_multiround(prepared.run_multiround(
-            config,
-            seed,
-            rounds,
-            spec.pattern,
-            spec.stream_mode,
-            scratch,
-        )),
-        (Some(plan), 1) => RunReport::from_faulted_round(
-            faulted_round_patterned(
-                prepared,
-                config,
-                seed,
-                spec.pattern,
-                plan,
-                spec.stream_mode,
-                scratch,
-            )
-            .compact(),
-        ),
-        (Some(plan), rounds) => {
-            RunReport::from_faulted_multiround(prepared.run_multiround_faulted(
-                config,
-                seed,
-                rounds,
-                plan,
-                spec.pattern,
-                spec.stream_mode,
-                scratch,
-            ))
-        }
+    if spec.rounds == 1 {
+        return scalar_trial(spec, prepared, config, seed, scratch);
     }
+    let mut out = None;
+    prepared.run_block(spec, config, &[seed], scratch, &mut |r| out = Some(r));
+    out.expect("run_block emits one report per seed")
 }
 
 /// Runs one [`RunSpec`] trial per seed in `seeds` against a prepared
-/// scheme, calling `emit` once per trial in seed order — the batched
-/// dispatch core behind every Monte-Carlo estimator
-/// ([`stats::estimate`](crate::stats::estimate) funnels here). Dispatches
-/// to the same four scheme hooks as [`run_prepared`], so emitted reports
-/// are bit-identical to calling it once per seed.
+/// scheme, calling `emit` once per trial in seed order — the block
+/// dispatch every Monte-Carlo estimator funnels into
+/// ([`stats::estimate`](crate::stats::estimate) and friends).
 ///
+/// Delegates to [`PreparedRpls::run_block`], whose reports are
+/// bit-identical to calling [`run_prepared`] once per seed.
 /// `spec.seed_source` is **not** consulted: the caller supplies the
 /// explicit per-trial seed block (the estimators derive one from the
 /// spec's base seed). Batched hooks may skip materialising certificates,
@@ -715,43 +531,48 @@ pub fn run_trials<P: PreparedRpls + ?Sized>(
     emit: &mut dyn FnMut(RunReport),
 ) {
     assert!(spec.rounds > 0, "a schedule needs at least one round");
-    match (&spec.faults, spec.rounds) {
-        (None, 1) => prepared.run_trials(
+    prepared.run_block(spec, config, seeds, scratch, emit);
+}
+
+/// Executes one faulted one-round trial of a prepared scheme and reports
+/// it per node — the engine's per-node diagnostic. The summary's `report`
+/// is exactly what [`run_prepared`] returns for the same spec; `verdicts`
+/// and `missing` say which nodes rejected and which lost input. A spec
+/// without faults runs clean, with verdicts mirroring the votes.
+///
+/// # Panics
+///
+/// Panics if `spec.rounds` is not 1.
+pub fn run_degraded<P: PreparedRpls + ?Sized>(
+    spec: &RunSpec,
+    prepared: &P,
+    config: &Configuration,
+    scratch: &mut RoundScratch,
+) -> DegradedSummary {
+    assert_eq!(spec.rounds, 1, "the per-node diagnostic is one-round only");
+    let seed = spec.seed();
+    match &spec.faults {
+        Some(plan) if !plan.is_transparent() => degraded_round(
+            prepared,
             config,
-            seeds,
+            seed,
             spec.pattern,
             spec.stream_mode,
-            scratch,
-            &mut |s| emit(RunReport::from_round(s)),
-        ),
-        (None, rounds) => prepared.run_multiround_trials(
-            config,
-            seeds,
-            rounds,
-            spec.pattern,
-            spec.stream_mode,
-            scratch,
-            &mut |s| emit(RunReport::from_multiround(s)),
-        ),
-        (Some(plan), 1) => prepared.run_trials_faulted(
-            config,
-            seeds,
             plan,
-            spec.pattern,
-            spec.stream_mode,
             scratch,
-            &mut |s| emit(RunReport::from_faulted_round(s)),
         ),
-        (Some(plan), rounds) => prepared.run_multiround_trials_faulted(
-            config,
-            seeds,
-            rounds,
-            plan,
-            spec.pattern,
-            spec.stream_mode,
-            scratch,
-            &mut |s| emit(RunReport::from_faulted_multiround(s)),
-        ),
+        faults => {
+            let mut report = clean_round(
+                prepared,
+                config,
+                seed,
+                spec.pattern,
+                spec.stream_mode,
+                scratch,
+            );
+            report.fault = faults.as_ref().map(|_| FaultReport::default());
+            DegradedSummary::transparent(report, scratch.votes())
+        }
     }
 }
 
@@ -798,574 +619,179 @@ pub fn run_deterministic<S: Pls + ?Sized>(
     Outcome { votes }
 }
 
-/// Runs a randomized verification round with edge-independent randomness:
-/// node `v`'s certificate for port `p` is drawn from a stream keyed by
-/// `(seed, v, p)`, independent across both nodes and ports.
+/// Runs a randomized verification round with edge-independent randomness
+/// and materialises it: node `v`'s certificate for port `p` is drawn from
+/// a stream keyed by `(seed, v, p)`, independent across both nodes and
+/// ports. The votes and bits are those of
+/// `run_prepared(&RunSpec::trial(seed), &Unprepared::new(..), ..)`.
 pub fn run_randomized<S: Rpls + ?Sized>(
     scheme: &S,
     config: &Configuration,
     labeling: &Labeling,
     seed: u64,
 ) -> RoundRecord {
-    record_round(scheme, config, labeling, seed, StreamMode::EdgeIndependent)
-}
-
-/// Like [`run_randomized`] but every node reuses **one** stream across all
-/// its ports, sequentially — certificates of one node become correlated,
-/// violating edge-independence (Definition 4.5). Exists to demonstrate that
-/// the hypothesis of Proposition 4.6 is about the scheme, not the engine.
-pub fn run_randomized_shared<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    seed: u64,
-) -> RoundRecord {
-    record_round(scheme, config, labeling, seed, StreamMode::SharedPerNode)
-}
-
-fn record_round<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    seed: u64,
-    mode: StreamMode,
-) -> RoundRecord {
     let mut scratch = RoundScratch::new();
-    run_randomized_with(scheme, config, labeling, seed, mode, &mut scratch);
+    run_prepared(
+        &RunSpec::trial(seed),
+        &Unprepared::new(scheme, config, labeling),
+        config,
+        &mut scratch,
+    );
     RoundRecord {
         certificates: scratch.buffer.to_nested(config.port_base()),
         outcome: Outcome {
-            votes: scratch.votes.clone(),
+            votes: scratch.votes,
         },
     }
 }
 
-/// Executes one randomized round against reusable scratch storage — the
-/// hot path behind every Monte-Carlo estimator. Produces exactly the same
-/// certificates and votes as [`run_randomized`] /
-/// [`run_randomized_shared`] for the same seed, but performs no heap
-/// allocation once the scratch buffers have grown to the workload's size.
-///
-/// After the call, `scratch.votes()` holds the per-node votes and
-/// `scratch.certificates()` the round's certificate arena.
-pub fn run_randomized_with<S: Rpls + ?Sized>(
-    scheme: &S,
+/// The scalar reference of [`PreparedRpls::run_block`]: one
+/// [`run_prepared`]-equivalent scalar trial per seed. The hook's default,
+/// and the fallback of batched overrides for shapes they do not batch.
+pub(crate) fn scalar_block<P: PreparedRpls + ?Sized>(
+    spec: &RunSpec,
+    prepared: &P,
     config: &Configuration,
-    labeling: &Labeling,
-    seed: u64,
-    mode: StreamMode,
+    seeds: &[u64],
     scratch: &mut RoundScratch,
-) -> RoundSummary {
-    assert_eq!(
-        labeling.len(),
-        config.node_count(),
-        "one label per node required"
-    );
-    // The unprepared adapter routes straight to the scheme's certify/verify
-    // with statically dispatched views — no per-labeling precomputation, no
-    // boxing. Estimators that run many rounds against one labeling should
-    // call [`Rpls::prepare`] once and use
-    // [`run_randomized_prepared_with`] instead.
-    let unprepared = UnpreparedRpls {
-        scheme,
-        config,
-        labeling,
-    };
-    run_randomized_prepared_with(&unprepared, config, seed, mode, scratch)
+    emit: &mut dyn FnMut(RunReport),
+) {
+    for &seed in seeds {
+        emit(scalar_trial(spec, prepared, config, seed, scratch));
+    }
 }
 
-/// Executes one randomized round of a **prepared** scheme (see
-/// [`Rpls::prepare`]) against reusable scratch storage. This is the round
-/// loop every other entry point funnels into; with a prepared scheme the
-/// per-(node, port) cost is whatever the preparation left behind — for
-/// [`CompiledRpls`](crate::compiler::CompiledRpls), one random field
-/// element plus one polynomial evaluation.
-///
-/// `prepared` must have been prepared for `config` (and the labeling the
-/// caller wants) — transcripts are bit-identical to
-/// [`run_randomized_with`] on the same inputs, which
-/// `tests/engine_golden.rs` pins.
-///
-/// A shim over [`run_prepared`] with a one-round, per-port [`RunSpec`].
-pub fn run_randomized_prepared_with<P: PreparedRpls + ?Sized>(
+/// Runs `trials` trials of `spec` through [`run_trials`], with per-trial
+/// seeds `seed_of(0..trials)` handed over in blocks of [`TRIAL_CHUNK`] —
+/// the seed loop every estimator and measurement sweep shares. Chunking
+/// bounds memory at O(chunk) for any trial count without changing results
+/// (trials are independent).
+pub(crate) fn run_seeded_trials(
+    spec: &RunSpec,
+    prepared: &dyn PreparedRpls,
+    config: &Configuration,
+    trials: usize,
+    seed_of: &dyn Fn(u64) -> u64,
+    scratch: &mut RoundScratch,
+    emit: &mut dyn FnMut(RunReport),
+) {
+    let mut seeds = Vec::with_capacity(TRIAL_CHUNK.min(trials));
+    let mut next = 0usize;
+    while next < trials {
+        let chunk = TRIAL_CHUNK.min(trials - next);
+        seeds.clear();
+        seeds.extend((next..next + chunk).map(|t| seed_of(t as u64)));
+        next += chunk;
+        run_trials(spec, prepared, config, &seeds, scratch, emit);
+    }
+}
+
+/// One scalar trial of `spec` under `seed`. Longer schedules re-time the
+/// one-round trial (same seed, same randomness) as the
+/// certificate-splitting schedule of [`RunReport::split`], with faults
+/// overlaid on its chunks by [`overlay_split_faults`].
+fn scalar_trial<P: PreparedRpls + ?Sized>(
+    spec: &RunSpec,
     prepared: &P,
     config: &Configuration,
     seed: u64,
-    mode: StreamMode,
     scratch: &mut RoundScratch,
-) -> RoundSummary {
-    run_prepared(
-        &RunSpec::trial(seed).with_stream_mode(mode),
-        prepared,
-        config,
-        scratch,
-    )
-    .round_summary()
+) -> RunReport {
+    let (pattern, mode) = (spec.pattern, spec.stream_mode);
+    match (&spec.faults, spec.rounds) {
+        (Some(plan), 1) if !plan.is_transparent() => {
+            degraded_round(prepared, config, seed, pattern, mode, plan, scratch).report
+        }
+        (faults, rounds) => {
+            let clean = clean_round(prepared, config, seed, pattern, mode, scratch);
+            match faults {
+                Some(plan) if !plan.is_transparent() => {
+                    overlay_split_faults(config, seed, rounds, plan, scratch.certificates(), clean)
+                }
+                _ => RunReport {
+                    fault: faults.as_ref().map(|_| FaultReport::default()),
+                    ..clean.split(rounds)
+                },
+            }
+        }
+    }
 }
 
-/// The scalar one-round core: phase 1 (certificate generation in global
-/// port order from mode-keyed streams) and phase 2 (involution delivery +
-/// verification). Everything clean and one-round in the engine bottoms out
-/// here; after the call `scratch.votes()` / `scratch.certificates()` hold
-/// the round.
+/// The clean scalar round: certificate generation, then delivery and
+/// verification. After the call `scratch.votes()` / `scratch.certificates()`
+/// hold the round. The bit accounting counts each distinct message slot
+/// once, overridden by [`PreparedRpls::pattern_cost`] when the scheme
+/// knows its wire cost, so scalar and batched reports agree by
+/// construction.
 fn clean_round<P: PreparedRpls + ?Sized>(
     prepared: &P,
     config: &Configuration,
     seed: u64,
+    pattern: MessagePattern,
     mode: StreamMode,
     scratch: &mut RoundScratch,
-) -> RoundSummary {
-    let g = config.graph();
+) -> RunReport {
     let RoundScratch { buffer, votes, tmp } = scratch;
-
-    // Phase 1: certificate generation, in global port order.
-    buffer.clear();
-    for v in g.nodes() {
-        let node_index = v.index() as u64;
-        let degree = g.degree(v);
-        match mode {
-            StreamMode::EdgeIndependent => {
-                for p in 0..degree {
-                    let mut rng = PortRng::for_edge(seed, node_index, p as u64);
-                    prepared.certify_into(v, Port::from_rank(p), &mut rng, tmp);
-                    buffer.push(tmp);
-                }
-            }
-            StreamMode::SharedPerNode => {
-                let mut rng = PortRng::for_node(seed, node_index);
-                for p in 0..degree {
-                    prepared.certify_into(v, Port::from_rank(p), &mut rng, tmp);
-                    buffer.push(tmp);
-                }
-            }
-        }
-    }
-
-    // Phase 2: delivery and verification. The certificate arriving at v on
-    // port p is the one its neighbor generated for the far end of that
-    // edge; the configuration's delivery map has the routing precomputed.
-    let delivery = config.delivery();
-    let port_base = config.port_base();
-    votes.clear();
-    let mut accepted = true;
-    for v in g.nodes() {
-        let lo = port_base[v.index()] as usize;
-        let hi = port_base[v.index() + 1] as usize;
-        let received = Received::new(buffer, &delivery[lo..hi]);
-        let vote = prepared.verify(v, &received);
-        accepted &= vote;
-        votes.push(vote);
-    }
-
-    RoundSummary {
-        accepted,
-        max_certificate_bits: buffer.max_bits(),
-        total_certificate_bits: buffer.total_bits(),
+    let (max_bits, total_bits) = certify_round(prepared, config, seed, pattern, mode, buffer, tmp);
+    let accepted = verify_round(prepared, config, buffer, &[], votes);
+    match prepared.pattern_cost(pattern, 1) {
+        Some(cost) => RunReport::one_round(accepted, cost.max_bits_per_round, cost.total_bits),
+        None => RunReport::one_round(accepted, max_bits, total_bits),
     }
 }
 
-/// Phase 1 of a patterned round for the slot-sharing patterns
-/// ([`MessagePattern::Broadcast`] / [`MessagePattern::KMessages`]): fills
-/// the arena with one certificate per port, where port `p` of node `v`
-/// carries the message of slot `slot_of(deg v, p)` — broadcast slots draw
-/// from the node's single stream ([`PortRng::for_node`]), k-message slot
-/// `s` from the edge stream of `(v, s)`. Every port of a slot regenerates
-/// the slot's message from a fresh generator, so the copies are
-/// bit-identical by construction. Returns `(max_bits, total_bits)` with
-/// each distinct slot counted **once** — the pattern's wire accounting.
-fn patterned_certificates<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seed: u64,
-    pattern: MessagePattern,
-    buffer: &mut crate::buffer::CertificateBuffer,
-    tmp: &mut BitString,
-) -> (usize, usize) {
-    let g = config.graph();
-    let mut max_bits = 0usize;
-    let mut total_bits = 0usize;
-    buffer.clear();
-    for v in g.nodes() {
-        let node_index = v.index() as u64;
-        let degree = g.degree(v);
-        let slots = pattern.slots(degree);
-        for p in 0..degree {
-            let slot = pattern.slot_of(degree, p);
-            let mut rng = match pattern {
-                MessagePattern::Broadcast => PortRng::for_node(seed, node_index),
-                _ => PortRng::for_edge(seed, node_index, slot as u64),
-            };
-            prepared.certify_into(v, Port::from_rank(slot), &mut rng, tmp);
-            if p < slots {
-                max_bits = max_bits.max(tmp.len());
-                total_bits += tmp.len();
-            }
-            buffer.push(tmp);
-        }
-    }
-    (max_bits, total_bits)
-}
-
-/// Executes one randomized round of `scheme` against `labeling` under an
-/// explicit [`MessagePattern`] — the unprepared patterned entry point.
-/// [`MessagePattern::PerPort`] is exactly [`run_randomized_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_randomized_patterned_with<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    seed: u64,
-    pattern: MessagePattern,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> RoundSummary {
-    assert_eq!(
-        labeling.len(),
-        config.node_count(),
-        "one label per node required"
-    );
-    let unprepared = UnpreparedRpls {
-        scheme,
-        config,
-        labeling,
-    };
-    run_randomized_prepared_patterned_with(&unprepared, config, seed, pattern, mode, scratch)
-}
-
-/// Executes one randomized round of a **prepared** scheme under an explicit
-/// [`MessagePattern`] — the patterned scalar reference path every batched
-/// pattern kernel must agree with.
+/// The faulted scalar round under a non-transparent `plan` — the
+/// reference semantics every faulted one-round path agrees with:
 ///
-/// * `PerPort` delegates verbatim to [`run_randomized_prepared_with`] —
-///   bit-identical to the pre-pattern engine by construction.
-/// * `Unicast` runs the same transcript as `PerPort` (the random point is
-///   shared through the round seed, so the verdict path is untouched) and
-///   only re-accounts bits via [`PreparedRpls::pattern_cost`] when the
-///   scheme knows its wire cost.
-/// * `Broadcast` / `KMessages` generate one message per slot (see
-///   [`MessagePattern`]) and deliver each slot's message on every port
-///   mapping to it; summaries count each distinct slot once, overridden by
-///   [`PreparedRpls::pattern_cost`] when available so the scalar and
-///   batched summaries agree by construction.
-///
-/// A shim over [`run_prepared`] with a one-round [`RunSpec`].
-pub fn run_randomized_prepared_patterned_with<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seed: u64,
-    pattern: MessagePattern,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> RoundSummary {
-    run_prepared(
-        &RunSpec::trial(seed)
-            .with_pattern(pattern)
-            .with_stream_mode(mode),
-        prepared,
-        config,
-        scratch,
-    )
-    .round_summary()
-}
-
-/// The scalar patterned one-round core (see
-/// [`run_randomized_prepared_patterned_with`] for the per-pattern
-/// semantics): the clean `rounds == 1` arm of [`run_prepared`]'s dispatch.
-fn clean_round_patterned<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seed: u64,
-    pattern: MessagePattern,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> RoundSummary {
-    match pattern {
-        MessagePattern::PerPort => {
-            return clean_round(prepared, config, seed, mode, scratch);
-        }
-        MessagePattern::Unicast => {
-            let mut summary = clean_round(prepared, config, seed, mode, scratch);
-            if let Some(cost) = prepared.pattern_cost(pattern, 1) {
-                summary.max_certificate_bits = cost.max_bits_per_round;
-                summary.total_certificate_bits = cost.total_bits;
-            }
-            return summary;
-        }
-        MessagePattern::Broadcast | MessagePattern::KMessages(_) => {}
-    }
-    let g = config.graph();
-    let RoundScratch { buffer, votes, tmp } = scratch;
-    let (max_bits, total_bits) =
-        patterned_certificates(prepared, config, seed, pattern, buffer, tmp);
-
-    // Phase 2 is the unchanged delivery + verification of the per-port
-    // engine: patterns share messages across ports, they never change what
-    // a port receives relative to what its slot generated.
-    let delivery = config.delivery();
-    let port_base = config.port_base();
-    votes.clear();
-    let mut accepted = true;
-    for v in g.nodes() {
-        let lo = port_base[v.index()] as usize;
-        let hi = port_base[v.index() + 1] as usize;
-        let received = Received::new(buffer, &delivery[lo..hi]);
-        let vote = prepared.verify(v, &received);
-        accepted &= vote;
-        votes.push(vote);
-    }
-
-    let mut summary = RoundSummary {
-        accepted,
-        max_certificate_bits: max_bits,
-        total_certificate_bits: total_bits,
-    };
-    if let Some(cost) = prepared.pattern_cost(pattern, 1) {
-        summary.max_certificate_bits = cost.max_bits_per_round;
-        summary.total_certificate_bits = cost.total_bits;
-    }
-    summary
-}
-
-/// Executes one randomized round of `scheme` against `labeling` under the
-/// fault environment of `plan` — the unprepared faulted entry point,
-/// mirroring [`run_randomized_with`]. Certificate *generation* is
-/// unaffected by faults (nodes draw their randomness before the network
-/// acts); only delivery is perturbed. See
-/// [`run_randomized_prepared_faulted_with`] for the semantics.
-pub fn run_randomized_faulted_with<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    seed: u64,
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> DegradedSummary {
-    assert_eq!(
-        labeling.len(),
-        config.node_count(),
-        "one label per node required"
-    );
-    let unprepared = UnpreparedRpls {
-        scheme,
-        config,
-        labeling,
-    };
-    run_randomized_prepared_faulted_with(&unprepared, config, seed, plan, mode, scratch)
-}
-
-/// Executes one randomized round of a **prepared** scheme under the fault
-/// environment of `plan` — the scalar reference semantics every faulted
-/// engine path must agree with:
-///
-/// * Phase 1 (certificate generation) is exactly the fault-free
-///   [`run_randomized_prepared_with`] phase — same streams, same bits.
-/// * Phase 2 consults the plan once per directed edge: a message from a
+/// * certificate generation is exactly the clean one (nodes draw their
+///   randomness before the network acts);
+/// * delivery consults the plan once per directed edge: a message from a
 ///   crashed sender is never transmitted; a dropped or corrupted message
 ///   is transmitted but lost; a duplicated message arrives intact with its
-///   bits counted twice.
-/// * A node missing any incident message votes
+///   bits counted twice;
+/// * a node missing any incident message votes
 ///   [`NodeVerdict::InsufficientInput`] — a conservative reject — and its
-///   verifier is not consulted; every other node votes its fault-free
-///   verdict. Faults can therefore only flip accept → reject, preserving
-///   the paper's one-sided soundness.
+///   verifier is not consulted; every other node votes its clean verdict.
 ///
-/// A transparent `plan` branches to the exact fault-free path, so its
-/// summary (and the scratch contents) are bit-identical to
-/// [`run_randomized_prepared_with`].
-///
-/// This entry keeps its rich [`DegradedSummary`] return (per-node verdicts
-/// and missing-message counts, which the compact [`RunReport`] does not
-/// carry) and therefore calls the faulted scalar core directly — the same
-/// core [`run_prepared`]'s faulted one-round arm compacts.
-pub fn run_randomized_prepared_faulted_with<P: PreparedRpls + ?Sized>(
+/// The fault layer models point-to-point delivery, so its bit totals
+/// charge each directed link individually (a broadcast message crossing
+/// `d` links pays `d` times): pattern-shared accounting applies to clean
+/// rounds only.
+fn degraded_round<P: PreparedRpls + ?Sized>(
     prepared: &P,
     config: &Configuration,
     seed: u64,
-    plan: &FaultPlan,
+    pattern: MessagePattern,
     mode: StreamMode,
+    plan: &FaultPlan,
     scratch: &mut RoundScratch,
 ) -> DegradedSummary {
-    faulted_round(prepared, config, seed, plan, mode, scratch)
-}
-
-/// The scalar faulted one-round core (see
-/// [`run_randomized_prepared_faulted_with`] for the semantics): the
-/// faulted `rounds == 1` arm of [`run_prepared`]'s dispatch bottoms out
-/// here (via [`faulted_round_patterned`]).
-fn faulted_round<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seed: u64,
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> DegradedSummary {
-    if plan.is_transparent() {
-        let summary = clean_round(prepared, config, seed, mode, scratch);
-        return DegradedSummary::transparent(summary, scratch.votes());
-    }
-
-    let g = config.graph();
     let RoundScratch { buffer, votes, tmp } = scratch;
+    certify_round(prepared, config, seed, pattern, mode, buffer, tmp);
 
-    // Phase 1: certificate generation, untouched by the fault layer.
-    buffer.clear();
-    for v in g.nodes() {
-        let node_index = v.index() as u64;
-        let degree = g.degree(v);
-        match mode {
-            StreamMode::EdgeIndependent => {
-                for p in 0..degree {
-                    let mut rng = PortRng::for_edge(seed, node_index, p as u64);
-                    prepared.certify_into(v, Port::from_rank(p), &mut rng, tmp);
-                    buffer.push(tmp);
-                }
-            }
-            StreamMode::SharedPerNode => {
-                let mut rng = PortRng::for_node(seed, node_index);
-                for p in 0..degree {
-                    prepared.certify_into(v, Port::from_rank(p), &mut rng, tmp);
-                    buffer.push(tmp);
-                }
-            }
-        }
-    }
-
-    faulted_verdicts(prepared, config, seed, plan, buffer, votes)
-}
-
-/// Executes one randomized round of `scheme` under `plan`'s faults with an
-/// explicit [`MessagePattern`] — the unprepared patterned faulted entry
-/// point, mirroring [`run_randomized_faulted_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_randomized_faulted_patterned_with<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    seed: u64,
-    pattern: MessagePattern,
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> DegradedSummary {
-    assert_eq!(
-        labeling.len(),
-        config.node_count(),
-        "one label per node required"
-    );
-    let unprepared = UnpreparedRpls {
-        scheme,
-        config,
-        labeling,
-    };
-    run_randomized_prepared_faulted_patterned_with(
-        &unprepared,
-        config,
-        seed,
-        pattern,
-        plan,
-        mode,
-        scratch,
-    )
-}
-
-/// Executes one randomized round of a **prepared** scheme under `plan`'s
-/// faults with an explicit [`MessagePattern`] — the patterned faulted
-/// scalar reference. `PerPort` and `Unicast` delegate verbatim to
-/// [`run_randomized_prepared_faulted_with`]; the slot-sharing patterns run
-/// the patterned phase 1 and the unchanged faulted delivery.
-///
-/// Note the deliberate accounting asymmetry: the fault layer models
-/// point-to-point delivery, so its bit totals charge each directed link's
-/// transmissions individually (a broadcast message crossing `d` links pays
-/// `d` times) — pattern-shared accounting applies to the clean summaries
-/// only.
-///
-/// Like [`run_randomized_prepared_faulted_with`], this entry keeps its
-/// rich [`DegradedSummary`] return and calls the faulted patterned core
-/// directly — the exact core [`run_prepared`]'s faulted one-round arm
-/// compacts into a [`RunReport`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_randomized_prepared_faulted_patterned_with<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seed: u64,
-    pattern: MessagePattern,
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> DegradedSummary {
-    faulted_round_patterned(prepared, config, seed, pattern, plan, mode, scratch)
-}
-
-/// The scalar faulted patterned one-round core (see
-/// [`run_randomized_prepared_faulted_patterned_with`] for the semantics):
-/// the faulted `rounds == 1` arm of [`run_prepared`]'s dispatch.
-fn faulted_round_patterned<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seed: u64,
-    pattern: MessagePattern,
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> DegradedSummary {
-    match pattern {
-        MessagePattern::PerPort | MessagePattern::Unicast => {
-            return faulted_round(prepared, config, seed, plan, mode, scratch);
-        }
-        MessagePattern::Broadcast | MessagePattern::KMessages(_) => {}
-    }
-    if plan.is_transparent() {
-        let summary = clean_round_patterned(prepared, config, seed, pattern, mode, scratch);
-        return DegradedSummary::transparent(summary, scratch.votes());
-    }
-    let RoundScratch { buffer, votes, tmp } = scratch;
-    let _ = patterned_certificates(prepared, config, seed, pattern, buffer, tmp);
-    faulted_verdicts(prepared, config, seed, plan, buffer, votes)
-}
-
-/// The faulted phase 2 shared by the per-port and patterned scalar paths:
-/// crash draws, per-link perturbed delivery over the filled certificate
-/// arena, and conservative verdicts.
-fn faulted_verdicts<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seed: u64,
-    plan: &FaultPlan,
-    buffer: &crate::buffer::CertificateBuffer,
-    votes: &mut Vec<bool>,
-) -> DegradedSummary {
-    let g = config.graph();
     // Crash draws: the one-round engine has a single round, round 0.
     let n = config.node_count();
     let mut counts = FaultCounts::default();
-    let mut crashed = vec![false; n];
-    for (v, down) in crashed.iter_mut().enumerate() {
-        if plan.crash_hazard(seed, v as u64, 0) {
-            *down = true;
-            counts.crashed_nodes += 1;
-        }
-    }
+    let crashed: Vec<bool> = (0..n as u64)
+        .map(|v| plan.crash_hazard(seed, v, 0))
+        .collect();
+    counts.crashed_nodes = crashed.iter().filter(|&&c| c).count();
 
-    // Phase 2: faulted delivery. The message of each directed edge is
-    // keyed by its *sender's* global port index; `delivery` being an
-    // involution, walking receiver ports visits every edge exactly once.
-    let delivery = config.delivery();
-    let port_base = config.port_base();
+    // The message of each directed edge is keyed by its *sender's* global
+    // port index; `delivery` being an involution, walking receiver ports
+    // visits every edge exactly once.
     let port_owner = config.port_owner();
     let mut missing: Vec<u32> = vec![0; n];
     let mut max_bits = 0usize;
     let mut total_bits = 0usize;
-    for (recv_port, &src) in delivery.iter().enumerate() {
+    for (recv_port, &src) in config.delivery().iter().enumerate() {
         let src = src as usize;
         let receiver = port_owner[recv_port] as usize;
-        let len = buffer.get(src).len();
         if crashed[port_owner[src] as usize] {
             missing[receiver] += 1;
             continue;
         }
+        let len = buffer.get(src).len();
         let outcome = plan.outcome(seed, 0, src as u64);
         total_bits += len * outcome.transmissions();
         max_bits = max_bits.max(len);
@@ -1383,338 +809,119 @@ fn faulted_verdicts<P: PreparedRpls + ?Sized>(
         }
     }
 
-    // Verdicts: InsufficientInput dominates; intact nodes vote their
-    // fault-free verdict over the unchanged certificate arena.
-    votes.clear();
-    let mut verdicts = Vec::with_capacity(n);
-    let mut accepted = true;
-    for v in g.nodes() {
-        let verdict = if missing[v.index()] > 0 {
-            NodeVerdict::InsufficientInput
-        } else {
-            let lo = port_base[v.index()] as usize;
-            let hi = port_base[v.index() + 1] as usize;
-            let received = Received::new(buffer, &delivery[lo..hi]);
-            if prepared.verify(v, &received) {
-                NodeVerdict::Accept
-            } else {
-                NodeVerdict::Reject
-            }
-        };
-        accepted &= verdict.accepts();
-        votes.push(verdict.accepts());
-        verdicts.push(verdict);
-    }
-
+    let accepted = verify_round(prepared, config, buffer, &missing, votes);
+    let verdicts: Vec<NodeVerdict> = votes
+        .iter()
+        .zip(&missing)
+        .map(|(&vote, &miss)| match (miss > 0, vote) {
+            (true, _) => NodeVerdict::InsufficientInput,
+            (false, true) => NodeVerdict::Accept,
+            (false, false) => NodeVerdict::Reject,
+        })
+        .collect();
+    let fault = FaultReport {
+        insufficient_nodes: missing.iter().filter(|&&m| m > 0).count(),
+        missing_messages: missing.iter().map(|&m| m as usize).sum(),
+        counts,
+    };
     DegradedSummary {
-        summary: RoundSummary {
-            accepted,
-            max_certificate_bits: max_bits,
-            total_certificate_bits: total_bits,
+        report: RunReport {
+            fault: Some(fault),
+            ..RunReport::one_round(accepted, max_bits, total_bits)
         },
         verdicts,
         missing,
-        counts,
     }
 }
 
-/// Executes one **t-round** verification trial of `scheme` against
-/// `labeling` — the space–time trade-off entry point. The labeling is
-/// prepared internally for this single trial; callers running many trials
-/// should [`Rpls::prepare`] (or [`Rpls::prepare_cached`]) once and use
-/// [`run_multiround_prepared_with`] or the batched
-/// [`run_multiround_trials_batched_with`] instead.
+/// Certificate generation: fills the arena with one certificate per port,
+/// in global port order. Port `p` of node `v` carries the message of slot
+/// `pattern.slot_of(deg v, p)`:
 ///
-/// The schedule is the scheme's [`PreparedRpls::run_multiround`]: by
-/// default the one-round certificates are split into `rounds` chunks
-/// delivered one per round (per-round bits `⌈κ/t⌉`, verdict after the last
-/// chunk); [`CompiledRpls`](crate::compiler::CompiledRpls) overrides it
-/// with chunked fingerprint streaming (each round fingerprints the next
-/// κ/t-bit slice of the inner label, with early rejection). The default
-/// schedule's verdict is identical to the one-round engine for the same
-/// seed at any `t` (it re-times the same trial); schedules that
-/// re-randomise per round — the compiled streaming — preserve perfect
-/// completeness and the soundness *bound* instead, so their `t > 1`
-/// verdicts may differ per seed. Every schedule's `rounds = 1` case is
-/// bit-identical to the one-round engine — summaries, estimates and
-/// randomness consumption alike (`tests/engine_golden.rs` pins this).
+/// * per-port and unicast slots are the ports themselves, drawn from the
+///   edge stream of `(v, p)` — or, in [`StreamMode::SharedPerNode`], all
+///   from one node stream consumed sequentially across the ports;
+/// * a broadcast slot draws from the node's stream and k-message slot `s`
+///   from the edge stream of `(v, s)`, whatever the stream mode. Every
+///   port of a slot regenerates the slot's message from a fresh generator,
+///   so the copies are bit-identical by construction.
 ///
-/// # Panics
-///
-/// Panics if `rounds` is 0 or `labeling` does not assign one label per
-/// node.
-pub fn run_multiround_with<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    seed: u64,
-    rounds: usize,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> MultiRoundSummary {
-    let spec = RunSpec::trial(seed)
-        .with_rounds(rounds)
-        .with_stream_mode(mode);
-    let prepared = scheme.prepare(config, labeling, 1);
-    run_prepared(&spec, &*prepared, config, scratch).multiround_summary()
-}
-
-/// Executes one t-round trial of a **prepared** scheme (see
-/// [`run_multiround_with`] for the schedule semantics). `prepared` must
-/// have been prepared for `config`.
-///
-/// # Panics
-///
-/// Panics if `rounds` is 0.
-pub fn run_multiround_prepared_with<P: PreparedRpls + ?Sized>(
+/// Returns `(max_bits, total_bits)` with each distinct slot counted once —
+/// the pattern's wire accounting.
+fn certify_round<P: PreparedRpls + ?Sized>(
     prepared: &P,
     config: &Configuration,
     seed: u64,
-    rounds: usize,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> MultiRoundSummary {
-    let spec = RunSpec::trial(seed)
-        .with_rounds(rounds)
-        .with_stream_mode(mode);
-    run_prepared(&spec, prepared, config, scratch).multiround_summary()
-}
-
-/// Executes one **t-round** trial of `scheme` against `labeling` under an
-/// explicit [`MessagePattern`] — the patterned twin of
-/// [`run_multiround_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is 0 or `labeling` does not assign one label per
-/// node.
-#[allow(clippy::too_many_arguments)]
-pub fn run_multiround_patterned_with<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    seed: u64,
-    rounds: usize,
     pattern: MessagePattern,
     mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> MultiRoundSummary {
-    let spec = RunSpec::trial(seed)
-        .with_rounds(rounds)
-        .with_pattern(pattern)
-        .with_stream_mode(mode);
-    let prepared = scheme.prepare(config, labeling, 1);
-    run_prepared(&spec, &*prepared, config, scratch).multiround_summary()
+    buffer: &mut CertificateBuffer,
+    tmp: &mut BitString,
+) -> (usize, usize) {
+    let g = config.graph();
+    let shared_stream = matches!(pattern, MessagePattern::PerPort | MessagePattern::Unicast)
+        && mode == StreamMode::SharedPerNode;
+    let mut max_bits = 0usize;
+    let mut total_bits = 0usize;
+    buffer.clear();
+    for v in g.nodes() {
+        let node = v.index() as u64;
+        let degree = g.degree(v);
+        let slots = pattern.slots(degree);
+        let mut node_rng = PortRng::for_node(seed, node);
+        for p in 0..degree {
+            let slot = pattern.slot_of(degree, p);
+            let port = Port::from_rank(slot);
+            if shared_stream {
+                prepared.certify_into(v, port, &mut node_rng, tmp);
+            } else {
+                let mut rng = match pattern {
+                    MessagePattern::Broadcast => PortRng::for_node(seed, node),
+                    _ => PortRng::for_edge(seed, node, slot as u64),
+                };
+                prepared.certify_into(v, port, &mut rng, tmp);
+            }
+            if p < slots {
+                max_bits = max_bits.max(tmp.len());
+                total_bits += tmp.len();
+            }
+            buffer.push(tmp);
+        }
+    }
+    (max_bits, total_bits)
 }
 
-/// Executes one t-round trial of a **prepared** scheme under an explicit
-/// [`MessagePattern`] — the patterned twin of
-/// [`run_multiround_prepared_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is 0.
-pub fn run_multiround_prepared_patterned_with<P: PreparedRpls + ?Sized>(
+/// Delivery and verification over a filled arena. The certificate arriving
+/// at `v` on port `p` is the one its neighbor generated for the far end of
+/// that edge; the configuration's delivery map has the routing
+/// precomputed. A node with `missing[v] > 0` lost input and votes a
+/// conservative reject without consulting its verifier (`missing` is empty
+/// for clean rounds). Returns whether every node accepted.
+fn verify_round<P: PreparedRpls + ?Sized>(
     prepared: &P,
     config: &Configuration,
-    seed: u64,
-    rounds: usize,
-    pattern: MessagePattern,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> MultiRoundSummary {
-    let spec = RunSpec::trial(seed)
-        .with_rounds(rounds)
-        .with_pattern(pattern)
-        .with_stream_mode(mode);
-    run_prepared(&spec, prepared, config, scratch).multiround_summary()
-}
-
-/// Runs one t-round trial per seed in `seeds` against a prepared scheme,
-/// calling `emit` once per trial in seed order — the multi-round twin of
-/// [`run_trials_batched_with`], and what the multi-round estimators in
-/// [`stats`](crate::stats) and [`measure`](crate::measure) funnel into.
-///
-/// Delegates to [`PreparedRpls::run_multiround_trials`]: the default rides
-/// the (batched) one-round trial engine and re-times its summaries as the
-/// certificate-splitting schedule, while
-/// [`CompiledRpls`](crate::compiler::CompiledRpls) streams chunked
-/// fingerprints with a labeling-static per-round plan. Emitted summaries
-/// are bit-identical to running [`run_multiround_prepared_with`] once per
-/// seed.
-///
-/// # Panics
-///
-/// Panics if `rounds` is 0.
-pub fn run_multiround_trials_batched_with<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seeds: &[u64],
-    rounds: usize,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-    emit: &mut dyn FnMut(MultiRoundSummary),
-) {
-    let spec = RunSpec::trial(0).with_rounds(rounds).with_stream_mode(mode);
-    run_trials(&spec, prepared, config, seeds, scratch, &mut |r| {
-        emit(r.multiround_summary());
-    });
-}
-
-/// Runs one t-round trial per seed under an explicit [`MessagePattern`] —
-/// the patterned twin of [`run_multiround_trials_batched_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is 0.
-#[allow(clippy::too_many_arguments)]
-pub fn run_multiround_trials_batched_patterned_with<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seeds: &[u64],
-    rounds: usize,
-    pattern: MessagePattern,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-    emit: &mut dyn FnMut(MultiRoundSummary),
-) {
-    let spec = RunSpec::trial(0)
-        .with_rounds(rounds)
-        .with_pattern(pattern)
-        .with_stream_mode(mode);
-    run_trials(&spec, prepared, config, seeds, scratch, &mut |r| {
-        emit(r.multiround_summary());
-    });
-}
-
-/// Executes one faulted t-round trial of `scheme` against `labeling` — the
-/// faulted twin of [`run_multiround_with`]. Delegates to
-/// [`PreparedRpls::run_multiround_faulted`]: the default overlays the
-/// fault schedule (with the plan's retry budget) on the
-/// certificate-splitting schedule; the compiled streaming schemes overlay
-/// it on their per-round chunked-fingerprint message set.
-///
-/// The `run_multiround_*faulted*` family keeps the **overlay** semantics
-/// at every `t`, including `t = 1` (retry budget active), and therefore
-/// delegates to the scheme hook directly; a faulted [`RunSpec`] at
-/// `rounds = 1` instead runs the one-round single-shot fault model. At
-/// `rounds > 1` the two surfaces call the identical hook.
-///
-/// # Panics
-///
-/// Panics if `rounds` is 0 or `labeling` does not assign one label per
-/// node.
-#[allow(clippy::too_many_arguments)]
-pub fn run_multiround_faulted_with<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    seed: u64,
-    rounds: usize,
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> FaultedMultiRoundSummary {
-    assert!(rounds > 0, "a schedule needs at least one round");
-    let prepared = scheme.prepare(config, labeling, 1);
-    prepared.run_multiround_faulted(
-        config,
-        seed,
-        rounds,
-        plan,
-        MessagePattern::PerPort,
-        mode,
-        scratch,
-    )
-}
-
-/// Executes one faulted t-round trial of `scheme` against `labeling` under
-/// an explicit [`MessagePattern`] — the patterned twin of
-/// [`run_multiround_faulted_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is 0 or `labeling` does not assign one label per
-/// node.
-#[allow(clippy::too_many_arguments)]
-pub fn run_multiround_faulted_patterned_with<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    seed: u64,
-    rounds: usize,
-    pattern: MessagePattern,
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-) -> FaultedMultiRoundSummary {
-    assert!(rounds > 0, "a schedule needs at least one round");
-    let prepared = scheme.prepare(config, labeling, 1);
-    prepared.run_multiround_faulted(config, seed, rounds, plan, pattern, mode, scratch)
-}
-
-/// Runs one faulted t-round trial per seed against a prepared scheme — the
-/// faulted twin of [`run_multiround_trials_batched_with`]. A transparent
-/// plan emits summaries bit-identical (wrapped clean) to the fault-free
-/// trial engine. Like the scalar [`run_multiround_faulted_with`], this
-/// keeps overlay semantics at every `t` (including 1) and delegates to the
-/// scheme hook directly rather than through a [`RunSpec`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is 0.
-#[allow(clippy::too_many_arguments)]
-pub fn run_multiround_trials_faulted_with<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seeds: &[u64],
-    rounds: usize,
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-    emit: &mut dyn FnMut(FaultedMultiRoundSummary),
-) {
-    assert!(rounds > 0, "a schedule needs at least one round");
-    prepared.run_multiround_trials_faulted(
-        config,
-        seeds,
-        rounds,
-        plan,
-        MessagePattern::PerPort,
-        mode,
-        scratch,
-        emit,
-    );
-}
-
-/// Runs one faulted t-round trial per seed under an explicit
-/// [`MessagePattern`] — the patterned twin of
-/// [`run_multiround_trials_faulted_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is 0.
-#[allow(clippy::too_many_arguments)]
-pub fn run_multiround_trials_faulted_patterned_with<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seeds: &[u64],
-    rounds: usize,
-    pattern: MessagePattern,
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-    emit: &mut dyn FnMut(FaultedMultiRoundSummary),
-) {
-    assert!(rounds > 0, "a schedule needs at least one round");
-    prepared
-        .run_multiround_trials_faulted(config, seeds, rounds, plan, pattern, mode, scratch, emit);
+    buffer: &CertificateBuffer,
+    missing: &[u32],
+    votes: &mut Vec<bool>,
+) -> bool {
+    let delivery = config.delivery();
+    let port_base = config.port_base();
+    votes.clear();
+    let mut accepted = true;
+    for v in config.graph().nodes() {
+        let i = v.index();
+        let vote = missing.get(i).is_none_or(|&m| m == 0) && {
+            let sources = &delivery[port_base[i] as usize..port_base[i + 1] as usize];
+            prepared.verify(v, &Received::new(buffer, sources))
+        };
+        accepted &= vote;
+        votes.push(vote);
+    }
+    accepted
 }
 
 /// Overlays the fault schedule of `plan` on the **certificate-splitting**
-/// multiround schedule of a trial whose fault-free one-round summary is
-/// `clean` and whose certificates sit in `scratch.buffer` — the default
-/// [`PreparedRpls::run_multiround_trials_faulted`] core.
+/// multiround schedule of a trial whose clean one-round report is `clean`
+/// and whose certificates sit in `buffer`.
 ///
 /// The split schedule cuts the `L`-bit certificate of each directed edge
 /// into `rounds` chunks (sizes `⌈L/rounds⌉` then `⌊L/rounds⌋`); zero-bit
@@ -1726,16 +933,15 @@ pub fn run_multiround_trials_faulted_patterned_with<P: PreparedRpls + ?Sized>(
 /// never retry. A receiver still missing a chunk after retries rejects
 /// (insufficient input) at the end of that round, which is what
 /// `decided_round` reports.
-pub(crate) fn overlay_split_faults(
+fn overlay_split_faults(
     config: &Configuration,
     seed: u64,
     rounds: usize,
     plan: &FaultPlan,
-    scratch: &RoundScratch,
-    clean: RoundSummary,
-) -> FaultedMultiRoundSummary {
+    buffer: &CertificateBuffer,
+    clean: RunReport,
+) -> RunReport {
     let n = config.node_count();
-    let buffer = scratch.certificates();
     let delivery = config.delivery();
     let port_owner = config.port_owner();
 
@@ -1817,7 +1023,6 @@ pub(crate) fn overlay_split_faults(
     }
 
     let missing_messages: usize = missing.iter().map(|&m| m as usize).sum();
-    let insufficient_nodes = missing.iter().filter(|&&m| m > 0).count();
     let decided_round = if missing_messages > 0 {
         // The first receiver to come up short rejects at the end of that
         // round; the split schedule itself only decides after the last.
@@ -1825,17 +1030,17 @@ pub(crate) fn overlay_split_faults(
     } else {
         rounds
     };
-    FaultedMultiRoundSummary {
-        summary: MultiRoundSummary {
-            accepted: clean.accepted && missing_messages == 0,
-            rounds,
-            decided_round,
-            max_bits_per_round: max_round_bits,
-            total_bits,
-        },
-        insufficient_nodes,
-        missing_messages,
-        counts,
+    RunReport {
+        accepted: clean.accepted && missing_messages == 0,
+        rounds,
+        decided_round,
+        max_bits_per_round: max_round_bits,
+        total_bits,
+        fault: Some(FaultReport {
+            insufficient_nodes: missing.iter().filter(|&&m| m > 0).count(),
+            missing_messages,
+            counts,
+        }),
     }
 }
 
@@ -1846,115 +1051,10 @@ pub(crate) fn overlay_split_faults(
 /// amortises the per-block plan walk to noise.
 pub(crate) const TRIAL_CHUNK: usize = 8192;
 
-/// Runs one verification round per seed in `seeds` against a prepared
-/// scheme, calling `emit` once per trial (in seed order) with that round's
-/// [`RoundSummary`] — the trial loop every Monte-Carlo estimator in
-/// [`stats`](crate::stats) and [`measure`](crate::measure) funnels into.
-///
-/// This delegates to [`PreparedRpls::run_trials`], whose default is a
-/// scalar loop over [`run_randomized_prepared_with`]; schemes with a
-/// batched override (notably
-/// [`CompiledRpls`](crate::compiler::CompiledRpls)) evaluate whole blocks
-/// of trials node-at-a-time instead, with per-(node, port) setup hoisted
-/// out of the inner loop. Either way the emitted summaries are
-/// **bit-identical** to running the scalar prepared path once per seed —
-/// `tests/engine_golden.rs` pins this — so estimates never depend on which
-/// path executed.
-///
-/// Batched overrides may skip materialising certificates, so unlike the
-/// single-round entry points this function makes no promise about the
-/// contents of `scratch` afterwards; only the emitted summaries are
-/// meaningful.
-pub fn run_trials_batched_with<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seeds: &[u64],
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-    emit: &mut dyn FnMut(RoundSummary),
-) {
-    let spec = RunSpec::trial(0).with_stream_mode(mode);
-    run_trials(&spec, prepared, config, seeds, scratch, &mut |r| {
-        emit(r.round_summary());
-    });
-}
-
-/// Runs one verification round per seed under an explicit
-/// [`MessagePattern`] — the patterned twin of [`run_trials_batched_with`].
-pub fn run_trials_batched_patterned_with<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seeds: &[u64],
-    pattern: MessagePattern,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-    emit: &mut dyn FnMut(RoundSummary),
-) {
-    let spec = RunSpec::trial(0)
-        .with_pattern(pattern)
-        .with_stream_mode(mode);
-    run_trials(&spec, prepared, config, seeds, scratch, &mut |r| {
-        emit(r.round_summary());
-    });
-}
-
-/// Runs one **faulted** verification round per seed against a prepared
-/// scheme, calling `emit` once per trial in seed order — the faulted twin
-/// of [`run_trials_batched_with`], and what
-/// [`stats::acceptance_under_faults`](crate::stats::acceptance_under_faults)
-/// funnels into.
-///
-/// Delegates to [`PreparedRpls::run_trials_faulted`], whose default is a
-/// scalar loop over [`run_randomized_prepared_faulted_with`]; the compiled
-/// schemes override it with the clean batched probe kernel plus a
-/// per-trial fault scan over every directed edge (so an edge the batched
-/// plan statically skipped still fails its trial when perturbed — a lost
-/// message never silently counts as a passed probe). Either way the
-/// emitted summaries agree with the scalar faulted reference path, and a
-/// transparent plan emits summaries bit-identical (wrapped clean) to
-/// [`run_trials_batched_with`].
-pub fn run_trials_faulted_with<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seeds: &[u64],
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-    emit: &mut dyn FnMut(FaultedRoundSummary),
-) {
-    let spec = RunSpec::trial(0)
-        .with_faults(plan.clone())
-        .with_stream_mode(mode);
-    run_trials(&spec, prepared, config, seeds, scratch, &mut |r| {
-        emit(r.faulted_round_summary());
-    });
-}
-
-/// Runs one faulted verification round per seed under an explicit
-/// [`MessagePattern`] — the patterned twin of [`run_trials_faulted_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_trials_faulted_patterned_with<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seeds: &[u64],
-    pattern: MessagePattern,
-    plan: &FaultPlan,
-    mode: StreamMode,
-    scratch: &mut RoundScratch,
-    emit: &mut dyn FnMut(FaultedRoundSummary),
-) {
-    let spec = RunSpec::trial(0)
-        .with_pattern(pattern)
-        .with_faults(plan.clone())
-        .with_stream_mode(mode);
-    run_trials(&spec, prepared, config, seeds, scratch, &mut |r| {
-        emit(r.faulted_round_summary());
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSpec;
     use crate::scheme::{CertView, ErrorSides, RandView};
     use rand::Rng;
     use rpls_graph::generators;
@@ -2023,6 +1123,20 @@ mod tests {
         }
     }
 
+    /// Runs one scalar trial of `spec` on the unprepared scheme and returns
+    /// the report plus the round's certificates.
+    fn unprepared_round<S: Rpls>(
+        spec: &RunSpec,
+        scheme: &S,
+        config: &Configuration,
+        labeling: &Labeling,
+        scratch: &mut RoundScratch,
+    ) -> (RunReport, Vec<Vec<BitString>>) {
+        let unprepared = Unprepared::new(scheme, config, labeling);
+        let report = run_prepared(spec, &unprepared, config, scratch);
+        (report, scratch.certificates().to_nested(config.port_base()))
+    }
+
     #[test]
     fn randomized_round_is_reproducible() {
         let config = Configuration::plain(generators::cycle(6));
@@ -2068,8 +1182,15 @@ mod tests {
         let config = Configuration::plain(generators::complete(6));
         let labeling = RandomBit.label(&config);
         let ind = run_randomized(&RandomBit, &config, &labeling, 5);
-        let sh = run_randomized_shared(&RandomBit, &config, &labeling, 5);
-        assert_ne!(ind.certificates, sh.certificates);
+        let spec = RunSpec::trial(5).with_stream_mode(StreamMode::SharedPerNode);
+        let (_, shared) = unprepared_round(
+            &spec,
+            &RandomBit,
+            &config,
+            &labeling,
+            &mut RoundScratch::new(),
+        );
+        assert_ne!(ind.certificates, shared);
     }
 
     #[test]
@@ -2118,33 +1239,28 @@ mod tests {
         let mut scratch = RoundScratch::new();
         for seed in [0u64, 1, 7, 99, 12345] {
             for mode in [StreamMode::EdgeIndependent, StreamMode::SharedPerNode] {
-                let summary = run_randomized_with(
+                let spec = RunSpec::trial(seed).with_stream_mode(mode);
+                let (reused, certs) =
+                    unprepared_round(&spec, &VariableLength, &config, &labeling, &mut scratch);
+                let votes = scratch.votes().to_vec();
+                let mut fresh_scratch = RoundScratch::new();
+                let fresh = unprepared_round(
+                    &spec,
                     &VariableLength,
                     &config,
                     &labeling,
-                    seed,
-                    mode,
-                    &mut scratch,
+                    &mut fresh_scratch,
                 );
-                let record = match mode {
-                    StreamMode::EdgeIndependent => {
-                        run_randomized(&VariableLength, &config, &labeling, seed)
-                    }
-                    StreamMode::SharedPerNode => {
-                        run_randomized_shared(&VariableLength, &config, &labeling, seed)
-                    }
-                };
-                assert_eq!(summary.accepted, record.outcome.accepted());
-                assert_eq!(summary.max_certificate_bits, record.max_certificate_bits());
-                assert_eq!(
-                    summary.total_certificate_bits,
-                    record.total_certificate_bits()
-                );
-                assert_eq!(scratch.votes(), record.outcome.votes());
-                assert_eq!(
-                    scratch.certificates().to_nested(config.port_base()),
-                    record.certificates
-                );
+                assert_eq!((reused, &certs), (fresh.0, &fresh.1));
+                assert_eq!(votes, fresh_scratch.votes());
+                if mode == StreamMode::EdgeIndependent {
+                    let record = run_randomized(&VariableLength, &config, &labeling, seed);
+                    assert_eq!(reused.accepted, record.outcome.accepted());
+                    assert_eq!(reused.max_bits_per_round, record.max_certificate_bits());
+                    assert_eq!(reused.total_bits, record.total_certificate_bits());
+                    assert_eq!(votes, record.outcome.votes());
+                    assert_eq!(certs, record.certificates);
+                }
             }
         }
     }
@@ -2165,32 +1281,25 @@ mod tests {
         let labeling = VariableLength.label(&config);
         let mut scratch = RoundScratch::new();
         for seed in [0u64, 7, 991] {
-            let one = run_randomized_with(
+            let (one, _) = unprepared_round(
+                &RunSpec::trial(seed),
                 &VariableLength,
                 &config,
                 &labeling,
-                seed,
-                StreamMode::EdgeIndependent,
                 &mut scratch,
             );
             for rounds in [1usize, 2, 3, 16, usize::MAX] {
-                let multi = run_multiround_with(
-                    &VariableLength,
-                    &config,
-                    &labeling,
-                    seed,
-                    rounds,
-                    StreamMode::EdgeIndependent,
-                    &mut scratch,
-                );
+                let spec = RunSpec::trial(seed).with_rounds(rounds);
+                let (multi, _) =
+                    unprepared_round(&spec, &VariableLength, &config, &labeling, &mut scratch);
                 assert_eq!(multi.accepted, one.accepted);
                 assert_eq!(multi.rounds, rounds);
                 assert_eq!(multi.decided_round, rounds);
                 assert_eq!(
                     multi.max_bits_per_round,
-                    one.max_certificate_bits.div_ceil(rounds)
+                    one.max_bits_per_round.div_ceil(rounds)
                 );
-                assert_eq!(multi.total_bits, one.total_certificate_bits);
+                assert_eq!(multi.total_bits, one.total_bits);
             }
         }
     }
@@ -2203,27 +1312,16 @@ mod tests {
         let mut scratch = RoundScratch::new();
         let seeds: Vec<u64> = (0..8).collect();
         for rounds in [1usize, 4] {
+            let spec = RunSpec::trial(0).with_rounds(rounds);
             let mut batched = Vec::new();
-            run_multiround_trials_batched_with(
-                &*prepared,
-                &config,
-                &seeds,
-                rounds,
-                StreamMode::EdgeIndependent,
-                &mut scratch,
-                &mut |s| batched.push(s),
-            );
-            let scalar: Vec<MultiRoundSummary> = seeds
+            run_trials(&spec, &*prepared, &config, &seeds, &mut scratch, &mut |r| {
+                batched.push(r);
+            });
+            let scalar: Vec<RunReport> = seeds
                 .iter()
                 .map(|&s| {
-                    run_multiround_prepared_with(
-                        &*prepared,
-                        &config,
-                        s,
-                        rounds,
-                        StreamMode::EdgeIndependent,
-                        &mut scratch,
-                    )
+                    let spec = RunSpec::trial(s).with_rounds(rounds);
+                    run_prepared(&spec, &*prepared, &config, &mut scratch)
                 })
                 .collect();
             assert_eq!(batched, scalar, "rounds {rounds}");
@@ -2235,71 +1333,57 @@ mod tests {
     fn zero_round_schedule_is_rejected() {
         let config = Configuration::plain(generators::path(3));
         let labeling = RandomBit.label(&config);
-        let mut scratch = RoundScratch::new();
-        let _ = run_multiround_with(
-            &RandomBit,
-            &config,
-            &labeling,
-            0,
-            0,
-            StreamMode::EdgeIndependent,
-            &mut scratch,
-        );
+        let spec = RunSpec {
+            rounds: 0,
+            ..RunSpec::trial(0)
+        };
+        let _ = run(&spec, &RandomBit, &config, &labeling);
     }
 
+    /// The four `(faults, rounds)` shapes of a spec, checked against their
+    /// definitions: the materialised round, its certificate-splitting
+    /// re-timing, the per-node diagnostic, and the split fault overlay.
     #[test]
     fn run_spec_dispatch_matches_legacy_entry_points() {
-        use crate::fault::FaultSpec;
         let config = Configuration::plain(generators::wheel(9));
         let labeling = VariableLength.label(&config);
         let prepared = Rpls::prepare(&VariableLength, &config, &labeling, 8);
         let mut scratch = RoundScratch::new();
         let seed = 0xABCD;
-        let mode = StreamMode::EdgeIndependent;
 
-        // Clean one-round.
+        // Clean one-round: the materialised round.
         let report = run_prepared(&RunSpec::trial(seed), &*prepared, &config, &mut scratch);
-        let legacy = run_randomized_prepared_with(&*prepared, &config, seed, mode, &mut scratch);
-        assert_eq!(report.round_summary(), legacy);
+        let record = run_randomized(&VariableLength, &config, &labeling, seed);
+        assert_eq!(report.accepted, record.outcome.accepted());
+        assert_eq!(report.max_bits_per_round, record.max_certificate_bits());
+        assert_eq!(report.total_bits, record.total_certificate_bits());
         assert!(report.fault.is_none());
 
-        // Clean multiround.
+        // Clean multiround: the split re-timing of the same trial.
         let spec = RunSpec::trial(seed).with_rounds(4);
-        let report = run_prepared(&spec, &*prepared, &config, &mut scratch);
-        let legacy = run_multiround_prepared_with(&*prepared, &config, seed, 4, mode, &mut scratch);
-        assert_eq!(report.multiround_summary(), legacy);
+        let multi = run_prepared(&spec, &*prepared, &config, &mut scratch);
+        assert_eq!(multi, report.split(4));
 
-        // Faulted one-round: the single-shot fault model.
+        // Faulted one-round: the per-node diagnostic's report.
         let plan = FaultPlan::new(FaultSpec::transparent().with_drop(0.3), 7);
         let spec = RunSpec::trial(seed).with_faults(plan.clone());
-        let report = run_prepared(&spec, &*prepared, &config, &mut scratch);
-        let legacy = run_randomized_prepared_faulted_with(
-            &*prepared,
-            &config,
-            seed,
-            &plan,
-            mode,
-            &mut scratch,
-        )
-        .compact();
-        assert_eq!(report.faulted_round_summary(), legacy);
-        assert!(report.fault.is_some());
+        let faulted = run_prepared(&spec, &*prepared, &config, &mut scratch);
+        let degraded = run_degraded(&spec, &*prepared, &config, &mut scratch);
+        assert_eq!(faulted, degraded.report);
+        assert_eq!(
+            faulted.fault.map(|f| f.missing_messages),
+            Some(degraded.missing.iter().map(|&m| m as usize).sum())
+        );
 
-        // Faulted multiround: the overlay schedule.
+        // Faulted multiround: the overlay on the split schedule.
         let spec = RunSpec::trial(seed)
             .with_rounds(3)
             .with_faults(plan.clone());
         let report = run_prepared(&spec, &*prepared, &config, &mut scratch);
-        let legacy = prepared.run_multiround_faulted(
-            &config,
-            seed,
-            3,
-            &plan,
-            MessagePattern::PerPort,
-            mode,
-            &mut scratch,
-        );
-        assert_eq!(report.faulted_multiround_summary(), legacy);
+        let clean = run_prepared(&RunSpec::trial(seed), &*prepared, &config, &mut scratch);
+        let overlay = overlay_split_faults(&config, seed, 3, &plan, scratch.certificates(), clean);
+        assert_eq!(report, overlay);
+        assert_eq!(report.rounds, 3);
     }
 
     #[test]
@@ -2309,10 +1393,13 @@ mod tests {
         let prepared = Rpls::prepare(&VariableLength, &config, &labeling, 6);
         let mut scratch = RoundScratch::new();
         let seeds: Vec<u64> = (10..16).collect();
+        let plan = FaultPlan::new(FaultSpec::transparent().with_drop(0.2), 3);
         for spec in [
             RunSpec::trial(0),
             RunSpec::trial(0).with_rounds(3),
             RunSpec::trial(0).with_pattern(MessagePattern::Broadcast),
+            RunSpec::trial(0).with_faults(plan.clone()),
+            RunSpec::trial(0).with_rounds(2).with_faults(plan.clone()),
         ] {
             let mut batched = Vec::new();
             run_trials(&spec, &*prepared, &config, &seeds, &mut scratch, &mut |r| {
@@ -2376,12 +1463,11 @@ mod tests {
         let rec = run_randomized(&VariableLength, &config, &labeling, 3);
         let g = config.graph();
         let mut scratch = RoundScratch::new();
-        run_randomized_with(
+        unprepared_round(
+            &RunSpec::trial(3),
             &VariableLength,
             &config,
             &labeling,
-            3,
-            StreamMode::EdgeIndependent,
             &mut scratch,
         );
         for v in g.nodes() {

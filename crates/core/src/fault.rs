@@ -1,7 +1,6 @@
 //! Deterministic, seed-replayable fault injection for the verification
 //! engine: lossy and corrupting channels, message duplication, crash-stop
-//! nodes, and the graceful-degradation summaries every faulted engine path
-//! reports.
+//! nodes, and the per-node degradation summary of a faulted trial.
 //!
 //! # Fault model
 //!
@@ -43,12 +42,12 @@
 //!   bounded retry budget for lossy links ([`FaultSpec::with_retry_budget`]).
 //!
 //! A spec whose rates are all zero is *transparent*
-//! ([`FaultPlan::is_transparent`]): every faulted entry point branches to
-//! the exact fault-free code path, so zero-fault runs are bit-identical to
-//! the unfaulted engine — summaries, estimates and randomness consumption
-//! alike (`tests/fault_injection.rs` pins this).
+//! ([`FaultPlan::is_transparent`]): a faulted run under it takes the exact
+//! fault-free code path, so zero-fault runs are bit-identical to the
+//! unfaulted engine — reports, estimates and randomness consumption alike
+//! (`tests/fault_injection.rs` pins this).
 
-use crate::engine::{MultiRoundSummary, RoundSummary};
+use crate::engine::{FaultReport, RunReport};
 use crate::rng::{mix_seed, state_stream_word};
 
 /// Seed-derivation tag of per-message delivery words, chosen to collide
@@ -158,8 +157,8 @@ impl FaultSpec {
     /// Sets the multiround retry budget: how many times a sender re-sends
     /// a chunk whose delivery failed (dropped or corrupted) within the same
     /// round. Each attempt pays the chunk's bits again; crashed senders
-    /// never retry. The one-round engine takes no retries (there is no
-    /// later point in the round to resend at).
+    /// never retry. Retries apply only to schedules of two or more rounds:
+    /// a one-round run is single-shot delivery and ignores the budget.
     #[must_use]
     pub fn with_retry_budget(mut self, budget: usize) -> Self {
         self.retry_budget = budget;
@@ -280,10 +279,8 @@ pub struct FaultCounts {
 
 impl FaultCounts {
     /// Adds `other`'s counters into `self` — how the Monte-Carlo
-    /// estimators ([`stats::acceptance_under_faults`]) aggregate per-trial
-    /// counts into a block total.
-    ///
-    /// [`stats::acceptance_under_faults`]: crate::stats::acceptance_under_faults
+    /// estimators ([`stats::estimate`](crate::stats::estimate)) aggregate
+    /// per-trial counts into a block total.
     pub fn absorb(&mut self, other: FaultCounts) {
         self.dropped += other.dropped;
         self.corrupted += other.corrupted;
@@ -293,33 +290,29 @@ impl FaultCounts {
     }
 }
 
-/// The rich, per-node summary of one faulted verification round — the
-/// graceful-degradation twin of [`RoundSummary`], produced by the scalar
-/// reference path
-/// [`run_randomized_faulted_with`](crate::engine::run_randomized_faulted_with).
+/// The per-node summary of one faulted one-round trial — what the engine's
+/// diagnostic [`run_degraded`](crate::engine::run_degraded) returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradedSummary {
-    /// The round summary under faults: `accepted` is true iff every node's
-    /// verdict is [`NodeVerdict::Accept`]; the bit counts reflect what the
-    /// wire actually carried (crashed senders transmit nothing, duplicated
-    /// messages pay twice).
-    pub summary: RoundSummary,
+    /// The trial's report, exactly as
+    /// [`run_prepared`](crate::engine::run_prepared) returns it: `accepted`
+    /// is true iff every node's verdict is [`NodeVerdict::Accept`]; the bit
+    /// counts reflect what the wire actually carried (crashed senders
+    /// transmit nothing, duplicated messages pay twice).
+    pub report: RunReport,
     /// The three-valued verdict of each node.
     pub verdicts: Vec<NodeVerdict>,
     /// How many incident messages each node was missing.
     pub missing: Vec<u32>,
-    /// Aggregate fault-event counts.
-    pub counts: FaultCounts,
 }
 
 impl DegradedSummary {
     /// A degraded summary for a trial that ran through the fault-free
     /// engine (transparent plan): verdicts are the clean votes, nothing is
     /// missing.
-    #[must_use]
-    pub fn transparent(summary: RoundSummary, votes: &[bool]) -> Self {
+    pub(crate) fn transparent(report: RunReport, votes: &[bool]) -> Self {
         Self {
-            summary,
+            report,
             verdicts: votes
                 .iter()
                 .map(|&v| {
@@ -331,103 +324,20 @@ impl DegradedSummary {
                 })
                 .collect(),
             missing: vec![0; votes.len()],
-            counts: FaultCounts::default(),
         }
     }
 
     /// Whether the round accepted under faults.
     #[must_use]
     pub fn accepted(&self) -> bool {
-        self.summary.accepted
+        self.report.accepted
     }
 
-    /// Nodes that voted [`NodeVerdict::InsufficientInput`].
+    /// The trial's fault statistics (all zero for a clean or transparent
+    /// run).
     #[must_use]
-    pub fn insufficient_nodes(&self) -> usize {
-        self.verdicts
-            .iter()
-            .filter(|v| matches!(v, NodeVerdict::InsufficientInput))
-            .count()
-    }
-
-    /// Total missing messages over all nodes.
-    #[must_use]
-    pub fn missing_messages(&self) -> usize {
-        self.missing.iter().map(|&m| m as usize).sum()
-    }
-
-    /// The compact per-trial form the batched faulted engine emits.
-    #[must_use]
-    pub fn compact(&self) -> FaultedRoundSummary {
-        FaultedRoundSummary {
-            summary: self.summary,
-            insufficient_nodes: self.insufficient_nodes(),
-            missing_messages: self.missing_messages(),
-            counts: self.counts,
-        }
-    }
-}
-
-/// The compact per-trial summary of one faulted one-round trial, as
-/// emitted by [`PreparedRpls::run_trials_faulted`](crate::scheme::PreparedRpls::run_trials_faulted)
-/// — what a Monte-Carlo sweep needs without materialising per-node vectors
-/// every trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultedRoundSummary {
-    /// The round summary under faults (see [`DegradedSummary::summary`]).
-    pub summary: RoundSummary,
-    /// Nodes that were missing at least one incident message.
-    pub insufficient_nodes: usize,
-    /// Total missing messages over all nodes.
-    pub missing_messages: usize,
-    /// Aggregate fault-event counts.
-    pub counts: FaultCounts,
-}
-
-impl FaultedRoundSummary {
-    /// The summary of a trial that ran through the fault-free engine
-    /// (transparent plan).
-    #[must_use]
-    pub fn clean(summary: RoundSummary) -> Self {
-        Self {
-            summary,
-            insufficient_nodes: 0,
-            missing_messages: 0,
-            counts: FaultCounts::default(),
-        }
-    }
-}
-
-/// The compact summary of one faulted **t-round** trial, as emitted by
-/// [`PreparedRpls::run_multiround_trials_faulted`](crate::scheme::PreparedRpls::run_multiround_trials_faulted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultedMultiRoundSummary {
-    /// The multiround summary under faults: `accepted` is the clean
-    /// verdict AND no message stayed missing after retries;
-    /// `decided_round` is the earliest of the clean decision round and the
-    /// first round a message went missing (its receiver rejects then);
-    /// `total_bits` includes duplicate and retry transmissions and
-    /// excludes everything a crashed sender never sent.
-    pub summary: MultiRoundSummary,
-    /// Nodes that were missing at least one incident message.
-    pub insufficient_nodes: usize,
-    /// Messages still missing after the retry schedule.
-    pub missing_messages: usize,
-    /// Aggregate fault-event counts (including retries).
-    pub counts: FaultCounts,
-}
-
-impl FaultedMultiRoundSummary {
-    /// The summary of a trial that ran through the fault-free engine
-    /// (transparent plan).
-    #[must_use]
-    pub fn clean(summary: MultiRoundSummary) -> Self {
-        Self {
-            summary,
-            insufficient_nodes: 0,
-            missing_messages: 0,
-            counts: FaultCounts::default(),
-        }
+    pub fn fault(&self) -> FaultReport {
+        self.report.fault.unwrap_or_default()
     }
 }
 
@@ -694,47 +604,41 @@ mod tests {
 
     #[test]
     fn degraded_summary_aggregates() {
-        let summary = RoundSummary {
-            accepted: false,
-            max_certificate_bits: 8,
-            total_certificate_bits: 24,
-        };
-        let d = DegradedSummary {
-            summary,
-            verdicts: vec![
-                NodeVerdict::Accept,
-                NodeVerdict::InsufficientInput,
-                NodeVerdict::Reject,
-            ],
-            missing: vec![0, 2, 0],
+        let fault = FaultReport {
+            insufficient_nodes: 1,
+            missing_messages: 2,
             counts: FaultCounts {
                 dropped: 1,
                 corrupted: 1,
                 ..FaultCounts::default()
             },
         };
+        let d = DegradedSummary {
+            report: RunReport {
+                fault: Some(fault),
+                ..RunReport::one_round(false, 8, 24)
+            },
+            verdicts: vec![
+                NodeVerdict::Accept,
+                NodeVerdict::InsufficientInput,
+                NodeVerdict::Reject,
+            ],
+            missing: vec![0, 2, 0],
+        };
         assert!(!d.accepted());
-        assert_eq!(d.insufficient_nodes(), 1);
-        assert_eq!(d.missing_messages(), 2);
-        let c = d.compact();
-        assert_eq!(c.summary, summary);
-        assert_eq!(c.insufficient_nodes, 1);
-        assert_eq!(c.missing_messages, 2);
-        assert_eq!(c.counts.dropped, 1);
+        assert_eq!(d.fault(), fault);
+        assert_eq!(d.fault().counts.dropped, 1);
     }
 
     #[test]
     fn transparent_constructors_are_clean() {
-        let summary = RoundSummary {
-            accepted: true,
-            max_certificate_bits: 4,
-            total_certificate_bits: 8,
-        };
-        let d = DegradedSummary::transparent(summary, &[true, true]);
+        let report = RunReport::one_round(true, 4, 8);
+        let d = DegradedSummary::transparent(report, &[true, true]);
         assert_eq!(d.verdicts, vec![NodeVerdict::Accept, NodeVerdict::Accept]);
         assert_eq!(d.missing, vec![0, 0]);
-        assert_eq!(d.compact(), FaultedRoundSummary::clean(summary));
-        let r = DegradedSummary::transparent(summary, &[true, false]);
+        assert_eq!(d.report, report);
+        assert_eq!(d.fault(), FaultReport::default());
+        let r = DegradedSummary::transparent(report, &[true, false]);
         assert_eq!(r.verdicts[1], NodeVerdict::Reject);
     }
 }

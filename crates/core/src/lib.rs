@@ -11,9 +11,11 @@
 //! * [`engine`] — the synchronous execution: label exchange for
 //!   deterministic schemes, certificate generation with per-(node, port)
 //!   independent randomness (edge-independent by construction,
-//!   Definition 4.5) and delivery for randomized ones, and the **t-round
-//!   trade-off schedules** (`run_multiround_*`) that verify a proof of
-//!   size κ over `t` rounds at ≈ κ/t bits per round per edge;
+//!   Definition 4.5) and delivery for randomized ones. One
+//!   [`RunSpec`](engine::RunSpec) names every job — including the
+//!   **t-round trade-off schedules** that verify a proof of size κ over
+//!   `t` rounds at ≈ κ/t bits per round per edge — and one
+//!   [`RunReport`](engine::RunReport) comes back per trial;
 //! * [`compiler`] — **Theorem 3.1**: any deterministic scheme with
 //!   verification complexity κ compiles into a one-sided randomized scheme
 //!   exchanging `O(log κ)` bits, via the Lemma A.1 equality protocol;
@@ -37,9 +39,8 @@
 //!   (lossy/corrupting channels, duplication, crash-stop nodes) with
 //!   graceful-degradation semantics: a node missing input rejects
 //!   conservatively, so faults can degrade completeness but never break
-//!   the one-sided soundness; every engine layer has a faulted twin
-//!   (`engine::run_*_faulted_with`) that is bit-identical to the clean
-//!   path under a transparent plan;
+//!   the one-sided soundness; a transparent plan is bit-identical to the
+//!   clean engine;
 //! * [`local_decision`] — the label-free `LD(t)` baseline of
 //!   Fraigniaud–Korman–Peleg (radius-t ball inspection), implemented so the
 //!   repository can show what proof labels buy over plain local decision.
@@ -48,36 +49,35 @@
 //!
 //! Every estimate this crate produces — acceptance probabilities,
 //! verification complexities, adversary sweeps — is Monte-Carlo over
-//! verification rounds, and the engine exposes four layers that trade
-//! generality for throughput. All four are **bit-identical** on the same
-//! inputs (`tests/engine_golden.rs` pins it); each layer only moves work,
-//! never results:
+//! [`RunSpec`](engine::RunSpec) trials, and the engine runs a spec at four
+//! layers that trade generality for throughput. All four are
+//! **bit-identical** on the same inputs (`tests/engine_golden.rs` pins
+//! it); each layer only moves work, never results:
 //!
-//! 1. **Unprepared** — [`engine::run_randomized_with`] routes every
-//!    (node, port) straight through [`Rpls::certify_into`] /
-//!    [`Rpls::verify`]. No setup, full per-round cost: labels are
-//!    re-parsed and fingerprint polynomials rebuilt every round. Right
-//!    for one-shot rounds.
+//! 1. **Unprepared** — [`Unprepared`] routes every (node, port) straight
+//!    through [`Rpls::certify_into`] / [`Rpls::verify`] under
+//!    [`engine::run_prepared`]. No setup, full per-round cost: labels are
+//!    re-parsed and fingerprint polynomials rebuilt every round.
 //! 2. **Prepared** — [`Rpls::prepare`] binds the scheme to one
 //!    `(configuration, labeling)` pair and hoists per-labeling work out
-//!    of the loop; [`engine::run_randomized_prepared_with`] then runs
-//!    single rounds at one random field element plus one polynomial probe
-//!    per (node, port) for the compiled schemes.
-//! 3. **Batched** — [`engine::run_trials_batched_with`] hands whole
-//!    blocks of per-trial seeds to [`PreparedRpls::run_trials`];
-//!    [`CompiledRpls`] answers with a labeling-static batch plan that
-//!    classifies nodes (always-reject / static-pass / dynamic), drops
-//!    statically satisfied probes, skips already-rejected trials, and
-//!    never materialises a certificate.
+//!    of the loop; [`engine::run_prepared`] then runs single trials at one
+//!    random field element plus one polynomial probe per (node, port) for
+//!    the compiled schemes.
+//! 3. **Batched** — [`engine::run_trials`] hands whole blocks of
+//!    per-trial seeds to [`PreparedRpls::run_block`]; [`CompiledRpls`]
+//!    answers with a labeling-static batch plan that classifies nodes
+//!    (always-reject / static-pass / dynamic), drops statically satisfied
+//!    probes, skips already-rejected trials, and never materialises a
+//!    certificate.
 //! 4. **Cached** — [`Rpls::prepare_cached`] reuses a content-keyed
-//!    [`PrepCache`] *across* labelings, so a sweep (an adversary's forged
-//!    candidates, a configuration scan) re-prepares only the labels that
-//!    actually changed.
+//!    [`PrepCache`] *across* labelings, so a sweep
+//!    ([`stats::estimate_with`] over an adversary's forged candidates, a
+//!    configuration scan) re-prepares only the labels that actually
+//!    changed.
 //!
-//! The same ladder carries the **t-round trade-off**: any scheme verifies
-//! in `t` rounds via [`engine::run_multiround_with`] (certificates split
-//! into `t` chunks, ≈ κ/t bits per round), prepared/batched variants ride
-//! layers 2–4 unchanged, and [`CompiledRpls`] streams one fingerprint of
+//! The **t-round trade-off** is one more spec field: any scheme verifies
+//! in `t` rounds (certificates split into `t` chunks, ≈ κ/t bits per
+//! round) on every layer, and [`CompiledRpls`] streams one fingerprint of
 //! each κ/t-bit label slice per round with early rejection.
 //!
 //! ```
@@ -95,38 +95,36 @@
 //! let config = Configuration::plain(generators::cycle(6));
 //! let scheme = CompiledRpls::new(Empty); // Theorem 3.1 compilation
 //! let labeling = Rpls::label(&scheme, &config);
+//! let spec = RunSpec::trial(7);
 //! let mut scratch = RoundScratch::new();
 //!
-//! // Layer 1: unprepared single round.
-//! let one = engine::run_randomized_with(
-//!     &scheme, &config, &labeling, 7, StreamMode::EdgeIndependent, &mut scratch);
+//! // Layer 1: unprepared single trial.
+//! let unprepared = Unprepared::new(&scheme, &config, &labeling);
+//! let one = engine::run_prepared(&spec, &unprepared, &config, &mut scratch);
 //! assert!(one.accepted);
 //!
-//! // Layer 2: prepared single round — bit-identical.
+//! // Layer 2: prepared single trial — bit-identical.
 //! let prepared = scheme.prepare(&config, &labeling, 100);
-//! let two = engine::run_randomized_prepared_with(
-//!     &*prepared, &config, 7, StreamMode::EdgeIndependent, &mut scratch);
+//! let two = engine::run_prepared(&spec, &*prepared, &config, &mut scratch);
 //! assert_eq!(one, two);
 //!
-//! // Layer 3: batched trials — same summaries, whole blocks at a time.
+//! // Layer 3: batched trials — same reports, whole blocks at a time.
 //! let mut batched = Vec::new();
-//! engine::run_trials_batched_with(
-//!     &*prepared, &config, &[7, 8], StreamMode::EdgeIndependent,
-//!     &mut scratch, &mut |s| batched.push(s));
+//! engine::run_trials(&spec, &*prepared, &config, &[7, 8], &mut scratch, &mut |r| batched.push(r));
 //! assert_eq!(batched[0], one);
 //!
 //! // Layer 4: cached preparation across a sweep — same estimates.
 //! let mut cache = PrepCache::new();
-//! let p = stats::acceptance_probability_cached(
-//!     &scheme, &config, &labeling, 50, 7, &mut scratch, &mut cache);
-//! assert_eq!(p, 1.0);
+//! let opts = stats::EstimateOpts::new(50);
+//! let est = stats::estimate_with(
+//!     &scheme, &config, &labeling, &spec, &opts, &mut scratch, &mut cache);
+//! assert_eq!(est.acceptance(), 1.0);
 //!
 //! // The t-round trade-off rides the same prepared instance: 4 rounds,
 //! // ≤ the one-round bits per round, same verdict.
-//! let multi = engine::run_multiround_prepared_with(
-//!     &*prepared, &config, 7, 4, StreamMode::EdgeIndependent, &mut scratch);
+//! let multi = engine::run_prepared(&spec.with_rounds(4), &*prepared, &config, &mut scratch);
 //! assert!(multi.accepted);
-//! assert!(multi.max_bits_per_round <= one.max_certificate_bits);
+//! assert!(multi.max_bits_per_round <= one.max_bits_per_round);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -149,14 +147,13 @@ pub mod universal;
 
 pub use buffer::{CertificateBuffer, Received, RoundScratch};
 pub use compiler::{CompiledRpls, ProbeSketch};
-pub use fault::{
-    DegradedSummary, DeliveryOutcome, FaultCounts, FaultPlan, FaultSpec, FaultedMultiRoundSummary,
-    FaultedRoundSummary, NodeVerdict,
-};
+pub use fault::{DegradedSummary, DeliveryOutcome, FaultCounts, FaultPlan, FaultSpec, NodeVerdict};
 pub use labeling::Labeling;
 pub use prep::{CacheStats, PrepCache};
 pub use rng::PortRng;
-pub use scheme::{CertView, DetView, ErrorSides, Pls, Predicate, PreparedRpls, RandView, Rpls};
+pub use scheme::{
+    CertView, DetView, ErrorSides, Pls, Predicate, PreparedRpls, RandView, Rpls, Unprepared,
+};
 pub use state::{Configuration, DegreeBuckets, State};
 pub use universal::{UniversalPls, UniversalRpls};
 
@@ -165,19 +162,18 @@ pub mod prelude {
     pub use crate::buffer::{CertificateBuffer, Received, RoundScratch};
     pub use crate::compiler::{CompiledRpls, ProbeSketch};
     pub use crate::engine::{
-        self, FaultReport, MessagePattern, MultiRoundSummary, Outcome, PatternCost, RoundSummary,
-        RunReport, RunSpec, SeedSource, StreamMode,
+        self, FaultReport, MessagePattern, Outcome, PatternCost, RunReport, RunSpec, SeedSource,
+        StreamMode,
     };
     pub use crate::fault::{
-        DegradedSummary, DeliveryOutcome, FaultCounts, FaultPlan, FaultSpec,
-        FaultedMultiRoundSummary, FaultedRoundSummary, NodeVerdict,
+        DegradedSummary, DeliveryOutcome, FaultCounts, FaultPlan, FaultSpec, NodeVerdict,
     };
     pub use crate::labeling::Labeling;
     pub use crate::measure;
     pub use crate::prep::{CacheStats, PrepCache};
     pub use crate::rng::PortRng;
     pub use crate::scheme::{
-        CertView, DetView, ErrorSides, Pls, Predicate, PreparedRpls, RandView, Rpls,
+        CertView, DetView, ErrorSides, Pls, Predicate, PreparedRpls, RandView, Rpls, Unprepared,
     };
     pub use crate::state::{Configuration, State};
     pub use crate::stats;

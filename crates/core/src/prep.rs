@@ -123,12 +123,14 @@ pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// let labeling = Rpls::label(&scheme, &config);
 /// let mut cache = PrepCache::new();
 /// let mut scratch = RoundScratch::new();
+/// let opts = stats::EstimateOpts::new(50);
 /// // A sweep reuses one cache: later estimates skip re-preparation.
 /// for seed in 0..4 {
-///     let p = stats::acceptance_probability_cached(
-///         &scheme, &config, &labeling, 50, seed, &mut scratch, &mut cache,
+///     let spec = RunSpec::trial(seed);
+///     let est = stats::estimate_with(
+///         &scheme, &config, &labeling, &spec, &opts, &mut scratch, &mut cache,
 ///     );
-///     assert_eq!(p, 1.0);
+///     assert_eq!(est.acceptance(), 1.0);
 /// }
 /// assert!(cache.shared_labels() > 0);
 /// assert!(cache.hits() > cache.misses());

@@ -191,16 +191,7 @@ pub trait Rpls {
         rounds_hint: usize,
     ) -> Box<dyn PreparedRpls + 'a> {
         let _ = rounds_hint;
-        assert_eq!(
-            labeling.len(),
-            config.node_count(),
-            "one label per node required"
-        );
-        Box::new(UnpreparedRpls {
-            scheme: self,
-            config,
-            labeling,
-        })
+        Box::new(Unprepared::new(self, config, labeling))
     }
 
     /// Like [`Rpls::prepare`], but allowed to reuse (and extend) state in a
@@ -236,10 +227,10 @@ pub trait Rpls {
 }
 
 /// A randomized scheme bound to one `(configuration, labeling)` pair — the
-/// output of [`Rpls::prepare`], consumed by
-/// [`engine::run_randomized_prepared_with`](crate::engine::run_randomized_prepared_with)
-/// and every Monte-Carlo estimator in [`stats`](crate::stats) and
-/// [`measure`](crate::measure).
+/// output of [`Rpls::prepare`], executed by
+/// [`engine::run_prepared`](crate::engine::run_prepared) /
+/// [`engine::run_trials`](crate::engine::run_trials) and every Monte-Carlo
+/// estimator in [`stats`](crate::stats) and [`measure`](crate::measure).
 ///
 /// Implementations must be **transcript-identical** to the unprepared
 /// scheme they came from: for any `(node, port)` and any random stream,
@@ -260,225 +251,32 @@ pub trait PreparedRpls {
     /// was prepared for.
     fn verify(&self, node: NodeId, received: &Received<'_>) -> bool;
 
-    /// Runs one verification round per seed in `seeds` — the whole-block
-    /// hook behind
-    /// [`engine::run_trials_batched_with`](crate::engine::run_trials_batched_with),
-    /// which every Monte-Carlo estimator drives.
+    /// Runs one trial of `spec` per seed in `seeds` — the one trial hook
+    /// behind [`engine::run_trials`](crate::engine::run_trials), which every
+    /// Monte-Carlo estimator drives. `spec.seed_source` is ignored: `seeds`
+    /// are the per-trial seeds.
     ///
     /// Implementations must call `emit` exactly once per seed, in seed
-    /// order, with a summary **bit-identical** to what
-    /// [`run_randomized_prepared_with`](crate::engine::run_randomized_prepared_with)
-    /// produces for that seed (the golden tests pin this for every scheme).
-    /// The default is exactly that scalar loop. Overrides are purely a
-    /// performance decision: they may batch trials node-at-a-time, hoisting
-    /// per-(node, port) setup out of the trial loop and skipping
-    /// certificate materialisation entirely — as long as the emitted
-    /// accept/bit accounting cannot be told apart from the scalar path.
-    /// See [`CompiledRpls`](crate::compiler::CompiledRpls) for the
-    /// flagship override.
-    fn run_trials(
+    /// order. The default is the engine's scalar reference (certificate
+    /// generation into the arena, then delivery and verification, with
+    /// `rounds ≥ 2` run as the certificate-splitting schedule). Overrides
+    /// are a performance decision: they may batch trials node-at-a-time
+    /// and skip certificate materialisation, but one-round reports must be
+    /// **bit-identical** to the default's (the golden tests pin this for
+    /// every scheme). A schedule of `rounds ≥ 2` may re-time and
+    /// re-randomise the protocol — [`CompiledRpls`](crate::compiler::CompiledRpls)
+    /// streams one fresh fingerprint of each κ/t-bit label slice per
+    /// round, rejecting early — but must preserve perfect completeness and
+    /// the scheme's soundness bound.
+    fn run_block(
         &self,
+        spec: &crate::engine::RunSpec,
         config: &Configuration,
         seeds: &[u64],
-        pattern: crate::engine::MessagePattern,
-        mode: crate::engine::StreamMode,
         scratch: &mut crate::buffer::RoundScratch,
-        emit: &mut dyn FnMut(crate::engine::RoundSummary),
+        emit: &mut dyn FnMut(crate::engine::RunReport),
     ) {
-        for &seed in seeds {
-            emit(crate::engine::run_randomized_prepared_patterned_with(
-                self, config, seed, pattern, mode, scratch,
-            ));
-        }
-    }
-
-    /// One **t-round** verification trial — the space–time trade-off hook
-    /// behind
-    /// [`engine::run_multiround_prepared_with`](crate::engine::run_multiround_prepared_with).
-    ///
-    /// The default is the certificate-splitting schedule: run the one-round
-    /// trial (same seed, same randomness) and deliver each certificate in
-    /// `rounds` equal chunks, one per round, so per-round communication is
-    /// `⌈κ/t⌉` bits per edge while verdicts and total bits stay exactly the
-    /// one-round ones (see
-    /// [`MultiRoundSummary::from_split`](crate::engine::MultiRoundSummary::from_split)).
-    /// Overrides may re-time (and re-randomise) the protocol more
-    /// cleverly — [`CompiledRpls`](crate::compiler::CompiledRpls) streams
-    /// one fresh fingerprint of each κ/t-bit label slice per round,
-    /// rejecting early — but must preserve perfect completeness and the
-    /// scheme's soundness bound at every `t`, and must keep the
-    /// `rounds = 1` schedule **bit-identical** to the one-round engine
-    /// (summaries and randomness consumption alike;
-    /// `tests/engine_golden.rs` pins this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds` is 0.
-    fn run_multiround(
-        &self,
-        config: &Configuration,
-        seed: u64,
-        rounds: usize,
-        pattern: crate::engine::MessagePattern,
-        mode: crate::engine::StreamMode,
-        scratch: &mut crate::buffer::RoundScratch,
-    ) -> crate::engine::MultiRoundSummary {
-        assert!(rounds > 0, "a schedule needs at least one round");
-        let summary = crate::engine::run_randomized_prepared_patterned_with(
-            self, config, seed, pattern, mode, scratch,
-        );
-        crate::engine::MultiRoundSummary::from_split(summary, rounds)
-    }
-
-    /// One t-round trial per seed in `seeds`, emitted in seed order — the
-    /// whole-block twin of [`PreparedRpls::run_multiround`] behind
-    /// [`engine::run_multiround_trials_batched_with`](crate::engine::run_multiround_trials_batched_with).
-    ///
-    /// The default re-times the (possibly batched) one-round trial engine
-    /// [`PreparedRpls::run_trials`] as the certificate-splitting schedule,
-    /// so schemes with a batched one-round override get batched multi-round
-    /// trials for free. Overrides must emit exactly what
-    /// [`PreparedRpls::run_multiround`] produces per seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds` is 0.
-    #[allow(clippy::too_many_arguments)]
-    fn run_multiround_trials(
-        &self,
-        config: &Configuration,
-        seeds: &[u64],
-        rounds: usize,
-        pattern: crate::engine::MessagePattern,
-        mode: crate::engine::StreamMode,
-        scratch: &mut crate::buffer::RoundScratch,
-        emit: &mut dyn FnMut(crate::engine::MultiRoundSummary),
-    ) {
-        assert!(rounds > 0, "a schedule needs at least one round");
-        self.run_trials(config, seeds, pattern, mode, scratch, &mut |summary| {
-            emit(crate::engine::MultiRoundSummary::from_split(
-                summary, rounds,
-            ));
-        });
-    }
-
-    /// One **faulted** verification round per seed, emitted in seed order —
-    /// the whole-block hook behind
-    /// [`engine::run_trials_faulted_with`](crate::engine::run_trials_faulted_with).
-    ///
-    /// The default is the scalar loop over
-    /// [`run_randomized_prepared_faulted_with`](crate::engine::run_randomized_prepared_faulted_with),
-    /// compacted per trial. Overrides must emit summaries identical to that
-    /// reference loop: in particular, a message perturbed by the plan must
-    /// fail its trial even where a batched plan would have skipped the
-    /// probe statically, and a transparent plan must emit exactly the
-    /// (clean-wrapped) fault-free summaries.
-    #[allow(clippy::too_many_arguments)]
-    fn run_trials_faulted(
-        &self,
-        config: &Configuration,
-        seeds: &[u64],
-        plan: &crate::fault::FaultPlan,
-        pattern: crate::engine::MessagePattern,
-        mode: crate::engine::StreamMode,
-        scratch: &mut crate::buffer::RoundScratch,
-        emit: &mut dyn FnMut(crate::fault::FaultedRoundSummary),
-    ) {
-        for &seed in seeds {
-            emit(
-                crate::engine::run_randomized_prepared_faulted_patterned_with(
-                    self, config, seed, pattern, plan, mode, scratch,
-                )
-                .compact(),
-            );
-        }
-    }
-
-    /// One **faulted** t-round verification trial — the faulted twin of
-    /// [`PreparedRpls::run_multiround`], behind
-    /// [`engine::run_multiround_faulted_with`](crate::engine::run_multiround_faulted_with).
-    ///
-    /// The default delegates to
-    /// [`PreparedRpls::run_multiround_trials_faulted`] with a single seed,
-    /// so schemes overriding the batched hook get the single-trial form
-    /// for free (and the two can never disagree).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds` is 0.
-    #[allow(clippy::too_many_arguments)]
-    fn run_multiround_faulted(
-        &self,
-        config: &Configuration,
-        seed: u64,
-        rounds: usize,
-        plan: &crate::fault::FaultPlan,
-        pattern: crate::engine::MessagePattern,
-        mode: crate::engine::StreamMode,
-        scratch: &mut crate::buffer::RoundScratch,
-    ) -> crate::fault::FaultedMultiRoundSummary {
-        assert!(rounds > 0, "a schedule needs at least one round");
-        let mut out = None;
-        self.run_multiround_trials_faulted(
-            config,
-            &[seed],
-            rounds,
-            plan,
-            pattern,
-            mode,
-            scratch,
-            &mut |s| out = Some(s),
-        );
-        out.expect("run_multiround_trials_faulted emits once per seed")
-    }
-
-    /// One faulted t-round trial per seed, emitted in seed order — the
-    /// faulted twin of [`PreparedRpls::run_multiround_trials`].
-    ///
-    /// The default overlays the fault schedule on the
-    /// certificate-splitting schedule: each trial runs the fault-free
-    /// one-round engine (whose randomness faults never touch), then
-    /// perturbs the per-round chunk messages with the plan — including the
-    /// bounded within-round retry schedule for lossy links — via
-    /// [`engine::overlay_split_faults`](crate::engine). A transparent plan
-    /// emits exactly the (clean-wrapped) [`PreparedRpls::run_multiround`]
-    /// summaries. Overrides must perturb *their* per-round message set the
-    /// same way (see
-    /// [`CompiledRpls`](crate::compiler::CompiledRpls)'s streaming
-    /// schedule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds` is 0.
-    #[allow(clippy::too_many_arguments)]
-    fn run_multiround_trials_faulted(
-        &self,
-        config: &Configuration,
-        seeds: &[u64],
-        rounds: usize,
-        plan: &crate::fault::FaultPlan,
-        pattern: crate::engine::MessagePattern,
-        mode: crate::engine::StreamMode,
-        scratch: &mut crate::buffer::RoundScratch,
-        emit: &mut dyn FnMut(crate::fault::FaultedMultiRoundSummary),
-    ) {
-        assert!(rounds > 0, "a schedule needs at least one round");
-        if plan.is_transparent() {
-            for &seed in seeds {
-                emit(crate::fault::FaultedMultiRoundSummary::clean(
-                    self.run_multiround(config, seed, rounds, pattern, mode, scratch),
-                ));
-            }
-            return;
-        }
-        for &seed in seeds {
-            let clean = crate::engine::run_randomized_prepared_patterned_with(
-                self, config, seed, pattern, mode, scratch,
-            );
-            emit(crate::engine::overlay_split_faults(
-                config, seed, rounds, plan, scratch, clean,
-            ));
-        }
+        crate::engine::scalar_block(spec, self, config, seeds, scratch, emit);
     }
 
     /// Closed-form communication accounting for this prepared instance
@@ -486,13 +284,13 @@ pub trait PreparedRpls {
     /// compute it without running a round — `(messages, bits-per-round,
     /// total bits)` as a [`PatternCost`](crate::engine::PatternCost).
     ///
-    /// The patterned engine paths use this, when `Some`, to report
-    /// pattern-adjusted bit accounting that is independent of which
-    /// execution layer ran (scalar or batched); `None` — the default —
-    /// falls back to transcript-derived per-slot accounting. Only patterns
-    /// whose *transcript* matches the per-port one but whose *cost model*
-    /// differs (notably [`Unicast`](crate::engine::MessagePattern::Unicast)
-    /// for compiled schemes, where Filtser–Fischer-style shared randomness
+    /// The scalar engine uses this, when `Some`, to report pattern-adjusted
+    /// bit accounting that is independent of which execution layer ran
+    /// (scalar or batched); `None` — the default — falls back to
+    /// transcript-derived per-slot accounting. Only patterns whose
+    /// *transcript* matches the per-port one but whose *cost model* differs
+    /// (notably [`Unicast`](crate::engine::MessagePattern::Unicast) for
+    /// compiled schemes, where Filtser–Fischer-style shared randomness
     /// halves the accounted message width) need this hook; returning
     /// `None` is always sound.
     fn pattern_cost(
@@ -505,17 +303,58 @@ pub trait PreparedRpls {
     }
 }
 
-/// The default preparation: no precomputation, every call routed through
-/// the unprepared scheme. Also used (unboxed, statically dispatched) by
-/// [`engine::run_randomized_with`](crate::engine::run_randomized_with), so
-/// the prepared round loop is the *only* round loop.
-pub(crate) struct UnpreparedRpls<'a, S: ?Sized> {
-    pub(crate) scheme: &'a S,
-    pub(crate) config: &'a Configuration,
-    pub(crate) labeling: &'a Labeling,
+/// A scheme bound to one `(configuration, labeling)` pair with no
+/// precomputation: every call is routed through [`Rpls::certify_into`] /
+/// [`Rpls::verify`], so labels are re-parsed every round. This is the
+/// default [`Rpls::prepare`], and the engine's layer-1 reference path:
+///
+/// ```
+/// use rpls_core::prelude::*;
+/// use rpls_graph::generators;
+///
+/// struct Empty;
+/// impl Pls for Empty {
+///     fn name(&self) -> String { "empty".into() }
+///     fn label(&self, c: &Configuration) -> Labeling { Labeling::empty(c.node_count()) }
+///     fn verify(&self, view: &DetView<'_>) -> bool { view.label.is_empty() }
+/// }
+///
+/// let config = Configuration::plain(generators::cycle(5));
+/// let scheme = CompiledRpls::new(Empty);
+/// let labeling = Rpls::label(&scheme, &config);
+/// let unprepared = Unprepared::new(&scheme, &config, &labeling);
+/// let report = engine::run_prepared(
+///     &RunSpec::trial(3), &unprepared, &config, &mut RoundScratch::new());
+/// assert!(report.accepted);
+/// ```
+pub struct Unprepared<'a, S: ?Sized> {
+    scheme: &'a S,
+    config: &'a Configuration,
+    labeling: &'a Labeling,
 }
 
-impl<S: Rpls + ?Sized> PreparedRpls for UnpreparedRpls<'_, S> {
+impl<'a, S: Rpls + ?Sized> Unprepared<'a, S> {
+    /// Binds `scheme` to `(config, labeling)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `labeling` does not assign exactly one label per node.
+    #[must_use]
+    pub fn new(scheme: &'a S, config: &'a Configuration, labeling: &'a Labeling) -> Self {
+        assert_eq!(
+            labeling.len(),
+            config.node_count(),
+            "one label per node required"
+        );
+        Self {
+            scheme,
+            config,
+            labeling,
+        }
+    }
+}
+
+impl<S: Rpls + ?Sized> PreparedRpls for Unprepared<'_, S> {
     fn certify_into(&self, node: NodeId, port: Port, rng: &mut dyn Rng, out: &mut BitString) {
         let view = CertView {
             local: crate::engine::local_context(self.config, node),

@@ -7,38 +7,31 @@
 //! outcomes." [`boosted_accepts`] implements exactly that; the experiment
 //! E-B measures the promised exponential decay.
 //!
-//! All estimators run on the engine's batched trial loop
-//! ([`engine::run_trials_batched_with`]): each public entry point owns (or
-//! borrows, for the `*_with` variants) one [`RoundScratch`], prepares the
-//! labeling once — always through [`Rpls::prepare_cached`], against a
-//! caller-owned [`PrepCache`] for the `*_cached` variants or a throwaway
-//! one otherwise, so sweeps over many labelings amortise preparation —
-//! and hands the whole block of per-trial seeds to the prepared scheme. Schemes with a batched
-//! [`PreparedRpls::run_trials`] override (notably
-//! [`CompiledRpls`](crate::compiler::CompiledRpls)) evaluate trials
-//! node-at-a-time with all per-(node, port) setup hoisted out of the inner
-//! loop; everything else falls back to the scalar prepared path. Estimates
-//! are bit-identical either way. The feature-gated
-//! [`acceptance_probability_par`] shards trials across threads with the
-//! *same* per-trial seeds as the serial path, so both produce bit-identical
-//! estimates.
-//!
 //! # One estimator
 //!
-//! The `acceptance_probability{,_with,_cached,_patterned,…}` family grew
-//! one name per engine axis; all of them now delegate to a single surface:
-//! [`estimate`] / [`estimate_with`] / [`estimate_par`] take a
-//! [`RunSpec`] naming the job (rounds, pattern, faults, seed source) plus
-//! [`EstimateOpts`] and return a uniform [`Estimate`]. The legacy names
-//! remain seed-compatible shims — trial `t` runs seed
-//! [`trial_seed`]`(spec.seed(), t)` on every path. Only the boosting
-//! family (different seed tags, majority-vote semantics) and
-//! [`rounds_to_reject_profile`] (richer per-round output) keep their own
-//! loops.
+//! [`estimate`] / [`estimate_with`] / [`estimate_par`] take a [`RunSpec`]
+//! naming the job (rounds, pattern, stream mode, faults, seed source) plus
+//! [`EstimateOpts`] and return an [`Estimate`]; [`sweep_par`] estimates
+//! many labelings under one spec. Trial `t` always runs seed
+//! [`trial_seed`]`(spec.seed(), t)`, whichever of them invoked it, so all
+//! of them agree bit for bit. [`acceptance_probability`] is the paper's
+//! `Pr[accept]` for the default one-round spec.
+//!
+//! Every estimator prepares the labeling once — through
+//! [`Rpls::prepare_cached`], against a caller-owned [`PrepCache`] for
+//! [`estimate_with`] or a throwaway one otherwise, so sweeps over many
+//! labelings amortise preparation — and hands blocks of per-trial seeds to
+//! [`engine::run_trials`]. Schemes with a batched
+//! [`PreparedRpls::run_block`] (notably
+//! [`CompiledRpls`](crate::compiler::CompiledRpls)) evaluate trials
+//! node-at-a-time; everything else runs the scalar reference. Estimates are
+//! bit-identical either way. The boosting estimators (different seed tags,
+//! majority-vote semantics) and [`rounds_to_reject_profile`] (a per-round
+//! histogram) run the same trial loop with their own seeds and tallies.
 
 use crate::buffer::RoundScratch;
-use crate::engine::{self, mix_seed, MessagePattern, RunSpec, StreamMode, TRIAL_CHUNK};
-use crate::fault::{FaultCounts, FaultPlan};
+use crate::engine::{self, mix_seed, RunReport, RunSpec};
+use crate::fault::FaultCounts;
 use crate::labeling::Labeling;
 use crate::prep::PrepCache;
 use crate::scheme::{PreparedRpls, Rpls};
@@ -58,43 +51,6 @@ pub fn trial_seed(seed: u64, trial: u64) -> u64 {
     mix_seed(seed, trial, TAG_ACCEPT)
 }
 
-/// Counts accepting rounds over `trials` trials whose seeds are
-/// `seed_of(0..trials)` — every estimator (serial and parallel) funnels
-/// its trials through the batched engine here, so schemes with a
-/// [`PreparedRpls::run_trials`] override (notably the compiled ones)
-/// evaluate whole blocks per node instead of paying per-(node, port,
-/// trial) overhead. Seeds are generated chunk-wise into the caller's
-/// reusable buffer. Counts are bit-identical to running the scalar
-/// prepared path once per seed.
-fn count_accepts(
-    prepared: &dyn PreparedRpls,
-    config: &Configuration,
-    trials: usize,
-    seed_of: &dyn Fn(u64) -> u64,
-    pattern: MessagePattern,
-    scratch: &mut RoundScratch,
-    seeds_buf: &mut Vec<u64>,
-) -> usize {
-    let mut accepts = 0usize;
-    let mut next = 0usize;
-    while next < trials {
-        let chunk = TRIAL_CHUNK.min(trials - next);
-        seeds_buf.clear();
-        seeds_buf.extend((next..next + chunk).map(|t| seed_of(t as u64)));
-        next += chunk;
-        engine::run_trials_batched_patterned_with(
-            prepared,
-            config,
-            seeds_buf,
-            pattern,
-            StreamMode::EdgeIndependent,
-            scratch,
-            &mut |summary| accepts += usize::from(summary.accepted),
-        );
-    }
-    accepts
-}
-
 /// Options of a [`estimate`] run — everything about the Monte-Carlo
 /// experiment that is *not* part of the job itself (the job is the
 /// [`RunSpec`]).
@@ -112,17 +68,17 @@ impl EstimateOpts {
     }
 }
 
-/// Aggregate outcome of one [`estimate`] run — the uniform result every
-/// legacy estimator's return value projects out of. The fault fields stay
-/// zero for fault-free specs.
+/// Aggregate outcome of one [`estimate`] run. The fault fields stay zero
+/// for fault-free specs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Estimate {
     /// Trials estimated.
     pub trials: usize,
     /// Trials whose every node voted accept.
     pub accepts: usize,
-    /// Trials in which at least one node was missing input (always 0 for
-    /// fault-free specs).
+    /// Trials in which at least one node was missing input (and therefore
+    /// voted [`NodeVerdict::InsufficientInput`](crate::fault::NodeVerdict));
+    /// always 0 for fault-free specs.
     pub degraded_trials: usize,
     /// Total missing messages over all trials (0 for fault-free specs).
     pub missing_messages: usize,
@@ -142,13 +98,34 @@ impl Estimate {
     pub fn degradation(&self) -> f64 {
         self.degraded_trials as f64 / self.trials as f64
     }
+
+    /// The one-trial estimate of `report`.
+    fn of_trial(report: &RunReport) -> Self {
+        let fault = report.fault.unwrap_or_default();
+        Self {
+            trials: 1,
+            accepts: usize::from(report.accepted),
+            degraded_trials: usize::from(fault.insufficient_nodes > 0),
+            missing_messages: fault.missing_messages,
+            counts: fault.counts,
+        }
+    }
+
+    /// Adds `other`'s tallies into `self` — how trials fold into an
+    /// estimate and how worker shards merge. Every field is a sum, so the
+    /// result does not depend on how trials were split.
+    fn absorb(&mut self, other: Estimate) {
+        self.trials += other.trials;
+        self.accepts += other.accepts;
+        self.degraded_trials += other.degraded_trials;
+        self.missing_messages += other.missing_messages;
+        self.counts.absorb(other.counts);
+    }
 }
 
-/// The chunked trial loop every estimator bottoms out in: runs `trials`
-/// trials of `spec` whose per-trial seeds are `seed_of(0..trials)` through
-/// [`engine::run_trials`], accumulating an [`Estimate`]. Chunking bounds
-/// memory at O([`TRIAL_CHUNK`]) without changing results (trials are
-/// independent).
+/// The trial loop every estimator bottoms out in: runs `trials` trials of
+/// `spec` whose per-trial seeds are `seed_of(0..trials)`, folding their
+/// reports into an [`Estimate`].
 fn estimate_prepared(
     prepared: &dyn PreparedRpls,
     config: &Configuration,
@@ -156,42 +133,21 @@ fn estimate_prepared(
     trials: usize,
     seed_of: &dyn Fn(u64) -> u64,
     scratch: &mut RoundScratch,
-    seeds_buf: &mut Vec<u64>,
 ) -> Estimate {
-    let mut out = Estimate {
-        trials,
-        ..Estimate::default()
-    };
-    let mut next = 0usize;
-    while next < trials {
-        let chunk = TRIAL_CHUNK.min(trials - next);
-        seeds_buf.clear();
-        seeds_buf.extend((next..next + chunk).map(|t| seed_of(t as u64)));
-        next += chunk;
-        engine::run_trials(spec, prepared, config, seeds_buf, scratch, &mut |r| {
-            out.accepts += usize::from(r.accepted);
-            if let Some(fault) = r.fault {
-                out.degraded_trials += usize::from(fault.insufficient_nodes > 0);
-                out.missing_messages += fault.missing_messages;
-                out.counts.absorb(fault.counts);
-            }
-        });
-    }
+    let mut out = Estimate::default();
+    engine::run_seeded_trials(spec, prepared, config, trials, seed_of, scratch, &mut |r| {
+        out.absorb(Estimate::of_trial(&r));
+    });
     out
 }
 
 /// Estimates the acceptance probability of one [`RunSpec`] job over
-/// `opts.trials` independent trials — the single estimator the historical
-/// `acceptance_probability{,_with,_cached,_patterned,…}` family collapses
-/// into (each legacy name now delegates here with the equivalent spec, and
-/// stays seed-compatible: trial `t` runs seed
-/// [`trial_seed`]`(spec.seed(), t)` regardless of which surface invoked
-/// it).
+/// `opts.trials` independent trials; trial `t` runs seed
+/// [`trial_seed`]`(spec.seed(), t)`.
 ///
 /// The spec's [`SeedSource`](crate::engine::SeedSource) picks private or
 /// public (beacon) coins; everything else — rounds, pattern, stream mode,
-/// faults — dispatches through [`engine::run_trials`] exactly as the
-/// legacy twins did.
+/// faults — dispatches through [`engine::run_trials`].
 ///
 /// # Panics
 ///
@@ -215,10 +171,13 @@ pub fn estimate<S: Rpls + ?Sized>(
 }
 
 /// Like [`estimate`] but reuses caller-owned scratch and a [`PrepCache`]
-/// across labelings — the layer-4 form the verification service batches
-/// tenant jobs through (one resident cache, content-keyed, shared across
-/// every submitted labeling). Estimates are bit-identical to [`estimate`]
-/// for any cache state; the cache only moves work, never results.
+/// across labelings — the form sweeps use (the hill-climbing adversary,
+/// the verification service's one resident cache shared across every
+/// submitted labeling). Under the Theorem 3.1 compiler that turns
+/// per-candidate preparation from O(nodes × label bits) parsing and
+/// polynomial building into O(nodes) hash lookups. Estimates are
+/// bit-identical to [`estimate`] for any cache state; the cache only moves
+/// work, never results.
 pub fn estimate_with<S: Rpls + ?Sized>(
     scheme: &S,
     config: &Configuration,
@@ -238,11 +197,11 @@ pub fn estimate_with<S: Rpls + ?Sized>(
         opts.trials,
         &|t| trial_seed(base, t),
         scratch,
-        &mut Vec::new(),
     )
 }
 
-/// Estimates `Pr[verifier accepts]` over `trials` independent rounds.
+/// Estimates `Pr[verifier accepts]` over `trials` independent rounds — the
+/// [`estimate`] of the default one-round spec [`RunSpec::trial`]`(seed)`.
 pub fn acceptance_probability<S: Rpls + ?Sized>(
     scheme: &S,
     config: &Configuration,
@@ -250,249 +209,36 @@ pub fn acceptance_probability<S: Rpls + ?Sized>(
     trials: usize,
     seed: u64,
 ) -> f64 {
-    let mut scratch = RoundScratch::new();
-    acceptance_probability_with(scheme, config, labeling, trials, seed, &mut scratch)
-}
-
-/// Like [`acceptance_probability`] but reuses caller-owned scratch, so
-/// sweeps over many labelings (e.g. the hill-climbing adversary) never
-/// reallocate.
-///
-/// The labeling is prepared once ([`Rpls::prepare`]) and every trial runs
-/// against the prepared scheme; estimates are bit-identical to running
-/// [`engine::run_randomized_with`] per trial, only faster.
-pub fn acceptance_probability_with<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    trials: usize,
-    seed: u64,
-    scratch: &mut RoundScratch,
-) -> f64 {
-    acceptance_probability_cached(
-        scheme,
-        config,
-        labeling,
-        trials,
-        seed,
-        scratch,
-        &mut PrepCache::new(),
-    )
-}
-
-/// Like [`acceptance_probability_with`] but additionally reuses a
-/// caller-owned [`PrepCache`], so a sweep over many labelings (the
-/// hill-climbing adversary, a forged-candidate batch) pays preparation
-/// only for the labels that changed since the previous estimate — under
-/// the Theorem 3.1 compiler that turns per-candidate preparation from
-/// O(nodes × label bits) parsing and polynomial building into O(nodes)
-/// hash lookups.
-///
-/// The estimate is **bit-identical** to [`acceptance_probability`] on the
-/// same inputs for any cache state (`tests/engine_golden.rs` pins this);
-/// the cache only moves work, never results.
-#[allow(clippy::too_many_arguments)]
-pub fn acceptance_probability_cached<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    trials: usize,
-    seed: u64,
-    scratch: &mut RoundScratch,
-    cache: &mut PrepCache,
-) -> f64 {
-    estimate_with(
+    estimate(
         scheme,
         config,
         labeling,
         &RunSpec::trial(seed),
         &EstimateOpts::new(trials),
-        scratch,
-        cache,
     )
     .acceptance()
 }
 
-/// Estimates `Pr[verifier accepts]` under a [`MessagePattern`] — the
-/// message-pattern twin of [`acceptance_probability`]. Per-trial seeds are
-/// identical to the per-port estimator's, so
-/// [`MessagePattern::PerPort`] (and [`MessagePattern::Unicast`], which
-/// only re-accounts bits) reproduce [`acceptance_probability`]
-/// bit-for-bit; [`MessagePattern::Broadcast`] and
-/// [`MessagePattern::KMessages`] re-key the certificate streams by slot
-/// and so estimate the acceptance of genuinely coarser message schedules.
-pub fn acceptance_probability_patterned<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    trials: usize,
-    seed: u64,
-    pattern: MessagePattern,
-) -> f64 {
-    acceptance_probability_patterned_cached(
-        scheme,
-        config,
-        labeling,
-        trials,
-        seed,
-        pattern,
-        &mut RoundScratch::new(),
-        &mut PrepCache::new(),
-    )
-}
-
-/// Like [`acceptance_probability_patterned`] but reuses caller-owned
-/// scratch and a [`PrepCache`] across labelings — see
-/// [`acceptance_probability_cached`] for the sweep-amortisation contract,
-/// which carries over unchanged (the batch plan serves every pattern).
-#[allow(clippy::too_many_arguments)]
-pub fn acceptance_probability_patterned_cached<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    trials: usize,
-    seed: u64,
-    pattern: MessagePattern,
-    scratch: &mut RoundScratch,
-    cache: &mut PrepCache,
-) -> f64 {
-    estimate_with(
-        scheme,
-        config,
-        labeling,
-        &RunSpec::trial(seed).with_pattern(pattern),
-        &EstimateOpts::new(trials),
-        scratch,
-        cache,
-    )
-    .acceptance()
-}
-
-/// Aggregate outcome of a faulted Monte-Carlo acceptance estimate —
-/// produced by [`acceptance_under_faults`]. Beyond the acceptance rate it
-/// reports how much the fault plan actually degraded the run, so sweeps
-/// can separate "rejected because the labeling is wrong" from "rejected
-/// because input went missing".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultedAcceptance {
-    /// Trials estimated.
-    pub trials: usize,
-    /// Trials whose every node voted accept.
-    pub accepts: usize,
-    /// Trials in which at least one node was missing input (and therefore
-    /// voted [`NodeVerdict::InsufficientInput`](crate::fault::NodeVerdict)).
-    pub degraded_trials: usize,
-    /// Total missing messages over all trials.
-    pub missing_messages: usize,
-    /// Fault events aggregated over all trials.
-    pub counts: FaultCounts,
-}
-
-impl FaultedAcceptance {
-    /// The estimated acceptance probability under the fault plan.
-    #[must_use]
-    pub fn acceptance(&self) -> f64 {
-        self.accepts as f64 / self.trials as f64
-    }
-
-    /// The fraction of trials that lost at least one message.
-    #[must_use]
-    pub fn degradation(&self) -> f64 {
-        self.degraded_trials as f64 / self.trials as f64
-    }
-}
-
-/// Estimates `Pr[verifier accepts]` over `trials` independent rounds run
-/// through the faulted engine — the fault-injection twin of
-/// [`acceptance_probability`]. Per-trial seeds are **identical** to the
-/// clean estimator's, so under a transparent plan the accept count (and
-/// hence [`FaultedAcceptance::acceptance`]) is bit-identical to
-/// [`acceptance_probability`] on the same inputs.
-pub fn acceptance_under_faults<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    trials: usize,
-    seed: u64,
-    plan: &FaultPlan,
-) -> FaultedAcceptance {
-    let mut scratch = RoundScratch::new();
-    acceptance_under_faults_cached(
-        scheme,
-        config,
-        labeling,
-        trials,
-        seed,
-        plan,
-        &mut scratch,
-        &mut PrepCache::new(),
-    )
-}
-
-/// Like [`acceptance_under_faults`] but reuses caller-owned scratch and a
-/// [`PrepCache`] across labelings — the faulted member of the layer-4
-/// estimator family, used by
-/// [`measure::fault_tolerance_profile`](crate::measure::fault_tolerance_profile)
-/// to sweep fault rates against one prepared instance.
-#[allow(clippy::too_many_arguments)]
-pub fn acceptance_under_faults_cached<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    trials: usize,
-    seed: u64,
-    plan: &FaultPlan,
-    scratch: &mut RoundScratch,
-    cache: &mut PrepCache,
-) -> FaultedAcceptance {
-    let est = estimate_with(
-        scheme,
-        config,
-        labeling,
-        &RunSpec::trial(seed).with_faults(plan.clone()),
-        &EstimateOpts::new(trials),
-        scratch,
-        cache,
-    );
-    FaultedAcceptance {
-        trials: est.trials,
-        accepts: est.accepts,
-        degraded_trials: est.degraded_trials,
-        missing_messages: est.missing_messages,
-        counts: est.counts,
-    }
-}
-
-/// Parallel twin of [`estimate`]: shards trials across threads, each with
-/// its own [`RoundScratch`]. Per-trial seeds are identical to the serial
+/// Parallel [`estimate`]: shards trials across threads — the one-labeling
+/// case of [`sweep_par`]. Per-trial seeds are identical to the serial
 /// path, so the result is **bit-identical** to [`estimate`] for the same
 /// inputs.
 ///
-/// # Coverage
-///
-/// Every [`RunSpec`] the serial estimator accepts parallelises here, with
-/// the same transcripts trial for trial:
-///
-/// * **multiround** (`spec.with_rounds(t)`) — each worker's shard
-///   dispatches through the same `engine::run_trials` →
-///   `run_multiround_trials` schedule; per-round streams are keyed by
-///   `(trial seed, round)`, independent of which worker runs the trial;
-/// * **faulted** (`spec.with_faults(plan)`) — fault decision words are
-///   pure functions of `(seed, fault_seed, trial)`, so sharding cannot
-///   move a fault; degraded/missing counts merge additively;
-/// * **patterns and stream modes** — the spec's pattern/mode is cloned
-///   into every worker verbatim;
-/// * **cached** — each worker prepares through its own private
-///   [`PrepCache`] (the cache is `Rc`-based and cannot cross threads;
-///   preparation is a pure function of the labeling, so per-shard caches
-///   and any shared-cache serial run produce identical transcripts).
-///   `tests/parallel_identity.rs` pins serial ≡ parallel at 2/4/8
-///   workers across all of the above. For sweeps over **many**
-///   labelings, where a per-call cache would forfeit cross-candidate
-///   amortisation, use [`sweep_par`], which keeps one long-lived cache
-///   per worker.
+/// Every [`RunSpec`] parallelises, with the same transcripts trial for
+/// trial: per-round streams and fault decision words are pure functions
+/// of the trial seed, so sharding cannot move them, and degraded/missing
+/// counts merge additively. Each worker prepares through its own private
+/// [`PrepCache`] (the cache is `Rc`-based and cannot cross threads;
+/// preparation is a pure function of the labeling, so per-shard caches and
+/// any shared-cache serial run produce identical transcripts).
+/// `tests/parallel_identity.rs` pins serial ≡ parallel at 2/4/8 workers.
 ///
 /// `threads = None` uses the machine's available parallelism.
+///
+/// # Panics
+///
+/// Panics if `opts.trials` is 0, or propagates (with worker context) any
+/// worker panic.
 #[cfg(feature = "parallel")]
 pub fn estimate_par<S: Rpls + Sync + ?Sized>(
     scheme: &S,
@@ -502,111 +248,15 @@ pub fn estimate_par<S: Rpls + Sync + ?Sized>(
     opts: &EstimateOpts,
     threads: Option<usize>,
 ) -> Estimate {
-    let trials = opts.trials;
-    assert!(trials > 0, "need at least one trial");
-    let workers = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .clamp(1, trials);
-    if workers == 1 {
-        return estimate(scheme, config, labeling, spec, opts);
-    }
-    let name = scheme.name();
-    let base = spec.seed();
-    let partials: Vec<Estimate> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let spec = spec.clone();
-                scope.spawn(move || {
-                    let mut scratch = RoundScratch::new();
-                    // Each worker prepares the labeling for itself (the
-                    // prepared state is `Rc`-shared and cannot cross
-                    // threads); the preparation is a pure function of the
-                    // labeling, so per-trial transcripts stay identical to
-                    // serial — cached and uncached alike.
-                    let prepared = scheme.prepare_cached(
-                        config,
-                        labeling,
-                        trials.div_ceil(workers),
-                        &mut PrepCache::new(),
-                    );
-                    // Strided sharding: worker w takes trials w, w+k, … —
-                    // each shard runs as one batch with the same per-trial
-                    // seeds the serial path derives.
-                    let shard = (trials - w).div_ceil(workers);
-                    estimate_prepared(
-                        &*prepared,
-                        config,
-                        &spec,
-                        shard,
-                        &|i| trial_seed(base, w as u64 + i * workers as u64),
-                        &mut scratch,
-                        &mut Vec::new(),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(w, h)| {
-                // Propagate the worker's panic with enough context to find
-                // it (worker index, scheme) instead of the bare "worker"
-                // message a plain `expect` would give.
-                h.join().unwrap_or_else(|payload| {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    panic!(
-                        "estimate_par worker {w}/{workers} \
-                         for scheme '{name}' panicked: {msg}"
-                    )
-                })
-            })
-            .collect()
-    });
-    let mut out = Estimate {
-        trials,
-        ..Estimate::default()
-    };
-    for p in partials {
-        out.accepts += p.accepts;
-        out.degraded_trials += p.degraded_trials;
-        out.missing_messages += p.missing_messages;
-        out.counts.absorb(p.counts);
-    }
-    out
-}
-
-/// Parallel twin of [`acceptance_probability`] — a shim over
-/// [`estimate_par`] with a one-round, per-port spec; per-trial seeds are
-/// identical to the serial path, so the estimate is **bit-identical** to
-/// [`acceptance_probability`] for the same inputs.
-///
-/// `threads = None` uses the machine's available parallelism.
-#[cfg(feature = "parallel")]
-pub fn acceptance_probability_par<S: Rpls + Sync + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    trials: usize,
-    seed: u64,
-    threads: Option<usize>,
-) -> f64 {
-    estimate_par(
+    let mut one = sweep_par(
         scheme,
         config,
-        labeling,
-        &RunSpec::trial(seed),
-        &EstimateOpts::new(trials),
+        std::slice::from_ref(labeling),
+        spec,
+        opts,
         threads,
-    )
-    .acceptance()
+    );
+    one.pop().expect("one estimate per labeling")
 }
 
 /// Parallel **sweep**: estimates every labeling in `labelings` under one
@@ -666,7 +316,6 @@ pub fn sweep_par<S: Rpls + Sync + ?Sized>(
     let partials: Vec<Vec<Estimate>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let spec = spec.clone();
                 scope.spawn(move || {
                     let mut scratch = RoundScratch::new();
                     // One cache per worker, alive across the whole sweep:
@@ -686,11 +335,10 @@ pub fn sweep_par<S: Rpls + Sync + ?Sized>(
                             estimate_prepared(
                                 &*prepared,
                                 config,
-                                &spec,
+                                spec,
                                 shard,
                                 &|i| trial_seed(base, w as u64 + i * workers as u64),
                                 &mut scratch,
-                                &mut Vec::new(),
                             )
                         })
                         .collect()
@@ -701,6 +349,9 @@ pub fn sweep_par<S: Rpls + Sync + ?Sized>(
             .into_iter()
             .enumerate()
             .map(|(w, h)| {
+                // Propagate the worker's panic with enough context to find
+                // it (worker index, scheme) instead of the bare "worker"
+                // message a plain `expect` would give.
                 h.join().unwrap_or_else(|payload| {
                     let msg = payload
                         .downcast_ref::<&str>()
@@ -708,7 +359,7 @@ pub fn sweep_par<S: Rpls + Sync + ?Sized>(
                         .or_else(|| payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "non-string panic payload".to_string());
                     panic!(
-                        "sweep_par worker {w}/{workers} \
+                        "estimator worker {w}/{workers} \
                          for scheme '{name}' panicked: {msg}"
                     )
                 })
@@ -717,113 +368,13 @@ pub fn sweep_par<S: Rpls + Sync + ?Sized>(
     });
     (0..labelings.len())
         .map(|c| {
-            let mut out = Estimate {
-                trials,
-                ..Estimate::default()
-            };
+            let mut out = Estimate::default();
             for shard in &partials {
-                out.accepts += shard[c].accepts;
-                out.degraded_trials += shard[c].degraded_trials;
-                out.missing_messages += shard[c].missing_messages;
-                out.counts.absorb(shard[c].counts);
+                out.absorb(shard[c]);
             }
             out
         })
         .collect()
-}
-
-/// Estimates `Pr[the t-round verifier accepts]` over `trials` independent
-/// t-round trials — the multi-round twin of [`acceptance_probability`].
-/// Trials use the **same** per-trial seeds as the one-round estimator, so
-/// the `rounds = 1` estimate is bit-identical to
-/// [`acceptance_probability`] on the same inputs (the schedule is
-/// bit-identical to the one-round engine there; `tests/engine_golden.rs`
-/// pins both).
-///
-/// # Panics
-///
-/// Panics if `rounds` or `trials` is 0.
-pub fn multiround_acceptance_probability<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    rounds: usize,
-    trials: usize,
-    seed: u64,
-) -> f64 {
-    let mut scratch = RoundScratch::new();
-    multiround_acceptance_probability_cached(
-        scheme,
-        config,
-        labeling,
-        rounds,
-        trials,
-        seed,
-        &mut scratch,
-        &mut PrepCache::new(),
-    )
-}
-
-/// Like [`multiround_acceptance_probability`] but reuses caller-owned
-/// scratch and a [`PrepCache`] across labelings, so multi-round sweeps
-/// amortise preparation exactly as the one-round
-/// [`acceptance_probability_cached`] does (the PR 2–4 layers — prepared
-/// instances, batched trials, shared label parses — all carry over; only
-/// the per-`t` slice schedules are per-instance).
-///
-/// # Panics
-///
-/// Panics if `rounds` or `trials` is 0.
-#[allow(clippy::too_many_arguments)]
-pub fn multiround_acceptance_probability_cached<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    rounds: usize,
-    trials: usize,
-    seed: u64,
-    scratch: &mut RoundScratch,
-    cache: &mut PrepCache,
-) -> f64 {
-    estimate_with(
-        scheme,
-        config,
-        labeling,
-        &RunSpec::trial(seed).with_rounds(rounds),
-        &EstimateOpts::new(trials),
-        scratch,
-        cache,
-    )
-    .acceptance()
-}
-
-/// Estimates `Pr[the t-round verifier accepts]` under a
-/// [`MessagePattern`] — the message-pattern twin of
-/// [`multiround_acceptance_probability`], with the same per-trial seeds
-/// (so [`MessagePattern::PerPort`] reproduces it bit-for-bit).
-///
-/// # Panics
-///
-/// Panics if `rounds` or `trials` is 0.
-pub fn multiround_acceptance_probability_patterned<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    rounds: usize,
-    trials: usize,
-    seed: u64,
-    pattern: MessagePattern,
-) -> f64 {
-    estimate(
-        scheme,
-        config,
-        labeling,
-        &RunSpec::trial(seed)
-            .with_rounds(rounds)
-            .with_pattern(pattern),
-        &EstimateOpts::new(trials),
-    )
-    .acceptance()
 }
 
 /// The distribution of verdict-decision rounds over a block of t-round
@@ -902,8 +453,8 @@ impl RejectionProfile {
 /// Profiles how many rounds the t-round verifier needs before the verdict
 /// is known, over `trials` trials with the estimator's per-trial seeds —
 /// the rounds-to-reject histogram of the trade-off experiments. Uses the
-/// same seeds as [`multiround_acceptance_probability`], so
-/// `accepts / trials` equals that estimate exactly.
+/// same seeds as [`estimate`] of `RunSpec::trial(seed).with_rounds(rounds)`,
+/// so `accepts / trials` equals that estimate exactly.
 ///
 /// The histogram allocates one bucket per round up to 2²⁰; a hostile
 /// `rounds` beyond that (the engine accepts any `t`, including
@@ -923,8 +474,7 @@ pub fn rounds_to_reject_profile<S: Rpls + ?Sized>(
     seed: u64,
 ) -> RejectionProfile {
     assert!(trials > 0, "need at least one trial");
-    assert!(rounds > 0, "a schedule needs at least one round");
-    let mut scratch = RoundScratch::new();
+    let spec = RunSpec::trial(seed).with_rounds(rounds);
     let prepared = scheme.prepare_cached(config, labeling, trials, &mut PrepCache::new());
     // Hostile round counts (up to usize::MAX) must not allocate a
     // histogram slot per round: decided rounds past the cap are clamped
@@ -935,30 +485,22 @@ pub fn rounds_to_reject_profile<S: Rpls + ?Sized>(
         accepts: 0,
         rejects_at: vec![0; cap],
     };
-    let mut seeds_buf: Vec<u64> = Vec::new();
-    let mut next = 0usize;
-    while next < trials {
-        let chunk = TRIAL_CHUNK.min(trials - next);
-        seeds_buf.clear();
-        seeds_buf.extend((next..next + chunk).map(|t| trial_seed(seed, t as u64)));
-        next += chunk;
-        engine::run_multiround_trials_batched_with(
-            &*prepared,
-            config,
-            &seeds_buf,
-            rounds,
-            StreamMode::EdgeIndependent,
-            &mut scratch,
-            &mut |summary| {
-                if summary.accepted {
-                    profile.accepts += 1;
-                } else {
-                    let bucket = summary.decided_round.clamp(1, cap) - 1;
-                    profile.rejects_at[bucket] += 1;
-                }
-            },
-        );
-    }
+    engine::run_seeded_trials(
+        &spec,
+        &*prepared,
+        config,
+        trials,
+        &|t| trial_seed(seed, t),
+        &mut RoundScratch::new(),
+        &mut |report| {
+            if report.accepted {
+                profile.accepts += 1;
+            } else {
+                let bucket = report.decided_round.clamp(1, cap) - 1;
+                profile.rejects_at[bucket] += 1;
+            }
+        },
+    );
     profile
 }
 
@@ -975,51 +517,13 @@ pub fn boosted_accepts<S: Rpls + ?Sized>(
     repetitions: usize,
     seed: u64,
 ) -> bool {
-    let mut scratch = RoundScratch::new();
-    boosted_accepts_with(scheme, config, labeling, repetitions, seed, &mut scratch)
-}
-
-/// Like [`boosted_accepts`] but reuses caller-owned scratch.
-pub fn boosted_accepts_with<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    repetitions: usize,
-    seed: u64,
-    scratch: &mut RoundScratch,
-) -> bool {
-    boosted_accepts_cached(
-        scheme,
-        config,
-        labeling,
-        repetitions,
-        seed,
-        scratch,
-        &mut PrepCache::new(),
-    )
-}
-
-/// Like [`boosted_accepts_with`] but additionally reuses a caller-owned
-/// [`PrepCache`] across labelings — see
-/// [`acceptance_probability_cached`] for the sweep-amortisation contract.
-#[allow(clippy::too_many_arguments)]
-pub fn boosted_accepts_cached<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    repetitions: usize,
-    seed: u64,
-    scratch: &mut RoundScratch,
-    cache: &mut PrepCache,
-) -> bool {
-    let prepared = scheme.prepare_cached(config, labeling, repetitions, cache);
+    let prepared = scheme.prepare_cached(config, labeling, repetitions, &mut PrepCache::new());
     boosted_accepts_prepared(
         &*prepared,
         config,
         repetitions,
         seed,
-        scratch,
-        &mut Vec::new(),
+        &mut RoundScratch::new(),
     )
 }
 
@@ -1030,19 +534,17 @@ fn boosted_accepts_prepared(
     repetitions: usize,
     seed: u64,
     scratch: &mut RoundScratch,
-    seeds_buf: &mut Vec<u64>,
 ) -> bool {
     assert!(repetitions > 0, "need at least one repetition");
-    let accepts = count_accepts(
+    let votes = estimate_prepared(
         prepared,
         config,
+        &RunSpec::trial(seed),
         repetitions,
         &|r| mix_seed(seed, r, TAG_BOOST),
-        MessagePattern::PerPort,
         scratch,
-        seeds_buf,
     );
-    2 * accepts > repetitions
+    2 * votes.accepts > repetitions
 }
 
 /// Estimates the acceptance probability of the *boosted* verifier.
@@ -1056,15 +558,13 @@ pub fn boosted_acceptance_probability<S: Rpls + ?Sized>(
 ) -> f64 {
     assert!(trials > 0, "need at least one trial");
     let mut scratch = RoundScratch::new();
-    // One preparation and one seeds buffer cover the whole trials ×
-    // repetitions sweep.
+    // One preparation covers the whole trials × repetitions sweep.
     let prepared = scheme.prepare_cached(
         config,
         labeling,
         trials.saturating_mul(repetitions),
         &mut PrepCache::new(),
     );
-    let mut seeds_buf = Vec::new();
     let accepts = (0..trials)
         .filter(|&t| {
             boosted_accepts_prepared(
@@ -1073,7 +573,6 @@ pub fn boosted_acceptance_probability<S: Rpls + ?Sized>(
                 repetitions,
                 mix_seed(seed, t as u64, TAG_BOOST_TRIALS),
                 &mut scratch,
-                &mut seeds_buf,
             )
         })
         .count();
@@ -1124,6 +623,19 @@ mod tests {
         }
     }
 
+    /// The t-round estimate of `scheme` on the 5-cycle.
+    fn multiround<S: Rpls>(
+        scheme: &S,
+        labeling: &Labeling,
+        rounds: usize,
+        trials: usize,
+        seed: u64,
+    ) -> f64 {
+        let config = Configuration::plain(generators::cycle(5));
+        let spec = RunSpec::trial(seed).with_rounds(rounds);
+        estimate(scheme, &config, labeling, &spec, &EstimateOpts::new(trials)).acceptance()
+    }
+
     #[test]
     fn acceptance_estimate_near_half() {
         let config = Configuration::plain(generators::cycle(5));
@@ -1142,14 +654,15 @@ mod tests {
                 let serial =
                     acceptance_probability(&CoinAtNodeZero, &config, &labeling, trials, seed);
                 for threads in [None, Some(1), Some(2), Some(5), Some(64)] {
-                    let par = acceptance_probability_par(
+                    let par = estimate_par(
                         &CoinAtNodeZero,
                         &config,
                         &labeling,
-                        trials,
-                        seed,
+                        &RunSpec::trial(seed),
+                        &EstimateOpts::new(trials),
                         threads,
-                    );
+                    )
+                    .acceptance();
                     assert!(
                         serial == par,
                         "trials {trials} seed {seed} threads {threads:?}: {serial} vs {par}"
@@ -1234,11 +747,24 @@ mod tests {
         let labeling = Labeling::empty(6);
         let fresh = acceptance_probability(&CoinAtNodeZero, &config, &labeling, 300, 5);
         let mut scratch = RoundScratch::new();
+        let mut with_scratch = |scheme: &dyn Rpls, trials: usize, seed: u64| {
+            let spec = RunSpec::trial(seed);
+            let opts = EstimateOpts::new(trials);
+            let mut cache = PrepCache::new();
+            estimate_with(
+                scheme,
+                &config,
+                &labeling,
+                &spec,
+                &opts,
+                &mut scratch,
+                &mut cache,
+            )
+            .acceptance()
+        };
         // Run something else first so the scratch arrives dirty.
-        let _ =
-            acceptance_probability_with(&ThreeQuarters, &config, &labeling, 50, 1, &mut scratch);
-        let reused =
-            acceptance_probability_with(&CoinAtNodeZero, &config, &labeling, 300, 5, &mut scratch);
+        let _ = with_scratch(&ThreeQuarters, 50, 1);
+        let reused = with_scratch(&CoinAtNodeZero, 300, 5);
         assert_eq!(fresh, reused);
     }
 
@@ -1248,14 +774,7 @@ mod tests {
         let labeling = Labeling::empty(5);
         for (trials, seed) in [(1usize, 0u64), (500, 7), (2000, 42)] {
             let one = acceptance_probability(&CoinAtNodeZero, &config, &labeling, trials, seed);
-            let multi = multiround_acceptance_probability(
-                &CoinAtNodeZero,
-                &config,
-                &labeling,
-                1,
-                trials,
-                seed,
-            );
+            let multi = multiround(&CoinAtNodeZero, &labeling, 1, trials, seed);
             assert!(
                 one == multi,
                 "trials {trials} seed {seed}: {one} vs {multi}"
@@ -1267,19 +786,10 @@ mod tests {
     fn multiround_split_estimate_is_t_invariant_for_default_schemes() {
         // The default certificate-splitting schedule re-times the same
         // one-round trial, so its estimate must not depend on t at all.
-        let config = Configuration::plain(generators::cycle(5));
         let labeling = Labeling::empty(5);
-        let reference =
-            multiround_acceptance_probability(&CoinAtNodeZero, &config, &labeling, 1, 800, 3);
+        let reference = multiround(&CoinAtNodeZero, &labeling, 1, 800, 3);
         for rounds in [2usize, 7, 64] {
-            let p = multiround_acceptance_probability(
-                &CoinAtNodeZero,
-                &config,
-                &labeling,
-                rounds,
-                800,
-                3,
-            );
+            let p = multiround(&CoinAtNodeZero, &labeling, rounds, 800, 3);
             assert!(p == reference, "t {rounds}: {p} vs {reference}");
         }
     }
@@ -1298,8 +808,7 @@ mod tests {
         assert_eq!(profile.quantile_reject_round(0.5), Some(4));
         assert_eq!(profile.mean_reject_round(), Some(4.0));
         let p = profile.accepts as f64 / trials as f64;
-        let estimate =
-            multiround_acceptance_probability(&CoinAtNodeZero, &config, &labeling, 4, trials, 11);
+        let estimate = multiround(&CoinAtNodeZero, &labeling, 4, trials, 11);
         assert!(p == estimate, "profile accepts must match the estimator");
     }
 
@@ -1329,14 +838,40 @@ mod tests {
         assert_eq!(profile.mean_reject_round(), None);
     }
 
+    /// Every spec shape's estimate is the fold of the scalar reference,
+    /// trial by trial, over the estimator's seeds.
     #[test]
     fn estimate_matches_legacy_estimators_bit_for_bit() {
-        use crate::fault::FaultSpec;
+        use crate::engine::MessagePattern;
+        use crate::fault::{FaultPlan, FaultSpec};
+        use crate::scheme::Unprepared;
         let config = Configuration::plain(generators::cycle(6));
         let labeling = Labeling::empty(6);
         let (trials, seed) = (700usize, 13u64);
         let opts = EstimateOpts::new(trials);
-
+        let plan = FaultPlan::new(FaultSpec::transparent().with_drop(0.2), 5);
+        let unprepared = Unprepared::new(&CoinAtNodeZero, &config, &labeling);
+        let mut scratch = RoundScratch::new();
+        for spec in [
+            RunSpec::trial(seed),
+            RunSpec::trial(seed).with_pattern(MessagePattern::Broadcast),
+            RunSpec::trial(seed).with_rounds(5),
+            RunSpec::trial(seed).with_faults(plan.clone()),
+            RunSpec::trial(seed)
+                .with_rounds(3)
+                .with_faults(plan.clone()),
+        ] {
+            let got = estimate(&CoinAtNodeZero, &config, &labeling, &spec, &opts);
+            let mut want = Estimate::default();
+            for t in 0..trials as u64 {
+                let mut one = spec.clone();
+                one.seed_source = crate::engine::SeedSource::Trial(trial_seed(seed, t));
+                let report = engine::run_prepared(&one, &unprepared, &config, &mut scratch);
+                want.absorb(Estimate::of_trial(&report));
+            }
+            assert_eq!(got, want, "{spec:?}");
+            assert_eq!(got.trials, trials);
+        }
         let plain = estimate(
             &CoinAtNodeZero,
             &config,
@@ -1344,65 +879,11 @@ mod tests {
             &RunSpec::trial(seed),
             &opts,
         );
-        assert_eq!(plain.trials, trials);
         assert_eq!(plain.counts, FaultCounts::default());
         assert!(
             plain.acceptance()
                 == acceptance_probability(&CoinAtNodeZero, &config, &labeling, trials, seed)
         );
-
-        let patterned = estimate(
-            &CoinAtNodeZero,
-            &config,
-            &labeling,
-            &RunSpec::trial(seed).with_pattern(MessagePattern::Broadcast),
-            &opts,
-        );
-        assert!(
-            patterned.acceptance()
-                == acceptance_probability_patterned(
-                    &CoinAtNodeZero,
-                    &config,
-                    &labeling,
-                    trials,
-                    seed,
-                    MessagePattern::Broadcast,
-                )
-        );
-
-        let multi = estimate(
-            &CoinAtNodeZero,
-            &config,
-            &labeling,
-            &RunSpec::trial(seed).with_rounds(5),
-            &opts,
-        );
-        assert!(
-            multi.acceptance()
-                == multiround_acceptance_probability(
-                    &CoinAtNodeZero,
-                    &config,
-                    &labeling,
-                    5,
-                    trials,
-                    seed,
-                )
-        );
-
-        let plan = FaultPlan::new(FaultSpec::transparent().with_drop(0.2), 5);
-        let faulted = estimate(
-            &CoinAtNodeZero,
-            &config,
-            &labeling,
-            &RunSpec::trial(seed).with_faults(plan.clone()),
-            &opts,
-        );
-        let legacy =
-            acceptance_under_faults(&CoinAtNodeZero, &config, &labeling, trials, seed, &plan);
-        assert_eq!(faulted.accepts, legacy.accepts);
-        assert_eq!(faulted.degraded_trials, legacy.degraded_trials);
-        assert_eq!(faulted.missing_messages, legacy.missing_messages);
-        assert_eq!(faulted.counts, legacy.counts);
     }
 
     #[test]

@@ -609,28 +609,23 @@ mod tests {
 
     #[test]
     fn multiround_schedule_certifies_mst() {
-        use rpls_core::engine::StreamMode;
-        use rpls_core::RoundScratch;
+        use rpls_core::engine::RunSpec;
         let c = mst_config(&weighted_config(16, 8));
         let scheme = CompiledRpls::new(MstPls);
         let labeling = Rpls::label(&scheme, &c);
-        let mut scratch = RoundScratch::new();
         // Honest MST labels verify in t rounds for every schedule length,
         // with per-round bits non-increasing in t.
         let mut last = usize::MAX;
         for rounds in [1usize, 2, 4, 8, 16] {
-            let summary = engine::run_multiround_with(
+            let report = engine::run(
+                &RunSpec::trial(5).with_rounds(rounds),
                 &scheme,
                 &c,
                 &labeling,
-                5,
-                rounds,
-                StreamMode::EdgeIndependent,
-                &mut scratch,
             );
-            assert!(summary.accepted, "t = {rounds}");
-            assert!(summary.max_bits_per_round <= last);
-            last = summary.max_bits_per_round;
+            assert!(report.accepted, "t = {rounds}");
+            assert!(report.max_bits_per_round <= last);
+            last = report.max_bits_per_round;
         }
         // A corrupted replica is still rejected with good probability
         // under the t = 4 chunked-fingerprint schedule, and the

@@ -317,29 +317,26 @@ mod tests {
 
     #[test]
     fn multiround_schedule_certifies_spanning_tree() {
-        use rpls_core::engine::StreamMode;
-        use rpls_core::{CompiledRpls, RoundScratch, Rpls};
+        use rpls_core::engine::RunSpec;
+        use rpls_core::stats::EstimateOpts;
+        use rpls_core::{CompiledRpls, Rpls};
         let c = legal_config(12);
         let scheme = CompiledRpls::new(SpanningTreePls::new());
         let labeling = Rpls::label(&scheme, &c);
-        let mut scratch = RoundScratch::new();
         // Honest labels: perfect completeness at every schedule length,
         // with per-round communication only shrinking as t grows.
         let mut last = usize::MAX;
         for rounds in [1usize, 2, 4, 8] {
-            let summary = engine::run_multiround_with(
+            let report = engine::run(
+                &RunSpec::trial(9).with_rounds(rounds),
                 &scheme,
                 &c,
                 &labeling,
-                9,
-                rounds,
-                StreamMode::EdgeIndependent,
-                &mut scratch,
             );
-            assert!(summary.accepted, "t = {rounds}");
-            assert_eq!(summary.decided_round, rounds);
-            assert!(summary.max_bits_per_round <= last, "t = {rounds}");
-            last = summary.max_bits_per_round;
+            assert!(report.accepted, "t = {rounds}");
+            assert_eq!(report.decided_round, rounds);
+            assert!(report.max_bits_per_round <= last, "t = {rounds}");
+            last = report.max_bits_per_round;
         }
         // A corrupted claimed replica still gets caught at t = 4 with the
         // one-sided bound, and the estimator agrees with the one-round one
@@ -353,11 +350,23 @@ mod tests {
             .map(|(i, b)| if i == target { !b } else { b })
             .collect();
         tampered.set(NodeId::new(4), flipped);
-        let p4 =
-            rpls_core::stats::multiround_acceptance_probability(&scheme, &c, &tampered, 4, 400, 3);
+        let p4 = rpls_core::stats::estimate(
+            &scheme,
+            &c,
+            &tampered,
+            &RunSpec::trial(3).with_rounds(4),
+            &EstimateOpts::new(400),
+        )
+        .acceptance();
         assert!(p4 < 0.5, "tampered acceptance at t = 4: {p4}");
-        let p1 =
-            rpls_core::stats::multiround_acceptance_probability(&scheme, &c, &tampered, 1, 400, 3);
+        let p1 = rpls_core::stats::estimate(
+            &scheme,
+            &c,
+            &tampered,
+            &RunSpec::trial(3).with_rounds(1),
+            &EstimateOpts::new(400),
+        )
+        .acceptance();
         let one = rpls_core::stats::acceptance_probability(&scheme, &c, &tampered, 400, 3);
         assert!(p1 == one, "t = 1 must equal the one-round estimate");
     }

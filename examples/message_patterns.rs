@@ -22,7 +22,8 @@
 //! cargo run --release --example message_patterns
 //! ```
 
-use rpls::core::engine::MessagePattern;
+use rpls::core::engine::{MessagePattern, RunSpec};
+use rpls::core::stats::EstimateOpts;
 use rpls::core::{measure, stats, CompiledRpls, Configuration, Rpls};
 use rpls::graph::{generators, NodeId};
 use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
@@ -80,12 +81,22 @@ fn main() {
         for (pname, pattern) in patterns {
             let t1 = measure::randomized_complexity_report(scheme, configs, pattern, 1, 8, seed);
             let t4 = measure::randomized_complexity_report(scheme, configs, pattern, 4, 8, seed);
-            let honest_p = stats::acceptance_probability_patterned(
-                scheme, &config, &honest, trials, seed, pattern,
-            );
-            let tampered_p = stats::acceptance_probability_patterned(
-                scheme, &config, &tampered, trials, seed, pattern,
-            );
+            let honest_p = stats::estimate(
+                scheme,
+                &config,
+                &honest,
+                &RunSpec::trial(seed).with_pattern(pattern),
+                &EstimateOpts::new(trials),
+            )
+            .acceptance();
+            let tampered_p = stats::estimate(
+                scheme,
+                &config,
+                &tampered,
+                &RunSpec::trial(seed).with_pattern(pattern),
+                &EstimateOpts::new(trials),
+            )
+            .acceptance();
             assert!(
                 (honest_p - 1.0).abs() < f64::EPSILON,
                 "one-sided completeness"

@@ -20,8 +20,9 @@
 //! cargo run --release --example tradeoff_rounds
 //! ```
 
-use rpls::core::engine::StreamMode;
-use rpls::core::{engine, stats, CompiledRpls, Configuration, RoundScratch, Rpls};
+use rpls::core::engine::RunSpec;
+use rpls::core::stats::EstimateOpts;
+use rpls::core::{engine, stats, CompiledRpls, Configuration, Rpls};
 use rpls::graph::{generators, NodeId};
 use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
 
@@ -49,7 +50,6 @@ fn main() {
     };
 
     println!("t-round trade-off on the {n}-cycle spanning tree ({trials} trials per cell)\n");
-    let mut scratch = RoundScratch::new();
     for (name, scheme) in [
         (
             "exchange-labels (κ-bit proof streaming)",
@@ -67,18 +67,21 @@ fn main() {
             "  ----+------------+------------+---------------+-----------------+------------------"
         );
         for t in [1usize, 2, 4, 8, 16] {
-            let summary = engine::run_multiround_with(
+            let summary = engine::run(
+                &RunSpec::trial(seed).with_rounds(t),
                 scheme,
                 &config,
                 &honest,
-                seed,
-                t,
-                StreamMode::EdgeIndependent,
-                &mut scratch,
             );
             assert!(summary.accepted, "one-sided completeness");
-            let honest_p =
-                stats::multiround_acceptance_probability(scheme, &config, &honest, t, trials, seed);
+            let honest_p = stats::estimate(
+                scheme,
+                &config,
+                &honest,
+                &RunSpec::trial(seed).with_rounds(t),
+                &EstimateOpts::new(trials),
+            )
+            .acceptance();
             let profile =
                 stats::rounds_to_reject_profile(scheme, &config, &tampered, t, trials, seed);
             let tampered_p = profile.accepts as f64 / trials as f64;

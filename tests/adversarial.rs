@@ -124,9 +124,11 @@ mod never_panic {
     use proptest::prelude::*;
     use rand::Rng;
     use rpls::bits::BitString;
+    use rpls::core::engine::RunSpec;
     use rpls::core::scheme::ExchangeLabels;
+    use rpls::core::stats::EstimateOpts;
     use rpls::core::{engine, stats, CompiledRpls, Configuration, Labeling, Pls, Rpls};
-    use rpls::core::{CertView, PreparedRpls, RandView, Received};
+    use rpls::core::{CertView, PreparedRpls, RandView, Received, Unprepared};
     use rpls::graph::{generators, NodeId, Port};
 
     /// Mangles a just-generated certificate in place, drawing the
@@ -262,40 +264,41 @@ mod never_panic {
             // The cached-prepare twin, sharing arbitrary earlier state:
             // garbage labelings must neither panic it nor blow its memory
             // bounds, and whole blocks of trials must emit the same
-            // summaries the fresh preparation emits.
+            // reports the fresh preparation emits.
             let cached = compiled.prepare_cached(config, &labeling, 3, cache);
             let mut scratch = RoundScratch::new();
             for mode in [StreamMode::EdgeIndependent, StreamMode::SharedPerNode] {
                 let mut fresh_out = Vec::new();
-                engine::run_trials_batched_with(
+                engine::run_trials(
+                    &RunSpec::trial(0).with_stream_mode(mode),
                     &*prepared,
                     config,
                     &[seed, seed ^ 5, seed ^ 9],
-                    mode,
                     &mut scratch,
                     &mut |s| fresh_out.push(s),
                 );
                 let mut cached_out = Vec::new();
-                engine::run_trials_batched_with(
+                engine::run_trials(
+                    &RunSpec::trial(0).with_stream_mode(mode),
                     &*cached,
                     config,
                     &[seed, seed ^ 5, seed ^ 9],
-                    mode,
                     &mut scratch,
                     &mut |s| cached_out.push(s),
                 );
-                assert_eq!(fresh_out, cached_out, "cached vs fresh summaries");
+                assert_eq!(fresh_out, cached_out, "cached vs fresh reports");
             }
             let mut cached_estimate_scratch = RoundScratch::new();
-            let _ = stats::acceptance_probability_cached(
+            let _ = stats::estimate_with(
                 &compiled,
                 config,
                 &labeling,
-                2,
-                seed ^ 4,
+                &RunSpec::trial(seed ^ 4),
+                &EstimateOpts::new(2),
                 &mut cached_estimate_scratch,
                 cache,
-            );
+            )
+            .acceptance();
             assert!(cache.retained_key_bits() <= PrepCache::KEY_BITS_BUDGET);
             assert!(cache.table_slots_reserved() <= PrepCache::TABLE_SLOT_BUDGET);
 
@@ -303,43 +306,41 @@ mod never_panic {
             // round counts (including absurd ones — the chunked planner
             // must stay O(label bits), never O(t)) and both stream modes
             // may reject, never panic or hang; cached and fresh
-            // preparations must emit identical multi-round summaries.
+            // preparations must emit identical multi-round reports.
             for rounds in [1usize, 2, 7, 129, usize::MAX] {
                 for mode in [StreamMode::EdgeIndependent, StreamMode::SharedPerNode] {
                     let mut fresh_out = Vec::new();
-                    engine::run_multiround_trials_batched_with(
+                    engine::run_trials(
+                        &RunSpec::trial(0).with_rounds(rounds).with_stream_mode(mode),
                         &*prepared,
                         config,
                         &[seed, seed ^ 11],
-                        rounds,
-                        mode,
                         &mut scratch,
                         &mut |s| fresh_out.push(s),
                     );
                     let mut cached_out = Vec::new();
-                    engine::run_multiround_trials_batched_with(
+                    engine::run_trials(
+                        &RunSpec::trial(0).with_rounds(rounds).with_stream_mode(mode),
                         &*cached,
                         config,
                         &[seed, seed ^ 11],
-                        rounds,
-                        mode,
                         &mut scratch,
                         &mut |s| cached_out.push(s),
                     );
                     assert_eq!(
                         fresh_out, cached_out,
-                        "cached vs fresh multi-round summaries (t = {rounds})"
+                        "cached vs fresh multi-round reports (t = {rounds})"
                     );
                     for s in &fresh_out {
                         assert!(s.decided_round >= 1 && s.decided_round <= s.rounds);
                     }
                 }
             }
-            // The fault-injection twins on the same garbage: hostile
+            // The fault layer on the same garbage: hostile
             // fault rates (including total loss) and hostile round
             // counts may degrade the verdict, never panic or hang —
             // and cached and fresh preparations must emit identical
-            // faulted summaries.
+            // faulted reports.
             {
                 use rpls::core::{FaultPlan, FaultSpec};
                 let hostile = [
@@ -356,68 +357,65 @@ mod never_panic {
                 for spec in hostile {
                     let plan = FaultPlan::new(spec, seed ^ 0xFA);
                     let mut fresh_out = Vec::new();
-                    engine::run_trials_faulted_with(
+                    engine::run_trials(
+                        &RunSpec::trial(0).with_faults(plan.clone()),
                         &*prepared,
                         config,
                         &[seed, seed ^ 13],
-                        &plan,
-                        StreamMode::EdgeIndependent,
                         &mut scratch,
                         &mut |s| fresh_out.push(s),
                     );
                     let mut cached_out = Vec::new();
-                    engine::run_trials_faulted_with(
+                    engine::run_trials(
+                        &RunSpec::trial(0).with_faults(plan.clone()),
                         &*cached,
                         config,
                         &[seed, seed ^ 13],
-                        &plan,
-                        StreamMode::EdgeIndependent,
                         &mut scratch,
                         &mut |s| cached_out.push(s),
                     );
-                    assert_eq!(fresh_out, cached_out, "cached vs fresh faulted summaries");
+                    assert_eq!(fresh_out, cached_out, "cached vs fresh faulted reports");
+                    // t = 1 is single-shot delivery (no retries); longer
+                    // schedules run the chunked overlay with the budget.
                     for rounds in [1usize, 5, usize::MAX] {
                         let mut out = Vec::new();
-                        engine::run_multiround_trials_faulted_with(
+                        engine::run_trials(
+                            &RunSpec::trial(0)
+                                .with_rounds(rounds)
+                                .with_faults(plan.clone()),
                             &*prepared,
                             config,
                             &[seed ^ 17],
-                            rounds,
-                            &plan,
-                            StreamMode::EdgeIndependent,
                             &mut scratch,
                             &mut |s| out.push(s),
                         );
+                        let fault = out[0].fault.expect("faulted specs report faults");
+                        assert!(rounds > 1 || fault.counts.retries == 0);
+                        assert!(out[0].decided_round >= 1 && out[0].decided_round <= rounds);
                     }
-                    let _ = engine::run_randomized_faulted_with(
-                        &compiled,
+                    let _ = engine::run_degraded(
+                        &RunSpec::trial(seed ^ 21).with_faults(plan.clone()),
+                        &Unprepared::new(&compiled, config, &labeling),
                         config,
-                        &labeling,
-                        seed ^ 21,
-                        &plan,
-                        StreamMode::EdgeIndependent,
                         &mut scratch,
                     );
                 }
             }
 
-            let _ = engine::run_multiround_with(
+            let _ = engine::run(
+                &RunSpec::trial(seed ^ 6).with_rounds(3),
                 &compiled,
                 config,
                 &labeling,
-                seed ^ 6,
-                3,
-                StreamMode::EdgeIndependent,
-                &mut scratch,
             );
-            let _ = stats::multiround_acceptance_probability(
+            let _ = stats::estimate(
                 &compiled,
                 config,
                 &labeling,
-                2,
-                2,
-                seed ^ 7,
-            );
+                &RunSpec::trial(seed ^ 7).with_rounds(2),
+                &EstimateOpts::new(2),
+            )
+            .acceptance();
             let profile =
                 stats::rounds_to_reject_profile(&compiled, config, &labeling, 3, 2, seed ^ 8);
             assert_eq!(profile.trials(), 2);
@@ -466,7 +464,6 @@ mod never_panic {
     /// verdicts on the prepared and unprepared paths.
     #[test]
     fn corrupting_wrapper_prepared_path_matches_unprepared() {
-        use rpls::core::engine::StreamMode;
         use rpls::core::RoundScratch;
         use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
         let config =
@@ -479,19 +476,16 @@ mod never_panic {
         let mut unprepared_scratch = RoundScratch::new();
         let mut prepared_scratch = RoundScratch::new();
         for seed in 0..25u64 {
-            let a = engine::run_randomized_with(
-                &scheme,
+            let a = engine::run_prepared(
+                &RunSpec::trial(seed),
+                &Unprepared::new(&scheme, &config, &labeling),
                 &config,
-                &labeling,
-                seed,
-                StreamMode::EdgeIndependent,
                 &mut unprepared_scratch,
             );
-            let b = engine::run_randomized_prepared_with(
+            let b = engine::run_prepared(
+                &RunSpec::trial(seed),
                 &*prepared,
                 &config,
-                seed,
-                StreamMode::EdgeIndependent,
                 &mut prepared_scratch,
             );
             assert_eq!(a, b, "seed {seed}");
@@ -569,7 +563,6 @@ mod never_panic {
     /// a panic — on the unprepared and prepared paths alike.
     #[test]
     fn truncated_certificates_reject_never_panic() {
-        use rpls::core::engine::StreamMode;
         use rpls::core::RoundScratch;
         use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
         let config =
@@ -583,12 +576,10 @@ mod never_panic {
             let labeling = Rpls::label(&scheme, &config);
             let prepared = scheme.prepare(&config, &labeling, 8);
             for seed in 0..8u64 {
-                let a = engine::run_randomized_with(
-                    &scheme,
+                let a = engine::run_prepared(
+                    &RunSpec::trial(seed),
+                    &Unprepared::new(&scheme, &config, &labeling),
                     &config,
-                    &labeling,
-                    seed,
-                    StreamMode::EdgeIndependent,
                     &mut scratch,
                 );
                 assert!(
@@ -596,13 +587,8 @@ mod never_panic {
                     "a {keep}-bit prefix of a fingerprint certificate must reject (seed {seed})"
                 );
                 assert!(scratch.votes().iter().all(|&v| !v), "every vote rejects");
-                let b = engine::run_randomized_prepared_with(
-                    &*prepared,
-                    &config,
-                    seed,
-                    StreamMode::EdgeIndependent,
-                    &mut scratch,
-                );
+                let b =
+                    engine::run_prepared(&RunSpec::trial(seed), &*prepared, &config, &mut scratch);
                 assert_eq!(a, b, "prepared path agrees (keep {keep}, seed {seed})");
             }
         }

@@ -7,10 +7,9 @@
 //! the parallel trial runner are held vote-for-vote and
 //! certificate-for-certificate identical.
 
-use rpls::core::engine::{self, RoundRecord, StreamMode};
-#[cfg(feature = "parallel")]
-use rpls::core::stats;
-use rpls::core::{Configuration, Labeling, Pls, RoundScratch, Rpls};
+use rpls::core::engine::{self, RoundRecord, RunReport, RunSpec, StreamMode};
+use rpls::core::stats::{self, EstimateOpts};
+use rpls::core::{Configuration, Labeling, Pls, RoundScratch, Rpls, Unprepared};
 use rpls::graph::generators;
 use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
 use rpls_core::CompiledRpls;
@@ -88,16 +87,14 @@ fn fast_path_is_transcript_identical_to_record_path() {
         assert_eq!(rec.certificates, rec2.certificates);
         assert_eq!(rec.outcome.votes(), rec2.outcome.votes());
 
-        let summary = engine::run_randomized_with(
-            &scheme,
+        let summary = engine::run_prepared(
+            &RunSpec::trial(seed),
+            &Unprepared::new(&scheme, &config, &labeling),
             &config,
-            &labeling,
-            seed,
-            StreamMode::EdgeIndependent,
             &mut scratch,
         );
         assert_eq!(summary.accepted, rec.outcome.accepted());
-        assert_eq!(summary.max_certificate_bits, rec.max_certificate_bits());
+        assert_eq!(summary.max_bits_per_round, rec.max_certificate_bits());
         assert_eq!(scratch.votes(), rec.outcome.votes());
         assert_eq!(
             scratch.certificates().to_nested(config.port_base()),
@@ -127,9 +124,15 @@ fn serial_and_parallel_estimates_are_identical() {
     for (trials, seed) in [(64usize, 7u64), (500, 11), (1000, 0)] {
         let serial = stats::acceptance_probability(&scheme, &config, &tampered, trials, seed);
         for threads in [Some(2), Some(3), Some(8), None] {
-            let par = stats::acceptance_probability_par(
-                &scheme, &config, &tampered, trials, seed, threads,
-            );
+            let par = stats::estimate_par(
+                &scheme,
+                &config,
+                &tampered,
+                &RunSpec::trial(seed),
+                &EstimateOpts::new(trials),
+                threads,
+            )
+            .acceptance();
             assert!(
                 serial == par,
                 "trials {trials} seed {seed} threads {threads:?}: serial {serial} != par {par}"
@@ -167,22 +170,19 @@ fn prepared_path_is_transcript_identical_to_unprepared() {
             let prepared = scheme.prepare(&config, labeling, rounds_hint);
             for seed in [0u64, 9, 77, 12345] {
                 for mode in [StreamMode::EdgeIndependent, StreamMode::SharedPerNode] {
-                    let a = engine::run_randomized_with(
-                        &scheme,
+                    let a = engine::run_prepared(
+                        &RunSpec::trial(seed).with_stream_mode(mode),
+                        &Unprepared::new(&scheme, &config, labeling),
                         &config,
-                        labeling,
-                        seed,
-                        mode,
                         &mut unprepared_scratch,
                     );
-                    let b = engine::run_randomized_prepared_with(
+                    let b = engine::run_prepared(
+                        &RunSpec::trial(seed).with_stream_mode(mode),
                         &*prepared,
                         &config,
-                        seed,
-                        mode,
                         &mut prepared_scratch,
                     );
-                    assert_eq!(a, b, "summary (seed {seed}, hint {rounds_hint})");
+                    assert_eq!(a, b, "report (seed {seed}, hint {rounds_hint})");
                     assert_eq!(
                         unprepared_scratch.votes(),
                         prepared_scratch.votes(),
@@ -235,21 +235,19 @@ fn cached_preparation_sweep_is_transcript_identical() {
             let cached = scheme.prepare_cached(&config, labeling, rounds_hint, &mut cache);
             for seed in [0u64, 9, 77, 12345] {
                 for mode in [StreamMode::EdgeIndependent, StreamMode::SharedPerNode] {
-                    let a = engine::run_randomized_prepared_with(
+                    let a = engine::run_prepared(
+                        &RunSpec::trial(seed).with_stream_mode(mode),
                         &*fresh,
                         &config,
-                        seed,
-                        mode,
                         &mut fresh_scratch,
                     );
-                    let b = engine::run_randomized_prepared_with(
+                    let b = engine::run_prepared(
+                        &RunSpec::trial(seed).with_stream_mode(mode),
                         &*cached,
                         &config,
-                        seed,
-                        mode,
                         &mut cached_scratch,
                     );
-                    assert_eq!(a, b, "summary (seed {seed}, hint {rounds_hint})");
+                    assert_eq!(a, b, "report (seed {seed}, hint {rounds_hint})");
                     assert_eq!(
                         fresh_scratch.votes(),
                         cached_scratch.votes(),
@@ -290,19 +288,16 @@ fn prepared_exchange_labels_is_transcript_identical_to_unprepared() {
     for labeling in [&honest, &tampered] {
         let prepared = scheme.prepare(&config, labeling, 100);
         for seed in [0u64, 3, 1 << 40] {
-            let a = engine::run_randomized_with(
-                &scheme,
+            let a = engine::run_prepared(
+                &RunSpec::trial(seed),
+                &Unprepared::new(&scheme, &config, labeling),
                 &config,
-                labeling,
-                seed,
-                StreamMode::EdgeIndependent,
                 &mut unprepared_scratch,
             );
-            let b = engine::run_randomized_prepared_with(
+            let b = engine::run_prepared(
+                &RunSpec::trial(seed),
                 &*prepared,
                 &config,
-                seed,
-                StreamMode::EdgeIndependent,
                 &mut prepared_scratch,
             );
             assert_eq!(a, b);
@@ -324,7 +319,6 @@ fn prepared_exchange_labels_is_transcript_identical_to_unprepared() {
 /// with the same seed derivation, bit for bit.
 #[test]
 fn prepared_estimates_match_manual_unprepared_loop() {
-    use rpls::core::stats;
     let (scheme, config, labeling) = compiled_spanning_tree_workload(12);
     // Corrupt the distance field of one claimed neighbor copy (replicated
     // layout: κ:32, len:32, own:96, len:32, copy₀:96, len:32, copy₁:96;
@@ -349,12 +343,10 @@ fn prepared_estimates_match_manual_unprepared_loop() {
             let mut scratch = RoundScratch::new();
             let accepts = (0..trials)
                 .filter(|&t| {
-                    engine::run_randomized_with(
-                        &scheme,
+                    engine::run_prepared(
+                        &RunSpec::trial(stats::trial_seed(seed, t as u64)),
+                        &Unprepared::new(&scheme, &config, &tampered),
                         &config,
-                        &tampered,
-                        stats::trial_seed(seed, t as u64),
-                        StreamMode::EdgeIndependent,
                         &mut scratch,
                     )
                     .accepted
@@ -379,15 +371,13 @@ fn prepared_estimates_match_manual_unprepared_loop() {
 
 /// Every scheme in `rpls-schemes`, compiled and run across the three trial
 /// paths — unprepared per-round, prepared scalar per-round, and the batched
-/// trial engine — must produce identical per-trial summaries and identical
+/// trial engine — must produce identical per-trial reports and identical
 /// acceptance estimates, for honest, tampered, and garbage labelings. This
 /// is the contract that lets `stats`/`measure` route everything through
-/// `engine::run_trials_batched_with` without estimates ever depending on
-/// which path executed.
+/// `engine::run_trials` without estimates ever depending on which path
+/// executed.
 mod batched_identity {
     use super::*;
-    use rpls::core::engine::RoundSummary;
-    use rpls::core::stats;
     use rpls::graph::NodeId;
 
     /// Flips one mid-label bit of node 1 (or the first node with a
@@ -412,7 +402,7 @@ mod batched_identity {
     }
 
     /// Drives one compiled scheme through the four paths on one labeling
-    /// and asserts bit-identity of summaries and estimates. `cache` is the
+    /// and asserts bit-identity of reports and estimates. `cache` is the
     /// sweep-wide preparation cache: callers reuse one across labelings
     /// (honest, tampered, garbage — and honest again after garbage), so
     /// this also pins that shared cached state can never poison a later
@@ -433,57 +423,50 @@ mod batched_identity {
         // Scalar prepared per-round loop.
         let prepared = scheme.prepare(config, labeling, trials);
         let mut scratch = RoundScratch::new();
-        let scalar: Vec<RoundSummary> = seeds
+        let scalar: Vec<RunReport> = seeds
             .iter()
-            .map(|&s| {
-                engine::run_randomized_prepared_with(
-                    &*prepared,
-                    config,
-                    s,
-                    StreamMode::EdgeIndependent,
-                    &mut scratch,
-                )
-            })
+            .map(|&s| engine::run_prepared(&RunSpec::trial(s), &*prepared, config, &mut scratch))
             .collect();
 
         // Batched trial loop on a fresh preparation (the verdict memo of
         // the scalar run must not mask a batched-path divergence).
         let prepared2 = scheme.prepare(config, labeling, trials);
-        let mut batched: Vec<RoundSummary> = Vec::new();
-        engine::run_trials_batched_with(
+        let mut batched: Vec<RunReport> = Vec::new();
+        engine::run_trials(
+            &RunSpec::trial(0),
             &*prepared2,
             config,
             &seeds,
-            StreamMode::EdgeIndependent,
             &mut scratch,
             &mut |s| batched.push(s),
         );
-        assert_eq!(scalar, batched, "{name}: batched vs scalar summaries");
+        assert_eq!(scalar, batched, "{name}: batched vs scalar reports");
 
-        // Cached preparation against the sweep-shared cache: summaries
+        // Cached preparation against the sweep-shared cache: reports
         // must be identical to the fresh preparation whatever the cache
         // already holds, and the estimator's cached entry point must
         // reproduce the uncached estimate bit for bit.
         let prepared3 = scheme.prepare_cached(config, labeling, trials, cache);
-        let mut cached: Vec<RoundSummary> = Vec::new();
-        engine::run_trials_batched_with(
+        let mut cached: Vec<RunReport> = Vec::new();
+        engine::run_trials(
+            &RunSpec::trial(0),
             &*prepared3,
             config,
             &seeds,
-            StreamMode::EdgeIndependent,
             &mut scratch,
             &mut |s| cached.push(s),
         );
-        assert_eq!(scalar, cached, "{name}: cached vs scalar summaries");
-        let cached_estimate = stats::acceptance_probability_cached(
+        assert_eq!(scalar, cached, "{name}: cached vs scalar reports");
+        let cached_estimate = stats::estimate_with(
             scheme,
             config,
             labeling,
-            trials,
-            seed,
+            &RunSpec::trial(seed),
+            &EstimateOpts::new(trials),
             &mut scratch,
             cache,
-        );
+        )
+        .acceptance();
 
         // Unprepared per-round loop, and the public estimator (which
         // routes through the batched engine).
@@ -491,12 +474,10 @@ mod batched_identity {
         let manual = seeds
             .iter()
             .filter(|&&s| {
-                engine::run_randomized_with(
-                    scheme,
+                engine::run_prepared(
+                    &RunSpec::trial(s),
+                    &Unprepared::new(scheme, config, labeling),
                     config,
-                    labeling,
-                    s,
-                    StreamMode::EdgeIndependent,
                     &mut unprepared_scratch,
                 )
                 .accepted
@@ -515,25 +496,24 @@ mod batched_identity {
 
         // The shared-stream violation mode falls back to the scalar path;
         // it must stay transcript-identical too.
-        let shared_scalar: Vec<RoundSummary> = seeds
+        let shared_scalar: Vec<RunReport> = seeds
             .iter()
             .take(16)
             .map(|&s| {
-                engine::run_randomized_prepared_with(
+                engine::run_prepared(
+                    &RunSpec::trial(s).with_stream_mode(StreamMode::SharedPerNode),
                     &*prepared,
                     config,
-                    s,
-                    StreamMode::SharedPerNode,
                     &mut scratch,
                 )
             })
             .collect();
-        let mut shared_batched: Vec<RoundSummary> = Vec::new();
-        engine::run_trials_batched_with(
+        let mut shared_batched: Vec<RunReport> = Vec::new();
+        engine::run_trials(
+            &RunSpec::trial(0).with_stream_mode(StreamMode::SharedPerNode),
             &*prepared2,
             config,
             &seeds[..16],
-            StreamMode::SharedPerNode,
             &mut scratch,
             &mut |s| shared_batched.push(s),
         );
@@ -541,8 +521,15 @@ mod batched_identity {
 
         #[cfg(feature = "parallel")]
         {
-            let par =
-                stats::acceptance_probability_par(scheme, config, labeling, trials, seed, Some(3));
+            let par = stats::estimate_par(
+                scheme,
+                config,
+                labeling,
+                &RunSpec::trial(seed),
+                &EstimateOpts::new(trials),
+                Some(3),
+            )
+            .acceptance();
             assert!(
                 par == estimate,
                 "{name}: parallel {par} != serial {estimate}"
@@ -637,15 +624,13 @@ mod batched_identity {
 
 /// The t-round trade-off engine. Two contracts are pinned here: the
 /// `t = 1` schedule of **every** scheme is bit-identical to the batched
-/// one-round path (summaries and estimates alike, whatever the labeling),
+/// one-round path (reports and estimates alike, whatever the labeling),
 /// and the compiled scheme's chunked-fingerprint schedule agrees
 /// trial-for-trial with an independent scalar re-implementation of the
 /// slice protocol for `t > 1`.
 mod multiround {
     use super::*;
     use rpls::bits::{BitReader, BitString, BitWriter};
-    use rpls::core::engine::MultiRoundSummary;
-    use rpls::core::stats;
     use rpls::core::{PortRng, Rpls};
     use rpls::fingerprint::{EqMessage, EqProtocol};
     use rpls::graph::NodeId;
@@ -671,7 +656,7 @@ mod multiround {
     }
 
     /// Drives one scheme × labeling through the t = 1 schedule on both
-    /// paths and both stream modes, asserting bit-identity of summaries
+    /// paths and both stream modes, asserting bit-identity of reports
     /// and estimates against the batched one-round engine.
     fn check_t1<S: Rpls + ?Sized>(
         name: &str,
@@ -679,7 +664,6 @@ mod multiround {
         config: &Configuration,
         labeling: &Labeling,
     ) {
-        use rpls::core::engine::RoundSummary;
         let trials = 60usize;
         let seed = 0x7261u64;
         let seeds: Vec<u64> = (0..trials)
@@ -688,46 +672,46 @@ mod multiround {
         let mut scratch = RoundScratch::new();
         for mode in [StreamMode::EdgeIndependent, StreamMode::SharedPerNode] {
             let prepared = scheme.prepare(config, labeling, trials);
-            let mut one_round: Vec<RoundSummary> = Vec::new();
-            engine::run_trials_batched_with(
+            let mut one_round: Vec<RunReport> = Vec::new();
+            engine::run_trials(
+                &RunSpec::trial(0).with_stream_mode(mode),
                 &*prepared,
                 config,
                 &seeds,
-                mode,
                 &mut scratch,
                 &mut |s| one_round.push(s),
             );
             let prepared2 = scheme.prepare(config, labeling, trials);
-            let mut multi: Vec<MultiRoundSummary> = Vec::new();
-            engine::run_multiround_trials_batched_with(
+            let mut multi: Vec<RunReport> = Vec::new();
+            engine::run_trials(
+                &RunSpec::trial(0).with_rounds(1).with_stream_mode(mode),
                 &*prepared2,
                 config,
                 &seeds,
-                1,
-                mode,
                 &mut scratch,
                 &mut |s| multi.push(s),
             );
-            let expected: Vec<MultiRoundSummary> = one_round
+            // Both blocks equal the unprepared scalar trials.
+            let expected: Vec<RunReport> = seeds
                 .iter()
-                .map(|&s| MultiRoundSummary {
-                    accepted: s.accepted,
-                    rounds: 1,
-                    decided_round: 1,
-                    max_bits_per_round: s.max_certificate_bits,
-                    total_bits: s.total_certificate_bits,
+                .map(|&s| {
+                    engine::run_prepared(
+                        &RunSpec::trial(s).with_stream_mode(mode),
+                        &Unprepared::new(scheme, config, labeling),
+                        config,
+                        &mut scratch,
+                    )
                 })
                 .collect();
-            assert_eq!(multi, expected, "{name}: t = 1 summaries ({mode:?})");
+            assert_eq!(one_round, expected, "{name}: one-round reports ({mode:?})");
+            assert_eq!(multi, expected, "{name}: t = 1 reports ({mode:?})");
 
             // The scalar multi-round entry point agrees with the batch.
             for (i, &s) in seeds.iter().take(8).enumerate() {
-                let scalar = engine::run_multiround_prepared_with(
+                let scalar = engine::run_prepared(
+                    &RunSpec::trial(s).with_rounds(1).with_stream_mode(mode),
                     &*prepared2,
                     config,
-                    s,
-                    1,
-                    mode,
                     &mut scratch,
                 );
                 assert_eq!(scalar, multi[i], "{name}: scalar trial {i} ({mode:?})");
@@ -737,23 +721,29 @@ mod multiround {
         // Estimates: the t = 1 multi-round estimator equals the one-round
         // estimator bit for bit, cached and uncached alike.
         let one = stats::acceptance_probability(scheme, config, labeling, trials, seed);
-        let multi =
-            stats::multiround_acceptance_probability(scheme, config, labeling, 1, trials, seed);
+        let multi = stats::estimate(
+            scheme,
+            config,
+            labeling,
+            &RunSpec::trial(seed).with_rounds(1),
+            &EstimateOpts::new(trials),
+        )
+        .acceptance();
         assert!(
             one == multi,
             "{name}: t = 1 estimate {multi} != one-round {one}"
         );
         let mut cache = rpls::core::PrepCache::new();
-        let cached = stats::multiround_acceptance_probability_cached(
+        let cached = stats::estimate_with(
             scheme,
             config,
             labeling,
-            1,
-            trials,
-            seed,
+            &RunSpec::trial(seed).with_rounds(1),
+            &EstimateOpts::new(trials),
             &mut scratch,
             &mut cache,
-        );
+        )
+        .acceptance();
         assert!(
             cached == one,
             "{name}: cached t = 1 estimate {cached} != {one}"
@@ -773,7 +763,7 @@ mod multiround {
         check_t1(name, &scheme, config, &garbage);
     }
 
-    /// `t = 1` multi-round summaries and estimates are bit-identical to
+    /// `t = 1` multi-round reports and estimates are bit-identical to
     /// the batched one-round path for every scheme in `rpls-schemes` ×
     /// {honest, tampered, garbage} × both stream modes.
     #[test]
@@ -1067,12 +1057,12 @@ mod multiround {
             for rounds in [1usize, 2, 3, 5] {
                 for mode in [StreamMode::EdgeIndependent, StreamMode::SharedPerNode] {
                     for seed in 0..16u64 {
-                        let got = engine::run_multiround_prepared_with(
+                        let got = engine::run_prepared(
+                            &RunSpec::trial(seed)
+                                .with_rounds(rounds)
+                                .with_stream_mode(mode),
                             &*prepared,
                             &config,
-                            seed,
-                            rounds,
-                            mode,
                             &mut scratch,
                         );
                         let (accepted, decided) =

@@ -2,7 +2,7 @@
 //!
 //! 1. **Zero-fault identity**: under a transparent [`FaultPlan`] every
 //!    faulted engine path — scalar, batched, multiround, and the
-//!    Monte-Carlo estimator — is bit-identical to its fault-free twin, for
+//!    Monte-Carlo estimator — is bit-identical to the fault-free run, for
 //!    every scheme, honest and hostile labelings alike, in both stream
 //!    modes.
 //! 2. **Soundness preservation**: faults only ever flip accept → reject.
@@ -11,15 +11,15 @@
 //!    an illegal labeling the clean engine rejects is never accepted by
 //!    the faulted one.
 //! 3. **Replay determinism**: the whole fault schedule is a pure function
-//!    of `(trial seed, fault seed)` — re-running reproduces every summary,
+//!    of `(trial seed, fault seed)` — re-running reproduces every report,
 //!    verdict, and counter exactly.
 
 use proptest::prelude::*;
-use rpls::core::engine::{self, RoundSummary, StreamMode};
-use rpls::core::stats;
+use rpls::core::engine::{self, FaultReport, RunReport, RunSpec, StreamMode};
+use rpls::core::stats::{self, EstimateOpts};
 use rpls::core::{
-    Configuration, FaultPlan, FaultSpec, FaultedMultiRoundSummary, FaultedRoundSummary, Labeling,
-    NodeVerdict, Pls, PrepCache, RoundScratch, Rpls,
+    Configuration, FaultPlan, FaultSpec, Labeling, NodeVerdict, Pls, PrepCache, RoundScratch, Rpls,
+    Unprepared,
 };
 use rpls::graph::{generators, NodeId};
 use rpls_core::CompiledRpls;
@@ -80,6 +80,20 @@ fn hostile_specs() -> Vec<FaultSpec> {
 
 const FAULT_SEED: u64 = 0xFA11_5EED;
 
+/// `report` without its fault statistics — what the clean engine reports
+/// for the same trial when the plan is transparent.
+fn clean_of(report: RunReport) -> RunReport {
+    RunReport {
+        fault: None,
+        ..report
+    }
+}
+
+/// Messages a faulted trial lost (after retries).
+fn missing(report: &RunReport) -> usize {
+    report.fault.map_or(0, |f| f.missing_messages)
+}
+
 /// Zero-fault identity for one (scheme, labeling) pair: every faulted path
 /// under a transparent plan reproduces its clean twin bit for bit.
 fn check_transparent_identity<S: Pls + Clone>(
@@ -100,21 +114,23 @@ fn check_transparent_identity<S: Pls + Clone>(
 
     for mode in [StreamMode::EdgeIndependent, StreamMode::SharedPerNode] {
         // Unprepared scalar entry point.
-        let clean =
-            engine::run_randomized_with(scheme, config, labeling, seeds[0], mode, &mut scratch);
-        let clean_votes: Vec<bool> = scratch.votes().to_vec();
-        let faulted = engine::run_randomized_faulted_with(
-            scheme,
+        let clean = engine::run_prepared(
+            &RunSpec::trial(seeds[0]).with_stream_mode(mode),
+            &Unprepared::new(scheme, config, labeling),
             config,
-            labeling,
-            seeds[0],
-            &plan,
-            mode,
             &mut scratch,
         );
-        assert_eq!(faulted.summary, clean, "{name}: unprepared summary");
-        assert_eq!(faulted.missing_messages(), 0);
-        assert_eq!(faulted.counts, Default::default());
+        let clean_votes: Vec<bool> = scratch.votes().to_vec();
+        let faulted = engine::run_degraded(
+            &RunSpec::trial(seeds[0])
+                .with_faults(plan.clone())
+                .with_stream_mode(mode),
+            &Unprepared::new(scheme, config, labeling),
+            config,
+            &mut scratch,
+        );
+        assert_eq!(clean_of(faulted.report), clean, "{name}: unprepared report");
+        assert_eq!(faulted.report.fault, Some(FaultReport::default()));
         for (verdict, vote) in faulted.verdicts.iter().zip(&clean_votes) {
             assert_eq!(
                 *verdict,
@@ -129,77 +145,95 @@ fn check_transparent_identity<S: Pls + Clone>(
 
         // Prepared scalar loop, against the sweep-shared cache.
         let prepared = scheme.prepare_cached(config, labeling, trials, cache);
-        let scalar_clean: Vec<RoundSummary> = seeds
+        let scalar_clean: Vec<RunReport> = seeds
             .iter()
             .map(|&s| {
-                engine::run_randomized_prepared_with(&*prepared, config, s, mode, &mut scratch)
+                engine::run_prepared(
+                    &RunSpec::trial(s).with_stream_mode(mode),
+                    &*prepared,
+                    config,
+                    &mut scratch,
+                )
             })
             .collect();
         for (&s, want) in seeds.iter().zip(&scalar_clean) {
-            let got = engine::run_randomized_prepared_faulted_with(
+            let got = engine::run_degraded(
+                &RunSpec::trial(s)
+                    .with_faults(plan.clone())
+                    .with_stream_mode(mode),
                 &*prepared,
                 config,
-                s,
-                &plan,
-                mode,
                 &mut scratch,
             );
-            assert_eq!(&got.summary, want, "{name}: prepared scalar summary");
-            assert!(got.insufficient_nodes() == 0 && got.missing_messages() == 0);
+            assert_eq!(
+                &clean_of(got.report),
+                want,
+                "{name}: prepared scalar report"
+            );
+            assert_eq!(got.report.fault, Some(FaultReport::default()));
+            assert!(got.missing.iter().all(|&m| m == 0));
         }
 
         // Batched trial loop (the compiled override's transparent branch).
-        let mut batched_clean: Vec<RoundSummary> = Vec::new();
-        engine::run_trials_batched_with(&*prepared, config, &seeds, mode, &mut scratch, &mut |s| {
-            batched_clean.push(s)
-        });
-        let mut batched_faulted: Vec<FaultedRoundSummary> = Vec::new();
-        engine::run_trials_faulted_with(
+        let mut batched_clean: Vec<RunReport> = Vec::new();
+        engine::run_trials(
+            &RunSpec::trial(0).with_stream_mode(mode),
             &*prepared,
             config,
             &seeds,
-            &plan,
-            mode,
+            &mut scratch,
+            &mut |s| batched_clean.push(s),
+        );
+        let mut batched_faulted: Vec<RunReport> = Vec::new();
+        engine::run_trials(
+            &RunSpec::trial(0)
+                .with_faults(plan.clone())
+                .with_stream_mode(mode),
+            &*prepared,
+            config,
+            &seeds,
             &mut scratch,
             &mut |s| batched_faulted.push(s),
         );
-        let unwrapped: Vec<RoundSummary> = batched_faulted
+        let unwrapped: Vec<RunReport> = batched_faulted
             .iter()
-            .inspect(|s| {
-                assert_eq!(s.insufficient_nodes, 0, "{name}: transparent batched");
-                assert_eq!(s.missing_messages, 0);
-                assert_eq!(s.counts, Default::default());
+            .inspect(|r| {
+                assert_eq!(
+                    r.fault,
+                    Some(FaultReport::default()),
+                    "{name}: transparent batched"
+                );
             })
-            .map(|s| s.summary)
+            .map(|&r| clean_of(r))
             .collect();
-        assert_eq!(unwrapped, batched_clean, "{name}: batched summaries");
+        assert_eq!(unwrapped, batched_clean, "{name}: batched reports");
 
         // Multiround schedules.
         for rounds in [1usize, 2, 5] {
             let mut multi_clean = Vec::new();
-            engine::run_multiround_trials_batched_with(
+            engine::run_trials(
+                &RunSpec::trial(0).with_rounds(rounds).with_stream_mode(mode),
                 &*prepared,
                 config,
                 &seeds[..16],
-                rounds,
-                mode,
                 &mut scratch,
                 &mut |s| multi_clean.push(s),
             );
-            let mut multi_faulted: Vec<FaultedMultiRoundSummary> = Vec::new();
-            engine::run_multiround_trials_faulted_with(
+            let mut multi_faulted: Vec<RunReport> = Vec::new();
+            engine::run_trials(
+                &RunSpec::trial(0)
+                    .with_rounds(rounds)
+                    .with_faults(plan.clone())
+                    .with_stream_mode(mode),
                 &*prepared,
                 config,
                 &seeds[..16],
-                rounds,
-                &plan,
-                mode,
                 &mut scratch,
                 &mut |s| multi_faulted.push(s),
             );
-            for (got, want) in multi_faulted.iter().zip(&multi_clean) {
-                assert_eq!(&got.summary, want, "{name}: multiround t={rounds}");
-                assert_eq!(got.missing_messages, 0);
+            for (&got, want) in multi_faulted.iter().zip(&multi_clean) {
+                assert_eq!(&clean_of(got), want, "{name}: multiround t={rounds}");
+                assert_eq!(got.fault, Some(FaultReport::default()));
             }
         }
     }
@@ -207,7 +241,13 @@ fn check_transparent_identity<S: Pls + Clone>(
     // The faulted estimator under a transparent plan reproduces the clean
     // estimate exactly (same per-trial seeds, same engine).
     let clean_p = stats::acceptance_probability(scheme, config, labeling, trials, seed);
-    let faulted_p = stats::acceptance_under_faults(scheme, config, labeling, trials, seed, &plan);
+    let faulted_p = stats::estimate(
+        scheme,
+        config,
+        labeling,
+        &RunSpec::trial(seed).with_faults(plan.clone()),
+        &EstimateOpts::new(trials),
+    );
     assert_eq!(faulted_p.acceptance(), clean_p, "{name}: estimator");
     assert_eq!(faulted_p.degraded_trials, 0);
     assert_eq!(faulted_p.counts, Default::default());
@@ -233,36 +273,44 @@ fn check_soundness<S: Pls + Clone>(
     let prepared = scheme.prepare_cached(config, labeling, trials, cache);
     let mode = StreamMode::EdgeIndependent;
 
-    let clean: Vec<RoundSummary> = seeds
+    let clean: Vec<RunReport> = seeds
         .iter()
-        .map(|&s| engine::run_randomized_prepared_with(&*prepared, config, s, mode, &mut scratch))
+        .map(|&s| {
+            engine::run_prepared(
+                &RunSpec::trial(s).with_stream_mode(mode),
+                &*prepared,
+                config,
+                &mut scratch,
+            )
+        })
         .collect();
 
     for spec in hostile_specs() {
         let plan = FaultPlan::new(spec, FAULT_SEED);
 
         // Scalar faulted reference, and the batched override against it.
-        let scalar: Vec<FaultedRoundSummary> = seeds
+        let scalar: Vec<RunReport> = seeds
             .iter()
             .map(|&s| {
-                engine::run_randomized_prepared_faulted_with(
+                engine::run_degraded(
+                    &RunSpec::trial(s)
+                        .with_faults(plan.clone())
+                        .with_stream_mode(mode),
                     &*prepared,
                     config,
-                    s,
-                    &plan,
-                    mode,
                     &mut scratch,
                 )
-                .compact()
+                .report
             })
             .collect();
-        let mut batched: Vec<FaultedRoundSummary> = Vec::new();
-        engine::run_trials_faulted_with(
+        let mut batched: Vec<RunReport> = Vec::new();
+        engine::run_trials(
+            &RunSpec::trial(0)
+                .with_faults(plan.clone())
+                .with_stream_mode(mode),
             &*prepared,
             config,
             &seeds,
-            &plan,
-            mode,
             &mut scratch,
             &mut |s| batched.push(s),
         );
@@ -274,49 +322,50 @@ fn check_soundness<S: Pls + Clone>(
         for ((faulted, cl), &s) in scalar.iter().zip(&clean).zip(&seeds) {
             // The load-bearing invariant: faults never flip reject → accept.
             assert!(
-                !faulted.summary.accepted || cl.accepted,
+                !faulted.accepted || cl.accepted,
                 "{name}: faulted trial accepted a clean-rejected run (seed {s:#x}, {spec:?})"
             );
             // And a node missing input always rejects conservatively.
             assert!(
-                !(faulted.missing_messages > 0 && faulted.summary.accepted),
+                !(missing(faulted) > 0 && faulted.accepted),
                 "{name}: accepted despite missing input (seed {s:#x}, {spec:?})"
             );
         }
 
-        // The multiround schedules obey the same one-sided contract.
+        // Every schedule obeys the same one-sided contract: single-shot
+        // delivery at t = 1, the chunked overlay with retries beyond.
         for rounds in [1usize, 3] {
-            let mut multi: Vec<FaultedMultiRoundSummary> = Vec::new();
-            engine::run_multiround_trials_faulted_with(
+            let mut multi: Vec<RunReport> = Vec::new();
+            engine::run_trials(
+                &RunSpec::trial(0)
+                    .with_rounds(rounds)
+                    .with_faults(plan.clone())
+                    .with_stream_mode(mode),
                 &*prepared,
                 config,
                 &seeds[..12],
-                rounds,
-                &plan,
-                mode,
                 &mut scratch,
                 &mut |s| multi.push(s),
             );
             let mut multi_clean = Vec::new();
-            engine::run_multiround_trials_batched_with(
+            engine::run_trials(
+                &RunSpec::trial(0).with_rounds(rounds).with_stream_mode(mode),
                 &*prepared,
                 config,
                 &seeds[..12],
-                rounds,
-                mode,
                 &mut scratch,
                 &mut |s| multi_clean.push(s),
             );
             for (f, cl) in multi.iter().zip(&multi_clean) {
                 assert!(
-                    !f.summary.accepted || cl.accepted,
+                    !f.accepted || cl.accepted,
                     "{name}: multiround t={rounds} soundness ({spec:?})"
                 );
                 assert!(
-                    f.summary.decided_round <= cl.decided_round,
+                    f.decided_round <= cl.decided_round,
                     "{name}: a fault can only advance the decision round"
                 );
-                assert!(!(f.missing_messages > 0 && f.summary.accepted));
+                assert!(!(missing(f) > 0 && f.accepted));
             }
         }
     }
@@ -417,18 +466,16 @@ fn honest_acceptance_degrades_exactly_with_missing_input() {
     let mut saw_degraded = false;
     let mut saw_intact = false;
     for trial in 0..64u64 {
-        let summary = engine::run_randomized_faulted_with(
-            &scheme,
+        let summary = engine::run_degraded(
+            &RunSpec::trial(stats::trial_seed(5, trial)).with_faults(plan.clone()),
+            &Unprepared::new(&scheme, &config, &labeling),
             &config,
-            &labeling,
-            stats::trial_seed(5, trial),
-            &plan,
-            StreamMode::EdgeIndependent,
             &mut scratch,
         );
+        let lost = summary.fault().missing_messages;
         assert_eq!(
             summary.accepted(),
-            summary.missing_messages() == 0,
+            lost == 0,
             "honest run: acceptance == full delivery"
         );
         for (verdict, &miss) in summary.verdicts.iter().zip(&summary.missing) {
@@ -438,8 +485,8 @@ fn honest_acceptance_degrades_exactly_with_missing_input() {
                 "InsufficientInput exactly on the nodes that lost input"
             );
         }
-        saw_degraded |= summary.missing_messages() > 0;
-        saw_intact |= summary.missing_messages() == 0;
+        saw_degraded |= lost > 0;
+        saw_intact |= lost == 0;
     }
     assert!(
         saw_degraded && saw_intact,
@@ -462,38 +509,29 @@ fn endpoint_rates_silence_or_lose_everything() {
     let ports = config.port_count();
 
     let crash_all = FaultPlan::new(FaultSpec::transparent().with_crash(1.0), 7);
-    let s = engine::run_randomized_faulted_with(
-        &scheme,
+    let s = engine::run_degraded(
+        &RunSpec::trial(42).with_faults(crash_all.clone()),
+        &Unprepared::new(&scheme, &config, &labeling),
         &config,
-        &labeling,
-        42,
-        &crash_all,
-        StreamMode::EdgeIndependent,
         &mut scratch,
     );
     assert!(!s.accepted());
-    assert_eq!(s.counts.crashed_nodes, config.node_count());
-    assert_eq!(s.missing_messages(), ports);
-    assert_eq!(
-        s.summary.total_certificate_bits, 0,
-        "crashed senders are silent"
-    );
+    assert_eq!(s.fault().counts.crashed_nodes, config.node_count());
+    assert_eq!(s.fault().missing_messages, ports);
+    assert_eq!(s.report.total_bits, 0, "crashed senders are silent");
 
     let drop_all = FaultPlan::new(FaultSpec::transparent().with_drop(1.0), 7);
-    let s = engine::run_randomized_faulted_with(
-        &scheme,
+    let s = engine::run_degraded(
+        &RunSpec::trial(42).with_faults(drop_all.clone()),
+        &Unprepared::new(&scheme, &config, &labeling),
         &config,
-        &labeling,
-        42,
-        &drop_all,
-        StreamMode::EdgeIndependent,
         &mut scratch,
     );
     assert!(!s.accepted());
-    assert_eq!(s.counts.dropped, ports);
-    assert_eq!(s.missing_messages(), ports);
+    assert_eq!(s.fault().counts.dropped, ports);
+    assert_eq!(s.fault().missing_messages, ports);
     assert!(
-        s.summary.total_certificate_bits > 0,
+        s.report.total_bits > 0,
         "dropped messages were still transmitted"
     );
 }
@@ -520,14 +558,12 @@ fn retries_recover_messages_and_cost_bits() {
                 .with_retry_budget(budget),
             3,
         );
-        let mut out: Vec<FaultedMultiRoundSummary> = Vec::new();
-        engine::run_multiround_trials_faulted_with(
+        let mut out: Vec<RunReport> = Vec::new();
+        engine::run_trials(
+            &RunSpec::trial(0).with_rounds(4).with_faults(plan.clone()),
             &*prepared,
             &config,
             &seeds,
-            4,
-            &plan,
-            StreamMode::EdgeIndependent,
             scratch,
             &mut |s| out.push(s),
         );
@@ -535,22 +571,26 @@ fn retries_recover_messages_and_cost_bits() {
     };
     let without = run(0, &mut scratch);
     let with = run(3, &mut scratch);
-    let retries: usize = with.iter().map(|s| s.counts.retries).sum();
-    assert!(retries > 0, "a 50% corrupt rate must trigger retries");
-    assert_eq!(without.iter().map(|s| s.counts.retries).sum::<usize>(), 0);
+    let retries = |reports: &[RunReport]| -> usize {
+        reports
+            .iter()
+            .map(|r| r.fault.unwrap().counts.retries)
+            .sum()
+    };
+    assert!(
+        retries(&with) > 0,
+        "a 50% corrupt rate must trigger retries"
+    );
+    assert_eq!(retries(&without), 0);
     for (w, wo) in with.iter().zip(&without) {
+        assert!(missing(w) <= missing(wo), "retries only recover messages");
         assert!(
-            w.missing_messages <= wo.missing_messages,
-            "retries only recover messages"
-        );
-        assert!(
-            w.summary.total_bits >= wo.summary.total_bits,
+            w.total_bits >= wo.total_bits,
             "every retry transmission is accounted"
         );
     }
     assert!(
-        with.iter().map(|s| s.missing_messages).sum::<usize>()
-            < without.iter().map(|s| s.missing_messages).sum::<usize>(),
+        with.iter().map(missing).sum::<usize>() < without.iter().map(missing).sum::<usize>(),
         "3 retries against 50% loss recover some messages over 8 trials"
     );
 }
@@ -559,7 +599,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Replay determinism: the faulted engine is a pure function of
-    /// `(trial seed, fault seed, spec)` — both the scalar summary and the
+    /// `(trial seed, fault seed, spec)` — both the scalar report and the
     /// batched trial block reproduce exactly.
     #[test]
     fn fault_schedules_replay_deterministically(
@@ -590,36 +630,21 @@ proptest! {
         let plan_b = FaultPlan::new(spec, fault_seed);
         let mut scratch = RoundScratch::new();
 
-        let one = engine::run_randomized_faulted_with(
-            &scheme, &config, &labeling, seed, &plan_a,
-            StreamMode::EdgeIndependent, &mut scratch,
-        );
-        let two = engine::run_randomized_faulted_with(
-            &scheme, &config, &labeling, seed, &plan_b,
-            StreamMode::EdgeIndependent, &mut scratch,
-        );
+        let one = engine::run_degraded(&RunSpec::trial(seed).with_faults(plan_a.clone()), &Unprepared::new(&scheme, &config, &labeling), &config, &mut scratch);
+        let two = engine::run_degraded(&RunSpec::trial(seed).with_faults(plan_b.clone()), &Unprepared::new(&scheme, &config, &labeling), &config, &mut scratch);
         prop_assert_eq!(one, two);
 
         let prepared = scheme.prepare(&config, &labeling, 4);
         let seeds: Vec<u64> = (0..4).map(|t| stats::trial_seed(seed, t)).collect();
-        let mut runs: [Vec<FaultedRoundSummary>; 2] = [Vec::new(), Vec::new()];
+        let mut runs: [Vec<RunReport>; 2] = [Vec::new(), Vec::new()];
         for block in &mut runs {
-            engine::run_trials_faulted_with(
-                &*prepared, &config, &seeds, &plan_a,
-                StreamMode::EdgeIndependent, &mut scratch, &mut |s| block.push(s),
-            );
+            engine::run_trials(&RunSpec::trial(0).with_faults(plan_a.clone()), &*prepared, &config, &seeds, &mut scratch, &mut |s| block.push(s));
         }
         let [first, second] = runs;
         prop_assert_eq!(first, second);
 
-        let multi_a = engine::run_multiround_faulted_with(
-            &scheme, &config, &labeling, seed, 3, &plan_a,
-            StreamMode::EdgeIndependent, &mut scratch,
-        );
-        let multi_b = engine::run_multiround_faulted_with(
-            &scheme, &config, &labeling, seed, 3, &plan_b,
-            StreamMode::EdgeIndependent, &mut scratch,
-        );
+        let multi_a = engine::run(&RunSpec::trial(seed).with_rounds(3).with_faults(plan_a.clone()), &scheme, &config, &labeling);
+        let multi_b = engine::run(&RunSpec::trial(seed).with_rounds(3).with_faults(plan_b.clone()), &scheme, &config, &labeling);
         prop_assert_eq!(multi_a, multi_b);
     }
 }

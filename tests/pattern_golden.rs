@@ -1,17 +1,20 @@
 //! Golden identity tests for the message-pattern engine axis.
 //!
-//! [`MessagePattern::PerPort`] is the pre-pattern engine: every patterned
-//! entry point run under it must be transcript-identical — vote for vote,
-//! certificate for certificate, summary for summary — to the legacy path,
-//! across honest/tampered/garbage labelings, both stream modes, and the
+//! [`MessagePattern::PerPort`] is the pre-pattern engine: every execution
+//! layer run under it must be transcript-identical — vote for vote,
+//! certificate for certificate, report for report — across
+//! honest/tampered/garbage labelings, both stream modes, and the
 //! one-round, multi-round, and faulted engines. The coarser patterns have
 //! their own pins: one-round `Broadcast` coincides with the
 //! `SharedPerNode` stream mode's first draw (subsumption, not
 //! duplication), and `KMessages(k ≥ Δ)` degenerates to per-port exactly.
 
-use rpls::core::engine::{self, MessagePattern, StreamMode};
+use rpls::core::engine::{self, MessagePattern, RunSpec, SeedSource, StreamMode};
 use rpls::core::scheme::ExchangeLabels;
-use rpls::core::{Configuration, FaultPlan, FaultSpec, Labeling, PrepCache, RoundScratch, Rpls};
+use rpls::core::stats::EstimateOpts;
+use rpls::core::{
+    Configuration, FaultPlan, FaultSpec, Labeling, PrepCache, RoundScratch, Rpls, Unprepared,
+};
 use rpls::graph::generators;
 use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
 use rpls_core::CompiledRpls;
@@ -47,9 +50,11 @@ fn spanning_tree_workload(n: usize) -> (Configuration, Labeling, Labeling, Label
     (config, honest, tampered, garbage)
 }
 
-/// `PerPort` through every patterned entry point is bit-identical to the
-/// legacy engine: one-round scalar, one-round batched, multiround, and
-/// faulted — across labelings, stream modes, and both the compiled and
+/// `PerPort` is the pre-pattern engine, and every layer runs it
+/// transcript-identically: the materialised record, the unprepared and
+/// prepared scalar trials, the batched block, the `t = 1` schedule, and the
+/// faulted paths (per-node diagnostic, scalar, batched, multiround) —
+/// across labelings, stream modes, and both the compiled and
 /// exchange-labels schemes.
 #[test]
 fn per_port_is_transcript_identical_to_legacy() {
@@ -58,152 +63,132 @@ fn per_port_is_transcript_identical_to_legacy() {
     let exchange = ExchangeLabels::new(SpanningTreePls::new());
     let plan = FaultPlan::new(FaultSpec::transparent().with_drop(0.2), 99);
 
-    let mut legacy_scratch = RoundScratch::new();
-    let mut patterned_scratch = RoundScratch::new();
+    let mut unprepared_scratch = RoundScratch::new();
+    let mut prepared_scratch = RoundScratch::new();
     let seeds = [0u64, 9, 77, 12345];
     for labeling in [&honest, &tampered, &garbage] {
         for mode in [StreamMode::EdgeIndependent, StreamMode::SharedPerNode] {
-            for seed in seeds {
-                macro_rules! check_scheme {
-                    ($scheme:expr) => {
-                        // One-round scalar.
-                        let a = engine::run_randomized_with(
-                            $scheme,
+            let spec = RunSpec::trial(0)
+                .with_pattern(MessagePattern::PerPort)
+                .with_stream_mode(mode);
+            let faulted = spec.clone().with_faults(plan.clone());
+            let at = |spec: &RunSpec, seed: u64| RunSpec {
+                seed_source: SeedSource::Trial(seed),
+                ..spec.clone()
+            };
+            macro_rules! check_scheme {
+                ($scheme:expr) => {
+                    let prepared = $scheme.prepare(&config, labeling, seeds.len());
+                    for seed in seeds {
+                        // One-round scalar: unprepared and prepared.
+                        let a = engine::run_prepared(
+                            &at(&spec, seed),
+                            &Unprepared::new($scheme, &config, labeling),
                             &config,
-                            labeling,
-                            seed,
-                            mode,
-                            &mut legacy_scratch,
+                            &mut unprepared_scratch,
                         );
-                        let b = engine::run_randomized_patterned_with(
-                            $scheme,
+                        let b = engine::run_prepared(
+                            &at(&spec, seed),
+                            &*prepared,
                             &config,
-                            labeling,
-                            seed,
-                            MessagePattern::PerPort,
-                            mode,
-                            &mut patterned_scratch,
+                            &mut prepared_scratch,
                         );
-                        assert_eq!(a, b, "one-round summary (seed {seed}, mode {mode:?})");
-                        assert_eq!(legacy_scratch.votes(), patterned_scratch.votes());
+                        assert_eq!(a, b, "one-round report (seed {seed}, mode {mode:?})");
+                        assert_eq!(unprepared_scratch.votes(), prepared_scratch.votes());
+                        let certs = prepared_scratch
+                            .certificates()
+                            .to_nested(config.port_base());
                         assert_eq!(
-                            legacy_scratch.certificates().to_nested(config.port_base()),
-                            patterned_scratch
+                            unprepared_scratch
                                 .certificates()
                                 .to_nested(config.port_base()),
+                            certs,
                             "certificates (seed {seed}, mode {mode:?})"
                         );
-                        let prepared = $scheme.prepare(&config, labeling, seeds.len());
-                        // Batched trials.
-                        let mut legacy = Vec::new();
-                        engine::run_trials_batched_with(
-                            &*prepared,
-                            &config,
-                            &seeds,
-                            mode,
-                            &mut legacy_scratch,
-                            &mut |s| legacy.push(s),
-                        );
-                        let mut patterned = Vec::new();
-                        engine::run_trials_batched_patterned_with(
-                            &*prepared,
-                            &config,
-                            &seeds,
-                            MessagePattern::PerPort,
-                            mode,
-                            &mut patterned_scratch,
-                            &mut |s| patterned.push(s),
-                        );
-                        assert_eq!(legacy, patterned, "batched trials (mode {mode:?})");
-                        // Multiround.
-                        for rounds in [1usize, 3] {
-                            let a = engine::run_multiround_prepared_with(
-                                &*prepared,
-                                &config,
-                                seed,
-                                rounds,
-                                mode,
-                                &mut legacy_scratch,
-                            );
-                            let b = engine::run_multiround_prepared_patterned_with(
-                                &*prepared,
-                                &config,
-                                seed,
-                                rounds,
-                                MessagePattern::PerPort,
-                                mode,
-                                &mut patterned_scratch,
-                            );
-                            assert_eq!(a, b, "t={rounds} (seed {seed}, mode {mode:?})");
+                        if mode == StreamMode::EdgeIndependent {
+                            let rec = engine::run_randomized($scheme, &config, labeling, seed);
+                            assert_eq!(rec.certificates, certs, "record (seed {seed})");
+                            assert_eq!(rec.outcome.votes(), prepared_scratch.votes());
                         }
-                        // Faulted (scalar + batched).
-                        let a = engine::run_randomized_prepared_faulted_with(
+                        // The t = 1 schedule is the one-round trial.
+                        let t1 = engine::run_prepared(
+                            &at(&spec, seed).with_rounds(1),
                             &*prepared,
                             &config,
-                            seed,
-                            &plan,
-                            mode,
-                            &mut legacy_scratch,
+                            &mut prepared_scratch,
                         );
-                        let b = engine::run_randomized_prepared_faulted_patterned_with(
+                        assert_eq!(t1, b, "t=1 (seed {seed}, mode {mode:?})");
+                        // A longer schedule, prepared internally or not.
+                        let multi = at(&spec, seed).with_rounds(3);
+                        assert_eq!(
+                            engine::run(&multi, $scheme, &config, labeling),
+                            engine::run_prepared(
+                                &multi,
+                                &*prepared,
+                                &config,
+                                &mut prepared_scratch
+                            ),
+                            "t=3 (seed {seed}, mode {mode:?})"
+                        );
+                        // Faulted: the per-node diagnostic carries the
+                        // scalar report, at t = 1 and under the overlay.
+                        let degraded = engine::run_degraded(
+                            &at(&faulted, seed),
                             &*prepared,
                             &config,
-                            seed,
-                            MessagePattern::PerPort,
-                            &plan,
-                            mode,
-                            &mut patterned_scratch,
+                            &mut prepared_scratch,
                         );
-                        assert_eq!(a, b, "faulted (seed {seed}, mode {mode:?})");
-                        let mut legacy = Vec::new();
-                        engine::run_trials_faulted_with(
+                        let scalar = engine::run_prepared(
+                            &at(&faulted, seed),
+                            &Unprepared::new($scheme, &config, labeling),
+                            &config,
+                            &mut unprepared_scratch,
+                        );
+                        assert_eq!(
+                            degraded.report, scalar,
+                            "faulted (seed {seed}, mode {mode:?})"
+                        );
+                        let multi = at(&faulted, seed).with_rounds(3);
+                        assert_eq!(
+                            engine::run(&multi, $scheme, &config, labeling),
+                            engine::run_prepared(
+                                &multi,
+                                &*prepared,
+                                &config,
+                                &mut prepared_scratch
+                            ),
+                            "faulted multiround (seed {seed}, mode {mode:?})"
+                        );
+                    }
+                    // Batched blocks, clean and faulted, against the scalar
+                    // trials.
+                    for block_spec in [&spec, &faulted] {
+                        let mut batched = Vec::new();
+                        engine::run_trials(
+                            block_spec,
                             &*prepared,
                             &config,
                             &seeds,
-                            &plan,
-                            mode,
-                            &mut legacy_scratch,
-                            &mut |s| legacy.push(s),
+                            &mut prepared_scratch,
+                            &mut |r| batched.push(r),
                         );
-                        let mut patterned = Vec::new();
-                        engine::run_trials_faulted_patterned_with(
-                            &*prepared,
-                            &config,
-                            &seeds,
-                            MessagePattern::PerPort,
-                            &plan,
-                            mode,
-                            &mut patterned_scratch,
-                            &mut |s| patterned.push(s),
-                        );
-                        assert_eq!(legacy, patterned, "faulted batch (mode {mode:?})");
-                        let a = engine::run_multiround_faulted_with(
-                            $scheme,
-                            &config,
-                            labeling,
-                            seed,
-                            3,
-                            &plan,
-                            mode,
-                            &mut legacy_scratch,
-                        );
-                        let b = engine::run_multiround_faulted_patterned_with(
-                            $scheme,
-                            &config,
-                            labeling,
-                            seed,
-                            3,
-                            MessagePattern::PerPort,
-                            &plan,
-                            mode,
-                            &mut patterned_scratch,
-                        );
-                        assert_eq!(a, b, "faulted multiround (seed {seed}, mode {mode:?})");
-                    };
-                }
-                check_scheme!(&compiled);
-                check_scheme!(&exchange);
+                        let scalar: Vec<_> = seeds
+                            .iter()
+                            .map(|&seed| {
+                                engine::run_prepared(
+                                    &at(block_spec, seed),
+                                    &Unprepared::new($scheme, &config, labeling),
+                                    &config,
+                                    &mut unprepared_scratch,
+                                )
+                            })
+                            .collect();
+                        assert_eq!(batched, scalar, "batched trials ({block_spec:?})");
+                    }
+                };
             }
+            check_scheme!(&compiled);
+            check_scheme!(&exchange);
         }
     }
 }
@@ -224,21 +209,16 @@ fn one_round_broadcast_coincides_with_shared_per_node() {
         for seed in [0u64, 5, 1234] {
             macro_rules! check_scheme {
                 ($scheme:expr, $name:expr) => {
-                    engine::run_randomized_with(
-                        $scheme,
+                    engine::run_prepared(
+                        &RunSpec::trial(seed).with_stream_mode(StreamMode::SharedPerNode),
+                        &Unprepared::new($scheme, &config, labeling),
                         &config,
-                        labeling,
-                        seed,
-                        StreamMode::SharedPerNode,
                         &mut shared_scratch,
                     );
-                    engine::run_randomized_patterned_with(
-                        $scheme,
+                    engine::run_prepared(
+                        &RunSpec::trial(seed).with_pattern(MessagePattern::Broadcast),
+                        &Unprepared::new($scheme, &config, labeling),
                         &config,
-                        labeling,
-                        seed,
-                        MessagePattern::Broadcast,
-                        StreamMode::EdgeIndependent,
                         &mut broadcast_scratch,
                     );
                     let shared = shared_scratch.certificates().to_nested(config.port_base());
@@ -264,21 +244,16 @@ fn one_round_broadcast_coincides_with_shared_per_node() {
     // For exchange-labels the certificate is the label on every port, so
     // the *whole* transcript (certificates and votes) coincides.
     for seed in [0u64, 5] {
-        let a = engine::run_randomized_with(
-            &exchange,
+        let a = engine::run_prepared(
+            &RunSpec::trial(seed).with_stream_mode(StreamMode::SharedPerNode),
+            &Unprepared::new(&exchange, &config, &honest),
             &config,
-            &honest,
-            seed,
-            StreamMode::SharedPerNode,
             &mut shared_scratch,
         );
-        let b = engine::run_randomized_patterned_with(
-            &exchange,
+        let b = engine::run_prepared(
+            &RunSpec::trial(seed).with_pattern(MessagePattern::Broadcast),
+            &Unprepared::new(&exchange, &config, &honest),
             &config,
-            &honest,
-            seed,
-            MessagePattern::Broadcast,
-            StreamMode::EdgeIndependent,
             &mut broadcast_scratch,
         );
         assert_eq!(a.accepted, b.accepted);
@@ -304,24 +279,18 @@ fn saturated_k_and_unicast_share_per_port_transcripts() {
     let mut b_scratch = RoundScratch::new();
     for labeling in [&honest, &tampered, &garbage] {
         for seed in [0u64, 7, 321] {
-            let a = engine::run_randomized_patterned_with(
-                &compiled,
+            let a = engine::run_prepared(
+                &RunSpec::trial(seed),
+                &Unprepared::new(&compiled, &config, labeling),
                 &config,
-                labeling,
-                seed,
-                MessagePattern::PerPort,
-                StreamMode::EdgeIndependent,
                 &mut a_scratch,
             );
             // Cycle degree is 2: k = 2 saturates, as does any larger k.
             for k in [2usize, 3, 64] {
-                let b = engine::run_randomized_patterned_with(
-                    &compiled,
+                let b = engine::run_prepared(
+                    &RunSpec::trial(seed).with_pattern(MessagePattern::KMessages(k)),
+                    &Unprepared::new(&compiled, &config, labeling),
                     &config,
-                    labeling,
-                    seed,
-                    MessagePattern::KMessages(k),
-                    StreamMode::EdgeIndependent,
                     &mut b_scratch,
                 );
                 assert_eq!(a, b, "k={k} (seed {seed})");
@@ -335,12 +304,10 @@ fn saturated_k_and_unicast_share_per_port_transcripts() {
             // labeling-static plans know the wire cost): same transcript,
             // half the (x, P(x)) width — the sender ships P(x) only.
             let prepared = compiled.prepare(&config, labeling, 1);
-            let u = engine::run_randomized_prepared_patterned_with(
+            let u = engine::run_prepared(
+                &RunSpec::trial(seed).with_pattern(MessagePattern::Unicast),
                 &*prepared,
                 &config,
-                seed,
-                MessagePattern::Unicast,
-                StreamMode::EdgeIndependent,
                 &mut b_scratch,
             );
             assert_eq!(a.accepted, u.accepted, "unicast verdict (seed {seed})");
@@ -350,8 +317,8 @@ fn saturated_k_and_unicast_share_per_port_transcripts() {
                 b_scratch.certificates().to_nested(config.port_base()),
                 "unicast transcript (seed {seed})"
             );
-            assert_eq!(u.max_certificate_bits, a.max_certificate_bits / 2);
-            assert_eq!(u.total_certificate_bits, a.total_certificate_bits / 2);
+            assert_eq!(u.max_bits_per_round, a.max_bits_per_round / 2);
+            assert_eq!(u.total_bits, a.total_bits / 2);
         }
     }
 }
@@ -373,51 +340,68 @@ fn batched_pattern_kernels_match_scalar_reference() {
             let scalar: Vec<_> = seeds
                 .iter()
                 .map(|&seed| {
-                    engine::run_randomized_prepared_patterned_with(
+                    engine::run_prepared(
+                        &RunSpec::trial(seed).with_pattern(pattern),
                         &*prepared,
                         &config,
-                        seed,
-                        pattern,
-                        StreamMode::EdgeIndependent,
                         &mut scalar_scratch,
                     )
                 })
                 .collect();
             let mut batched = Vec::new();
-            engine::run_trials_batched_patterned_with(
+            engine::run_trials(
+                &RunSpec::trial(0).with_pattern(pattern),
                 &*prepared,
                 &config,
                 &seeds,
-                pattern,
-                StreamMode::EdgeIndependent,
                 &mut batched_scratch,
                 &mut |s| batched.push(s),
             );
             assert_eq!(scalar, batched, "pattern {pattern:?}");
+            // The faulted one-round kernel against the scalar fault model.
+            let plan = FaultPlan::new(FaultSpec::transparent().with_drop(0.1), 5);
+            let faulted = RunSpec::trial(0).with_pattern(pattern).with_faults(plan);
+            let scalar: Vec<_> = seeds
+                .iter()
+                .map(|&seed| {
+                    let one = RunSpec {
+                        seed_source: SeedSource::Trial(seed),
+                        ..faulted.clone()
+                    };
+                    engine::run_prepared(&one, &*prepared, &config, &mut scalar_scratch)
+                })
+                .collect();
+            let mut batched = Vec::new();
+            engine::run_trials(
+                &faulted,
+                &*prepared,
+                &config,
+                &seeds,
+                &mut batched_scratch,
+                &mut |s| batched.push(s),
+            );
+            assert_eq!(scalar, batched, "faulted pattern {pattern:?}");
             // Multiround kernels against the prepared scalar schedule.
             for rounds in [1usize, 4] {
                 let scalar: Vec<_> = seeds
                     .iter()
                     .map(|&seed| {
-                        engine::run_multiround_prepared_patterned_with(
+                        engine::run_prepared(
+                            &RunSpec::trial(seed)
+                                .with_rounds(rounds)
+                                .with_pattern(pattern),
                             &*prepared,
                             &config,
-                            seed,
-                            rounds,
-                            pattern,
-                            StreamMode::EdgeIndependent,
                             &mut scalar_scratch,
                         )
                     })
                     .collect();
                 let mut batched = Vec::new();
-                engine::run_multiround_trials_batched_patterned_with(
+                engine::run_trials(
+                    &RunSpec::trial(0).with_rounds(rounds).with_pattern(pattern),
                     &*prepared,
                     &config,
                     &seeds,
-                    rounds,
-                    pattern,
-                    StreamMode::EdgeIndependent,
                     &mut batched_scratch,
                     &mut |s| batched.push(s),
                 );
@@ -439,66 +423,73 @@ fn honest_labelings_accept_under_every_pattern() {
     // prefix the exchange baseline doesn't use).
     let exchange_honest = Rpls::label(&exchange, &config);
     for pattern in ALL_PATTERNS {
-        let p = rpls::core::stats::acceptance_probability_patterned(
-            &compiled, &config, &honest, 60, 3, pattern,
-        );
+        let p = rpls::core::stats::estimate(
+            &compiled,
+            &config,
+            &honest,
+            &RunSpec::trial(3).with_pattern(pattern),
+            &EstimateOpts::new(60),
+        )
+        .acceptance();
         assert_eq!(p, 1.0, "compiled under {pattern:?}");
-        let p = rpls::core::stats::acceptance_probability_patterned(
+        let p = rpls::core::stats::estimate(
             &exchange,
             &config,
             &exchange_honest,
-            20,
-            3,
-            pattern,
-        );
+            &RunSpec::trial(3).with_pattern(pattern),
+            &EstimateOpts::new(20),
+        )
+        .acceptance();
         assert_eq!(p, 1.0, "exchange under {pattern:?}");
     }
 }
 
-/// The patterned estimators share the per-port estimators' per-trial
-/// seeds: `PerPort` reproduces `acceptance_probability` (and its
-/// multiround twin) bit-for-bit, cached or not.
+/// The estimators fold the scalar reference: `acceptance_probability`,
+/// `estimate` and the cached `estimate_with` of a `PerPort` spec (one-round
+/// and multiround) equal a manual per-trial loop over `run_prepared` with
+/// the estimators' seeds, bit for bit.
 #[test]
 fn per_port_estimators_match_legacy_estimators() {
+    use rpls::core::stats::{self, EstimateOpts};
     let (config, _, tampered, _) = spanning_tree_workload(10);
     let compiled = CompiledRpls::new(SpanningTreePls::new());
+    let prepared = compiled.prepare(&config, &tampered, 300);
+    let mut scratch = RoundScratch::new();
     for (trials, seed) in [(64usize, 7u64), (300, 11)] {
-        let legacy =
-            rpls::core::stats::acceptance_probability(&compiled, &config, &tampered, trials, seed);
-        let patterned = rpls::core::stats::acceptance_probability_patterned(
-            &compiled,
-            &config,
-            &tampered,
-            trials,
-            seed,
-            MessagePattern::PerPort,
-        );
-        assert!(legacy == patterned, "{legacy} vs {patterned}");
-        let cached = rpls::core::stats::acceptance_probability_patterned_cached(
-            &compiled,
-            &config,
-            &tampered,
-            trials,
-            seed,
-            MessagePattern::PerPort,
-            &mut RoundScratch::new(),
-            &mut PrepCache::new(),
-        );
-        assert!(legacy == cached, "{legacy} vs cached {cached}");
+        let opts = EstimateOpts::new(trials);
         for rounds in [1usize, 4] {
-            let legacy = rpls::core::stats::multiround_acceptance_probability(
-                &compiled, &config, &tampered, rounds, trials, seed,
+            let spec = RunSpec::trial(seed)
+                .with_rounds(rounds)
+                .with_pattern(MessagePattern::PerPort);
+            let manual = (0..trials as u64)
+                .filter(|&t| {
+                    let one = RunSpec {
+                        seed_source: SeedSource::Trial(stats::trial_seed(seed, t)),
+                        ..spec.clone()
+                    };
+                    engine::run_prepared(&one, &*prepared, &config, &mut scratch).accepted
+                })
+                .count() as f64
+                / trials as f64;
+            let estimate = stats::estimate(&compiled, &config, &tampered, &spec, &opts);
+            assert!(
+                manual == estimate.acceptance(),
+                "t={rounds}: {manual} vs {estimate:?}"
             );
-            let patterned = rpls::core::stats::multiround_acceptance_probability_patterned(
+            let cached = stats::estimate_with(
                 &compiled,
                 &config,
                 &tampered,
-                rounds,
-                trials,
-                seed,
-                MessagePattern::PerPort,
+                &spec,
+                &opts,
+                &mut RoundScratch::new(),
+                &mut PrepCache::new(),
             );
-            assert!(legacy == patterned, "t={rounds}: {legacy} vs {patterned}");
+            assert_eq!(estimate, cached, "t={rounds}: cached");
+            if rounds == 1 {
+                let p = stats::acceptance_probability(&compiled, &config, &tampered, trials, seed);
+                assert!(p == manual, "{p} vs {manual}");
+            }
         }
     }
 }
@@ -515,9 +506,15 @@ fn parallel_shards_stay_bit_identical_after_pattern_refactor() {
         let serial =
             rpls::core::stats::acceptance_probability(&compiled, &config, &tampered, trials, seed);
         for threads in [Some(2), Some(4), Some(7)] {
-            let par = rpls::core::stats::acceptance_probability_par(
-                &compiled, &config, &tampered, trials, seed, threads,
-            );
+            let par = rpls::core::stats::estimate_par(
+                &compiled,
+                &config,
+                &tampered,
+                &RunSpec::trial(seed),
+                &EstimateOpts::new(trials),
+                threads,
+            )
+            .acceptance();
             assert!(
                 serial == par,
                 "trials {trials} seed {seed} threads {threads:?}: {serial} vs {par}"

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use rpls::bits::BitString;
-use rpls::core::engine::{self, StreamMode};
+use rpls::core::engine::{self, RunSpec};
 use rpls::core::{
     CompiledRpls, Configuration, DegreeBuckets, Labeling, ProbeSketch, RoundScratch, Rpls,
 };
@@ -117,11 +117,11 @@ fn trial_verdicts<S: Rpls + ?Sized>(
     let prepared = scheme.prepare(config, labeling, seeds.len());
     let mut scratch = RoundScratch::new();
     let mut out = Vec::with_capacity(seeds.len());
-    engine::run_trials_batched_with(
+    engine::run_trials(
+        &RunSpec::trial(0),
         &*prepared,
         config,
         seeds,
-        StreamMode::EdgeIndependent,
         &mut scratch,
         &mut |s| out.push(s.accepted),
     );

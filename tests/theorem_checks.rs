@@ -124,8 +124,15 @@ fn definition_4_5_edge_independence_modes_differ() {
     let config = Configuration::plain(generators::complete(5));
     let labels = Labeling::empty(5);
     let independent = engine::run_randomized(&Echo, &config, &labels, 5);
-    let shared = engine::run_randomized_shared(&Echo, &config, &labels, 5);
-    assert_ne!(independent.certificates, shared.certificates);
+    let mut scratch = rpls::core::RoundScratch::new();
+    engine::run_prepared(
+        &engine::RunSpec::trial(5).with_stream_mode(engine::StreamMode::SharedPerNode),
+        &rpls::core::Unprepared::new(&Echo, &config, &labels),
+        &config,
+        &mut scratch,
+    );
+    let shared = scratch.certificates().to_nested(config.port_base());
+    assert_ne!(independent.certificates, shared);
     // In the independent mode, the first port's certificate equals itself
     // across repeated runs (determinism) but differs across ports.
     let again = engine::run_randomized(&Echo, &config, &labels, 5);
