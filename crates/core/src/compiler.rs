@@ -654,25 +654,17 @@ enum NodeBatch {
 /// on some port of the receiving node, reduced to its algebraic content.
 struct EdgeCheck {
     /// The sender's (node, port) — the key of the per-trial random stream.
-    src_node: u64,
-    src_port: u64,
-    /// The sender's field prime (the random point is drawn in this field).
-    send_mod: u64,
-    /// The receiver's field prime (the scalar path rejects points outside
-    /// it before evaluating).
-    recv_mod: u64,
+    src_node: u32,
+    src_port: u32,
+    /// The sender's field (the random point is drawn in it): its reducer,
+    /// built once with the plan.
+    send_field: Barrett,
     /// The sender's prepared fingerprint (what the certificate claims).
     sender: Rc<PreparedEq>,
-    /// The receiver's prepared fingerprint of the claimed neighbor copy.
+    /// The receiver's prepared fingerprint of the claimed neighbor copy;
+    /// its field bounds the points the probe accepts.
     receiver: Rc<PreparedEq>,
 }
-
-/// Trials per chunk of the lane-vectorised probe kernel: wide enough that
-/// the interleaved Horner chains fill the multiplier pipeline (and give
-/// the autovectoriser a fixed-width inner loop), small enough to live in
-/// registers. Values are lane-count-independent, so this is a pure tuning
-/// knob.
-const PROBE_LANES: usize = 8;
 
 impl EdgeCheck {
     /// Which of the sender's distinct message slots this check's port
@@ -692,13 +684,17 @@ impl EdgeCheck {
     #[inline]
     fn word(&self, pattern: MessagePattern, seed: u64, slot: u64) -> u64 {
         match pattern {
-            MessagePattern::Broadcast => node_stream_word(seed, self.src_node, 0),
-            _ => edge_stream_first_word(seed, self.src_node, slot),
+            MessagePattern::Broadcast => node_stream_word(seed, u64::from(self.src_node), 0),
+            _ => edge_stream_first_word(seed, u64::from(self.src_node), slot),
         }
     }
 
-    /// The scalar probe: `true` iff the delivered fingerprint would be
-    /// accepted on this port for `seed`'s trial.
+    /// The probe: `true` iff the delivered fingerprint would be accepted
+    /// on this port for `seed`'s trial. The word reduces into the sender's
+    /// field (bit-identical to `%`); a point past the receiver's field
+    /// (mismatched primes, adversarial labelings only) rejects without
+    /// touching either polynomial; otherwise both sides are evaluated at
+    /// the shared point by one [`EqEvaluator::eval_pair`].
     #[inline]
     fn probe_one(
         &self,
@@ -708,30 +704,36 @@ impl EdgeCheck {
         send: &EqEvaluator<'_>,
         recv: &EqEvaluator<'_>,
     ) -> bool {
-        let x = self.word(pattern, seed, slot) % self.send_mod;
-        x < self.recv_mod && recv.eval(x) == send.eval(x)
+        let x = self
+            .send_field
+            .reduce(u128::from(self.word(pattern, seed, slot)));
+        x < recv.modulus() && {
+            let (a, b) = send.eval_pair(recv, x);
+            a == b
+        }
     }
 
     /// Applies this check to every live trial, ANDing the probe verdict
-    /// into `ok` — the **lane-vectorised probe kernel**. Trials are laid
-    /// out in `u64×8` chunks: 8 probe words, one Barrett multiply-shift
-    /// reduction each (bit-identical to `%`), then both polynomials'
-    /// 8-lane Horner evaluations ([`EqEvaluator::eval_lanes`]). Plain
-    /// fixed-width scalar code throughout — no target-feature gates; the
-    /// lane layout's win is breaking the Horner dependency chain (and
-    /// letting the autovectoriser lift what it can).
+    /// into `ok` — the **probe kernel** of the one-round batched path.
+    /// Trials are laid out in chunks of [`PROBE_LANES`]: the probe words,
+    /// each reduced into the sender's field (bit-identical to `%`), then
+    /// both sides evaluated at every lane's point by one
+    /// [`EqEvaluator::eval_pair_lanes`] — one window table per lane and
+    /// `2·PROBE_LANES` interleaved Horner chains, plain scalar code with no
+    /// target-feature gates. The trials past the last whole chunk take the
+    /// single-point pair probe.
     ///
-    /// A chunk whose 8 trials are all dead is skipped entirely; a chunk
-    /// with any live trial evaluates all 8 lanes (dead lanes' verdicts
-    /// are discarded by the AND — probe streams are stateless pure
-    /// functions, so the extra evaluations can't shift anything another
-    /// trial observes, and only nudge the lazy-table probe counter,
-    /// which moves work but never values).
+    /// A chunk whose trials are all dead is skipped entirely; a chunk with
+    /// any live trial evaluates every lane (dead lanes' verdicts are
+    /// discarded by the AND — probe streams are stateless pure functions,
+    /// so the extra evaluations can't shift anything another trial
+    /// observes, and only nudge the lazy-table probe counter, which moves
+    /// work but never values).
     ///
-    /// Mismatched-field probes (`send_mod > recv_mod`, adversarial
-    /// labelings only) keep the scalar masked path: a point past the
-    /// receiver's field must reject *without* touching the receiver
-    /// polynomial.
+    /// Mismatched-field probes (sender prime above the receiver's,
+    /// adversarial labelings only) take the single-point probe throughout:
+    /// a point past the receiver's field must reject *without* touching
+    /// either polynomial.
     fn probe_trials(
         &self,
         pattern: MessagePattern,
@@ -742,39 +744,49 @@ impl EdgeCheck {
         let send = self.sender.evaluator();
         let recv = self.receiver.evaluator();
         let slot = self.slot_under(pattern, g);
-        if self.send_mod > self.recv_mod {
-            for (t, &seed) in seeds.iter().enumerate() {
-                if ok[t] {
-                    ok[t] = self.probe_one(pattern, slot, seed, &send, &recv);
-                }
-            }
-            return;
-        }
-        // send_mod ≤ recv_mod: every reduced point lies in both fields,
-        // so whole chunks evaluate unconditionally.
-        let field = Barrett::cached(self.send_mod);
         let mut t0 = 0usize;
-        while t0 + PROBE_LANES <= seeds.len() {
-            let live = &mut ok[t0..t0 + PROBE_LANES];
-            if live.iter().any(|&b| b) {
-                let mut xs = [0u64; PROBE_LANES];
-                for (l, x) in xs.iter_mut().enumerate() {
-                    *x = field.reduce(u128::from(self.word(pattern, seeds[t0 + l], slot)));
+        // Sender prime ≤ receiver prime: every reduced point lies in both
+        // fields, so whole chunks evaluate unconditionally.
+        if self.send_field.modulus() <= recv.modulus() {
+            while t0 + PROBE_LANES <= seeds.len() {
+                let live = &mut ok[t0..t0 + PROBE_LANES];
+                if live.contains(&true) {
+                    let xs: [u64; PROBE_LANES] = std::array::from_fn(|l| {
+                        let word = self.word(pattern, seeds[t0 + l], slot);
+                        self.send_field.reduce(u128::from(word))
+                    });
+                    let (sv, rv) = send.eval_pair_lanes(&recv, &xs);
+                    for (l, o) in live.iter_mut().enumerate() {
+                        *o = *o && sv[l] == rv[l];
+                    }
                 }
-                let sv = send.eval_lanes(&xs);
-                let rv = recv.eval_lanes(&xs);
-                for (l, o) in live.iter_mut().enumerate() {
-                    *o = *o && rv[l] == sv[l];
-                }
-            }
-            t0 += PROBE_LANES;
-        }
-        for (t, &seed) in seeds.iter().enumerate().skip(t0) {
-            if ok[t] {
-                let x = field.reduce(u128::from(self.word(pattern, seed, slot)));
-                ok[t] = recv.eval(x) == send.eval(x);
+                t0 += PROBE_LANES;
             }
         }
+        for (o, &seed) in ok[t0..].iter_mut().zip(&seeds[t0..]) {
+            if *o {
+                *o = self.probe_one(pattern, slot, seed, &send, &recv);
+            }
+        }
+    }
+}
+
+/// Trials per chunk of the probe kernel. On the 32-trial `scale` rows of
+/// `bench_engine` (2-vCPU x86-64 host) 8-lane chunks ran the sparse and
+/// power-law families ~1.7× faster than a one-trial-at-a-time pair loop,
+/// and the full clique ~1.1× faster: the sixteen independent chains fill
+/// the multiplier pipeline that two chains leave idle. Values do not
+/// depend on the lane count.
+const PROBE_LANES: usize = 8;
+
+/// A reducer lookup for plan builds: a labeling's checks almost all share
+/// one field, so the last reducer is reused before asking
+/// [`Barrett::cached`].
+fn field_memo() -> impl FnMut(u64) -> Barrett {
+    let mut last: Option<Barrett> = None;
+    move |modulus| match last {
+        Some(b) if b.modulus() == modulus => b,
+        _ => *last.insert(Barrett::cached(modulus)),
     }
 }
 
@@ -799,6 +811,7 @@ impl BatchPlan {
                 .map_or(0, |p| p.protocol().message_bits());
             dims.push((len, g.degree(NodeId::new(v))));
         }
+        let mut field_of = field_memo();
         let batch_nodes = nodes
             .iter()
             .enumerate()
@@ -838,10 +851,9 @@ impl BatchPlan {
                         continue;
                     }
                     checks.push(EdgeCheck {
-                        src_node: v as u64,
-                        src_port: p as u64,
-                        send_mod: send_prep.protocol().modulus(),
-                        recv_mod: rep.modulus,
+                        src_node: owner[src],
+                        src_port: u32::try_from(p).expect("port rank fits in u32"),
+                        send_field: field_of(send_prep.protocol().modulus()),
                         sender: Rc::clone(send_prep),
                         receiver: Rc::clone(recv_prep),
                     });
@@ -926,15 +938,15 @@ struct MultiEdgeCheck {
     /// 0-based round of this probe.
     round: usize,
     /// The sender's (node, port) keying the per-round random stream.
-    src_node: u64,
-    src_port: u64,
-    /// The sender's slice-protocol prime (the random point's field).
-    send_mod: u64,
-    /// The receiver's slice-protocol prime (points outside it reject).
-    recv_mod: u64,
+    src_node: u32,
+    src_port: u32,
+    /// The sender's slice-protocol field (the random point's field): its
+    /// reducer, built once with the plan.
+    send_field: Barrett,
     /// The sender's prepared fingerprint of its own slice `round`.
     sender: Rc<PreparedEq>,
-    /// The receiver's prepared fingerprint of the claimed copy's slice.
+    /// The receiver's prepared fingerprint of the claimed copy's slice;
+    /// its slice-protocol field bounds the points the probe accepts.
     receiver: Rc<PreparedEq>,
 }
 
@@ -1037,6 +1049,7 @@ impl MultiRoundPlan {
                 .expect("slice length is bounded by the slice capacity")
         };
 
+        let mut field_of = field_memo();
         let batch_nodes = prepared
             .nodes
             .iter()
@@ -1093,10 +1106,9 @@ impl MultiRoundPlan {
                         let receiver = prepare_slice(&proto_u, su);
                         checks.push(MultiEdgeCheck {
                             round: r,
-                            src_node: v as u64,
-                            src_port: p as u64,
-                            send_mod: sv.proto.modulus(),
-                            recv_mod: proto_u.modulus(),
+                            src_node: owner[src],
+                            src_port: u32::try_from(p).expect("port rank fits in u32"),
+                            send_field: field_of(sv.proto.modulus()),
                             sender,
                             receiver,
                         });
@@ -1489,6 +1501,7 @@ impl<S: Pls> PreparedCompiled<'_, S> {
                         let recv = c.receiver.evaluator();
                         let round1 = c.round + 1;
                         let slot = c.slot_under(pattern, g);
+                        let (src_node, src_port) = (u64::from(c.src_node), u64::from(c.src_port));
                         for (t, &seed) in seeds.iter().enumerate() {
                             if node_fail[t] <= round1 || reject_at[t] <= round1 {
                                 continue;
@@ -1498,16 +1511,16 @@ impl<S: Pls> PreparedCompiled<'_, S> {
                                 // Broadcast keys each round's single
                                 // message by the sender's per-round node
                                 // stream, whatever the stream mode.
-                                MessagePattern::Broadcast => node_stream_word(rseed, c.src_node, 0),
+                                MessagePattern::Broadcast => node_stream_word(rseed, src_node, 0),
                                 // k-messages keys each slot's message by
                                 // its slot-indexed edge stream,
                                 // mode-independently.
                                 MessagePattern::KMessages(_) => {
-                                    edge_stream_first_word(rseed, c.src_node, slot)
+                                    edge_stream_first_word(rseed, src_node, slot)
                                 }
                                 MessagePattern::PerPort | MessagePattern::Unicast => match mode {
                                     StreamMode::EdgeIndependent => {
-                                        edge_stream_first_word(rseed, c.src_node, c.src_port)
+                                        edge_stream_first_word(rseed, src_node, src_port)
                                     }
                                     // The shared-stream violation mode
                                     // draws one word per port from the
@@ -1515,12 +1528,15 @@ impl<S: Pls> PreparedCompiled<'_, S> {
                                     // rank p consumes word p (each slice
                                     // message costs exactly one word).
                                     StreamMode::SharedPerNode => {
-                                        node_stream_word(rseed, c.src_node, c.src_port)
+                                        node_stream_word(rseed, src_node, src_port)
                                     }
                                 },
                             };
-                            let x = word % c.send_mod;
-                            if !(x < c.recv_mod && recv.eval(x) == send.eval(x)) {
+                            let x = c.send_field.reduce(u128::from(word));
+                            if !(x < recv.modulus() && {
+                                let (a, b) = send.eval_pair(&recv, x);
+                                a == b
+                            }) {
                                 node_fail[t] = round1;
                             }
                         }

@@ -314,44 +314,30 @@ impl PreparedEq {
     /// `A(x)` at the raw residue `x`, which must be `< p`.
     #[must_use]
     pub fn eval(&self, x: u64) -> u64 {
+        match self.table_after(1) {
+            Some(t) => t[x as usize],
+            None => self.poly.eval_raw(x),
+        }
+    }
+
+    /// The evaluation table if it exists or `probes` more evaluations
+    /// build it; `None` when Horner must serve them. The probes count
+    /// toward the lazy threshold only while the table is missing.
+    fn table_after(&self, probes: u64) -> Option<&[u64]> {
         if let Some(t) = self.table.get() {
-            return t[x as usize];
+            return Some(t);
         }
         if self.table_allowed.get() {
-            let seen = self.probes.get() + 1;
+            let seen = self.probes.get() + probes;
             self.probes.set(seen);
             // Build once probes reach p/4: at most p/4 Horner evaluations
             // are "wasted" before the p-evaluation build, keeping total
             // work within 2× of the best clairvoyant choice.
             if seen.saturating_mul(4) >= self.proto.modulus {
-                return self.table.get_or_init(|| self.poly.evaluation_table())[x as usize];
+                return Some(self.table.get_or_init(|| self.poly.evaluation_table()));
             }
         }
-        self.poly.eval_raw(x)
-    }
-
-    /// `[A(xs[0]), …, A(xs[L−1])]` for raw residues `xs[l] < p`, values
-    /// bit-identical to `L` calls of [`PreparedEq::eval`].
-    ///
-    /// One chunk counts as `L` probes toward the lazy table (the batched
-    /// engine probes in `u64×8` lanes, so per-probe counting would cost a
-    /// `Cell` round-trip per lane for the same materialisation decision).
-    /// Before the table exists the chunk is served by the lane Horner
-    /// kernel ([`BitPolynomial::eval_raw_lanes`]); after, by `L` gathers.
-    #[must_use]
-    pub fn eval_lanes<const L: usize>(&self, xs: &[u64; L]) -> [u64; L] {
-        if let Some(t) = self.table.get() {
-            return xs.map(|x| t[x as usize]);
-        }
-        if self.table_allowed.get() {
-            let seen = self.probes.get() + L as u64;
-            self.probes.set(seen);
-            if seen.saturating_mul(4) >= self.proto.modulus {
-                let t = self.table.get_or_init(|| self.poly.evaluation_table());
-                return xs.map(|x| t[x as usize]);
-            }
-        }
-        self.poly.eval_raw_lanes(xs)
+        None
     }
 
     /// A borrowed evaluation view with the table dispatch resolved once
@@ -398,7 +384,7 @@ pub struct EqEvaluator<'a> {
     prep: &'a PreparedEq,
 }
 
-impl EqEvaluator<'_> {
+impl<'a> EqEvaluator<'a> {
     /// `A(x)` at the raw residue `x`, which must be `< p`.
     #[inline]
     #[must_use]
@@ -411,16 +397,49 @@ impl EqEvaluator<'_> {
         }
     }
 
-    /// `[A(xs[0]), …, A(xs[L−1])]` for raw residues `xs[l] < p`, values
-    /// bit-identical to `L` calls of [`EqEvaluator::eval`] (see
-    /// [`PreparedEq::eval_lanes`]).
+    /// `(A(x), B(x))` for this view's polynomial `A` and `other`'s `B` at
+    /// one shared raw residue `x` (reduced in both fields) — one equality
+    /// probe. Values and lazy-table behaviour are exactly those of
+    /// `self.eval(x)` followed by `other.eval(x)`: each side serves from
+    /// its own table once that is built, and each side's probe counter
+    /// advances as it would under two calls (twice, when both views share
+    /// one preparation). When neither side has a table, both are
+    /// evaluated by [`BitPolynomial::eval_raw_pair`] — one window table,
+    /// two interleaved Horner chains, each from its own coefficients.
     #[inline]
     #[must_use]
-    pub fn eval_lanes<const L: usize>(&self, xs: &[u64; L]) -> [u64; L] {
-        match self.table {
-            Some(t) => xs.map(|x| t[x as usize]),
-            None => self.prep.eval_lanes(xs),
+    pub fn eval_pair(&self, other: &EqEvaluator<'_>, x: u64) -> (u64, u64) {
+        let ([a], [b]) = self.eval_pair_lanes(other, &[x]);
+        (a, b)
+    }
+
+    /// [`EqEvaluator::eval_pair`] at `L` points at once, values
+    /// bit-identical to `L` pair calls. One chunk counts as `L` probes per
+    /// side toward the lazy tables (the batched engine probes in chunks of
+    /// 8, so per-probe counting would cost a `Cell` round-trip per lane for
+    /// the same materialisation decision). Sides without a table are
+    /// served by [`BitPolynomial::eval_raw_pair_lanes`].
+    #[inline]
+    #[must_use]
+    pub fn eval_pair_lanes<const L: usize>(
+        &self,
+        other: &EqEvaluator<'_>,
+        xs: &[u64; L],
+    ) -> ([u64; L], [u64; L]) {
+        let gather = |t: &[u64]| xs.map(|x| t[x as usize]);
+        match (self.table_after(L), other.table_after(L)) {
+            (Some(a), Some(b)) => (gather(a), gather(b)),
+            (Some(a), None) => (gather(a), xs.map(|x| other.prep.poly.eval_raw(x))),
+            (None, Some(b)) => (xs.map(|x| self.prep.poly.eval_raw(x)), gather(b)),
+            (None, None) => self.prep.poly.eval_raw_pair_lanes(&other.prep.poly, xs),
         }
+    }
+
+    /// The table serving the next `probes` evaluations, if any (see
+    /// [`PreparedEq::eval`]).
+    #[inline]
+    fn table_after(&self, probes: usize) -> Option<&'a [u64]> {
+        self.table.or_else(|| self.prep.table_after(probes as u64))
     }
 
     /// The field prime of the underlying protocol.
@@ -490,21 +509,25 @@ mod tests {
         let lambda = 48usize;
         let proto = EqProtocol::for_length(lambda);
         let input = random_bits(lambda, &mut rng);
+        let other = random_bits(lambda, &mut rng);
         // One preparation probed scalar, one laned, one table-free: all
         // three must agree at every point even as the allowed ones cross
         // their lazy-table threshold mid-sweep.
         let scalar = proto.prepare(&input, usize::MAX).unwrap();
         let laned = proto.prepare(&input, usize::MAX).unwrap();
         let bare = proto.prepare(&input, 1).unwrap();
+        let partner = proto.prepare(&other, 1).unwrap();
         assert!(scalar.table_allowed() && !bare.table_allowed());
         let p = proto.modulus();
         let mut x = 0u64;
         while x < p {
             let xs: [u64; 8] = std::array::from_fn(|l| (x + l as u64) % p);
-            let lanes = laned.evaluator().eval_lanes(&xs);
+            let (lanes, partner_lanes) =
+                laned.evaluator().eval_pair_lanes(&partner.evaluator(), &xs);
             for (l, &xl) in xs.iter().enumerate() {
                 assert_eq!(lanes[l], scalar.eval(xl), "x = {xl}");
                 assert_eq!(lanes[l], bare.eval(xl), "x = {xl}");
+                assert_eq!(partner_lanes[l], partner.eval(xl), "x = {xl}");
             }
             x += 8;
         }
@@ -621,6 +644,34 @@ mod tests {
             );
         }
         assert!(lazy.has_table());
+
+        // Pair evaluation flips `has_table` at exactly the probe two
+        // `eval` calls would: on separate preparations, and on one
+        // preparation probed as both sides (its counter moves twice).
+        let b = random_bits(61, &mut rng);
+        let (pair_a, pair_b) = (
+            proto.prepare(&a, usize::MAX).unwrap(),
+            proto.prepare(&b, usize::MAX).unwrap(),
+        );
+        let (solo_a, solo_b) = (
+            proto.prepare(&a, usize::MAX).unwrap(),
+            proto.prepare(&b, usize::MAX).unwrap(),
+        );
+        let (shared_pair, shared_solo) = (
+            proto.prepare(&a, usize::MAX).unwrap(),
+            proto.prepare(&a, usize::MAX).unwrap(),
+        );
+        for x in (0..p).cycle().take(p as usize) {
+            let pair = pair_a.evaluator().eval_pair(&pair_b.evaluator(), x);
+            assert_eq!(pair, (solo_a.eval(x), solo_b.eval(x)), "x = {x}");
+            assert_eq!(pair_a.has_table(), solo_a.has_table(), "x = {x}");
+            assert_eq!(pair_b.has_table(), solo_b.has_table(), "x = {x}");
+            let ev = shared_pair.evaluator();
+            let pair = ev.eval_pair(&ev, x);
+            assert_eq!(pair, (shared_solo.eval(x), shared_solo.eval(x)));
+            assert_eq!(shared_pair.has_table(), shared_solo.has_table());
+        }
+        assert!(pair_a.has_table() && pair_b.has_table() && shared_pair.has_table());
     }
 
     #[test]

@@ -5,13 +5,21 @@
 //! modulus alongside the value; mixing elements of different fields is a
 //! programming error and panics.
 //!
-//! Multiplication is the hottest instruction of the whole verification
-//! engine (one per Horner step of every fingerprint probe), so reduction is
-//! done by [`Barrett`]'s multiply-shift instead of a generic `u128 %`
-//! division: the per-modulus constant `⌊2¹²⁸ / p⌋` is computed once (and
-//! memoised per thread), after which a reduction is four 64-bit multiplies
-//! and one conditional subtract — bit-identical to the division it
-//! replaces.
+//! Two reducers replace the generic `u128 %` division, both bit-identical
+//! to it:
+//!
+//! * [`Barrett`] covers every modulus below `2⁶³` with the factor
+//!   `⌊2¹²⁸ / p⌋` — four 64-bit multiplies and one conditional subtract
+//!   per reduction. [`Fp`] arithmetic and the wide fields of adversarially
+//!   declared lengths run on it.
+//! * The one-word reducer covers `p < 2³²`, where a Horner step
+//!   `acc·y + c` fits in one `u64`: one product and a 64-bit Barrett
+//!   reduction by `⌊2⁶⁴ / p⌋`. Every protocol prime for λ below ~7·10⁸
+//!   lies in this range, so it carries the fingerprint probes of the
+//!   verification engine (see [`crate::poly`]).
+//!
+//! Either factor is computed once per modulus; [`Barrett::cached`]
+//! memoises the wide one per thread.
 
 use crate::prime::is_prime_cached;
 use rand::Rng;
@@ -20,7 +28,12 @@ use std::ops::{Add, Mul, Neg, Sub};
 
 /// Barrett reduction state for one modulus `m` with `2 ≤ m < 2⁶³`: the
 /// precomputed factor `⌊2¹²⁸ / m⌋` turns every `x mod m` of a product
-/// `x < 2¹²⁶` into two multiplications and one conditional subtraction.
+/// `x < 2¹²⁶` into multiplications and one conditional subtraction.
+///
+/// This is the general-purpose reducer: field elements ([`Fp`]) and
+/// polynomial evaluation over moduli of `2³²` and above use it. Smaller
+/// fields — every honest protocol prime — evaluate fingerprints with a
+/// cheaper one-word reduction instead (see [`crate::poly`]).
 ///
 /// Results are **exactly** `x mod m` — the quotient estimate
 /// `q = ⌊x·factor / 2¹²⁸⌋` is provably within 1 of `⌊x / m⌋`, so a single
@@ -40,8 +53,10 @@ use std::ops::{Add, Mul, Neg, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Barrett {
     modulus: u64,
-    /// `⌊2¹²⁸ / modulus⌋`. Fits in a `u128` for every modulus ≥ 2.
-    factor: u128,
+    /// `⌊2¹²⁸ / modulus⌋` (which fits in a `u128` for every modulus ≥ 2)
+    /// as high and low words: 8-byte alignment keeps the state at 24
+    /// bytes inside the per-edge probe checks that store it.
+    factor: [u64; 2],
 }
 
 /// High 128 bits of the 256-bit product `a · b`, via 64-bit limbs.
@@ -79,7 +94,10 @@ impl Barrett {
         let m = u128::from(modulus);
         // 2¹²⁸ = u128::MAX + 1, so ⌊2¹²⁸/m⌋ = ⌊u128::MAX/m⌋ + [m | 2¹²⁸].
         let factor = u128::MAX / m + u128::from(u128::MAX % m == m - 1);
-        Self { modulus, factor }
+        Self {
+            modulus,
+            factor: [(factor >> 64) as u64, factor as u64],
+        }
     }
 
     /// Like [`Barrett::new`] but memoising the most recent moduli per
@@ -89,17 +107,19 @@ impl Barrett {
     pub fn cached(modulus: u64) -> Self {
         use std::cell::Cell;
         thread_local! {
-            // A valid factor is never 0, so empty slots cannot match.
-            static RECENT: Cell<[(u64, u128); 8]> = const { Cell::new([(0, 0); 8]) };
+            // A valid modulus is never 0, so empty slots cannot match.
+            static RECENT: Cell<[Barrett; 8]> = const {
+                Cell::new([Barrett { modulus: 0, factor: [0; 2] }; 8])
+            };
         }
         RECENT.with(|recent| {
             let mut known = recent.get();
-            if let Some(&(m, factor)) = known.iter().find(|&&(m, f)| f != 0 && m == modulus) {
-                return Self { modulus: m, factor };
+            if let Some(&b) = known.iter().find(|b| b.modulus == modulus) {
+                return b;
             }
             let fresh = Self::new(modulus);
             known.rotate_right(1);
-            known[0] = (fresh.modulus, fresh.factor);
+            known[0] = fresh;
             recent.set(known);
             fresh
         })
@@ -115,7 +135,8 @@ impl Barrett {
     #[inline]
     #[must_use]
     pub fn reduce(self, x: u128) -> u64 {
-        let q = mul_hi(x, self.factor);
+        let factor = (u128::from(self.factor[0]) << 64) | u128::from(self.factor[1]);
+        let q = mul_hi(x, factor);
         // q ∈ {⌊x/m⌋ − 1, ⌊x/m⌋}, so the remainder estimate is in [0, 2m).
         let mut r = x - q * u128::from(self.modulus);
         if r >= u128::from(self.modulus) {
@@ -146,6 +167,89 @@ impl Barrett {
             exp >>= 1;
         }
         acc
+    }
+}
+
+/// The multiply-add step of polynomial evaluation over one field: the
+/// windowed Horner core in [`crate::poly`] is generic over it, so the
+/// one-word and the wide reducer run the same loop.
+pub(crate) trait Reducer: Copy {
+    /// The modulus `p`.
+    fn modulus(self) -> u64;
+
+    /// `(a·b + c) mod p` for residues `a, b, c < p`.
+    fn mul_add(self, a: u64, b: u64, c: u64) -> u64;
+
+    /// `(a + b) mod p` for residues `a, b < p` (`p < 2⁶³`, so the sum
+    /// cannot overflow).
+    #[inline]
+    fn add(self, a: u64, b: u64) -> u64 {
+        let s = a + b;
+        if s >= self.modulus() {
+            s - self.modulus()
+        } else {
+            s
+        }
+    }
+}
+
+impl Reducer for Barrett {
+    #[inline]
+    fn modulus(self) -> u64 {
+        self.modulus
+    }
+
+    #[inline]
+    fn mul_add(self, a: u64, b: u64, c: u64) -> u64 {
+        self.reduce(u128::from(a) * u128::from(b) + u128::from(c))
+    }
+}
+
+/// One-word Barrett reduction for a modulus `2 ≤ p < 2³²`: with every
+/// operand below `p`, `a·b + c ≤ p(p − 1) < 2⁶⁴`, so a Horner step is one
+/// `u64` product and a reduction by the factor `⌊2⁶⁴ / p⌋` — the high word
+/// of one 64×64 multiply, then at most one conditional subtract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct NarrowBarrett {
+    modulus: u64,
+    /// `⌊2⁶⁴ / modulus⌋`.
+    factor: u64,
+}
+
+impl NarrowBarrett {
+    /// The reducer for `modulus`, or `None` unless `2 ≤ modulus < 2³²`
+    /// (wider moduli overflow one-word products).
+    pub(crate) fn new(modulus: u64) -> Option<Self> {
+        if !(2..1 << 32).contains(&modulus) {
+            return None;
+        }
+        // 2⁶⁴ = u64::MAX + 1, so ⌊2⁶⁴/m⌋ = ⌊u64::MAX/m⌋ + [m | 2⁶⁴].
+        let factor = u64::MAX / modulus + u64::from(u64::MAX % modulus == modulus - 1);
+        Some(Self { modulus, factor })
+    }
+}
+
+impl Reducer for NarrowBarrett {
+    #[inline]
+    fn modulus(self) -> u64 {
+        self.modulus
+    }
+
+    #[inline]
+    fn mul_add(self, a: u64, b: u64, c: u64) -> u64 {
+        // Plain (overflow-checked in checked builds) arithmetic: an
+        // operand at or above 2³² would push the product past 2⁶⁴.
+        let z = a * b + c;
+        // q ∈ {⌊z/p⌋ − 1, ⌊z/p⌋}, so the remainder estimate is in [0, 2p).
+        let q = ((u128::from(z) * u128::from(self.factor)) >> 64) as u64;
+        let r = z - q * self.modulus;
+        let r = if r >= self.modulus {
+            r - self.modulus
+        } else {
+            r
+        };
+        debug_assert_eq!(r, z % self.modulus);
+        r
     }
 }
 
@@ -464,6 +568,30 @@ mod tests {
             assert_eq!(again, b);
             assert_eq!(again.mul_mod(5, 7), 35 % again.modulus());
         }
+    }
+
+    #[test]
+    fn narrow_barrett_matches_naive_multiply_add_up_to_its_bound() {
+        // Includes the power-of-two prime 2 (the ⌊2⁶⁴/m⌋ rounding edge
+        // case) and the largest modulus below 2³², where the extreme step
+        // (p−1)² + (p−1) = p(p−1) sits just under 2⁶⁴.
+        for m in [2u64, 3, 97, (1 << 20) - 3, 4_294_967_291, (1 << 32) - 1] {
+            let r = NarrowBarrett::new(m).expect("below the one-word bound");
+            assert_eq!(Reducer::modulus(r), m);
+            let edge = [0, 1, 2 % m, m / 2, m - 2 % m, m - 1];
+            for &a in &edge {
+                for &b in &edge {
+                    for &c in &edge {
+                        let want = ((u128::from(a) * u128::from(b) + u128::from(c)) % u128::from(m))
+                            as u64;
+                        assert_eq!(r.mul_add(a, b, c), want, "a={a} b={b} c={c} m={m}");
+                        assert_eq!(Barrett::new(m).mul_add(a, b, c), want);
+                    }
+                }
+            }
+        }
+        assert_eq!(NarrowBarrett::new(1 << 32), None);
+        assert_eq!(NarrowBarrett::new(1), None);
     }
 
     #[test]

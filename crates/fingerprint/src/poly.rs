@@ -4,8 +4,26 @@
 //! `A(x) = a₀ + a₁x + … + a_{λ−1}x^{λ−1} mod p`. Two distinct strings give
 //! distinct polynomials of degree `< λ`, which agree on at most `λ − 1`
 //! points of the field — the entire soundness of the protocol.
+//!
+//! # Evaluation
+//!
+//! Every evaluation runs one **windowed Horner core**. Grouping the
+//! coefficients in 4-bit windows, `A(x) = Σ_w W_w(x)·y^w` with `y = x⁴`
+//! and `W_w(x) = a_{4w} + a_{4w+1}x + a_{4w+2}x² + a_{4w+3}x³`. Per point
+//! the core builds the 16-entry table `T[c] = W_c(x)` of every window
+//! value (3 multiplies, 11 additions), then runs Horner in `y`: one
+//! multiply-add per window, `⌈λ/4⌉` in all. The windows are the raw
+//! nibbles of the string's backing bytes — bits are stored MSB-first, so
+//! a nibble's top bit is its window's constant coefficient and the table
+//! is indexed by the nibble as stored; only the final partial window is
+//! masked.
+//!
+//! The reducer is chosen once per polynomial: a modulus below `2³²` (every
+//! protocol prime for λ below ~7·10⁸) reduces each step in one word; wider
+//! moduli — adversarially declared lengths, field-size ablations — run the
+//! same loop on [`crate::field::Barrett`].
 
-use crate::field::Fp;
+use crate::field::{Barrett, Fp, NarrowBarrett, Reducer};
 use rpls_bits::BitString;
 
 /// A polynomial over `GF(p)` whose coefficients are the bits of a string
@@ -25,11 +43,125 @@ use rpls_bits::BitString;
 pub struct BitPolynomial {
     /// Bit coefficients, index = degree.
     coeffs: BitString,
-    /// Barrett reduction state for the field modulus, precomputed once at
-    /// construction so every Horner step is a multiply-shift, not a
-    /// division. (The factor is a pure function of the modulus, so the
-    /// derived equality stays equality-of-moduli.)
-    field: crate::field::Barrett,
+    /// The field's reducer, chosen once at construction. (It is a pure
+    /// function of the modulus, so the derived equality stays
+    /// equality-of-moduli.)
+    field: Field,
+}
+
+/// The reducer a polynomial evaluates with (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Field {
+    /// `p < 2³²`: one-word multiply-adds.
+    Narrow(NarrowBarrett),
+    /// `2³² ≤ p < 2⁶³`: 128-bit products.
+    Wide(Barrett),
+}
+
+/// The window table `T[c]` for the point `x` together with the Horner
+/// step `y = x⁴`. Nibble bit 3 is the window's `x⁰` coefficient, so
+/// `T[8] = 1`, `T[4] = x`, `T[2] = x²`, `T[1] = x³`, and every other entry
+/// is the sum of two entries already built.
+#[inline]
+fn window_table<R: Reducer>(r: R, x: u64) -> ([u64; 16], u64) {
+    let x2 = r.mul_add(x, x, 0);
+    let x3 = r.mul_add(x2, x, 0);
+    let y = r.mul_add(x2, x2, 0);
+    let mut t = [0u64; 16];
+    t[8] = 1;
+    t[4] = x;
+    t[2] = x2;
+    t[1] = x3;
+    for c in 3..16usize {
+        if !c.is_power_of_two() {
+            // Split off the lowest set bit: both parts are smaller.
+            t[c] = r.add(t[c & (c - 1)], t[c & c.wrapping_neg()]);
+        }
+    }
+    (t, y)
+}
+
+/// The Horner accumulator after the windows above the string's whole
+/// coefficient bytes, and those whole bytes (windows `0..2k`). The top
+/// window is masked to the coefficients below `len`, so padding bits are
+/// never trusted.
+#[inline]
+fn horner_head<'a, R: Reducer>(
+    r: R,
+    coeffs: &'a BitString,
+    t: &[u64; 16],
+    y: u64,
+) -> (u64, &'a [u8]) {
+    let len = coeffs.len();
+    let Some(top) = len.div_ceil(4).checked_sub(1) else {
+        return (0, &[]);
+    };
+    let bytes = coeffs.as_bytes();
+    let byte = bytes[top / 2];
+    let valid = len - 4 * top; // coefficients in the top window, 1..=4
+    let mask = (0x0Fu8 << (4 - valid)) & 0x0F;
+    let mut acc;
+    if top % 2 == 0 {
+        // The top window is the high nibble of its byte.
+        acc = t[usize::from((byte >> 4) & mask)];
+    } else {
+        // The low nibble, then the same byte's high nibble below it.
+        acc = t[usize::from(byte & mask)];
+        acc = r.mul_add(acc, y, t[usize::from(byte >> 4)]);
+    }
+    (acc, &bytes[..top / 2])
+}
+
+/// Continues Horner from `acc` down through whole coefficient bytes (the
+/// low nibble of a byte holds the higher-degree window).
+#[inline]
+fn horner_bytes<R: Reducer>(r: R, mut acc: u64, bytes: &[u8], t: &[u64; 16], y: u64) -> u64 {
+    for &b in bytes.iter().rev() {
+        acc = r.mul_add(acc, y, t[usize::from(b & 0x0F)]);
+        acc = r.mul_add(acc, y, t[usize::from(b >> 4)]);
+    }
+    acc
+}
+
+/// `A(x)` by the windowed core.
+fn eval_windowed<R: Reducer>(r: R, coeffs: &BitString, x: u64) -> u64 {
+    let (t, y) = window_table(r, x);
+    let (acc, bytes) = horner_head(r, coeffs, &t, y);
+    horner_bytes(r, acc, bytes, &t, y)
+}
+
+/// `(A(x_l), B(x_l))` for every lane `l`: one window table per lane, and
+/// the `2L` Horner chains interleaved once all have started, so each
+/// chain's multiply latency hides behind the others'.
+fn eval_pair_windowed<R: Reducer, const L: usize>(
+    r: R,
+    a: &BitString,
+    b: &BitString,
+    xs: &[u64; L],
+) -> ([u64; L], [u64; L]) {
+    let tables = xs.map(|x| window_table(r, x));
+    let (mut acc_a, mut acc_b) = ([0u64; L], [0u64; L]);
+    let (mut rest_a, mut rest_b): (&[u8], &[u8]) = (&[], &[]);
+    for (l, (t, y)) in tables.iter().enumerate() {
+        (acc_a[l], rest_a) = horner_head(r, a, t, *y);
+        (acc_b[l], rest_b) = horner_head(r, b, t, *y);
+    }
+    // The longer string's chains run alone until both have the same
+    // bytes left.
+    let k = rest_a.len().min(rest_b.len());
+    for (l, (t, y)) in tables.iter().enumerate() {
+        acc_a[l] = horner_bytes(r, acc_a[l], &rest_a[k..], t, *y);
+        acc_b[l] = horner_bytes(r, acc_b[l], &rest_b[k..], t, *y);
+    }
+    for (&ba, &bb) in rest_a[..k].iter().zip(&rest_b[..k]).rev() {
+        for (ca, cb) in [(ba & 0x0F, bb & 0x0F), (ba >> 4, bb >> 4)] {
+            for (l, (t, y)) in tables.iter().enumerate() {
+                acc_a[l] = r.mul_add(acc_a[l], *y, t[usize::from(ca)]);
+                acc_b[l] = r.mul_add(acc_b[l], *y, t[usize::from(cb)]);
+            }
+        }
+    }
+    (acc_a, acc_b)
 }
 
 impl BitPolynomial {
@@ -46,9 +178,13 @@ impl BitPolynomial {
             crate::prime::is_prime_cached(modulus),
             "modulus {modulus} must be prime"
         );
+        let field = match NarrowBarrett::new(modulus) {
+            Some(narrow) => Field::Narrow(narrow),
+            None => Field::Wide(Barrett::cached(modulus)),
+        };
         Self {
             coeffs: bits.clone(),
-            field: crate::field::Barrett::cached(modulus),
+            field,
         }
     }
 
@@ -61,10 +197,14 @@ impl BitPolynomial {
     /// The field modulus.
     #[must_use]
     pub fn modulus(&self) -> u64 {
-        self.field.modulus()
+        match self.field {
+            Field::Narrow(r) => r.modulus(),
+            Field::Wide(r) => r.modulus(),
+        }
     }
 
-    /// Evaluates the polynomial at `x` by Horner's rule.
+    /// Evaluates the polynomial at `x` (see the module docs for the
+    /// algorithm).
     ///
     /// # Panics
     ///
@@ -87,64 +227,62 @@ impl BitPolynomial {
     #[must_use]
     pub fn eval_raw(&self, x: u64) -> u64 {
         debug_assert!(x < self.modulus(), "evaluation point not reduced");
-        // Horner from the highest coefficient down, in raw residue
-        // arithmetic: one Barrett multiply-shift per coefficient, no
-        // per-step element construction and no division.
-        let p = self.field.modulus();
-        let mut acc: u64 = 0;
-        for i in (0..self.coeffs.len()).rev() {
-            acc = self.field.mul_mod(acc, x);
-            if self.coeffs.bit(i).expect("index in range") {
-                acc += 1;
-                if acc == p {
-                    acc = 0;
-                }
-            }
+        match self.field {
+            Field::Narrow(r) => eval_windowed(r, &self.coeffs, x),
+            Field::Wide(r) => eval_windowed(r, &self.coeffs, x),
         }
-        acc
     }
 
-    /// Evaluates the polynomial at `L` points at once, Horner from the
-    /// highest coefficient down across all lanes per step.
+    /// `(self(x), other(x))` at one raw residue `x` — the two sides of an
+    /// equality-protocol probe. Over a shared field both values come from
+    /// one window table and two interleaved Horner chains; each value is
+    /// still computed in full from its own coefficients (the strings may
+    /// differ in length). Values are bit-identical to two
+    /// [`BitPolynomial::eval_raw`] calls, which is also how polynomials
+    /// over different fields are served.
     ///
-    /// Values are bit-identical to `L` calls of [`BitPolynomial::eval_raw`]
-    /// — the point of the lane layout is purely mechanical: the scalar
-    /// Horner loop is one long multiply-reduce dependency chain, so the
-    /// core sits idle waiting on each step; interleaving `L` independent
-    /// chains keeps the multiplier busy and hands the compiler a fixed-
-    /// width inner loop it can unroll or lift to vector registers
-    /// (portable scalar code, no target-feature gates). The batched trial
-    /// engine probes in `u64×8` chunks through this path.
-    ///
-    /// Every lane must already be reduced (`xs[l] < p`).
+    /// `x` must be reduced in both fields.
     #[must_use]
-    pub fn eval_raw_lanes<const L: usize>(&self, xs: &[u64; L]) -> [u64; L] {
+    pub fn eval_raw_pair(&self, other: &Self, x: u64) -> (u64, u64) {
+        let ([a], [b]) = self.eval_raw_pair_lanes(other, &[x]);
+        (a, b)
+    }
+
+    /// [`BitPolynomial::eval_raw_pair`] at `L` points at once: `L` window
+    /// tables and `2L` interleaved Horner chains. Values are bit-identical
+    /// to `L` pair calls; the lane layout only keeps the multiplier busy
+    /// while each chain waits on its previous step (portable scalar code,
+    /// no target-feature gates). The batched trial engine probes in
+    /// chunks of 8 lanes through this path.
+    ///
+    /// Every lane must be reduced in both fields.
+    #[must_use]
+    pub fn eval_raw_pair_lanes<const L: usize>(
+        &self,
+        other: &Self,
+        xs: &[u64; L],
+    ) -> ([u64; L], [u64; L]) {
         debug_assert!(
-            xs.iter().all(|&x| x < self.modulus()),
+            xs.iter()
+                .all(|&x| x < self.modulus() && x < other.modulus()),
             "evaluation points not reduced"
         );
-        let p = self.field.modulus();
-        let mut acc = [0u64; L];
-        for i in (0..self.coeffs.len()).rev() {
-            let bit = self.coeffs.bit(i).expect("index in range");
-            for l in 0..L {
-                acc[l] = self.field.mul_mod(acc[l], xs[l]);
-                if bit {
-                    acc[l] += 1;
-                    if acc[l] == p {
-                        acc[l] = 0;
-                    }
-                }
+        match (self.field, other.field) {
+            (Field::Narrow(r), Field::Narrow(s)) if r == s => {
+                eval_pair_windowed(r, &self.coeffs, &other.coeffs, xs)
             }
+            (Field::Wide(r), Field::Wide(s)) if r == s => {
+                eval_pair_windowed(r, &self.coeffs, &other.coeffs, xs)
+            }
+            _ => (xs.map(|x| self.eval_raw(x)), xs.map(|x| other.eval_raw(x))),
         }
-        acc
     }
 
     /// The full evaluation table `[A(0), A(1), …, A(p−1)]`.
     ///
-    /// Costs `p` Horner evaluations up front; afterwards each evaluation is
-    /// one array index. Worth it exactly when one polynomial will be
-    /// evaluated at least ~`p` times — the Monte-Carlo regime the prepared
+    /// Costs `p` evaluations up front; afterwards each evaluation is one
+    /// array index. Worth it exactly when one polynomial will be evaluated
+    /// at least ~`p` times — the Monte-Carlo regime the prepared
     /// prover/verifier layer in `rpls-core` lives in. The caller is
     /// responsible for bounding `p` (an adversarially declared input length
     /// can push the protocol prime into the billions).
@@ -190,29 +328,80 @@ mod tests {
         }
     }
 
+    /// `Σ_{i: bit i set} x^i mod p`, straight from the definition.
+    fn naive(b: &BitString, x: u64, p: u64) -> u64 {
+        b.iter()
+            .enumerate()
+            .filter(|&(_, bit)| bit)
+            .fold(0, |acc, (i, _)| {
+                (acc + crate::prime::pow_mod(x, i as u64, p)) % p
+            })
+    }
+
+    #[test]
+    fn windowed_core_matches_naive_at_every_length_and_reducer() {
+        // Every top-window shape (len mod 8 = 0..7) over a one-word prime,
+        // the largest one-word prime, the smallest wide one, and a 62-bit
+        // prime.
+        let pattern = "1101001011101000100101110110100101110100110";
+        for p in [2, 101, 4_294_967_291, 4_294_967_311, (1 << 61) - 1] {
+            for len in 0..=pattern.len() {
+                let b = bits(&pattern[..len]);
+                let poly = BitPolynomial::from_bits(&b, p);
+                for x in [0, 1, 2 % p, p / 3, p - 1] {
+                    assert_eq!(poly.eval_raw(x), naive(&b, x, p), "p={p} len={len} x={x}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn lane_evaluation_is_bit_identical_to_scalar() {
         let p = protocol_prime(40);
-        let poly = BitPolynomial::from_bits(&bits("1101001011101000100101110110100101110100"), p);
+        let a = BitPolynomial::from_bits(&bits("1101001011101000100101110110100101110100"), p);
+        let b = BitPolynomial::from_bits(&bits("0110100101110"), p);
         // Sweep misaligned windows so every lane position sees many points.
         for start in 0..32u64 {
             let xs: [u64; 8] = std::array::from_fn(|l| (start + 7 * l as u64) % p);
-            let lanes = poly.eval_raw_lanes(&xs);
+            let (la, lb) = a.eval_raw_pair_lanes(&b, &xs);
             for (l, &x) in xs.iter().enumerate() {
-                assert_eq!(lanes[l], poly.eval_raw(x), "lane {l}, x = {x}");
+                assert_eq!(
+                    (la[l], lb[l]),
+                    (a.eval_raw(x), b.eval_raw(x)),
+                    "lane {l}, x = {x}"
+                );
             }
         }
         // Narrow lane widths share the same code path.
         let xs4: [u64; 4] = [0, 1, p - 1, p / 2];
         assert_eq!(
-            poly.eval_raw_lanes(&xs4),
-            [
-                poly.eval_raw(0),
-                poly.eval_raw(1),
-                poly.eval_raw(p - 1),
-                poly.eval_raw(p / 2)
-            ]
+            a.eval_raw_pair_lanes(&b, &xs4).0,
+            xs4.map(|x| a.eval_raw(x))
         );
+        assert_eq!(
+            a.eval_raw_pair_lanes(&b, &xs4).1,
+            xs4.map(|x| b.eval_raw(x))
+        );
+    }
+
+    #[test]
+    fn pair_evaluation_is_bit_identical_to_scalar() {
+        let p = protocol_prime(40);
+        let a = BitPolynomial::from_bits(&bits("1101001011101000100101110110100101110100"), p);
+        let b = BitPolynomial::from_bits(&bits("10010111011010010111"), p);
+        let empty = BitPolynomial::from_bits(&BitString::new(), p);
+        for x in 0..p {
+            let both = (a.eval_raw(x), b.eval_raw(x));
+            assert_eq!(a.eval_raw_pair(&b, x), both, "x = {x}");
+            assert_eq!(b.eval_raw_pair(&a, x), (both.1, both.0), "x = {x}");
+            assert_eq!(a.eval_raw_pair(&empty, x), (both.0, 0), "x = {x}");
+        }
+        // Different fields: each side in its own.
+        let q = crate::prime::next_prime(p + 1);
+        let c = BitPolynomial::from_bits(&bits("110101"), q);
+        for x in 0..p {
+            assert_eq!(a.eval_raw_pair(&c, x), (a.eval_raw(x), c.eval_raw(x)));
+        }
     }
 
     #[test]

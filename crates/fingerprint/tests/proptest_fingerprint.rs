@@ -7,6 +7,37 @@ use rpls_bits::BitString;
 use rpls_fingerprint::prime::{is_prime, next_prime, protocol_prime};
 use rpls_fingerprint::{Barrett, BitPolynomial, EqProtocol, Fp};
 
+/// `Σ_{i: bit i set} x^i mod p`, straight from the definition — the oracle
+/// the windowed evaluation core is held to.
+fn naive_eval(bits: &BitString, x: u64, p: u64) -> u64 {
+    bits.iter()
+        .enumerate()
+        .filter(|&(_, bit)| bit)
+        .fold(0u64, |acc, (i, _)| {
+            let term = rpls_fingerprint::prime::pow_mod(x, i as u64, p);
+            ((u128::from(acc) + u128::from(term)) % u128::from(p)) as u64
+        })
+}
+
+fn random_string(len: usize, seed: u64) -> BitString {
+    use rand::RngExt;
+    let mut rng = StdRng::seed_from_u64(seed);
+    BitString::from_bools((0..len).map(|_| rng.random_bool(0.5)))
+}
+
+/// A field prime for the evaluation properties: small protocol-sized
+/// primes, the primes either side of the one-word reducer's 2³² bound,
+/// and arbitrary primes up to 2⁶².
+fn pick_prime(pick: usize, raw: u64) -> u64 {
+    match pick % 5 {
+        0 => next_prime(2 + raw % 2000),
+        1 => 4_294_967_291, // largest prime below 2^32
+        2 => 4_294_967_311, // smallest prime above 2^32
+        3 => next_prime((1 << 32) - (raw % 1000)),
+        _ => next_prime(2 + raw % ((1 << 62) - 200)),
+    }
+}
+
 proptest! {
     /// Barrett multiply-shift reduction agrees with the naive `u128 %`
     /// reference on random moduli up to 62 bits (primality not required —
@@ -125,6 +156,70 @@ proptest! {
         prop_assert_eq!(packed.len(), proto.message_bits());
         let unpacked = rpls_fingerprint::EqMessage::from_bits(&packed, proto.modulus()).unwrap();
         prop_assert_eq!(unpacked, msg);
+    }
+
+    /// The windowed `eval_raw` equals the naive power sum at every string
+    /// length (including lengths that are not multiples of 4 or 8), on
+    /// both sides of the one-word reducer's bound.
+    #[test]
+    fn windowed_eval_matches_naive_sum(
+        len in 0usize..301,
+        seed in any::<u64>(),
+        pick in 0usize..5,
+        raw in any::<u64>(),
+        x_raw in any::<u64>(),
+    ) {
+        let p = pick_prime(pick, raw);
+        let bits = random_string(len, seed);
+        let poly = BitPolynomial::from_bits(&bits, p);
+        for x in [x_raw % p, 0, 1, p - 1] {
+            prop_assert_eq!(poly.eval_raw(x), naive_eval(&bits, x, p), "len={} p={} x={}", len, p, x);
+        }
+    }
+
+    /// Pair and pair-lane evaluation of two strings of independent
+    /// lengths equal the naive power sums of each side.
+    #[test]
+    fn pair_evaluation_matches_naive_sum(
+        len_a in 0usize..301,
+        len_b in 0usize..301,
+        seed in any::<u64>(),
+        pick in 0usize..5,
+        raw in any::<u64>(),
+        x_raw in any::<u64>(),
+    ) {
+        let p = pick_prime(pick, raw);
+        let (a, b) = (random_string(len_a, seed), random_string(len_b, !seed));
+        let (pa, pb) = (
+            BitPolynomial::from_bits(&a, p),
+            BitPolynomial::from_bits(&b, p),
+        );
+        let xs: [u64; 8] = std::array::from_fn(|l| x_raw.wrapping_mul(l as u64 + 1) % p);
+        let want = |x: u64| (naive_eval(&a, x, p), naive_eval(&b, x, p));
+        prop_assert_eq!(pa.eval_raw_pair(&pb, xs[0]), want(xs[0]), "len={}/{} p={}", len_a, len_b, p);
+        let (va, vb) = pa.eval_raw_pair_lanes(&pb, &xs);
+        for l in 0..8 {
+            prop_assert_eq!((va[l], vb[l]), want(xs[l]), "lane {} x={} p={}", l, xs[l], p);
+        }
+        let (va, vb) = pa.eval_raw_pair_lanes(&pb, &[xs[1], xs[2], xs[3]]);
+        prop_assert_eq!((va[2], vb[2]), want(xs[3]));
+    }
+
+    /// The full evaluation table equals the naive power sum at every point
+    /// of small fields.
+    #[test]
+    fn evaluation_table_matches_naive_sum(
+        len in 0usize..301,
+        seed in any::<u64>(),
+        raw in 0u64..400,
+    ) {
+        let p = next_prime(2 + raw);
+        let bits = random_string(len, seed);
+        let table = BitPolynomial::from_bits(&bits, p).evaluation_table();
+        prop_assert_eq!(table.len() as u64, p);
+        for (x, &v) in table.iter().enumerate() {
+            prop_assert_eq!(v, naive_eval(&bits, x as u64, p), "len={} p={} x={}", len, p, x);
+        }
     }
 
     /// next_prime really returns the next prime.

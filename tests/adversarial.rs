@@ -112,6 +112,106 @@ fn compiled_acyclicity_sound_against_replayed_labels() {
     let _ = Labeling::empty(0);
 }
 
+/// Wide-field regression: when every node declares κ = 2³² − 64, the
+/// protocol prime exceeds 2³², so fingerprint probes leave the one-word
+/// reducer and run on the wide one — inside the batched kernel's lane
+/// chunks, its single-point tail, and the scalar trial path. A labeling
+/// with one tampered neighbour copy (and its honest twin, probed under
+/// `force_dynamic`) must get identical verdicts on every path.
+#[test]
+fn wide_field_probes_agree_across_trial_paths() {
+    use rpls::bits::{BitReader, BitString, BitWriter};
+    use rpls::core::engine::RunSpec;
+    use rpls::core::{RoundScratch, Unprepared};
+    use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
+
+    const LEN_BITS: u32 = 32;
+    const WIDE_KAPPA: u64 = (1 << 32) - 64;
+    assert!(
+        rpls::fingerprint::prime::protocol_prime(LEN_BITS as usize + WIDE_KAPPA as usize) > 1 << 32
+    );
+
+    // Re-declare every replicated label's κ (32-bit κ, then per part a
+    // 32-bit length and the bits), keeping the parts.
+    let redeclare = |label: &BitString, tamper: bool| {
+        let mut r = BitReader::new(label);
+        r.read_u64(LEN_BITS).expect("honest label has a κ prefix");
+        let mut w = BitWriter::new();
+        w.write_u64(WIDE_KAPPA, LEN_BITS);
+        let mut part = 0;
+        while !r.is_exhausted() {
+            let len = r.read_u64(LEN_BITS).expect("part length") as usize;
+            let mut bits = r.read_bits(len).expect("part bits");
+            if tamper && part == 1 {
+                // The first neighbour copy: flip its last bit.
+                bits = bits
+                    .iter()
+                    .enumerate()
+                    .map(|(i, b)| b ^ (i + 1 == len))
+                    .collect();
+            }
+            w.write_u64(len as u64, LEN_BITS);
+            w.write_bits(&bits);
+            part += 1;
+        }
+        w.finish()
+    };
+
+    let config = spanning_tree_config(&Configuration::plain(generators::cycle(7)), NodeId::new(0));
+    let seeds: Vec<u64> = (0..19).collect(); // two 8-lane chunks and a tail
+    for scheme in [
+        CompiledRpls::new(SpanningTreePls::new()),
+        CompiledRpls::new(SpanningTreePls::new()).force_dynamic(),
+    ] {
+        let honest = Rpls::label(&scheme, &config);
+        for tampered in [false, true] {
+            let mut labeling = honest.clone();
+            for v in config.graph().nodes() {
+                let tamper = tampered && v == NodeId::new(3);
+                labeling.set(v, redeclare(honest.get(v), tamper));
+            }
+            let prepared = Rpls::prepare(&scheme, &config, &labeling, seeds.len());
+            let mut scratch = RoundScratch::new();
+            let unprepared: Vec<bool> = seeds
+                .iter()
+                .map(|&seed| {
+                    engine::run_prepared(
+                        &RunSpec::trial(seed),
+                        &Unprepared::new(&scheme, &config, &labeling),
+                        &config,
+                        &mut scratch,
+                    )
+                    .accepted
+                })
+                .collect();
+            let scalar: Vec<bool> = seeds
+                .iter()
+                .map(|&seed| {
+                    engine::run_prepared(&RunSpec::trial(seed), &*prepared, &config, &mut scratch)
+                        .accepted
+                })
+                .collect();
+            let mut batched = Vec::new();
+            engine::run_trials(
+                &RunSpec::trial(0),
+                &*prepared,
+                &config,
+                &seeds,
+                &mut scratch,
+                &mut |r| batched.push(r.accepted),
+            );
+            let name = scheme.name();
+            assert_eq!(unprepared, scalar, "{name}, tampered = {tampered}");
+            assert_eq!(unprepared, batched, "{name}, tampered = {tampered}");
+            assert_eq!(
+                unprepared.contains(&true),
+                !tampered,
+                "{name}: honest wide labelings accept, tampered ones reject"
+            );
+        }
+    }
+}
+
 /// Verifiers must be *total*: arbitrary garbage labelings and arbitrary
 /// garbage certificates may make them reject, never panic. Every scheme in
 /// `rpls-schemes` is pushed through every verifier surface — the
