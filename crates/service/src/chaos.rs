@@ -31,13 +31,16 @@
 //!   neutral; exercises the front's partial-read paths);
 //! * **delay** — forwarding pauses for [`ChaosPlan::delay`] before this
 //!   byte (content neutral; exercises deadlines).
+//!
+//! The proxy runs on the TCP front's blocking accept loop ([`crate::tcp`]);
+//! its stop wake-up is never counted, indexed, or dialled upstream.
 
+use crate::tcp::{poll_expired, Acceptor, POLL_SLICE};
 use rpls_core::rng::{mix_seed, state_stream_word};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// 2⁶⁴ as an `f64`, the scale mapping a probability to a 64-bit
@@ -165,10 +168,8 @@ struct Counters {
 /// order, so a client opening connections sequentially gets a fully
 /// deterministic fault pattern.
 pub struct ChaosProxy {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    acceptor: Acceptor,
     counters: Arc<Counters>,
-    handle: Option<JoinHandle<()>>,
 }
 
 impl ChaosProxy {
@@ -177,31 +178,30 @@ impl ChaosProxy {
     ///
     /// # Errors
     ///
-    /// Propagates listener binding failures.
+    /// Propagates listener binding and thread spawn failures.
     pub fn spawn(upstream: SocketAddr, plan: ChaosPlan) -> io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(Counters::default());
-        let stop_flag = Arc::clone(&stop);
         let stats = Arc::clone(&counters);
-        let handle = std::thread::Builder::new()
-            .name("rpls-chaos-accept".into())
-            .spawn(move || accept_loop(&listener, upstream, plan, &stop_flag, &stats))
-            .expect("spawn chaos accept loop");
-        Ok(Self {
-            addr,
-            stop,
-            counters,
-            handle: Some(handle),
-        })
+        let mut conn_index = 0u64;
+        let acceptor = Acceptor::spawn("rpls-chaos-accept", move |client, stop| {
+            stats.connections.fetch_add(1, Ordering::Relaxed);
+            let index = conn_index;
+            conn_index += 1;
+            match TcpStream::connect_timeout(&upstream, Duration::from_secs(2)) {
+                Ok(server) => spawn_pumps(client, server, plan, index, stop, &stats),
+                Err(_) => {
+                    let _ = client.shutdown(Shutdown::Both);
+                }
+            }
+            None
+        })?;
+        Ok(Self { acceptor, counters })
     }
 
     /// The address clients should connect to.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr
     }
 
     /// A snapshot of what the chaos has done so far.
@@ -221,48 +221,13 @@ impl ChaosProxy {
     /// Stops accepting and tears down; connections already interposed are
     /// cut (chaos is allowed to be rude on shutdown).
     pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.acceptor.stop();
     }
 }
 
 impl Drop for ChaosProxy {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    upstream: SocketAddr,
-    plan: ChaosPlan,
-    stop: &Arc<AtomicBool>,
-    counters: &Arc<Counters>,
-) {
-    let mut conn_index = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((client, _)) => {
-                counters.connections.fetch_add(1, Ordering::Relaxed);
-                let index = conn_index;
-                conn_index += 1;
-                let Ok(server) = TcpStream::connect_timeout(&upstream, Duration::from_secs(2))
-                else {
-                    let _ = client.shutdown(Shutdown::Both);
-                    continue;
-                };
-                spawn_pumps(client, server, plan, index, stop, counters);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
-        }
+        self.acceptor.stop();
     }
 }
 
@@ -307,10 +272,7 @@ fn pump(
     stop: &AtomicBool,
     counters: &Counters,
 ) {
-    if from
-        .set_read_timeout(Some(Duration::from_millis(20)))
-        .is_err()
-    {
+    if from.set_read_timeout(Some(POLL_SLICE)).is_err() {
         return;
     }
     let mut buf = [0u8; 4096];
@@ -323,15 +285,7 @@ fn pump(
         let n = match from.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if poll_expired(&e) || e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         };
         counters.bytes_seen.fetch_add(n as u64, Ordering::Relaxed);

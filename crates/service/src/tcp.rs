@@ -1,5 +1,5 @@
-//! The TCP front for the service: one listener thread, a handler thread
-//! per connection, frame deadlines on every read and write.
+//! The TCP front for the service: one blocking accept loop, a handler
+//! thread per connection, frame deadlines on every read and write.
 //!
 //! Each connection carries any number of request frames (see [`wire`]);
 //! every frame gets exactly one reply frame — the job's estimate, or the
@@ -7,6 +7,16 @@
 //! decode, so a confused client hears *why* instead of a closed socket).
 //! Replies answer in the flavor they were asked in: a checksummed request
 //! frame gets a checksummed reply frame.
+//!
+//! # Accepting: blocked, never polled
+//!
+//! The listener thread sits in a blocking `accept()`, so a connection is
+//! handed to its handler the moment it arrives. Stopping sets the stop
+//! flag, then wakes the blocked `accept()` with one loopback connect to
+//! the front's own address; the loop checks the flag after every accept
+//! and drops that wake-up connection unserved. An accept error never ends
+//! the loop — it pauses briefly and keeps serving until stop. The
+//! [`ChaosProxy`](crate::chaos::ChaosProxy) runs on the same loop.
 //!
 //! # Deadlines: a slow client costs a timeout, never the service
 //!
@@ -38,7 +48,11 @@ use std::time::{Duration, Instant};
 
 /// The read-poll slice: how often a blocked read re-checks its deadline
 /// (and, while idle, the stop flag).
-const POLL_SLICE: Duration = Duration::from_millis(20);
+pub(crate) const POLL_SLICE: Duration = Duration::from_millis(20);
+
+/// The pause after an accept error (or a failed stop wake-up connect), so
+/// an error storm such as fd exhaustion cannot spin the loop.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
 
 /// Deadline knobs for the TCP front.
 #[derive(Debug, Clone)]
@@ -65,9 +79,7 @@ impl Default for FrontConfig {
 /// A running TCP front. Stop it with [`TcpFront::stop`]; dropping without
 /// stopping leaves the listener thread running until the process exits.
 pub struct TcpFront {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl TcpFront {
@@ -86,17 +98,56 @@ impl TcpFront {
     ///
     /// # Errors
     ///
-    /// Propagates listener binding failures.
+    /// Propagates listener binding and thread spawn failures.
     pub fn spawn_with(service: Arc<Service>, config: FrontConfig) -> io::Result<Self> {
+        let acceptor = Acceptor::spawn("rpls-tcp-accept", move |stream, stop| {
+            let service = Arc::clone(&service);
+            let config = config.clone();
+            let stop = Arc::clone(stop);
+            std::thread::Builder::new()
+                .name("rpls-tcp-conn".into())
+                .spawn(move || serve_connection(stream, &service, &config, &stop))
+                .ok()
+        })?;
+        Ok(Self { acceptor })
+    }
+
+    /// The address the front is listening on.
+    #[must_use]
+    pub fn addr(&self) -> SocketAddr {
+        self.acceptor.addr
+    }
+
+    /// Stops the accept loop and drains: every connection finishes (and
+    /// answers) the frame it is currently reading, then closes. Returns
+    /// once all handlers have exited.
+    pub fn stop(mut self) {
+        self.acceptor.stop();
+    }
+}
+
+/// A `127.0.0.1:0` listener served by one blocking accept loop on its own
+/// thread — the socket layer under both [`TcpFront`] and
+/// [`ChaosProxy`](crate::chaos::ChaosProxy).
+pub(crate) struct Acceptor {
+    pub(crate) addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Binds and starts [`accept_loop`] on a thread called `name`.
+    pub(crate) fn spawn<F>(name: &str, on_accept: F) -> io::Result<Self>
+    where
+        F: FnMut(TcpStream, &Arc<AtomicBool>) -> Option<JoinHandle<()>> + Send + 'static,
+    {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+        let flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
-            .name("rpls-tcp-accept".into())
-            .spawn(move || accept_loop(&listener, &service, &config, &stop_flag))
-            .expect("spawn tcp accept loop");
+            .name(name.into())
+            .spawn(move || accept_loop(&listener, &flag, on_accept))?;
         Ok(Self {
             addr,
             stop,
@@ -104,55 +155,49 @@ impl TcpFront {
         })
     }
 
-    /// The address the front is listening on.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the accept loop and drains: every connection finishes (and
-    /// answers) the frame it is currently reading, then closes. Returns
-    /// once all handlers have exited.
-    pub fn stop(mut self) {
+    /// Sets the stop flag, wakes the blocked `accept()` with a loopback
+    /// connect, and joins the loop (which joins its handlers). Idempotent.
+    pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.handle.take() {
+            // One connect suffices: once it lands in the backlog the loop
+            // wakes. Retry only if it could not be made at all.
+            while TcpStream::connect_timeout(&self.addr, ACCEPT_ERROR_PAUSE).is_err()
+                && !handle.is_finished()
+            {
+                std::thread::sleep(ACCEPT_ERROR_PAUSE);
+            }
             let _ = handle.join();
         }
     }
 }
 
-/// Polling accept loop; non-blocking so the stop flag is honored promptly.
-/// Spawns a handler thread per connection and joins them all on the way
-/// out — stop means drain, not abandon.
-fn accept_loop(
-    listener: &TcpListener,
-    service: &Arc<Service>,
-    config: &FrontConfig,
-    stop: &Arc<AtomicBool>,
-) {
+/// Blocks in `accept()` until stop (see the module docs). `on_accept` runs
+/// for every accepted connection, in accept order; a handler thread it
+/// returns is reaped once finished and joined on the way out — stop means
+/// drain, not abandon.
+fn accept_loop<F>(listener: &TcpListener, stop: &Arc<AtomicBool>, mut on_accept: F)
+where
+    F: FnMut(TcpStream, &Arc<AtomicBool>) -> Option<JoinHandle<()>>,
+{
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                // Served connections run poll-sliced blocking reads.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let service = Arc::clone(service);
-                let config = config.clone();
-                let stop = Arc::clone(stop);
-                let spawned = std::thread::Builder::new()
-                    .name("rpls-tcp-conn".into())
-                    .spawn(move || serve_connection(stream, &service, &config, &stop));
-                if let Ok(handle) = spawned {
-                    handlers.push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 handlers.retain(|h| !h.is_finished());
-                std::thread::sleep(Duration::from_millis(2));
+                handlers.extend(on_accept(stream, stop));
             }
-            Err(_) => break,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                ) => {}
+            // E.g. fd exhaustion: keep serving, but don't spin.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_PAUSE),
         }
     }
     for handle in handlers {
@@ -278,7 +323,7 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> io::R
 
 /// Whether an error is the read-timeout poll slice expiring (reported as
 /// `WouldBlock` or `TimedOut` depending on the platform).
-fn poll_expired(e: &io::Error) -> bool {
+pub(crate) fn poll_expired(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut

@@ -5,6 +5,9 @@
 //! replaying the same seed reproduces the identical outcome, retry, and
 //! shed accounting.
 
+mod common;
+
+use common::stops_within_a_second;
 use proptest::prelude::*;
 use rpls_bits::BitString;
 use rpls_core::engine::{MessagePattern, SeedSource};
@@ -15,6 +18,7 @@ use rpls_service::registry::{self, request_skeleton};
 use rpls_service::service::{Service, ServiceStats};
 use rpls_service::tcp::{FrontConfig, TcpFront};
 use rpls_service::wire::{JobRequest, WireFaults};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -249,6 +253,48 @@ fn transparent_proxy_is_invisible() {
     proxy.stop();
     front.stop();
     drop(service);
+}
+
+/// Both ways of stopping a proxy that never saw a connection return
+/// promptly.
+#[test]
+fn proxy_stop_and_drop_return_promptly() {
+    let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+    let addr = upstream.local_addr().expect("upstream addr");
+    let proxy = ChaosProxy::spawn(addr, ChaosPlan::seeded(1)).expect("bind proxy");
+    stops_within_a_second(move || proxy.stop());
+    let proxy = ChaosProxy::spawn(addr, ChaosPlan::seeded(1)).expect("bind proxy");
+    stops_within_a_second(move || drop(proxy));
+}
+
+/// The stop wake-up is not a connection: `stats().connections` counts
+/// only real clients, and stopping dials nothing upstream (every counted
+/// connection is dialled, so an undialled wake-up was never counted).
+#[test]
+fn proxy_stop_wakeup_is_never_counted_or_dialled() {
+    let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+    let proxy = ChaosProxy::spawn(
+        upstream.local_addr().expect("upstream addr"),
+        ChaosPlan::seeded(2),
+    )
+    .expect("bind proxy");
+    let clients: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(proxy.addr()).expect("connect"))
+        .collect();
+    let dialled: Vec<TcpStream> = (0..2)
+        .map(|_| upstream.accept().expect("proxy dials upstream").0)
+        .collect();
+    assert_eq!(proxy.stats().connections, 2);
+    stops_within_a_second(move || proxy.stop());
+    upstream
+        .set_nonblocking(true)
+        .expect("nonblocking upstream");
+    match upstream.accept() {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        Ok(_) => panic!("the stop wake-up was dialled upstream"),
+        Err(e) => panic!("upstream accept failed: {e}"),
+    }
+    drop((clients, dialled));
 }
 
 /// Deterministic jittered backoff: same policy, same pauses; jitter stays

@@ -1,6 +1,9 @@
 //! Robustness pins for the hardened service front: worker supervision,
 //! deadlines, fair shedding, quotas, and slow/hostile TCP clients.
 
+mod common;
+
+use common::stops_within_a_second;
 use rpls_service::registry::{self, request_skeleton};
 use rpls_service::service::{Service, ServiceConfig};
 use rpls_service::tcp::{FrontConfig, TcpFront};
@@ -420,6 +423,29 @@ fn stop_drains_inflight_requests() {
         other => panic!("in-flight job must be answered: {other:?}"),
     }
     stopper.join().expect("front.stop returns");
+    drop(service);
+}
+
+/// Stopping a front that never saw a connection returns promptly: the
+/// blocked accept is woken, not waited out.
+#[test]
+fn stop_returns_promptly_on_an_untouched_front() {
+    let (service, front) = quick_front();
+    stops_within_a_second(move || front.stop());
+    drop(service);
+}
+
+/// Stopping a front whose last client has left returns promptly.
+#[test]
+fn stop_returns_promptly_after_the_last_client_leaves() {
+    let (service, front) = quick_front();
+    let mut client = TcpStream::connect(front.addr()).expect("connect");
+    match roundtrip(&mut client, &small_job("gone")) {
+        JobReply::Ok(resp) => assert_eq!(resp.accepts, resp.trials),
+        other => panic!("job should run: {other:?}"),
+    }
+    drop(client);
+    stops_within_a_second(move || front.stop());
     drop(service);
 }
 
