@@ -52,18 +52,17 @@
 //!
 //! The space–time trade-off axis (Patt-Shamir & Perry's t-PLS model)
 //! verifies a proof of size κ over `t` rounds at `O(κ/t + log t)` bits per
-//! round. For schedules of `t ≥ 2` rounds the compiled scheme's
-//! [`PreparedRpls::run_block`] override implements **chunked fingerprint
-//! streaming**: the length-prefixed inner
-//! label is cut into `⌈λ/t⌉`-bit slices and round `r` carries one fresh
-//! `(x, A_r(x))` fingerprint of slice `r`, so per-round communication is
-//! the message width of the *slice-length* protocol and verdicts
-//! accumulate with **early rejection** — a tampered replica is caught in
-//! the round whose slice covers the tampering. `t = 1` degenerates to the
-//! one-round protocol exactly (same prime, same polynomial, same
-//! randomness), which keeps it bit-identical to the batched one-round
-//! path; see the private `MultiRoundPlan` type for the schedule and its
-//! batched kernel.
+//! round. The compiled scheme's [`PreparedRpls::run_block`] override
+//! implements it as **chunked fingerprint streaming**: the length-prefixed
+//! inner label is cut into `⌈λ/t⌉`-bit slices and round `r` carries one
+//! fresh `(x, A_r(x))` fingerprint of slice `r`, so per-round
+//! communication is the message width of the *slice-length* protocol and
+//! verdicts accumulate with **early rejection** — a tampered replica is
+//! caught in the round whose slice covers the tampering. The one-round
+//! protocol is the `t = 1` case (one slice, the same prime, polynomial and
+//! randomness), so every `t` runs through one compiled plan, one clean
+//! kernel that reports each trial's first-rejection round, and one fault
+//! overlay; see the private `Plan` type.
 
 use crate::buffer::{Received, RoundScratch};
 use crate::engine::{
@@ -78,7 +77,7 @@ use crate::state::{Configuration, DegreeBuckets};
 use rand::Rng;
 use rpls_bits::{BitReader, BitString, BitWriter};
 use rpls_fingerprint::{Barrett, EqEvaluator, EqMessage, EqProtocol, PreparedEq};
-use rpls_graph::NodeId;
+use rpls_graph::{Graph, NodeId};
 use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
@@ -99,9 +98,8 @@ pub struct CompiledRpls<S> {
     /// Probe subsampling for high-degree nodes (see [`ProbeSketch`]);
     /// `None` (the default) runs every non-trivial probe.
     sketch: Option<ProbeSketch>,
-    /// Disables the static-pass shortcut of the batch plan so every
-    /// honest probe runs dynamically (see
-    /// [`CompiledRpls::force_dynamic`]).
+    /// Disables the plan's static-pass shortcut so every honest probe
+    /// runs dynamically (see [`CompiledRpls::force_dynamic`]).
     force_dynamic: bool,
 }
 
@@ -135,9 +133,9 @@ pub struct CompiledRpls<S> {
 /// confidence at total cost `O(d/s)` trials, still far below the `O(d)`
 /// per-trial probe cost it replaces on dense families.
 ///
-/// Sketching applies to the one-round batched path (and its faulted
-/// wrapper's clean kernel); the multiround streaming schedule and the
-/// scalar diagnostics paths always run full probes.
+/// Sketching applies to the batched one-round schedule (`t = 1`, faulted
+/// or not); schedules of `t ≥ 2` rounds and the scalar diagnostics paths
+/// always run full probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeSketch {
     max_probes: usize,
@@ -183,16 +181,15 @@ impl<S: Pls> CompiledRpls<S> {
         self
     }
 
-    /// Disables the batch plan's static-pass shortcut: probes whose two
-    /// sides share one cached preparation (every probe of an honest
-    /// labeling) are kept as dynamic checks instead of being dropped at
-    /// plan-build time. Verdicts are unchanged — a shared-preparation
+    /// Disables the plan's static-pass shortcut at every schedule length
+    /// `t`: probes whose two sides fingerprint the same string (every
+    /// probe of an honest labeling) are kept as dynamic checks instead of
+    /// being dropped at plan-build time. Verdicts are unchanged — such a
     /// probe passes at every point of the field — so this exists for
     /// measurement: it is the only way to drive the full probe kernel
     /// (and the sketch) on an *accepting* configuration, which is what
     /// the `scale` bench workload and the kernel's throughput numbers
-    /// are measured on. Applies to the one-round batch plan; the
-    /// multiround planner keeps its shortcut.
+    /// are measured on.
     #[must_use]
     pub fn force_dynamic(mut self) -> Self {
         self.force_dynamic = true;
@@ -406,17 +403,20 @@ impl<S: Pls> Rpls for CompiledRpls<S> {
                 }
             })
             .collect();
-        let plan = BatchPlan::build(config, &nodes, self.force_dynamic);
-        Box::new(PreparedCompiled {
+        let prepared = PreparedCompiled {
             scheme: self,
             config,
             labeling,
             rounds_hint,
             store: cache.store_handle(),
             nodes,
-            plan,
-            multiround_plans: RefCell::new(Vec::new()),
-        })
+            plans: RefCell::new(Vec::new()),
+        };
+        // The one-round plan is built at binding time, so preparation
+        // timings keep covering it; other schedules are planned on first
+        // use.
+        prepared.plan(1);
+        Box::new(prepared)
     }
 }
 
@@ -609,126 +609,171 @@ impl PrepCache {
     }
 }
 
-/// The labeling-static plan of the batched trial path: how each node's
-/// vote is computed across a whole block of trials. Everything here is a
-/// pure function of the prepared labeling — certificate lengths, length
-/// checks, and which fingerprint probes are non-trivial do not depend on
-/// the round's randomness, so they are resolved once at preparation time
-/// and the per-(edge, trial) loop is left with one SplitMix64 word, one
-/// reduction, and two polynomial probes.
-struct BatchPlan {
-    /// Per-node `(message width, degree)` — the dimensions every
-    /// message-pattern cost formula needs (width 0 when the node's prover
-    /// prefix is malformed and it sends nothing). Every cert length is
-    /// labeling-static: a node sends `message_bits` of its own protocol on
-    /// each of its slots, or nothing when its prover prefix is malformed.
-    dims: Vec<(usize, usize)>,
+/// The labeling-static plan of the compiled scheme's `t`-round schedule:
+/// how each node's accumulated vote resolves across a whole block of
+/// trials. There is one plan per `t`, built on first use and cached on the
+/// prepared instance.
+///
+/// The schedule is **chunked fingerprint streaming**. Instead of
+/// fingerprinting the whole length-prefixed inner label once, the prover
+/// cuts it into `⌈λ/t⌉`-bit slices and sends, in round `r`, one fresh
+/// `(x, A_r(x))` fingerprint of slice `r` — per-round communication
+/// `2⌈log₂ p⌉` for the prime of the *slice* protocol, and rounds past the
+/// string's coverage send nothing at all. The verifier checks each round's
+/// fingerprint against the matching slice of its claimed neighbor copy and
+/// **rejects early**: a trial's verdict is known at the first round in
+/// which any node's check fails.
+///
+/// Soundness is preserved slice-wise: two different length-prefixed labels
+/// differ in some aligned slice (different lengths differ inside the
+/// 32-bit length prefix, which lives in slice 0's span), and that slice's
+/// equality protocol catches the difference with probability `> 2/3`.
+///
+/// At `t = 1` the one slice is the whole string under the one-round
+/// protocol with the one-round randomness, so the plan takes its
+/// fingerprints straight from the label preparation (the prover polynomial
+/// and the claimed copies'), without slicing or store lookups;
+/// `tests/engine_golden.rs` pins it against the scalar one-round path.
+///
+/// Everything here is a pure function of the prepared labeling: per-round
+/// certificate widths, coverage mismatches, and which probes are
+/// non-trivial are resolved once, leaving the per-(edge, round, trial)
+/// loop one SplitMix64 word, one reduction, and two polynomial probes.
+struct Plan {
+    /// The schedule length `t`.
+    rounds: usize,
+    /// Per-node `(message width, degree, covered rounds)` — the dimensions
+    /// of the message-pattern cost formulas and of the fault overlay
+    /// (width and coverage 0 when the node's prover prefix is malformed and
+    /// it sends nothing). Round 0 always carries a full message wherever
+    /// anything is sent.
+    dims: Vec<(usize, usize, usize)>,
     /// One entry per node, parallel to `PreparedCompiled::nodes`.
-    nodes: Vec<NodeBatch>,
+    nodes: Vec<NodePlan>,
+    /// The reducers of the checks' sender fields, indexed by
+    /// `EdgeCheck::field`. A labeling's checks almost all share one field,
+    /// so a reducer is stored once per run of equal fields rather than in
+    /// every check.
+    fields: Vec<Barrett>,
     /// Node processing order: every node once, cheapest degree bucket
-    /// first (see [`DegreeBuckets`]). The global verdict is a
-    /// per-trial conjunction over nodes, so any order yields identical
-    /// summaries — but walking hubs last means the dense nodes of a
-    /// clique or power-law graph probe only the trials every cheap node
-    /// already passed.
+    /// first (see [`DegreeBuckets`]). The global verdict is a per-trial
+    /// minimum over nodes, so any order yields identical reports — but
+    /// walking hubs last means the dense nodes of a clique or power-law
+    /// graph probe only the trials every cheap node already passed.
     order: Vec<u32>,
 }
 
-/// How one node votes across a block of trials.
-enum NodeBatch {
-    /// The vote is `false` every trial: the replicated label failed to
-    /// parse (`VerifierPrep::Reject`), or some port statically fails the
-    /// certificate-length check (malformed sender prover, or a κ mismatch
-    /// that changes the message width).
-    AlwaysFalse,
-    /// Every fingerprint probe passes at every point (each sender
+/// How one node's accumulated vote resolves across a block of trials.
+enum NodePlan {
+    /// Rejects deterministically in the given 1-based round, every trial:
+    /// parse/arity failures and certificate-width mismatches (a malformed
+    /// sender prover, or a κ mismatch that changes the message width) fail
+    /// round 1's length check; coverage mismatches fail the length check of
+    /// the first round where one side stops streaming.
+    RejectAt(usize),
+    /// Every probe passes at every point in every round (each sender
     /// fingerprints exactly the string this node's port expects — the
-    /// honest-labeling case), so the vote is the memoised inner verdict.
+    /// honest-labeling case), so the vote is the memoised inner verdict; a
+    /// `false` verdict surfaces when the node votes after round `t`.
     StaticPass,
-    /// At least one port needs per-trial fingerprint probes; trivially
-    /// passing ports are already dropped.
-    Dynamic(Vec<EdgeCheck>),
+    /// At least one (port, round) needs per-trial probes.
+    Dynamic {
+        /// Earliest 1-based round with a deterministic length failure
+        /// (coverage mismatch), [`NO_REJECT`] if none; probes at or past it
+        /// are pruned.
+        static_reject: usize,
+        /// Non-trivial probes, sorted by round.
+        checks: Vec<EdgeCheck>,
+    },
 }
 
-/// One non-trivial per-trial fingerprint probe: the delivered certificate
-/// on some port of the receiving node, reduced to its algebraic content.
+/// One non-trivial per-trial fingerprint probe: round `round`'s
+/// certificate on some port of the receiving node, reduced to its
+/// algebraic content.
 struct EdgeCheck {
+    /// 0-based round of this probe.
+    round: u32,
+    /// The sender's field (the random point is drawn in it): the index of
+    /// its reducer in `Plan::fields`.
+    field: u32,
     /// The sender's (node, port) — the key of the per-trial random stream.
     src_node: u32,
     src_port: u32,
-    /// The sender's field (the random point is drawn in it): its reducer,
-    /// built once with the plan.
-    send_field: Barrett,
-    /// The sender's prepared fingerprint (what the certificate claims).
+    /// The sender's prepared fingerprint of its slice `round` (what the
+    /// certificate claims).
     sender: Rc<PreparedEq>,
-    /// The receiver's prepared fingerprint of the claimed neighbor copy;
+    /// The receiver's prepared fingerprint of the claimed copy's slice;
     /// its field bounds the points the probe accepts.
     receiver: Rc<PreparedEq>,
 }
 
 impl EdgeCheck {
-    /// Which of the sender's distinct message slots this check's port
-    /// carries under `pattern` — the key of the probe word's stream (the
-    /// port itself for the per-port-keyed patterns; unused by broadcast,
-    /// which draws from the sender's node stream).
-    fn slot_under(&self, pattern: MessagePattern, g: &rpls_graph::Graph) -> u64 {
-        pattern.slot_of(
-            g.degree(NodeId::new(self.src_node as usize)),
+    /// The probe word of each trial seed under `pattern` and `mode`: one
+    /// SplitMix64 word of the sender's stream for this check's round. That
+    /// is the per-slot edge stream, except for broadcast (word 0 of the
+    /// sender's node stream) and the shared-stream mode of the
+    /// per-port-keyed patterns, where port rank `p` consumes word `p` of
+    /// the node stream (each message costs exactly one word).
+    fn words(&self, pattern: MessagePattern, mode: StreamMode, g: &Graph) -> impl Fn(u64) -> u64 {
+        let (node, port, round) = (
+            u64::from(self.src_node),
             self.src_port as usize,
-        ) as u64
-    }
-
-    /// The probe word of `(seed, this check)` under `pattern`: one
-    /// SplitMix64 word of the sender's per-slot edge stream (per-node
-    /// stream for broadcast).
-    #[inline]
-    fn word(&self, pattern: MessagePattern, seed: u64, slot: u64) -> u64 {
-        match pattern {
-            MessagePattern::Broadcast => node_stream_word(seed, u64::from(self.src_node), 0),
-            _ => edge_stream_first_word(seed, u64::from(self.src_node), slot),
+            self.round as usize,
+        );
+        let (node_keyed, index) = match pattern {
+            MessagePattern::Broadcast => (true, 0),
+            MessagePattern::PerPort | MessagePattern::Unicast
+                if mode == StreamMode::SharedPerNode =>
+            {
+                (true, port as u64)
+            }
+            _ => (
+                false,
+                pattern.slot_of(g.degree(NodeId::new(node as usize)), port) as u64,
+            ),
+        };
+        move |seed| {
+            let seed = multiround_seed(seed, round);
+            if node_keyed {
+                node_stream_word(seed, node, index)
+            } else {
+                edge_stream_first_word(seed, node, index)
+            }
         }
     }
 
-    /// The probe: `true` iff the delivered fingerprint would be accepted
-    /// on this port for `seed`'s trial. The word reduces into the sender's
-    /// field (bit-identical to `%`); a point past the receiver's field
+    /// The probe: `true` iff the certificate drawn from `word` would be
+    /// accepted on this port. The word reduces into the sender's field
+    /// (`field`, bit-identical to `%`); a point past the receiver's field
     /// (mismatched primes, adversarial labelings only) rejects without
     /// touching either polynomial; otherwise both sides are evaluated at
     /// the shared point by one [`EqEvaluator::eval_pair`].
     #[inline]
-    fn probe_one(
-        &self,
-        pattern: MessagePattern,
-        slot: u64,
-        seed: u64,
-        send: &EqEvaluator<'_>,
-        recv: &EqEvaluator<'_>,
-    ) -> bool {
-        let x = self
-            .send_field
-            .reduce(u128::from(self.word(pattern, seed, slot)));
+    fn probe(word: u64, field: &Barrett, send: &EqEvaluator<'_>, recv: &EqEvaluator<'_>) -> bool {
+        let x = field.reduce(u128::from(word));
         x < recv.modulus() && {
             let (a, b) = send.eval_pair(recv, x);
             a == b
         }
     }
 
-    /// Applies this check to every live trial, ANDing the probe verdict
-    /// into `ok` — the **probe kernel** of the one-round batched path.
-    /// Trials are laid out in chunks of [`PROBE_LANES`]: the probe words,
-    /// each reduced into the sender's field (bit-identical to `%`), then
-    /// both sides evaluated at every lane's point by one
-    /// [`EqEvaluator::eval_pair_lanes`] — one window table per lane and
-    /// `2·PROBE_LANES` interleaved Horner chains, plain scalar code with no
-    /// target-feature gates. The trials past the last whole chunk take the
-    /// single-point pair probe.
+    /// Applies this check to every trial it can still decide, recording its
+    /// 1-based round in `node_fail` where the probe fails — the **probe
+    /// kernel**. A trial is live unless its node already failed at or
+    /// before this round (`node_fail`) or an earlier node rejected it by
+    /// then (`reject_at`).
     ///
-    /// A chunk whose trials are all dead is skipped entirely; a chunk with
-    /// any live trial evaluates every lane (dead lanes' verdicts are
-    /// discarded by the AND — probe streams are stateless pure functions,
-    /// so the extra evaluations can't shift anything another trial
-    /// observes, and only nudge the lazy-table probe counter, which moves
-    /// work but never values).
+    /// Trials are laid out in chunks of [`PROBE_LANES`]: the probe words,
+    /// each reduced into the sender's field, then both sides evaluated at
+    /// every lane's point by one [`EqEvaluator::eval_pair_lanes`] — one
+    /// window table per lane and `2·PROBE_LANES` interleaved Horner chains,
+    /// plain scalar code with no target-feature gates. The trials past the
+    /// last whole chunk take the single-point probe. A chunk with no live
+    /// trial is skipped entirely; a chunk with any evaluates every lane
+    /// (dead lanes' verdicts are discarded — probe streams are stateless
+    /// pure functions, so the extra evaluations can't shift anything
+    /// another trial observes, and only nudge the lazy-table probe counter,
+    /// which moves work but never values).
     ///
     /// Mismatched-field probes (sender prime above the receiver's,
     /// adversarial labelings only) take the single-point probe throughout:
@@ -736,36 +781,40 @@ impl EdgeCheck {
     /// either polynomial.
     fn probe_trials(
         &self,
-        pattern: MessagePattern,
-        g: &rpls_graph::Graph,
+        word: impl Fn(u64) -> u64,
+        field: &Barrett,
         seeds: &[u64],
-        ok: &mut [bool],
+        reject_at: &[usize],
+        node_fail: &mut [usize],
     ) {
         let send = self.sender.evaluator();
         let recv = self.receiver.evaluator();
-        let slot = self.slot_under(pattern, g);
+        let round1 = self.round as usize + 1;
+        let live = |fail: usize, rejected: usize| fail > round1 && rejected > round1;
         let mut t0 = 0usize;
         // Sender prime ≤ receiver prime: every reduced point lies in both
         // fields, so whole chunks evaluate unconditionally.
-        if self.send_field.modulus() <= recv.modulus() {
+        if field.modulus() <= recv.modulus() {
             while t0 + PROBE_LANES <= seeds.len() {
-                let live = &mut ok[t0..t0 + PROBE_LANES];
-                if live.contains(&true) {
-                    let xs: [u64; PROBE_LANES] = std::array::from_fn(|l| {
-                        let word = self.word(pattern, seeds[t0 + l], slot);
-                        self.send_field.reduce(u128::from(word))
-                    });
+                let lanes = t0..t0 + PROBE_LANES;
+                let (fails, rejected) = (&mut node_fail[lanes.clone()], &reject_at[lanes]);
+                if fails.iter().zip(rejected).any(|(&f, &r)| live(f, r)) {
+                    let xs: [u64; PROBE_LANES] =
+                        std::array::from_fn(|l| field.reduce(u128::from(word(seeds[t0 + l]))));
                     let (sv, rv) = send.eval_pair_lanes(&recv, &xs);
-                    for (l, o) in live.iter_mut().enumerate() {
-                        *o = *o && sv[l] == rv[l];
+                    for (l, (f, &r)) in fails.iter_mut().zip(rejected).enumerate() {
+                        if sv[l] != rv[l] && live(*f, r) {
+                            *f = round1;
+                        }
                     }
                 }
                 t0 += PROBE_LANES;
             }
         }
-        for (o, &seed) in ok[t0..].iter_mut().zip(&seeds[t0..]) {
-            if *o {
-                *o = self.probe_one(pattern, slot, seed, &send, &recv);
+        let tail = node_fail[t0..].iter_mut().zip(&reject_at[t0..]);
+        for ((f, &r), &seed) in tail.zip(&seeds[t0..]) {
+            if live(*f, r) && !Self::probe(word(seed), field, &send, &recv) {
+                *f = round1;
             }
         }
     }
@@ -779,201 +828,18 @@ impl EdgeCheck {
 /// depend on the lane count.
 const PROBE_LANES: usize = 8;
 
-/// A reducer lookup for plan builds: a labeling's checks almost all share
-/// one field, so the last reducer is reused before asking
-/// [`Barrett::cached`].
-fn field_memo() -> impl FnMut(u64) -> Barrett {
-    let mut last: Option<Barrett> = None;
-    move |modulus| match last {
-        Some(b) if b.modulus() == modulus => b,
-        _ => *last.insert(Barrett::cached(modulus)),
-    }
-}
-
-impl BatchPlan {
-    fn build(config: &Configuration, nodes: &[PreparedNode], force_dynamic: bool) -> Self {
-        let g = config.graph();
-        let port_base = config.port_base();
-        let delivery = config.delivery();
-        // Owner of each global port (the inverse of the CSR layout).
-        let port_count = *port_base.last().expect("port_base has n+1 entries") as usize;
-        let mut owner = vec![0u32; port_count];
-        for v in 0..nodes.len() {
-            let node = u32::try_from(v).expect("node index fits in u32");
-            owner[port_base[v] as usize..port_base[v + 1] as usize].fill(node);
-        }
-        let mut dims = Vec::with_capacity(nodes.len());
-        for (v, n) in nodes.iter().enumerate() {
-            let len = n
-                .label
-                .prover
-                .as_ref()
-                .map_or(0, |p| p.protocol().message_bits());
-            dims.push((len, g.degree(NodeId::new(v))));
-        }
-        let mut field_of = field_memo();
-        let batch_nodes = nodes
-            .iter()
-            .enumerate()
-            .map(|(u, n)| {
-                if !n.ready {
-                    return NodeBatch::AlwaysFalse;
-                }
-                let rep = n.label.replication.as_ref().expect("ready implies parsed");
-                let mut checks = Vec::new();
-                let lo = port_base[u] as usize;
-                for (i, recv_prep) in rep.ports.iter().enumerate() {
-                    let src = delivery[lo + i] as usize;
-                    let v = owner[src] as usize;
-                    let p = src - port_base[v] as usize;
-                    let Some(send_prep) = &nodes[v].label.prover else {
-                        // A malformed sender prover emits empty
-                        // certificates, which can never match the expected
-                        // fingerprint width: the length check fails every
-                        // trial.
-                        return NodeBatch::AlwaysFalse;
-                    };
-                    if send_prep.protocol().message_bits() != rep.expected_bits {
-                        return NodeBatch::AlwaysFalse;
-                    }
-                    if !force_dynamic && Rc::ptr_eq(send_prep, recv_prep) {
-                        // Preparations are shared by (modulus,
-                        // fingerprinted string), so pointer equality means
-                        // the sender fingerprints exactly the string this
-                        // port expects: the probe passes at every point of
-                        // the field, every trial. (When a cache budget ran
-                        // out and handed one side out unshared, the probe
-                        // simply runs — and passes — dynamically; votes
-                        // cannot depend on the shortcut. `force_dynamic`
-                        // keeps every such probe for the same reason the
-                        // shortcut is sound: measurement-only, verdicts
-                        // identical.)
-                        continue;
-                    }
-                    checks.push(EdgeCheck {
-                        src_node: owner[src],
-                        src_port: u32::try_from(p).expect("port rank fits in u32"),
-                        send_field: field_of(send_prep.protocol().modulus()),
-                        sender: Rc::clone(send_prep),
-                        receiver: Rc::clone(recv_prep),
-                    });
-                }
-                if checks.is_empty() {
-                    NodeBatch::StaticPass
-                } else {
-                    NodeBatch::Dynamic(checks)
-                }
-            })
-            .collect();
-        let order = DegreeBuckets::new(g).iter_by_bucket().collect();
-        Self {
-            dims,
-            nodes: batch_nodes,
-            order,
-        }
-    }
-}
-
-/// The `t`-round **chunked fingerprint streaming** plan (the compiled
-/// scheme's `t ≥ 2` schedule in [`PreparedRpls::run_block`]). Instead of
-/// fingerprinting the whole length-prefixed inner label once, the prover
-/// cuts it into `⌈λ/t⌉`-bit slices and sends, in round `r`, one fresh
-/// `(x, A_r(x))` fingerprint of slice `r` — per-round communication
-/// `2⌈log₂ p⌉` for the prime of the *slice* protocol, and rounds past the
-/// string's coverage send nothing at all. The verifier checks each round's
-/// fingerprint against the matching slice of its claimed neighbor copy and
-/// **rejects early**: a trial's verdict is known at the first round in
-/// which any node's check fails.
-///
-/// Soundness is preserved slice-wise: two different length-prefixed labels
-/// differ in some aligned slice (different lengths differ inside the
-/// 32-bit length prefix, which lives in slice 0's span), and that slice's
-/// equality protocol catches the difference with probability `> 2/3`. The
-/// `t = 1` schedule fingerprints the whole string under the exact
-/// one-round protocol with the exact one-round randomness, so it is
-/// bit-identical to the one-round batched path (`tests/engine_golden.rs`
-/// pins this).
-///
-/// Everything here is labeling-static, mirroring [`BatchPlan`]: per-round
-/// certificate widths, coverage mismatches, and which slice probes are
-/// non-trivial are resolved once; the per-(edge, round, trial) loop is one
-/// SplitMix64 word plus two slice-polynomial probes. Plans are cached per
-/// `t` on the prepared instance.
-struct MultiRoundPlan {
-    /// Per-node `(slice-message width, degree, covered rounds)` for the
-    /// message-pattern cost formulas (width and coverage 0 when the
-    /// node's prover prefix is malformed and it streams nothing). Round 0
-    /// always carries a full slice message wherever anything is sent.
-    dims: Vec<(usize, usize, usize)>,
-    /// One entry per node.
-    nodes: Vec<MultiNodeBatch>,
-}
-
-/// How one node's accumulated multi-round vote resolves across a block of
-/// trials.
-enum MultiNodeBatch {
-    /// Rejects deterministically in the given 1-based round, every trial:
-    /// parse/arity failures and certificate-width mismatches fail round 1's
-    /// length check; coverage mismatches fail the length check of the first
-    /// round where one side stops streaming.
-    RejectAt(usize),
-    /// Every slice probe passes at every point in every round, so the vote
-    /// is the memoised inner verdict (a `false` verdict surfaces when the
-    /// node votes after its last round, i.e. at round `rounds`).
-    StaticPass,
-    /// At least one (port, round) needs per-trial slice probes.
-    Dynamic {
-        /// Earliest 1-based round with a deterministic length failure
-        /// (coverage mismatch), if any; probes at or past it are pruned.
-        static_reject: Option<usize>,
-        /// Non-trivial probes, sorted by round.
-        checks: Vec<MultiEdgeCheck>,
-    },
-}
-
-/// One non-trivial slice probe: round `round`'s certificate on some port,
-/// reduced to its algebraic content (the multi-round analog of
-/// [`EdgeCheck`]).
-struct MultiEdgeCheck {
-    /// 0-based round of this probe.
-    round: usize,
-    /// The sender's (node, port) keying the per-round random stream.
-    src_node: u32,
-    src_port: u32,
-    /// The sender's slice-protocol field (the random point's field): its
-    /// reducer, built once with the plan.
-    send_field: Barrett,
-    /// The sender's prepared fingerprint of its own slice `round`.
-    sender: Rc<PreparedEq>,
-    /// The receiver's prepared fingerprint of the claimed copy's slice;
-    /// its slice-protocol field bounds the points the probe accepts.
-    receiver: Rc<PreparedEq>,
-}
-
-impl MultiEdgeCheck {
-    /// Which of the sender's distinct message slots this check's port
-    /// carries under `pattern` (see [`EdgeCheck::slot_under`]).
-    fn slot_under(&self, pattern: MessagePattern, g: &rpls_graph::Graph) -> u64 {
-        pattern.slot_of(
-            g.degree(NodeId::new(self.src_node as usize)),
-            self.src_port as usize,
-        ) as u64
-    }
-}
-
-/// The prover-side slice schedule of one node: how its length-prefixed
-/// inner label streams across `t` rounds.
+/// The prover-side schedule of one node: how its length-prefixed inner
+/// label streams across `t` rounds.
 struct SenderSchedule {
-    /// Slice capacity `⌈λ/t⌉` for the node's declared `λ = 32 + κ`.
-    chunk: usize,
-    /// The equality protocol of that slice capacity (all rounds share it).
+    /// The equality protocol of the slice capacity `⌈λ/t⌉` for the node's
+    /// declared `λ = 32 + κ` (all rounds share it).
     proto: EqProtocol,
-    /// The length-prefixed inner label actually streamed.
-    lp: BitString,
     /// Rounds that carry a message: `⌈lp.len() / chunk⌉` (≥ 1 — the 32-bit
     /// length prefix guarantees a non-empty string). Rounds past this send
     /// empty certificates without drawing randomness.
     covered: usize,
+    /// The length-prefixed inner label the slices are cut from.
+    lp: BitString,
 }
 
 /// The bits `[r·chunk, (r+1)·chunk)` of `lp`, clamped to its length.
@@ -987,53 +853,48 @@ fn slice_of(lp: &BitString, r: usize, chunk: usize) -> BitString {
     out
 }
 
-impl MultiRoundPlan {
-    fn build<S: Pls>(
-        prepared: &PreparedCompiled<'_, S>,
-        rounds: usize,
-        rounds_hint: usize,
-    ) -> Self {
+impl Plan {
+    fn build<S: Pls>(prepared: &PreparedCompiled<'_, S>, rounds: usize) -> Self {
         let config = prepared.config;
         let g = config.graph();
-        let port_base = config.port_base();
-        let delivery = config.delivery();
-        let port_count = *port_base.last().expect("port_base has n+1 entries") as usize;
-        let mut owner = vec![0u32; port_count];
-        for v in 0..prepared.nodes.len() {
-            let node = u32::try_from(v).expect("node index fits in u32");
-            owner[port_base[v] as usize..port_base[v + 1] as usize].fill(node);
-        }
+        let (port_base, delivery, owner) =
+            (config.port_base(), config.delivery(), config.port_owner());
+        let force_dynamic = prepared.scheme.force_dynamic;
 
-        // Prover-side slice schedules, one per node. A malformed
-        // (κ, own-label) prefix keeps the one-round behaviour: empty
-        // certificates every round, no randomness drawn.
-        let senders: Vec<Option<SenderSchedule>> = g
+        // Prover-side slice schedules (t ≥ 2 only), one per node. A
+        // malformed (κ, own-label) prefix keeps the unprepared behaviour:
+        // empty certificates every round, no randomness drawn.
+        let senders: Vec<Option<SenderSchedule>> = if rounds == 1 {
+            Vec::new()
+        } else {
+            g.nodes()
+                .map(|v| {
+                    parse_own_label(prepared.labeling.get(v)).map(|(kappa, own)| {
+                        let proto =
+                            EqProtocol::for_length((LEN_BITS as usize + kappa).div_ceil(rounds));
+                        let lp = length_prefixed(&own);
+                        SenderSchedule {
+                            proto,
+                            covered: lp.len().div_ceil(proto.input_length()),
+                            lp,
+                        }
+                    })
+                })
+                .collect()
+        };
+        let dims = g
             .nodes()
             .map(|v| {
-                parse_own_label(prepared.labeling.get(v)).map(|(kappa, own)| {
-                    let lambda = LEN_BITS as usize + kappa;
-                    let chunk = lambda.div_ceil(rounds);
-                    let proto = EqProtocol::for_length(chunk);
-                    let lp = length_prefixed(&own);
-                    let covered = lp.len().div_ceil(chunk);
-                    SenderSchedule {
-                        chunk,
-                        proto,
-                        lp,
-                        covered,
-                    }
-                })
+                let (width, covered) = if rounds == 1 {
+                    let prover = prepared.nodes[v.index()].label.prover.as_ref();
+                    prover.map_or((0, 0), |p| (p.protocol().message_bits(), 1))
+                } else {
+                    let sender = senders[v.index()].as_ref();
+                    sender.map_or((0, 0), |s| (s.proto.message_bits(), s.covered))
+                };
+                (width, g.degree(v), covered)
             })
             .collect();
-
-        let mut dims = Vec::with_capacity(senders.len());
-        for (v, s) in senders.iter().enumerate() {
-            let degree = g.degree(NodeId::new(v));
-            match s {
-                Some(s) => dims.push((s.proto.message_bits(), degree, s.covered)),
-                None => dims.push((0, degree, 0)),
-            }
-        }
 
         // Slice fingerprints are content-keyed `(modulus, slice)` pairs
         // like every other preparation, so they are requested through the
@@ -1041,89 +902,126 @@ impl MultiRoundPlan {
         // or recurring across the labelings and per-t plans of a sweep —
         // is prepared once, with retention and lazy-table allowances drawn
         // from the cache-wide epoch budgets instead of a per-plan pool.
-        let store = &prepared.store;
         let prepare_slice = |proto: &EqProtocol, slice: BitString| -> Rc<PreparedEq> {
-            store
+            prepared
+                .store
                 .borrow_mut()
-                .eq_prep(proto, slice, rounds_hint)
+                .eq_prep(proto, slice, prepared.rounds_hint)
                 .expect("slice length is bounded by the slice capacity")
         };
 
-        let mut field_of = field_memo();
-        let batch_nodes = prepared
+        // A reducer is appended only when a check's field differs from the
+        // previous check's, so `fields` stays at one entry for a uniform κ
+        // and never outgrows the check count.
+        let mut fields: Vec<Barrett> = Vec::new();
+        let mut field_of = |modulus: u64| {
+            if fields.last().map(|b| b.modulus()) != Some(modulus) {
+                fields.push(Barrett::cached(modulus));
+            }
+            u32::try_from(fields.len() - 1).expect("field index fits in u32")
+        };
+        let nodes = prepared
             .nodes
             .iter()
             .enumerate()
             .map(|(u, n)| {
                 if !n.ready {
-                    return MultiNodeBatch::RejectAt(1);
+                    return NodePlan::RejectAt(1);
                 }
                 let rep = n.label.replication.as_ref().expect("ready implies parsed");
-                // The receiver's slice capacity comes from its own declared
-                // κ (the first 32 bits of its replicated label, which
-                // `ready` guarantees parse).
-                let kappa_u = BitReader::new(prepared.labeling.get(NodeId::new(u)))
-                    .read_u64(LEN_BITS)
-                    .expect("ready implies a parsable κ prefix")
-                    as usize;
-                let chunk_u = (LEN_BITS as usize + kappa_u).div_ceil(rounds);
-                let proto_u = EqProtocol::for_length(chunk_u);
-                let mut static_reject: Option<usize> = None;
-                let mut checks: Vec<MultiEdgeCheck> = Vec::new();
+                // At t ≥ 2 the receiver's slice protocol comes from its own
+                // declared κ (the first 32 bits of its replicated label,
+                // which `ready` guarantees parse).
+                let proto_u = (rounds > 1).then(|| {
+                    let kappa_u = BitReader::new(prepared.labeling.get(NodeId::new(u)))
+                        .read_u64(LEN_BITS)
+                        .expect("ready implies a parsable κ prefix")
+                        as usize;
+                    EqProtocol::for_length((LEN_BITS as usize + kappa_u).div_ceil(rounds))
+                });
+                let mut static_reject = NO_REJECT;
+                let mut checks: Vec<EdgeCheck> = Vec::new();
                 let lo = port_base[u] as usize;
-                for (i, part) in rep.parts[1..].iter().enumerate() {
+                for (i, recv_prep) in rep.ports.iter().enumerate() {
                     let src = delivery[lo + i] as usize;
                     let v = owner[src] as usize;
-                    let p = src - port_base[v] as usize;
+                    let mut check = |round: usize, sender: Rc<PreparedEq>, receiver| EdgeCheck {
+                        round: u32::try_from(round).expect("round index fits in u32"),
+                        field: field_of(sender.protocol().modulus()),
+                        src_node: owner[src],
+                        src_port: u32::try_from(src - port_base[v] as usize)
+                            .expect("port rank fits in u32"),
+                        sender,
+                        receiver,
+                    };
+                    // A malformed sender prover emits empty certificates,
+                    // which fail round 1's length check, as does a κ
+                    // mismatch that changes the message width.
+                    let Some(proto_u) = proto_u else {
+                        // t = 1: the one slice is the whole string, whose
+                        // fingerprints the label preparation holds.
+                        // Preparations are shared by (modulus,
+                        // fingerprinted string), so pointer equality means
+                        // the sender fingerprints exactly the string this
+                        // port expects: the probe passes at every point of
+                        // the field, every trial. (When a cache budget ran
+                        // out and handed one side out unshared, the probe
+                        // simply runs — and passes — dynamically; votes
+                        // cannot depend on the shortcut.)
+                        let Some(send_prep) = &prepared.nodes[v].label.prover else {
+                            return NodePlan::RejectAt(1);
+                        };
+                        if send_prep.protocol().message_bits() != rep.expected_bits {
+                            return NodePlan::RejectAt(1);
+                        }
+                        if force_dynamic || !Rc::ptr_eq(send_prep, recv_prep) {
+                            checks.push(check(0, Rc::clone(send_prep), Rc::clone(recv_prep)));
+                        }
+                        continue;
+                    };
                     let Some(sv) = &senders[v] else {
-                        // Empty certificates where a slice message is
-                        // expected: round 1's length check fails.
-                        return MultiNodeBatch::RejectAt(1);
+                        return NodePlan::RejectAt(1);
                     };
                     if sv.proto.message_bits() != proto_u.message_bits() {
-                        return MultiNodeBatch::RejectAt(1);
+                        return NodePlan::RejectAt(1);
                     }
-                    let lp_u = length_prefixed(part);
+                    let (chunk, chunk_u) = (sv.proto.input_length(), proto_u.input_length());
+                    let lp_u = length_prefixed(&rep.parts[i + 1]);
                     let covered_u = lp_u.len().div_ceil(chunk_u);
                     let shared = sv.covered.min(covered_u);
                     if sv.covered != covered_u {
                         // One side stops streaming before the other: the
                         // first uncovered round's length check fails
                         // deterministically.
-                        let at = shared + 1;
-                        static_reject = Some(static_reject.map_or(at, |k| k.min(at)));
+                        static_reject = static_reject.min(shared + 1);
                     }
                     for r in 0..shared {
-                        let ss = slice_of(&sv.lp, r, sv.chunk);
+                        let ss = slice_of(&sv.lp, r, chunk);
                         let su = slice_of(&lp_u, r, chunk_u);
-                        if sv.proto.modulus() == proto_u.modulus() && ss == su {
-                            // The sender fingerprints exactly the slice
-                            // this round expects: passes at every point of
-                            // the field, every trial.
+                        if !force_dynamic && sv.proto.modulus() == proto_u.modulus() && ss == su {
+                            // The sender fingerprints exactly the slice this
+                            // round expects: passes at every point of the
+                            // field, every trial.
                             continue;
                         }
                         let sender = prepare_slice(&sv.proto, ss);
-                        let receiver = prepare_slice(&proto_u, su);
-                        checks.push(MultiEdgeCheck {
-                            round: r,
-                            src_node: owner[src],
-                            src_port: u32::try_from(p).expect("port rank fits in u32"),
-                            send_field: field_of(sv.proto.modulus()),
-                            sender,
-                            receiver,
-                        });
+                        checks.push(check(r, sender, prepare_slice(&proto_u, su)));
                     }
                 }
-                if let Some(k) = static_reject {
+                if static_reject != NO_REJECT {
                     // Probes at or past a deterministic rejection cannot
                     // move the node's first-failure round.
-                    checks.retain(|c| c.round + 1 < k);
+                    checks.retain(|c| (c.round as usize) + 1 < static_reject);
                 }
-                checks.sort_by_key(|c| c.round);
+                if rounds > 1 {
+                    // Round order lets the kernel skip the probes of trials
+                    // this node already failed in an earlier round.
+                    checks.sort_by_key(|c| c.round);
+                }
                 match (checks.is_empty(), static_reject) {
-                    (true, Some(k)) => MultiNodeBatch::RejectAt(k),
-                    (true, None) => MultiNodeBatch::StaticPass,
-                    (false, _) => MultiNodeBatch::Dynamic {
+                    (true, NO_REJECT) => NodePlan::StaticPass,
+                    (true, k) => NodePlan::RejectAt(k),
+                    (false, _) => NodePlan::Dynamic {
                         static_reject,
                         checks,
                     },
@@ -1132,8 +1030,11 @@ impl MultiRoundPlan {
             .collect();
 
         Self {
+            rounds,
             dims,
-            nodes: batch_nodes,
+            nodes,
+            fields,
+            order: DegreeBuckets::new(g).iter_by_bucket().collect(),
         }
     }
 }
@@ -1170,42 +1071,33 @@ struct PreparedNode {
 struct PreparedCompiled<'a, S> {
     scheme: &'a CompiledRpls<S>,
     config: &'a Configuration,
-    /// The bound labeling — the multi-round planner re-reads raw labels
-    /// from it (slice schedules are cut from strings the one-round
-    /// preparation does not retain).
+    /// The bound labeling — the `t ≥ 2` planner re-reads raw labels from
+    /// it (slice schedules are cut from strings the label preparation does
+    /// not retain).
     labeling: &'a Labeling,
     /// The round count this instance was prepared for, reused as the
-    /// lazy-table hint of multi-round slice fingerprints.
+    /// lazy-table hint of slice fingerprints.
     rounds_hint: usize,
     /// Handle on the preparing cache's fingerprint store: plans built
-    /// lazily after binding time (the per-`t` slice schedules) request
-    /// their preparations through it, sharing content and budgets with
+    /// after binding time (the `t ≥ 2` slice schedules) request their
+    /// preparations through it, sharing content and budgets with
     /// everything prepared up front.
-    store: Rc<std::cell::RefCell<EqStore>>,
+    store: Rc<RefCell<EqStore>>,
     nodes: Vec<PreparedNode>,
-    /// The labeling-static batched-trial plan (see [`BatchPlan`]).
-    plan: BatchPlan,
-    /// Chunked-fingerprint schedules, built on first use and cached per
-    /// `t` (see [`MultiRoundPlan`]). A sweep rarely uses more than a
-    /// handful of distinct `t`s, so a small vec beats a map.
-    multiround_plans: RefCell<Vec<(usize, Rc<MultiRoundPlan>)>>,
+    /// The schedule plans, cached per `t` (see [`Plan`]). A sweep rarely
+    /// uses more than a handful of distinct `t`s, so a small vec beats a
+    /// map.
+    plans: RefCell<Vec<Rc<Plan>>>,
 }
 
 impl<S: Pls> PreparedCompiled<'_, S> {
-    /// The chunked-fingerprint schedule for `rounds`, built on first use.
-    fn multiround_plan(&self, rounds: usize) -> Rc<MultiRoundPlan> {
-        if let Some((_, plan)) = self
-            .multiround_plans
-            .borrow()
-            .iter()
-            .find(|(t, _)| *t == rounds)
-        {
+    /// The plan of the `rounds`-round schedule, built on first use.
+    fn plan(&self, rounds: usize) -> Rc<Plan> {
+        if let Some(plan) = self.plans.borrow().iter().find(|p| p.rounds == rounds) {
             return Rc::clone(plan);
         }
-        let plan = Rc::new(MultiRoundPlan::build(self, rounds, self.rounds_hint));
-        self.multiround_plans
-            .borrow_mut()
-            .push((rounds, Rc::clone(&plan)));
+        let plan = Rc::new(Plan::build(self, rounds));
+        self.plans.borrow_mut().push(Rc::clone(&plan));
         plan
     }
 
@@ -1235,13 +1127,7 @@ impl<S: Pls> PreparedCompiled<'_, S> {
 
 impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
     fn pattern_cost(&self, pattern: MessagePattern, rounds: usize) -> Option<PatternCost> {
-        if rounds == 1 {
-            return Some(pattern_cost_from_dims(
-                pattern,
-                self.plan.dims.iter().map(|&(w, d)| (w, d, 1)),
-            ));
-        }
-        let plan = self.multiround_plan(rounds);
+        let plan = self.plan(rounds);
         Some(pattern_cost_from_dims(pattern, plan.dims.iter().copied()))
     }
 
@@ -1280,10 +1166,9 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
         self.inner_verdict(node.index())
     }
 
-    /// The one trial hook, dispatched once per block on the spec's
-    /// `(faults, rounds)` shape to the four batched kernels below. A
-    /// transparent fault plan runs the clean kernels and reports all-zero
-    /// fault statistics.
+    /// The one trial hook: the schedule's plan, its clean kernel, and —
+    /// under a non-transparent fault plan — the fault overlay. A
+    /// transparent fault plan reports all-zero fault statistics.
     fn run_block(
         &self,
         spec: &RunSpec,
@@ -1292,7 +1177,7 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
         scratch: &mut RoundScratch,
         emit: &mut dyn FnMut(RunReport),
     ) {
-        let (pattern, mode) = (spec.pattern, spec.stream_mode);
+        let (pattern, mode, rounds) = (spec.pattern, spec.stream_mode, spec.rounds);
         // The shared-stream violation mode threads one generator across a
         // node's ports sequentially; batching per (node, port) would
         // reorder its draws, so one-round trials in that diagnostics mode
@@ -1300,53 +1185,33 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
         // Broadcast and k-messages key their streams by slot and ignore the
         // stream mode entirely, and the streaming schedule keys every
         // round's words explicitly, so those always batch.
-        if spec.rounds == 1
+        if rounds == 1
             && matches!(pattern, MessagePattern::PerPort | MessagePattern::Unicast)
             && mode != StreamMode::EdgeIndependent
         {
             crate::engine::scalar_block(spec, self, config, seeds, scratch, emit);
             return;
         }
-        let clean_fault = spec.faults.as_ref().map(|_| FaultReport::default());
-        let faults = spec.faults.as_ref().filter(|plan| !plan.is_transparent());
-        match (faults, spec.rounds) {
-            (None, 1) => {
-                // Pattern-adjusted bit accounting, identical by
-                // construction to what the scalar path reports (it
-                // overrides its transcript-derived bits with the same
-                // `pattern_cost`). For `PerPort` the formula reproduces
-                // `plan.{max,total}_bits` exactly, keeping the golden
-                // transcripts intact.
-                let cost =
-                    pattern_cost_from_dims(pattern, self.plan.dims.iter().map(|&(w, d)| (w, d, 1)));
-                for accepted in self.probe_block(config, seeds, pattern) {
-                    emit(RunReport {
-                        fault: clean_fault,
-                        ..RunReport::one_round(accepted, cost.max_bits_per_round, cost.total_bits)
-                    });
-                }
-            }
-            (None, rounds) => {
-                let plan = self.multiround_plan(rounds);
-                // Pattern-adjusted bit accounting; reproduces the plan's own
-                // `{max,total}_bits` exactly under `PerPort`.
-                let cost = pattern_cost_from_dims(pattern, plan.dims.iter().copied());
-                for reject_at in self.stream_block(&plan, config, seeds, rounds, pattern, mode) {
-                    let accepted = reject_at == NO_REJECT;
-                    emit(RunReport {
-                        accepted,
-                        rounds,
-                        decided_round: if accepted { rounds } else { reject_at },
-                        max_bits_per_round: cost.max_bits_per_round,
-                        total_bits: cost.total_bits,
-                        fault: clean_fault,
-                    });
-                }
-            }
-            (Some(plan), 1) => self.faulted_block(config, seeds, plan, pattern, emit),
-            (Some(plan), rounds) => {
-                self.faulted_stream_block(config, seeds, rounds, plan, pattern, mode, emit);
-            }
+        let plan = self.plan(rounds);
+        let clean = self.run_plan(&plan, config.graph(), seeds, pattern, mode);
+        if let Some(faults) = spec.faults.as_ref().filter(|f| !f.is_transparent()) {
+            self.overlay_faults(&plan, config, seeds, faults, &clean, emit);
+            return;
+        }
+        // Pattern-adjusted bit accounting, identical by construction to
+        // what the scalar path reports (it overrides its transcript-derived
+        // bits with the same `pattern_cost`).
+        let cost = pattern_cost_from_dims(pattern, plan.dims.iter().copied());
+        let fault = spec.faults.as_ref().map(|_| FaultReport::default());
+        for reject_at in clean {
+            emit(RunReport {
+                accepted: reject_at == NO_REJECT,
+                rounds,
+                decided_round: reject_at.min(rounds),
+                max_bits_per_round: cost.max_bits_per_round,
+                total_bits: cost.total_bits,
+                fault,
+            });
         }
     }
 }
@@ -1355,72 +1220,78 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
 const NO_REJECT: usize = usize::MAX;
 
 impl<S: Pls> PreparedCompiled<'_, S> {
-    /// The batched one-round trial loop the ROADMAP's "batch whole trials
-    /// per node" lever asked for; returns each trial's verdict.
-    /// Certificates are never materialised: with edge-independent streams,
-    /// each (node, port, trial) certificate is a pure function of
-    /// `(seed_t, node, port)` — one SplitMix64 word reduced into the
-    /// sender's field — so the fingerprint check collapses to comparing two
-    /// prepared polynomial probes at that point. The BitSlice parse, the
-    /// table-vs-Horner dispatch, the arena writes, and the per-trial vote
-    /// loop of the scalar path are all hoisted out of (or dropped from) the
-    /// inner loop; verdicts stay bit-identical to the scalar path, which
-    /// the golden tests pin.
-    fn probe_block(
+    /// The clean batched trial loop over `plan`; returns each trial's
+    /// first-rejection round ([`NO_REJECT`] when it accepts). Certificates
+    /// are never materialised: with per-(node, slot, round) streams, each
+    /// certificate is a pure function of its stream key and the trial seed
+    /// — one SplitMix64 word reduced into the sender's field — so each
+    /// fingerprint check collapses to comparing two prepared polynomial
+    /// probes at that point. The BitSlice parse, the arena writes, and the
+    /// per-trial vote loop of the scalar path are all dropped; reports stay
+    /// bit-identical to it, which the golden tests pin.
+    ///
+    /// Nodes are walked in the plan's degree-bucket order. A probe is
+    /// skipped for a trial once it can no longer move that trial's
+    /// first-rejection round (streams are stateless, so nothing downstream
+    /// observes the skipped draws), and the walk stops once every trial is
+    /// decided at round 1.
+    fn run_plan(
         &self,
-        config: &Configuration,
+        plan: &Plan,
+        g: &Graph,
         seeds: &[u64],
         pattern: MessagePattern,
-    ) -> Vec<bool> {
-        let plan = &self.plan;
-        let g = config.graph();
+        mode: StreamMode,
+    ) -> Vec<usize> {
         let trials = seeds.len();
-        let mut acc = vec![true; trials];
-        let mut ok: Vec<bool> = Vec::with_capacity(trials);
-        // Cheapest degree bucket first (see `BatchPlan::order`): the
-        // conjunction over nodes is order-independent, but hubs walked
-        // last probe only the trials every cheap node already passed.
-        'nodes: for &u in &plan.order {
+        let mut reject_at = vec![NO_REJECT; trials];
+        let mut node_fail: Vec<usize> = Vec::new();
+        let sketch = self.scheme.sketch.filter(|_| plan.rounds == 1);
+        for &u in &plan.order {
             let u = u as usize;
             match &plan.nodes[u] {
-                NodeBatch::AlwaysFalse => {
-                    acc.fill(false);
-                    break 'nodes;
-                }
-                NodeBatch::StaticPass => {
-                    if trials > 0 && !self.inner_verdict(u) {
-                        acc.fill(false);
-                        break 'nodes;
+                NodePlan::RejectAt(k) => {
+                    for r in &mut reject_at {
+                        *r = (*r).min(*k);
                     }
                 }
-                NodeBatch::Dynamic(checks) => {
-                    // Trials some earlier node already rejected can skip
-                    // the probes: streams are per-(node, slot, trial), so
-                    // nothing downstream observes the skipped draws.
-                    ok.clear();
-                    ok.extend_from_slice(&acc);
-                    match self.scheme.sketch.map(|s| s.max_probes()) {
-                        Some(s) if checks.len() > s => {
+                NodePlan::StaticPass => {
+                    if trials == 0 || self.inner_verdict(u) {
+                        continue;
+                    }
+                    for r in &mut reject_at {
+                        *r = (*r).min(plan.rounds);
+                    }
+                }
+                NodePlan::Dynamic {
+                    static_reject,
+                    checks,
+                } => {
+                    node_fail.clear();
+                    node_fail.resize(trials, *static_reject);
+                    match sketch {
+                        Some(sketch) if checks.len() > sketch.max_probes() => {
                             // The probe sketch: a node over budget runs,
                             // per live trial, `s` checks sampled from its
-                            // domain-separated sketch stream — a subset
-                            // of the full conjunction, so rejection here
+                            // domain-separated sketch stream — a subset of
+                            // the full conjunction, so rejection here
                             // implies full-probe rejection on the same
                             // seed (see [`ProbeSketch`]).
                             let d = checks.len() as u64;
-                            for (t, &seed) in seeds.iter().enumerate() {
-                                if !ok[t] {
+                            let trials = node_fail.iter_mut().zip(&reject_at).zip(seeds);
+                            for ((fail, &rejected), &seed) in trials {
+                                if rejected == 1 {
                                     continue;
                                 }
-                                for draw in 0..s as u64 {
-                                    let idx =
-                                        (sketch_stream_word(seed, u as u64, draw) % d) as usize;
-                                    let c = &checks[idx];
-                                    let send = c.sender.evaluator();
-                                    let recv = c.receiver.evaluator();
-                                    let slot = c.slot_under(pattern, g);
-                                    if !c.probe_one(pattern, slot, seed, &send, &recv) {
-                                        ok[t] = false;
+                                for draw in 0..sketch.max_probes() as u64 {
+                                    let idx = sketch_stream_word(seed, u as u64, draw) % d;
+                                    let c = &checks[idx as usize];
+                                    let word = c.words(pattern, mode, g)(seed);
+                                    let field = &plan.fields[c.field as usize];
+                                    let (send, recv) =
+                                        (c.sender.evaluator(), c.receiver.evaluator());
+                                    if !EdgeCheck::probe(word, field, &send, &recv) {
+                                        *fail = 1;
                                         break;
                                     }
                                 }
@@ -1428,302 +1299,91 @@ impl<S: Pls> PreparedCompiled<'_, S> {
                         }
                         _ => {
                             for c in checks {
-                                c.probe_trials(pattern, g, seeds, &mut ok);
+                                let word = c.words(pattern, mode, g);
+                                let field = &plan.fields[c.field as usize];
+                                c.probe_trials(word, field, seeds, &reject_at, &mut node_fail);
                             }
                         }
                     }
-                    if !ok.contains(&true) {
-                        acc.fill(false);
-                        break 'nodes;
-                    }
-                    if self.inner_verdict(u) {
-                        acc.copy_from_slice(&ok);
-                    } else {
-                        // The inner verifier rejects the claimed labels:
-                        // trials whose fingerprints all passed reach that
-                        // rejection, the rest already failed a probe —
-                        // either way every vote is false.
-                        acc.fill(false);
-                        break 'nodes;
-                    }
-                }
-            }
-        }
-        acc
-    }
-
-    /// The batched t-round trial loop (see [`MultiRoundPlan`]): chunked
-    /// fingerprint streaming with early rejection, certificates never
-    /// materialised; returns each trial's first rejection round
-    /// ([`NO_REJECT`] when it accepts). Each non-trivial (port, round,
-    /// trial) probe is one SplitMix64 word of round `r`'s stream reduced
-    /// into the sender's slice field, compared through two prepared slice
-    /// polynomials; everything else — per-round widths, coverage
-    /// mismatches, statically satisfied slices — was resolved at plan-build
-    /// time. Probes that can no longer move a trial's first-rejection round
-    /// are skipped (streams are per-(node, port, round, trial), so nothing
-    /// downstream observes the skipped draws).
-    fn stream_block(
-        &self,
-        plan: &MultiRoundPlan,
-        config: &Configuration,
-        seeds: &[u64],
-        rounds: usize,
-        pattern: MessagePattern,
-        mode: StreamMode,
-    ) -> Vec<usize> {
-        let g = config.graph();
-        let trials = seeds.len();
-        let mut reject_at = vec![NO_REJECT; trials];
-        let mut node_fail: Vec<usize> = Vec::new();
-        for (u, nb) in plan.nodes.iter().enumerate() {
-            match nb {
-                MultiNodeBatch::RejectAt(k) => {
-                    for slot in &mut reject_at {
-                        *slot = (*slot).min(*k);
-                    }
-                }
-                MultiNodeBatch::StaticPass => {
-                    if trials > 0 && !self.inner_verdict(u) {
-                        for slot in &mut reject_at {
-                            *slot = (*slot).min(rounds);
-                        }
-                    }
-                }
-                MultiNodeBatch::Dynamic {
-                    static_reject,
-                    checks,
-                } => {
-                    node_fail.clear();
-                    node_fail.resize(trials, static_reject.unwrap_or(NO_REJECT));
-                    for c in checks {
-                        let send = c.sender.evaluator();
-                        let recv = c.receiver.evaluator();
-                        let round1 = c.round + 1;
-                        let slot = c.slot_under(pattern, g);
-                        let (src_node, src_port) = (u64::from(c.src_node), u64::from(c.src_port));
-                        for (t, &seed) in seeds.iter().enumerate() {
-                            if node_fail[t] <= round1 || reject_at[t] <= round1 {
-                                continue;
-                            }
-                            let rseed = multiround_seed(seed, c.round);
-                            let word = match pattern {
-                                // Broadcast keys each round's single
-                                // message by the sender's per-round node
-                                // stream, whatever the stream mode.
-                                MessagePattern::Broadcast => node_stream_word(rseed, src_node, 0),
-                                // k-messages keys each slot's message by
-                                // its slot-indexed edge stream,
-                                // mode-independently.
-                                MessagePattern::KMessages(_) => {
-                                    edge_stream_first_word(rseed, src_node, slot)
-                                }
-                                MessagePattern::PerPort | MessagePattern::Unicast => match mode {
-                                    StreamMode::EdgeIndependent => {
-                                        edge_stream_first_word(rseed, src_node, src_port)
-                                    }
-                                    // The shared-stream violation mode
-                                    // draws one word per port from the
-                                    // node's single per-round stream; port
-                                    // rank p consumes word p (each slice
-                                    // message costs exactly one word).
-                                    StreamMode::SharedPerNode => {
-                                        node_stream_word(rseed, src_node, src_port)
-                                    }
-                                },
-                            };
-                            let x = c.send_field.reduce(u128::from(word));
-                            if !(x < recv.modulus() && {
-                                let (a, b) = send.eval_pair(&recv, x);
-                                a == b
-                            }) {
-                                node_fail[t] = round1;
-                            }
-                        }
-                    }
-                    // The inner verifier runs only for trials whose probes
-                    // all passed, matching the one-round order; its `false`
-                    // verdict surfaces when the node votes after the last
-                    // round.
-                    let inner = if node_fail.contains(&NO_REJECT) {
-                        self.inner_verdict(u)
-                    } else {
-                        true // unused: every trial already failed a probe
-                    };
-                    for (slot, &fail) in reject_at.iter_mut().zip(&node_fail) {
-                        let fail = if fail == NO_REJECT {
-                            if inner {
-                                NO_REJECT
-                            } else {
-                                rounds
-                            }
+                    // The inner verifier runs only if some trial's probes
+                    // all passed, matching the unprepared order; its
+                    // `false` verdict surfaces when the node votes after
+                    // the last round.
+                    let inner = !node_fail.contains(&NO_REJECT) || self.inner_verdict(u);
+                    for (r, &fail) in reject_at.iter_mut().zip(&node_fail) {
+                        let fail = if fail == NO_REJECT && !inner {
+                            plan.rounds
                         } else {
                             fail
                         };
-                        *slot = (*slot).min(fail);
+                        *r = (*r).min(fail);
                     }
                 }
+            }
+            if reject_at.iter().all(|&r| r == 1) {
+                break;
             }
         }
         reject_at
     }
 
-    /// The faulted batched one-round loop: the clean probe kernel plus a
-    /// per-trial fault scan over **every** directed edge. The scan runs
-    /// over all ports — not just the plan's dynamic checks — so a message
-    /// the batch plan statically skipped (a shared-preparation probe, a
-    /// static-pass node) still fails its trial when the plan perturbs it:
-    /// a dropped or corrupted message never silently counts as a passed
-    /// probe. The global verdict is the clean kernel's AND "no message
-    /// missing", which is exactly the scalar reference semantics (a node
-    /// missing input rejects conservatively, so the conjunction over nodes
-    /// factors). The fault layer models point-to-point delivery, so the
-    /// scan stays per directed link under every pattern: a broadcast
+    /// The fault overlay of the batched schedule: the clean kernel's
+    /// first-rejection rounds `clean` plus a per-trial fault scan over the
+    /// message set of **every** directed edge. The scan covers all ports —
+    /// not just the plan's dynamic checks — so a message the plan
+    /// statically skipped still fails its trial when the fault plan
+    /// perturbs it: a lost message never silently counts as a passed probe.
+    /// A node missing input rejects conservatively, so the global verdict
+    /// is the clean kernel's AND "no message missing" — exactly the scalar
+    /// reference semantics. The fault layer models point-to-point delivery,
+    /// so the scan stays per directed link under every pattern: a broadcast
     /// message crossing d links is hazarded (and accounted) d times.
-    fn faulted_block(
+    ///
+    /// Node `u` sends one message of its width per port in each of its
+    /// covered rounds (both from the plan's `dims`); rounds past coverage
+    /// carry nothing and draw no fault word. Senders crash-stop at their
+    /// first firing hazard. A failed message is re-sent within its round up
+    /// to the plan's retry budget, each attempt paying its width again. A
+    /// receiver still missing a message after retries rejects at the end of
+    /// that round, so `decided_round` is the earlier of the clean decision
+    /// and the first unrecovered loss.
+    ///
+    /// At `t = 1` the overlay follows the single-shot rules of the scalar
+    /// reference (`engine::degraded_round`): every directed edge is
+    /// hazarded once, even one carrying an empty certificate; nothing is
+    /// retried; and a duplicate is charged in `total_bits` without raising
+    /// `max_bits_per_round`.
+    fn overlay_faults(
         &self,
+        plan: &Plan,
         config: &Configuration,
         seeds: &[u64],
-        plan: &FaultPlan,
-        pattern: MessagePattern,
+        faults: &FaultPlan,
+        clean: &[usize],
         emit: &mut dyn FnMut(RunReport),
     ) {
-        let clean = self.probe_block(config, seeds, pattern);
-
-        // Per-node transmitted certificate width, label-static: exactly
-        // what `certify_into` writes (the prover's message width, or zero
-        // when the (κ, own-label) prefix is malformed).
-        let cert_bits: Vec<usize> = self
-            .nodes
-            .iter()
-            .map(|n| {
-                n.label
-                    .prover
-                    .as_ref()
-                    .map_or(0, |p| p.protocol().message_bits())
-            })
-            .collect();
-
-        let n = config.node_count();
-        let delivery = config.delivery();
-        let port_owner = config.port_owner();
-        let mut crashed = vec![false; n];
-        // Trial-stamped marker for "this receiver already lost a message".
-        let mut short_at = vec![usize::MAX; n];
-        for (t, &seed) in seeds.iter().enumerate() {
-            let mut counts = FaultCounts::default();
-            for (v, down) in crashed.iter_mut().enumerate() {
-                *down = plan.crash_hazard(seed, v as u64, 0);
-                counts.crashed_nodes += usize::from(*down);
-            }
-            let mut missing_messages = 0usize;
-            let mut insufficient_nodes = 0usize;
-            let mut max_bits = 0usize;
-            let mut total_bits = 0usize;
-            for (recv_port, &src) in delivery.iter().enumerate() {
-                let src = src as usize;
-                let sender = port_owner[src] as usize;
-                let receiver = port_owner[recv_port] as usize;
-                let mut lose = || {
-                    missing_messages += 1;
-                    if short_at[receiver] != t {
-                        short_at[receiver] = t;
-                        insufficient_nodes += 1;
-                    }
-                };
-                if crashed[sender] {
-                    lose();
-                    continue;
-                }
-                let len = cert_bits[sender];
-                let outcome = plan.outcome(seed, 0, src as u64);
-                total_bits += len * outcome.transmissions();
-                max_bits = max_bits.max(len);
-                match outcome {
-                    DeliveryOutcome::Intact => {}
-                    DeliveryOutcome::Duplicated => counts.duplicated += 1,
-                    DeliveryOutcome::Dropped => {
-                        counts.dropped += 1;
-                        lose();
-                    }
-                    DeliveryOutcome::Corrupted => {
-                        counts.corrupted += 1;
-                        lose();
-                    }
-                }
-            }
-            emit(RunReport {
-                fault: Some(FaultReport {
-                    insufficient_nodes,
-                    missing_messages,
-                    counts,
-                }),
-                ..RunReport::one_round(clean[t] && missing_messages == 0, max_bits, total_bits)
-            });
-        }
-    }
-
-    /// The faulted batched t-round loop: the clean chunked-fingerprint
-    /// kernel plus a fault overlay on *its* per-round message set — node
-    /// `u` sends one slice message of its protocol width per port in each
-    /// of its `covered` rounds; rounds past coverage carry nothing and
-    /// draw no fault word. Failed chunks are re-sent within their round up
-    /// to the plan's retry budget (each attempt pays the slice width
-    /// again); senders crash-stop at their first firing hazard. A receiver
-    /// still missing a chunk after retries rejects at the end of that
-    /// round, so `decided_round` is the earlier of the clean kernel's
-    /// decision and the first unrecovered loss. As in
-    /// [`Self::faulted_block`], the overlay stays per directed link under
-    /// every pattern.
-    #[allow(clippy::too_many_arguments)]
-    fn faulted_stream_block(
-        &self,
-        config: &Configuration,
-        seeds: &[u64],
-        rounds: usize,
-        plan: &FaultPlan,
-        pattern: MessagePattern,
-        mode: StreamMode,
-        emit: &mut dyn FnMut(RunReport),
-    ) {
-        let stream_plan = self.multiround_plan(rounds);
-        let clean = self.stream_block(&stream_plan, config, seeds, rounds, pattern, mode);
-
-        // The streaming schedule's per-node message shape, mirroring the
-        // plan builder's `SenderSchedule`: slice-message width and covered
-        // rounds (malformed prefixes stream nothing, as in certify_into).
-        let sched: Vec<(usize, usize)> = config
-            .graph()
-            .nodes()
-            .map(|v| {
-                parse_own_label(self.labeling.get(v)).map_or((0, 0), |(kappa, own)| {
-                    let chunk = (LEN_BITS as usize + kappa).div_ceil(rounds);
-                    let proto = EqProtocol::for_length(chunk);
-                    (
-                        proto.message_bits(),
-                        length_prefixed(&own).len().div_ceil(chunk),
-                    )
-                })
-            })
-            .collect();
-        let max_covered = sched.iter().map(|&(_, c)| c).max().unwrap_or(0);
+        let single_shot = plan.rounds == 1;
+        let messages = |covered: usize| if single_shot { 1 } else { covered };
+        let retry_budget = if single_shot {
+            0
+        } else {
+            faults.retry_budget()
+        };
+        let max_messages = plan.dims.iter().map(|d| messages(d.2)).max();
 
         let n = config.node_count();
         let delivery = config.delivery();
         let port_owner = config.port_owner();
         let mut crash_round = vec![usize::MAX; n];
+        // Trial-stamped marker for "this receiver already lost a message".
         let mut short_at = vec![usize::MAX; n];
         for (t, &seed) in seeds.iter().enumerate() {
             let mut counts = FaultCounts::default();
             for (v, cr) in crash_round.iter_mut().enumerate() {
-                *cr = usize::MAX;
-                for r in 0..max_covered {
-                    if plan.crash_hazard(seed, v as u64, r as u64) {
-                        *cr = r;
-                        counts.crashed_nodes += 1;
-                        break;
-                    }
-                }
+                *cr = (0..max_messages.unwrap_or(0))
+                    .find(|&r| faults.crash_hazard(seed, v as u64, r as u64))
+                    .unwrap_or(usize::MAX);
+                counts.crashed_nodes += usize::from(*cr != usize::MAX);
             }
             let mut missing_messages = 0usize;
             let mut insufficient_nodes = 0usize;
@@ -1734,63 +1394,59 @@ impl<S: Pls> PreparedCompiled<'_, S> {
                 let src = src as usize;
                 let sender = port_owner[src] as usize;
                 let receiver = port_owner[recv_port] as usize;
-                let (bits, covered) = sched[sender];
-                for r in 0..covered {
+                let (bits, _, covered) = plan.dims[sender];
+                let msgs = messages(covered);
+                let mut lose = |r: usize, lost: usize| {
+                    missing_messages += lost;
+                    if short_at[receiver] != t {
+                        short_at[receiver] = t;
+                        insufficient_nodes += 1;
+                    }
+                    earliest_missing = earliest_missing.min(r);
+                };
+                for r in 0..msgs {
                     if r >= crash_round[sender] {
-                        missing_messages += covered - r;
-                        if short_at[receiver] != t {
-                            short_at[receiver] = t;
-                            insufficient_nodes += 1;
-                        }
-                        earliest_missing = earliest_missing.min(r);
+                        // Crash-stop: every remaining message of this edge
+                        // is lost without being transmitted.
+                        lose(r, msgs - r);
                         break;
                     }
-                    let outcome = plan.outcome(seed, r as u64, src as u64);
+                    let outcome = faults.outcome(seed, r as u64, src as u64);
                     total_bits += bits * outcome.transmissions();
-                    let mut round_bits = bits * outcome.transmissions();
+                    let mut round_bits = if single_shot {
+                        bits
+                    } else {
+                        bits * outcome.transmissions()
+                    };
                     match outcome {
                         DeliveryOutcome::Intact => {}
                         DeliveryOutcome::Duplicated => counts.duplicated += 1,
                         DeliveryOutcome::Dropped | DeliveryOutcome::Corrupted => {
-                            if matches!(outcome, DeliveryOutcome::Dropped) {
+                            if outcome == DeliveryOutcome::Dropped {
                                 counts.dropped += 1;
                             } else {
                                 counts.corrupted += 1;
                             }
-                            let mut delivered = false;
-                            for attempt in 0..plan.retry_budget() {
+                            let delivered = (0..retry_budget).any(|attempt| {
                                 counts.retries += 1;
                                 total_bits += bits;
                                 round_bits += bits;
-                                if plan.retry_delivers(seed, r as u64, src as u64, attempt as u64) {
-                                    delivered = true;
-                                    break;
-                                }
-                            }
+                                faults.retry_delivers(seed, r as u64, src as u64, attempt as u64)
+                            });
                             if !delivered {
-                                missing_messages += 1;
-                                if short_at[receiver] != t {
-                                    short_at[receiver] = t;
-                                    insufficient_nodes += 1;
-                                }
-                                earliest_missing = earliest_missing.min(r);
+                                lose(r, 1);
                             }
                         }
                     }
                     max_round_bits = max_round_bits.max(round_bits);
                 }
             }
-            let clean_accepted = clean[t] == NO_REJECT;
-            let clean_decided = if clean_accepted { rounds } else { clean[t] };
-            let decided_round = if missing_messages > 0 {
-                clean_decided.min(earliest_missing + 1)
-            } else {
-                clean_decided
-            };
             emit(RunReport {
-                accepted: clean_accepted && missing_messages == 0,
-                rounds,
-                decided_round,
+                accepted: clean[t] == NO_REJECT && missing_messages == 0,
+                rounds: plan.rounds,
+                decided_round: clean[t]
+                    .min(plan.rounds)
+                    .min(earliest_missing.saturating_add(1)),
                 max_bits_per_round: max_round_bits,
                 total_bits,
                 fault: Some(FaultReport {

@@ -65,10 +65,10 @@
 //!    the compiled schemes.
 //! 3. **Batched** — [`engine::run_trials`] hands whole blocks of
 //!    per-trial seeds to [`PreparedRpls::run_block`]; [`CompiledRpls`]
-//!    answers with a labeling-static batch plan that classifies nodes
-//!    (always-reject / static-pass / dynamic), drops statically satisfied
-//!    probes, skips already-rejected trials, and never materialises a
-//!    certificate.
+//!    answers with a labeling-static plan per schedule length that
+//!    classifies nodes (reject at a fixed round / static-pass / dynamic),
+//!    drops statically satisfied probes, skips already-rejected trials,
+//!    and never materialises a certificate.
 //! 4. **Cached** — [`Rpls::prepare_cached`] reuses a content-keyed
 //!    [`PrepCache`] *across* labelings, so a sweep
 //!    ([`stats::estimate_with`] over an adversary's forged candidates, a

@@ -249,7 +249,7 @@ fn table_worthwhile(modulus: u64, expected_rounds: usize) -> bool {
 /// of optimal no matter how many more probes follow — the table is filled
 /// and every further evaluation becomes one array index. A prepared
 /// polynomial that is never probed (an always-rejecting node, a statically
-/// satisfied probe the batch plan dropped) therefore costs `O(λ)` parse
+/// satisfied probe the compiled plan dropped) therefore costs `O(λ)` parse
 /// work, never `O(p)` table fills. Values are identical with and without
 /// the table, so *when* it materialises affects time, never transcripts.
 #[derive(Debug, Clone)]

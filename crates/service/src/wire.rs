@@ -69,6 +69,11 @@ const MAX_NODES: u32 = 1 << 20;
 const MAX_EDGES: u32 = 1 << 22;
 const MAX_BITS: u32 = 1 << 24;
 const MAX_NAME: u32 = 1 << 10;
+/// Cap on a job's multiround retry budget per failed chunk. Deadlines are
+/// checked only at dequeue, so an uncapped budget under a drop rate of 1.0
+/// would hold the single worker for up to `u32::MAX` retry draws per lost
+/// chunk.
+const MAX_RETRY_BUDGET: u32 = 64;
 
 /// Payload kind byte: a job submission.
 const KIND_REQUEST: u8 = 0;
@@ -134,7 +139,8 @@ pub struct WireFaults {
     pub duplicate_rate: f64,
     /// Per-(node, round) crash-stop hazard.
     pub crash_rate: f64,
-    /// Multiround retry budget per failed chunk.
+    /// Multiround retry budget per failed chunk, at most 64 (larger
+    /// budgets fail decoding).
     pub retry_budget: u32,
     /// Seed of the fault schedule.
     pub fault_seed: u64,
@@ -396,6 +402,9 @@ impl JobRequest {
                 let duplicate_rate = c.rate()?;
                 let crash_rate = c.rate()?;
                 let retry_budget = c.u32()?;
+                if retry_budget > MAX_RETRY_BUDGET {
+                    return Err(WireError::Invalid("retry budget"));
+                }
                 let fault_seed = c.u64()?;
                 Some(WireFaults {
                     drop_rate,

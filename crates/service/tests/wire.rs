@@ -240,3 +240,30 @@ fn deadline_field_is_validated() {
         assert!(JobRequest::decode(&req.encode()).is_err());
     }
 }
+
+#[test]
+fn retry_budget_is_capped() {
+    let mut req = random_request(5);
+    let faults = WireFaults {
+        drop_rate: 1.0,
+        corrupt_rate: 0.0,
+        duplicate_rate: 0.0,
+        crash_rate: 0.0,
+        retry_budget: 64,
+        fault_seed: 9,
+    };
+    req.rounds = 4;
+    req.faults = Some(faults);
+    assert_eq!(JobRequest::decode(&req.encode()), Ok(req.clone()));
+    // One past the cap is rejected at decode time, before any retry runs.
+    for bad in [65u32, u32::MAX] {
+        req.faults = Some(WireFaults {
+            retry_budget: bad,
+            ..faults
+        });
+        assert_eq!(
+            JobRequest::decode(&req.encode()),
+            Err(wire::WireError::Invalid("retry budget"))
+        );
+    }
+}

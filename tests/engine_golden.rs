@@ -1018,10 +1018,14 @@ mod multiround {
     /// The compiled chunked-fingerprint schedule agrees trial-for-trial
     /// (verdict **and** decided round) with the independent scalar
     /// reference, for honest, tampered, truncated-replica, κ-mismatched
-    /// and garbage labelings, several `t`s, both stream modes.
+    /// and garbage labelings, several `t`s, both stream modes — one trial
+    /// at a time, and as one 17-seed block (two whole 8-lane chunks plus a
+    /// one-trial tail, with trials already rejected by earlier nodes
+    /// skipped) with and without `force_dynamic`.
     #[test]
     fn compiled_schedule_matches_independent_reference() {
         let (scheme, config, honest) = compiled_spanning_tree_workload(8);
+        let dynamic = CompiledRpls::new(SpanningTreePls::new()).force_dynamic();
 
         let mut tampered = honest.clone();
         let flipped: BitString = tampered
@@ -1072,6 +1076,34 @@ mod multiround {
                             (accepted, decided),
                             "seed {seed}, t {rounds}, {mode:?}"
                         );
+                    }
+                }
+            }
+            let block_seeds: Vec<u64> = (0..17).collect();
+            for (variant, compiled) in [("new", &scheme), ("force_dynamic", &dynamic)] {
+                let prepared = compiled.prepare(&config, labeling, block_seeds.len());
+                for rounds in [1usize, 2, 3, 5] {
+                    for mode in [StreamMode::EdgeIndependent, StreamMode::SharedPerNode] {
+                        let mut block = Vec::new();
+                        engine::run_trials(
+                            &RunSpec::trial(0).with_rounds(rounds).with_stream_mode(mode),
+                            &*prepared,
+                            &config,
+                            &block_seeds,
+                            &mut scratch,
+                            &mut |r| block.push(r),
+                        );
+                        assert_eq!(block.len(), block_seeds.len());
+                        for (got, &seed) in block.iter().zip(&block_seeds) {
+                            let (accepted, decided) = reference_multiround(
+                                &scheme, &config, labeling, seed, rounds, mode,
+                            );
+                            assert_eq!(
+                                (got.accepted, got.decided_round),
+                                (accepted, decided),
+                                "block seed {seed}, t {rounds}, {mode:?}, {variant}"
+                            );
+                        }
                     }
                 }
             }

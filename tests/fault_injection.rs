@@ -595,6 +595,175 @@ fn retries_recover_messages_and_cost_bits() {
     );
 }
 
+/// FNV-1a over every field of a block of reports, fault statistics
+/// included.
+fn reports_digest(reports: &[RunReport]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for r in reports {
+        let fault = r.fault.unwrap_or_default();
+        for word in [
+            u64::from(r.accepted),
+            r.rounds as u64,
+            r.decided_round as u64,
+            r.max_bits_per_round as u64,
+            r.total_bits as u64,
+            u64::from(r.fault.is_some()),
+            fault.insufficient_nodes as u64,
+            fault.missing_messages as u64,
+            fault.counts.dropped as u64,
+            fault.counts.corrupted as u64,
+            fault.counts.duplicated as u64,
+            fault.counts.crashed_nodes as u64,
+            fault.counts.retries as u64,
+        ] {
+            for b in word.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    }
+    h
+}
+
+/// The compiled streaming overlay's whole reports — verdicts, counts,
+/// retries, bits and decided round — pinned for every hostile spec ×
+/// {honest, tampered, garbage} labeling at t ∈ {2, 3}, 12 seeds per digest.
+/// The soundness sweep above checks these runs only by inequalities and
+/// replay; a change to the faulted kernels must leave every digest intact.
+#[test]
+fn compiled_faulted_streaming_reports_are_pinned() {
+    let config = rpls::schemes::spanning_tree::spanning_tree_config(
+        &Configuration::plain(generators::wheel(7)),
+        NodeId::new(0),
+    );
+    let scheme = CompiledRpls::new(rpls::schemes::spanning_tree::SpanningTreePls::new());
+    let honest = Rpls::label(&scheme, &config);
+    let labelings = [honest.clone(), tamper(&honest), garbage(&config)];
+    let seeds: Vec<u64> = (0..12).map(|t| stats::trial_seed(0x601D, t)).collect();
+    // Columns: honest, tampered, garbage. Garbage labels parse no prover
+    // prefix, so nothing is sent or hazarded and the column is constant.
+    let expected: [(usize, [[u64; 3]; 8]); 2] = [
+        (
+            2,
+            [
+                [
+                    0xE7CE_736A_81BF_758C,
+                    0xE7CE_736A_81BF_758C,
+                    0xF93F_E127_6F0F_3BA5,
+                ],
+                [
+                    0x1A63_A373_CE96_8CEC,
+                    0xB99D_56C0_D6BB_FE93,
+                    0xF93F_E127_6F0F_3BA5,
+                ],
+                [
+                    0x7A19_7A39_3326_87FA,
+                    0x1B2D_67F8_B34E_C0B6,
+                    0xF93F_E127_6F0F_3BA5,
+                ],
+                [
+                    0x8433_881F_6D01_1F66,
+                    0x1C2C_50C8_6332_0DAF,
+                    0xF93F_E127_6F0F_3BA5,
+                ],
+                [
+                    0x8B37_A754_0F25_61E1,
+                    0x8B37_A754_0F25_61E1,
+                    0xF93F_E127_6F0F_3BA5,
+                ],
+                [
+                    0xCBA0_0903_8503_98FD,
+                    0xCBA0_0903_8503_98FD,
+                    0xF93F_E127_6F0F_3BA5,
+                ],
+                [
+                    0x3BA0_9EF9_E020_2755,
+                    0x3BA0_9EF9_E020_2755,
+                    0xF93F_E127_6F0F_3BA5,
+                ],
+                [
+                    0xEBED_65CB_B55B_44A5,
+                    0xEBED_65CB_B55B_44A5,
+                    0xF93F_E127_6F0F_3BA5,
+                ],
+            ],
+        ),
+        (
+            3,
+            [
+                [
+                    0x2BAC_7B97_D2A1_B7E6,
+                    0x2BAC_7B97_D2A1_B7E6,
+                    0x9A28_5BF5_7799_5A65,
+                ],
+                [
+                    0x9AD6_92C6_7964_5146,
+                    0xE874_B62C_FAAB_D79E,
+                    0x9A28_5BF5_7799_5A65,
+                ],
+                [
+                    0x900B_09D0_327E_E785,
+                    0xDF3B_CC09_91DD_EF85,
+                    0x9A28_5BF5_7799_5A65,
+                ],
+                [
+                    0x7CB8_3056_0351_CC05,
+                    0xE052_A825_F0A5_D005,
+                    0x9A28_5BF5_7799_5A65,
+                ],
+                [
+                    0xEAC5_1405_EF40_CFEE,
+                    0xEAC5_1405_EF40_CFEE,
+                    0x9A28_5BF5_7799_5A65,
+                ],
+                [
+                    0xDC53_838D_B927_BB05,
+                    0xDC53_838D_B927_BB05,
+                    0x9A28_5BF5_7799_5A65,
+                ],
+                [
+                    0xC2C5_0C16_106E_68E5,
+                    0xC2C5_0C16_106E_68E5,
+                    0x9A28_5BF5_7799_5A65,
+                ],
+                [
+                    0x9DDA_7A9B_F53C_23E5,
+                    0x9DDA_7A9B_F53C_23E5,
+                    0x9A28_5BF5_7799_5A65,
+                ],
+            ],
+        ),
+    ];
+    let mut scratch = RoundScratch::new();
+    for (rounds, rows) in expected {
+        for (spec, row) in hostile_specs().into_iter().zip(rows) {
+            let plan = FaultPlan::new(spec, FAULT_SEED);
+            for (kind, (labeling, want)) in ["honest", "tampered", "garbage"]
+                .iter()
+                .zip(labelings.iter().zip(row))
+            {
+                let prepared = scheme.prepare(&config, labeling, seeds.len());
+                let mut reports = Vec::new();
+                engine::run_trials(
+                    &RunSpec::trial(0)
+                        .with_rounds(rounds)
+                        .with_faults(plan.clone()),
+                    &*prepared,
+                    &config,
+                    &seeds,
+                    &mut scratch,
+                    &mut |r| reports.push(r),
+                );
+                let got = reports_digest(&reports);
+                assert_eq!(
+                    got, want,
+                    "faulted report digest changed: t={rounds}, {kind}, {spec:?} (got {got:#018X})"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
