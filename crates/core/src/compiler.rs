@@ -33,10 +33,11 @@
 //! every call — fine for one round, ruinous for a 10k-trial Monte-Carlo
 //! estimate. [`Rpls::prepare`] is overridden here to hoist all of that out
 //! of the round loop: each distinct replicated label is parsed once, each
-//! inner label length-prefixed once, one [`PreparedEq`] built per distinct
-//! `(modulus, fingerprinted string)` (with *lazily* built evaluation
-//! tables — filled only for polynomials the dynamic probes actually hit,
-//! see [`PreparedEq`]), and the randomness-independent inner verdict
+//! inner label length-prefixed once, one prepared equality input built per
+//! distinct `(modulus, fingerprinted string)` (with *lazily* built
+//! evaluation tables — filled only for polynomials the dynamic probes
+//! actually hit, see [`rpls_fingerprint::PreparedEq`]), and the
+//! randomness-independent inner verdict
 //! memoised. Each (node, port, trial) then costs one random field element
 //! plus one polynomial evaluation.
 //!
@@ -70,15 +71,15 @@ use crate::engine::{
 };
 use crate::fault::{DeliveryOutcome, FaultCounts, FaultPlan};
 use crate::labeling::Labeling;
-use crate::prep::{CachedLabel, CachedReplication, EqStore, PrepCache};
+use crate::prep::{self, Epoch, PrepCache, SharedEpoch, Store};
 use crate::rng::{edge_stream_first_word, node_stream_word, sketch_stream_word};
 use crate::scheme::{CertView, DetView, ErrorSides, Pls, PreparedRpls, RandView, Rpls};
 use crate::state::{Configuration, DegreeBuckets};
 use rand::Rng;
 use rpls_bits::{BitReader, BitString, BitWriter};
-use rpls_fingerprint::{Barrett, EqEvaluator, EqMessage, EqProtocol, PreparedEq};
+use rpls_fingerprint::{Barrett, EqEvaluator, EqMessage, EqProtocol};
 use rpls_graph::{Graph, NodeId};
-use std::cell::{OnceCell, RefCell};
+use std::cell::{OnceCell, Ref, RefCell};
 use std::rc::Rc;
 
 /// Length-prefix width used both in the replicated label layout and in the
@@ -223,19 +224,17 @@ fn encode_replicated(kappa: usize, parts: &[&BitString]) -> BitString {
 }
 
 /// Parses a replicated label into `(κ, parts)`. Returns `None` on any
-/// structural violation — adversarial labels must never panic the verifier.
+/// structural violation (see [`scan_replicated`]) — adversarial labels must
+/// never panic the verifier.
 fn parse_replicated(label: &BitString) -> Option<(usize, Vec<BitString>)> {
-    let mut r = BitReader::new(label);
-    let kappa = r.read_u64(LEN_BITS).ok()? as usize;
-    let mut parts = Vec::new();
-    while !r.is_exhausted() {
-        let len = r.read_u64(LEN_BITS).ok()? as usize;
-        if len > kappa {
-            return None; // a claimed label longer than κ is malformed
-        }
-        parts.push(r.read_bits(len).ok()?);
-    }
-    Some((kappa, parts))
+    let mut ranges = Vec::new();
+    let (kappa, whole) = scan_replicated(label, &mut ranges)?;
+    let part = |&(start, len): &(usize, usize)| {
+        let mut bytes = Vec::with_capacity(len.div_ceil(8));
+        prep::append_bits(&mut bytes, label.as_bytes(), start, len);
+        BitString::from_bytes(&bytes, len)
+    };
+    whole.then(|| (kappa, ranges.iter().map(part).collect()))
 }
 
 /// Parses only the prefix of a replicated label the prover needs: `κ` and
@@ -258,6 +257,47 @@ fn length_prefixed(label: &BitString) -> BitString {
     w.write_u64(label.len() as u64, LEN_BITS);
     w.write_bits(label);
     w.finish()
+}
+
+/// The 32-bit big-endian field at bit `pos` of `label`, if it lies inside.
+fn field_at(label: &BitString, pos: usize) -> Option<usize> {
+    if pos.checked_add(LEN_BITS as usize)? > label.len() {
+        return None;
+    }
+    let bytes = label.as_bytes();
+    let first = pos / 8;
+    let word = (0..5).fold(0u64, |acc, k| {
+        (acc << 8) | u64::from(bytes.get(first + k).copied().unwrap_or(0))
+    });
+    Some(((word >> (8 - pos % 8)) & 0xFFFF_FFFF) as usize)
+}
+
+/// Scans a replicated label in place: `parts` receives the `(bit offset,
+/// length)` of each part read before the first structural violation (a
+/// truncated field, or a part longer than κ or than what is left). Returns
+/// `None` when the `(κ, own-label)` prefix is malformed (no part was read),
+/// else `κ` and whether the whole replication parses. The label cache
+/// copies parts straight from these ranges; [`parse_replicated`]
+/// materialises them.
+fn scan_replicated(label: &BitString, parts: &mut Vec<(usize, usize)>) -> Option<(usize, bool)> {
+    parts.clear();
+    let kappa = field_at(label, 0)?;
+    let mut pos = LEN_BITS as usize;
+    let whole = loop {
+        if pos == label.len() {
+            break true;
+        }
+        let Some(len) = field_at(label, pos).filter(|&len| len <= kappa) else {
+            break false;
+        };
+        let start = pos + LEN_BITS as usize;
+        if len > label.len() - start {
+            break false;
+        }
+        parts.push((start, len));
+        pos = start + len;
+    };
+    (!parts.is_empty()).then_some((kappa, whole))
 }
 
 impl<S: Pls> Rpls for CompiledRpls<S> {
@@ -387,18 +427,22 @@ impl<S: Pls> Rpls for CompiledRpls<S> {
         // labelings almost every lookup is a hash hit. Whether a node's
         // replication matches its degree is the only per-(config, node)
         // fact, resolved here at binding time.
+        let mut epochs: Vec<SharedEpoch> = Vec::new();
         let nodes: Vec<PreparedNode> = config
             .graph()
             .nodes()
             .map(|v| {
-                let prep = cache.label_prep(labeling.get(v), rounds_hint);
-                let ready = prep
-                    .replication
-                    .as_ref()
-                    .is_some_and(|r| r.parts.len() == config.graph().degree(v) + 1);
+                let (epoch, label) = cache.label_prep(labeling.get(v), rounds_hint);
+                let (prover, arity) = {
+                    let record = epoch.borrow();
+                    let record = record.label(label);
+                    (record.prover, record.arity as usize)
+                };
                 PreparedNode {
-                    label: prep,
-                    ready,
+                    epoch: epoch_slot(&mut epochs, epoch),
+                    label,
+                    prover,
+                    ready: arity == config.graph().degree(v) + 1,
                     inner: OnceCell::new(),
                 }
             })
@@ -406,9 +450,9 @@ impl<S: Pls> Rpls for CompiledRpls<S> {
         let prepared = PreparedCompiled {
             scheme: self,
             config,
-            labeling,
             rounds_hint,
             store: cache.store_handle(),
+            epochs,
             nodes,
             plans: RefCell::new(Vec::new()),
         };
@@ -455,157 +499,63 @@ fn pattern_cost_from_dims(
     }
 }
 
-impl EqStore {
-    /// The shared fingerprint preparation for `input` under `proto`,
-    /// preparing (and, budget permitting, retaining) it on first sight.
-    /// `None` iff `input` is longer than the protocol's λ.
-    ///
-    /// Evaluation-table slots are *reserved* here — against the cache's
-    /// aggregate budget — whenever a preparation is allowed a lazy table;
-    /// each table is additionally capped individually inside
-    /// `EqProtocol::prepare`, but an adversarial labeling can declare a
-    /// large κ on every node and multiply per-table cost by nodes × ports
-    /// × labelings. Allowances are only granted to *retained* entries
-    /// (an unshared throwaway preparation would pin its reservation
-    /// forever), and a retained entry first prepared under a small round
-    /// hint is upgraded on a later hit whose hint justifies a table.
-    /// Exhausting the retention budget turns the cache over to a fresh
-    /// epoch ([`PrepCache::begin_epoch`]) rather than degrading the rest
-    /// of the sweep to uncached preparation; only an entry too large for
-    /// even a whole epoch's budget is handed out unshared (and
-    /// table-less). Values are identical either way, so transcripts
-    /// depend on neither sharing nor where the budgets run out.
-    fn eq_prep(
-        &mut self,
-        proto: &EqProtocol,
-        input: BitString,
-        rounds_hint: usize,
-    ) -> Option<Rc<PreparedEq>> {
-        let key = (proto.modulus(), input);
-        if let Some(prep) = self.eq.get(&key) {
-            self.hits += 1;
-            let prep = Rc::clone(prep);
-            // A hit under a bigger round hint than the entry was born
-            // with may now justify a table (budget permitting).
-            if self.table_slots >= proto.modulus() && prep.permit_table(rounds_hint) {
-                self.table_slots -= proto.modulus();
-            }
-            return Some(prep);
-        }
-        self.misses += 1;
-        let cost = PrepCache::key_cost(key.1.len());
-        if self.key_bits < cost && cost <= PrepCache::KEY_BITS_BUDGET {
-            self.begin_epoch();
-        }
-        let retain = self.key_bits >= cost;
-        let hint = if retain && self.table_slots >= proto.modulus() {
-            rounds_hint
-        } else {
-            0
-        };
-        let prep = Rc::new(proto.prepare(&key.1, hint)?);
-        if prep.table_allowed() {
-            self.table_slots -= proto.modulus();
-        }
-        if retain {
-            self.key_bits -= cost;
-            self.eq.insert(key, Rc::clone(&prep));
-        }
-        Some(prep)
-    }
-
-    /// Re-evaluates the table allowances of a label-cache hit: the
-    /// underlying fingerprints were skipped entirely (that is the point of
-    /// the label layer), so the round-hint upgrade of [`PrepCache::eq_prep`]
-    /// is applied to them directly.
-    fn upgrade_tables(&mut self, label: &CachedLabel, rounds_hint: usize) {
-        let ports = label.replication.iter().flat_map(|r| r.ports.iter());
-        for prep in label.prover.iter().chain(ports) {
-            let modulus = prep.protocol().modulus();
-            if self.table_slots >= modulus && prep.permit_table(rounds_hint) {
-                self.table_slots -= modulus;
-            }
-        }
-    }
-}
-
 impl PrepCache {
-    /// The shared preparation of one replicated label: parse results and
-    /// per-part fingerprints, keyed by the label's bits. Built on first
-    /// sight, retained while the key budget lasts.
-    fn label_prep(&mut self, label: &BitString, rounds_hint: usize) -> Rc<CachedLabel> {
-        self.sync_labels();
-        if let Some(hit) = self.labels.get(label) {
-            let prep = Rc::clone(hit);
-            let mut store = self.store.borrow_mut();
-            store.hits += 1;
-            store.upgrade_tables(&prep, rounds_hint);
-            return prep;
+    /// The shared preparation of one replicated label — parse results and
+    /// per-part fingerprints, keyed by the label's bits — as `(epoch, id)`.
+    /// Built on first sight in the epoch [`Store::target`] picks for the
+    /// whole label, so its entries never straddle two epochs.
+    fn label_prep(&mut self, label: &BitString, rounds_hint: usize) -> (SharedEpoch, u32) {
+        let store = &mut *self.store.borrow_mut();
+        let current = store.current();
+        let hit = current.borrow().find_label(label.as_slice());
+        if let Some(id) = hit {
+            store.tally.hits += 1;
+            current
+                .borrow()
+                .upgrade_tables(id, rounds_hint, &mut store.tally);
+            return (current, id);
         }
-        self.store.borrow_mut().misses += 1;
-        // Prover side: the (κ, own-label) prefix. A malformed prefix keeps
-        // the unprepared behaviour — empty certificates, no randomness
-        // drawn.
-        let prover = parse_own_label(label).map(|(kappa, own)| {
-            self.store
-                .borrow_mut()
-                .eq_prep(
-                    &EqProtocol::for_length(LEN_BITS as usize + kappa),
-                    length_prefixed(&own),
-                    rounds_hint,
-                )
-                .expect("own label length is bounded by κ")
-        });
-        // Verifier side: the full replication, with one prepared
-        // fingerprint per claimed neighbor copy. Whether the arity fits a
-        // node's degree is deliberately *not* decided here — degree is not
-        // label content — so an empty parts list (never usable: degree + 1
-        // is at least 1) is folded into the malformed case.
-        let replication = match parse_replicated(label) {
-            Some((kappa, parts)) if !parts.is_empty() => {
-                let proto = EqProtocol::for_length(LEN_BITS as usize + kappa);
-                let ports = parts[1..]
-                    .iter()
-                    .map(|part| {
-                        self.store
-                            .borrow_mut()
-                            .eq_prep(&proto, length_prefixed(part), rounds_hint)
-                            .expect("claimed copy length is bounded by κ")
-                    })
-                    .collect();
-                Some(CachedReplication {
-                    expected_bits: proto.message_bits(),
-                    modulus: proto.modulus(),
-                    parts,
-                    ports,
-                })
+        drop(current);
+        store.tally.misses += 1;
+        // Prover side: the (κ, own-label) prefix, part 0. A malformed
+        // prefix keeps the unprepared behaviour — empty certificates, no
+        // randomness drawn. Verifier side: the full replication, with one
+        // prepared fingerprint per claimed neighbor copy. Whether the arity
+        // fits a node's degree is deliberately *not* decided here — degree
+        // is not label content.
+        let scan = scan_replicated(label, &mut self.part_ranges);
+        let proto = scan.map(|(kappa, _)| EqProtocol::for_length(LEN_BITS as usize + kappa));
+        let whole = scan.is_some_and(|(_, whole)| whole);
+        if !whole {
+            // Only part 0, the prover's, is used.
+            self.part_ranges.truncate(1);
+        }
+        let ranges = &self.part_ranges;
+        let arity = if whole { ranges.len() } else { 0 };
+        let growth = prep::Growth::label(
+            label.len(),
+            arity,
+            ranges.iter().map(|&(_, len)| LEN_BITS as usize + len),
+        );
+        let epoch = store.target(&growth);
+        let id = {
+            let mut e = epoch.borrow_mut();
+            self.part_ids.clear();
+            // Parts exist only under a parsed κ.
+            if let Some(proto) = &proto {
+                for &(start, len) in ranges {
+                    let mark = e.mark();
+                    e.stage_len(u32::try_from(len).expect("part lengths are bounded by κ"));
+                    e.stage_bits(label.as_bytes(), start, len);
+                    let lp = LEN_BITS as usize + len;
+                    let id = e.intern_eq(proto, mark, lp, rounds_hint, &mut store.tally);
+                    self.part_ids.push(id);
+                }
             }
-            _ => None,
+            let prover = self.part_ids.first().copied();
+            e.push_label(label, prover, &self.part_ids[..arity])
         };
-        let prep = Rc::new(CachedLabel {
-            prover,
-            replication,
-        });
-        let cost = Self::key_cost(label.len());
-        {
-            let mut store = self.store.borrow_mut();
-            if store.key_bits < cost && cost <= PrepCache::KEY_BITS_BUDGET {
-                // Epoch turnover (see `EqStore::eq_prep`). This label's
-                // own fingerprint entries, created just above, are wiped
-                // with the rest — the Rcs in `prep` keep them alive, only
-                // future sharing restarts.
-                store.begin_epoch();
-            }
-        }
-        // An epoch may have turned just above or inside any `eq_prep`
-        // call; the label map must catch up before a retained insert.
-        self.sync_labels();
-        let mut store = self.store.borrow_mut();
-        if store.key_bits >= cost {
-            store.key_bits -= cost;
-            self.labels.insert(label.clone(), Rc::clone(&prep));
-        }
-        prep
+        (epoch, id)
     }
 }
 
@@ -661,6 +611,40 @@ struct Plan {
     /// walking hubs last means the dense nodes of a clique or power-law
     /// graph probe only the trials every cheap node already passed.
     order: Vec<u32>,
+    /// The cache epochs holding the checks' fingerprints, indexed by
+    /// [`EqRef::epoch`]; the plan pins them.
+    epochs: Vec<SharedEpoch>,
+}
+
+/// A prepared fingerprint of a plan: its id in the plan epoch `epoch`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EqRef {
+    epoch: u32,
+    id: u32,
+}
+
+/// The slot of `epoch` in `epochs`, appended if new. A labeling's entries
+/// almost always share one epoch, so the search is short.
+fn epoch_slot(epochs: &mut Vec<SharedEpoch>, epoch: SharedEpoch) -> u32 {
+    let slot = match epochs.iter().rposition(|e| Rc::ptr_eq(e, &epoch)) {
+        Some(slot) => slot,
+        None => {
+            epochs.push(epoch);
+            epochs.len() - 1
+        }
+    };
+    u32::try_from(slot).expect("epoch slot fits in u32")
+}
+
+/// Shared borrows of `epochs`, for reading the fingerprints they hold.
+fn borrow_all(epochs: &[SharedEpoch]) -> Vec<Ref<'_, Epoch>> {
+    epochs.iter().map(|e| e.borrow()).collect()
+}
+
+/// An evaluation view of the fingerprint `r` refers to, given its plan's
+/// borrowed epochs.
+fn evaluator<'a>(views: &'a [Ref<'_, Epoch>], r: EqRef) -> EqEvaluator<'a> {
+    views[r.epoch as usize].evaluator(r.id)
 }
 
 /// How one node's accumulated vote resolves across a block of trials.
@@ -701,11 +685,15 @@ struct EdgeCheck {
     src_port: u32,
     /// The sender's prepared fingerprint of its slice `round` (what the
     /// certificate claims).
-    sender: Rc<PreparedEq>,
+    sender: EqRef,
     /// The receiver's prepared fingerprint of the claimed copy's slice;
     /// its field bounds the points the probe accepts.
-    receiver: Rc<PreparedEq>,
+    receiver: EqRef,
 }
+
+// Checks are the kernel's working set: wider ones measurably slow warm
+// preparation.
+const _: () = assert!(std::mem::size_of::<EdgeCheck>() <= 32);
 
 impl EdgeCheck {
     /// The probe word of each trial seed under `pattern` and `mode`: one
@@ -781,14 +769,17 @@ impl EdgeCheck {
     /// either polynomial.
     fn probe_trials(
         &self,
+        views: &[Ref<'_, Epoch>],
         word: impl Fn(u64) -> u64,
         field: &Barrett,
         seeds: &[u64],
         reject_at: &[usize],
         node_fail: &mut [usize],
     ) {
-        let send = self.sender.evaluator();
-        let recv = self.receiver.evaluator();
+        let (send, recv) = (
+            evaluator(views, self.sender),
+            evaluator(views, self.receiver),
+        );
         let round1 = self.round as usize + 1;
         let live = |fail: usize, rejected: usize| fail > round1 && rejected > round1;
         let mut t0 = 0usize;
@@ -838,19 +829,52 @@ struct SenderSchedule {
     /// length prefix guarantees a non-empty string). Rounds past this send
     /// empty certificates without drawing randomness.
     covered: usize,
-    /// The length-prefixed inner label the slices are cut from.
-    lp: BitString,
 }
 
-/// The bits `[r·chunk, (r+1)·chunk)` of `lp`, clamped to its length.
-fn slice_of(lp: &BitString, r: usize, chunk: usize) -> BitString {
-    let start = r * chunk;
-    let end = lp.len().min(start.saturating_add(chunk));
-    let mut out = BitString::with_capacity(end.saturating_sub(start));
-    for i in start..end {
-        out.push(lp.bit(i).expect("slice range is clamped to the string"));
+impl SenderSchedule {
+    /// The `rounds`-round schedule of a node whose one-round prover
+    /// fingerprint is `prover` (`lp_bits` long).
+    fn new(prover: &EqProtocol, lp_bits: usize, rounds: usize) -> Self {
+        let proto = EqProtocol::for_length(prover.input_length().div_ceil(rounds));
+        Self {
+            proto,
+            covered: lp_bits.div_ceil(proto.input_length()),
+        }
     }
-    out
+}
+
+/// Bits `[r·chunk, (r+1)·chunk)` of `lp`, clamped to its length, into
+/// `out` as canonical bytes; returns the slice's length.
+fn slice_into(lp: rpls_bits::BitSlice<'_>, r: usize, chunk: usize, out: &mut Vec<u8>) -> usize {
+    let start = r.saturating_mul(chunk).min(lp.len());
+    let len = lp.len().min(start.saturating_add(chunk)) - start;
+    out.clear();
+    prep::append_bits(out, lp.as_bytes(), start, len);
+    len
+}
+
+/// The slice fingerprints a `t ≥ 2` plan needs, staged while the plan
+/// reads its label epochs under shared borrows and interned into the cache
+/// once those are released (the cache's current epoch is usually one of
+/// them). A check refers to a staged slice as epoch [`PENDING`] until then.
+#[derive(Default)]
+struct PendingSlices {
+    bytes: Vec<u8>,
+    /// `(protocol, byte offset, bit length)` per staged slice.
+    slices: Vec<(EqProtocol, usize, usize)>,
+}
+
+/// The epoch slot of a staged, not yet interned slice (see
+/// [`PendingSlices`]).
+const PENDING: u32 = u32::MAX;
+
+impl PendingSlices {
+    fn push(&mut self, proto: EqProtocol, bytes: &[u8], len: usize) -> EqRef {
+        let id = u32::try_from(self.slices.len()).expect("slice count fits in u32");
+        self.slices.push((proto, self.bytes.len(), len));
+        self.bytes.extend_from_slice(bytes);
+        EqRef { epoch: PENDING, id }
+    }
 }
 
 impl Plan {
@@ -860,6 +884,14 @@ impl Plan {
         let (port_base, delivery, owner) =
             (config.port_base(), config.delivery(), config.port_owner());
         let force_dynamic = prepared.scheme.force_dynamic;
+        let views = borrow_all(&prepared.epochs);
+        // Each node's prover fingerprint as a plan reference: its id in its
+        // label's epoch (plan epoch slots start as the label epochs).
+        let provers: Vec<Option<EqRef>> = (prepared.nodes.iter())
+            .map(|n| n.prover.map(|id| EqRef { epoch: n.epoch, id }))
+            .collect();
+        let proto_of = |r: EqRef| *views[r.epoch as usize].eq(r.id).protocol();
+        let lp_bits = |r: EqRef| views[r.epoch as usize].coeffs(r.id).len();
 
         // Prover-side slice schedules (t ≥ 2 only), one per node. A
         // malformed (κ, own-label) prefix keeps the unprepared behaviour:
@@ -867,27 +899,17 @@ impl Plan {
         let senders: Vec<Option<SenderSchedule>> = if rounds == 1 {
             Vec::new()
         } else {
-            g.nodes()
-                .map(|v| {
-                    parse_own_label(prepared.labeling.get(v)).map(|(kappa, own)| {
-                        let proto =
-                            EqProtocol::for_length((LEN_BITS as usize + kappa).div_ceil(rounds));
-                        let lp = length_prefixed(&own);
-                        SenderSchedule {
-                            proto,
-                            covered: lp.len().div_ceil(proto.input_length()),
-                            lp,
-                        }
-                    })
-                })
+            provers
+                .iter()
+                .map(|p| p.map(|p| SenderSchedule::new(&proto_of(p), lp_bits(p), rounds)))
                 .collect()
         };
         let dims = g
             .nodes()
             .map(|v| {
                 let (width, covered) = if rounds == 1 {
-                    let prover = prepared.nodes[v.index()].label.prover.as_ref();
-                    prover.map_or((0, 0), |p| (p.protocol().message_bits(), 1))
+                    let prover = provers[v.index()];
+                    prover.map_or((0, 0), |p| (proto_of(p).message_bits(), 1))
                 } else {
                     let sender = senders[v.index()].as_ref();
                     sender.map_or((0, 0), |s| (s.proto.message_bits(), s.covered))
@@ -895,20 +917,6 @@ impl Plan {
                 (width, g.degree(v), covered)
             })
             .collect();
-
-        // Slice fingerprints are content-keyed `(modulus, slice)` pairs
-        // like every other preparation, so they are requested through the
-        // cache's shared store: a sender slice checked by several ports —
-        // or recurring across the labelings and per-t plans of a sweep —
-        // is prepared once, with retention and lazy-table allowances drawn
-        // from the cache-wide epoch budgets instead of a per-plan pool.
-        let prepare_slice = |proto: &EqProtocol, slice: BitString| -> Rc<PreparedEq> {
-            prepared
-                .store
-                .borrow_mut()
-                .eq_prep(proto, slice, prepared.rounds_hint)
-                .expect("slice length is bounded by the slice capacity")
-        };
 
         // A reducer is appended only when a check's field differs from the
         // previous check's, so `fields` stays at one entry for a uniform κ
@@ -920,74 +928,77 @@ impl Plan {
             }
             u32::try_from(fields.len() - 1).expect("field index fits in u32")
         };
-        let nodes = prepared
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(u, n)| {
-                if !n.ready {
-                    return NodePlan::RejectAt(1);
-                }
-                let rep = n.label.replication.as_ref().expect("ready implies parsed");
-                // At t ≥ 2 the receiver's slice protocol comes from its own
-                // declared κ (the first 32 bits of its replicated label,
-                // which `ready` guarantees parse).
-                let proto_u = (rounds > 1).then(|| {
-                    let kappa_u = BitReader::new(prepared.labeling.get(NodeId::new(u)))
-                        .read_u64(LEN_BITS)
-                        .expect("ready implies a parsable κ prefix")
-                        as usize;
-                    EqProtocol::for_length((LEN_BITS as usize + kappa_u).div_ceil(rounds))
-                });
-                let mut static_reject = NO_REJECT;
-                let mut checks: Vec<EdgeCheck> = Vec::new();
-                let lo = port_base[u] as usize;
-                for (i, recv_prep) in rep.ports.iter().enumerate() {
+        let mut pending = PendingSlices::default();
+        let (mut slice_send, mut slice_recv) = (Vec::new(), Vec::new());
+        let mut nodes = Vec::with_capacity(prepared.nodes.len());
+        for (u, n) in prepared.nodes.iter().enumerate() {
+            if !n.ready {
+                nodes.push(NodePlan::RejectAt(1));
+                continue;
+            }
+            let (label, e_u) = (views[n.epoch as usize].label(n.label), n.epoch);
+            let ports = &views[e_u as usize].parts(label)[1..];
+            let recv_proto = proto_of(provers[u].expect("ready implies a parsed prover prefix"));
+            // At t ≥ 2 the receiver's slice protocol comes from its own
+            // declared κ.
+            let proto_u = (rounds > 1)
+                .then(|| EqProtocol::for_length(recv_proto.input_length().div_ceil(rounds)));
+            let mut static_reject = NO_REJECT;
+            let mut checks: Vec<EdgeCheck> = Vec::new();
+            let lo = port_base[u] as usize;
+            let plan = 'node: {
+                for (i, &recv_id) in ports.iter().enumerate() {
                     let src = delivery[lo + i] as usize;
                     let v = owner[src] as usize;
-                    let mut check = |round: usize, sender: Rc<PreparedEq>, receiver| EdgeCheck {
-                        round: u32::try_from(round).expect("round index fits in u32"),
-                        field: field_of(sender.protocol().modulus()),
-                        src_node: owner[src],
-                        src_port: u32::try_from(src - port_base[v] as usize)
-                            .expect("port rank fits in u32"),
-                        sender,
-                        receiver,
-                    };
+                    let mut check =
+                        |round: usize, sender: EqRef, receiver: EqRef, modulus| EdgeCheck {
+                            round: u32::try_from(round).expect("round index fits in u32"),
+                            field: field_of(modulus),
+                            src_node: owner[src],
+                            src_port: u32::try_from(src - port_base[v] as usize)
+                                .expect("port rank fits in u32"),
+                            sender,
+                            receiver,
+                        };
                     // A malformed sender prover emits empty certificates,
                     // which fail round 1's length check, as does a κ
                     // mismatch that changes the message width.
+                    let Some(send) = provers[v] else {
+                        break 'node NodePlan::RejectAt(1);
+                    };
                     let Some(proto_u) = proto_u else {
                         // t = 1: the one slice is the whole string, whose
                         // fingerprints the label preparation holds.
                         // Preparations are shared by (modulus,
-                        // fingerprinted string), so pointer equality means
-                        // the sender fingerprints exactly the string this
-                        // port expects: the probe passes at every point of
-                        // the field, every trial. (When a cache budget ran
-                        // out and handed one side out unshared, the probe
-                        // simply runs — and passes — dynamically; votes
-                        // cannot depend on the shortcut.)
-                        let Some(send_prep) = &prepared.nodes[v].label.prover else {
-                            return NodePlan::RejectAt(1);
-                        };
-                        if send_prep.protocol().message_bits() != rep.expected_bits {
-                            return NodePlan::RejectAt(1);
+                        // fingerprinted string) within an epoch, so equal
+                        // references mean the sender fingerprints exactly
+                        // the string this port expects: the probe passes at
+                        // every point of the field, every trial. (When the
+                        // two sides landed in different epochs, or one was
+                        // prepared unshared, the probe simply runs — and
+                        // passes — dynamically; votes cannot depend on the
+                        // shortcut.)
+                        let send_proto = proto_of(send);
+                        if send_proto.message_bits() != recv_proto.message_bits() {
+                            break 'node NodePlan::RejectAt(1);
                         }
-                        if force_dynamic || !Rc::ptr_eq(send_prep, recv_prep) {
-                            checks.push(check(0, Rc::clone(send_prep), Rc::clone(recv_prep)));
+                        let recv = EqRef {
+                            epoch: e_u,
+                            id: recv_id,
+                        };
+                        if force_dynamic || send != recv {
+                            checks.push(check(0, send, recv, send_proto.modulus()));
                         }
                         continue;
                     };
-                    let Some(sv) = &senders[v] else {
-                        return NodePlan::RejectAt(1);
-                    };
+                    let sv = senders[v].as_ref().expect("a prover implies a schedule");
                     if sv.proto.message_bits() != proto_u.message_bits() {
-                        return NodePlan::RejectAt(1);
+                        break 'node NodePlan::RejectAt(1);
                     }
                     let (chunk, chunk_u) = (sv.proto.input_length(), proto_u.input_length());
-                    let lp_u = length_prefixed(&rep.parts[i + 1]);
-                    let covered_u = lp_u.len().div_ceil(chunk_u);
+                    let lp_send = views[send.epoch as usize].coeffs(send.id);
+                    let lp_recv = views[e_u as usize].coeffs(recv_id);
+                    let covered_u = lp_recv.len().div_ceil(chunk_u);
                     let shared = sv.covered.min(covered_u);
                     if sv.covered != covered_u {
                         // One side stops streaming before the other: the
@@ -996,16 +1007,21 @@ impl Plan {
                         static_reject = static_reject.min(shared + 1);
                     }
                     for r in 0..shared {
-                        let ss = slice_of(&sv.lp, r, chunk);
-                        let su = slice_of(&lp_u, r, chunk_u);
-                        if !force_dynamic && sv.proto.modulus() == proto_u.modulus() && ss == su {
+                        let len_s = slice_into(lp_send, r, chunk, &mut slice_send);
+                        let len_u = slice_into(lp_recv, r, chunk_u, &mut slice_recv);
+                        if !force_dynamic
+                            && sv.proto.modulus() == proto_u.modulus()
+                            && len_s == len_u
+                            && slice_send == slice_recv
+                        {
                             // The sender fingerprints exactly the slice this
                             // round expects: passes at every point of the
                             // field, every trial.
                             continue;
                         }
-                        let sender = prepare_slice(&sv.proto, ss);
-                        checks.push(check(r, sender, prepare_slice(&proto_u, su)));
+                        let sender = pending.push(sv.proto, &slice_send, len_s);
+                        let receiver = pending.push(proto_u, &slice_recv, len_u);
+                        checks.push(check(r, sender, receiver, sv.proto.modulus()));
                     }
                 }
                 if static_reject != NO_REJECT {
@@ -1026,8 +1042,41 @@ impl Plan {
                         checks,
                     },
                 }
+            };
+            nodes.push(plan);
+        }
+        drop(views);
+
+        // Slice fingerprints are content-keyed `(modulus, slice)` pairs
+        // like every other preparation, so they are interned through the
+        // cache's shared store: a sender slice checked by several ports —
+        // or recurring across the labelings and per-t plans of a sweep — is
+        // prepared once, in the cache's current epoch and against its
+        // budgets.
+        let mut epochs = prepared.epochs.clone();
+        let interned: Vec<EqRef> = pending
+            .slices
+            .iter()
+            .map(|&(proto, at, len)| {
+                let bytes = &pending.bytes[at..at + len.div_ceil(8)];
+                prepared.prepare_slice(&mut epochs, &proto, bytes, len)
             })
             .collect();
+        if !interned.is_empty() {
+            let resolve = |r: &mut EqRef| {
+                if r.epoch == PENDING {
+                    *r = interned[r.id as usize];
+                }
+            };
+            for node in &mut nodes {
+                if let NodePlan::Dynamic { checks, .. } = node {
+                    for c in checks {
+                        resolve(&mut c.sender);
+                        resolve(&mut c.receiver);
+                    }
+                }
+            }
+        }
 
         Self {
             rounds,
@@ -1035,6 +1084,7 @@ impl Plan {
             nodes,
             fields,
             order: DegreeBuckets::new(g).iter_by_bucket().collect(),
+            epochs,
         }
     }
 }
@@ -1044,12 +1094,17 @@ impl Plan {
 /// per-(configuration, node) facts that are *not* label content and so
 /// never cross labelings — the arity fit and the memoised inner verdict.
 struct PreparedNode {
-    /// The shared preparation of this node's label: prover fingerprint
-    /// (`None` when the (κ, own-label) prefix is malformed — such nodes
-    /// emit empty certificates without drawing randomness, exactly like
-    /// the unprepared [`Rpls::certify_into`]) and the parsed replication
-    /// with one prepared fingerprint per claimed neighbor copy.
-    label: Rc<CachedLabel>,
+    /// The slot in `PreparedCompiled::epochs` of the epoch holding this
+    /// node's label preparation.
+    epoch: u32,
+    /// The label preparation's id in that epoch: the parsed replication
+    /// with one prepared fingerprint per part.
+    label: u32,
+    /// The id in that epoch of the prover fingerprint, `None` when the
+    /// (κ, own-label) prefix is malformed — such nodes emit empty
+    /// certificates without drawing randomness, exactly like the
+    /// unprepared [`Rpls::certify_into`].
+    prover: Option<u32>,
     /// Whether the replication parsed *and* matches this node's degree;
     /// `false` means every round rejects at this node.
     ready: bool,
@@ -1071,18 +1126,18 @@ struct PreparedNode {
 struct PreparedCompiled<'a, S> {
     scheme: &'a CompiledRpls<S>,
     config: &'a Configuration,
-    /// The bound labeling — the `t ≥ 2` planner re-reads raw labels from
-    /// it (slice schedules are cut from strings the label preparation does
-    /// not retain).
-    labeling: &'a Labeling,
     /// The round count this instance was prepared for, reused as the
     /// lazy-table hint of slice fingerprints.
     rounds_hint: usize,
-    /// Handle on the preparing cache's fingerprint store: plans built
-    /// after binding time (the `t ≥ 2` slice schedules) request their
-    /// preparations through it, sharing content and budgets with
-    /// everything prepared up front.
-    store: Rc<RefCell<EqStore>>,
+    /// Handle on the preparing cache's store: plans built after binding
+    /// time (the `t ≥ 2` slice schedules) request their preparations
+    /// through it, sharing content and budgets with everything prepared up
+    /// front.
+    store: Rc<RefCell<Store>>,
+    /// The cache epochs holding the nodes' label preparations (usually
+    /// one; more when the cache turned over mid-labeling), pinned for the
+    /// instance's lifetime.
+    epochs: Vec<SharedEpoch>,
     nodes: Vec<PreparedNode>,
     /// The schedule plans, cached per `t` (see [`Plan`]). A sweep rarely
     /// uses more than a handful of distinct `t`s, so a small vec beats a
@@ -1101,6 +1156,35 @@ impl<S: Pls> PreparedCompiled<'_, S> {
         plan
     }
 
+    /// The fingerprint of the `len`-bit slice `bytes` under `proto`,
+    /// interned in the cache's current epoch (or unshared, when too large
+    /// for a whole epoch), as a reference into `epochs`.
+    fn prepare_slice(
+        &self,
+        epochs: &mut Vec<SharedEpoch>,
+        proto: &EqProtocol,
+        bytes: &[u8],
+        len: usize,
+    ) -> EqRef {
+        let store = &mut *self.store.borrow_mut();
+        let epoch = store.target(&prep::Growth::eq(len));
+        let id = {
+            let mut e = epoch.borrow_mut();
+            let mark = e.mark();
+            e.stage_bits(bytes, 0, len);
+            e.intern_eq(proto, mark, len, self.rounds_hint, &mut store.tally)
+        };
+        EqRef {
+            epoch: epoch_slot(epochs, epoch),
+            id,
+        }
+    }
+
+    /// The epoch holding node `u`'s label preparation, borrowed.
+    fn epoch_of(&self, u: usize) -> Ref<'_, Epoch> {
+        self.epochs[self.nodes[u].epoch as usize].borrow()
+    }
+
     /// The memoised inner verdict of node `u`, which must be `ready`.
     /// Shared between the scalar and batched paths, so whichever runs
     /// first fills the same memo — and, matching the unprepared path, it
@@ -1109,16 +1193,13 @@ impl<S: Pls> PreparedCompiled<'_, S> {
     fn inner_verdict(&self, u: usize) -> bool {
         let node = &self.nodes[u];
         debug_assert!(node.ready, "inner verdict queried for a rejecting node");
-        let rep = node
-            .label
-            .replication
-            .as_ref()
-            .expect("ready implies parsed");
         *node.inner.get_or_init(|| {
+            let epoch = self.epoch_of(u);
+            let parts = epoch.parts(epoch.label(node.label));
             let det = DetView {
                 local: crate::engine::local_context(self.config, NodeId::new(u)),
-                label: &rep.parts[0],
-                neighbor_labels: rep.parts[1..].iter().collect(),
+                label: epoch.part(parts[0]),
+                neighbor_labels: parts[1..].iter().map(|&id| epoch.part(id)).collect(),
             };
             self.scheme.inner.verify(&det)
         })
@@ -1139,11 +1220,12 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
         out: &mut BitString,
     ) {
         out.clear();
-        let Some(prep) = &self.nodes[node.index()].label.prover else {
+        let Some(prover) = self.nodes[node.index()].prover else {
             return;
         };
-        let msg = prep.alice_message(rng);
-        msg.append_to(prep.protocol().modulus(), out);
+        let epoch = self.epoch_of(node.index());
+        let prep = epoch.evaluator(prover);
+        prep.alice_message(rng).append_to(prep.modulus(), out);
     }
 
     fn verify(&self, node: NodeId, received: &Received<'_>) -> bool {
@@ -1151,18 +1233,22 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
         if !n.ready {
             return false;
         }
-        let rep = n.label.replication.as_ref().expect("ready implies parsed");
-        for (i, cert) in received.iter().enumerate() {
-            if cert.len() != rep.expected_bits {
+        let epoch = self.epoch_of(node.index());
+        let parts = epoch.parts(epoch.label(n.label));
+        let proto = epoch.eq(parts[0]).protocol();
+        let (expected_bits, modulus) = (proto.message_bits(), proto.modulus());
+        for (cert, &port) in received.iter().zip(&parts[1..]) {
+            if cert.len() != expected_bits {
                 return false;
             }
-            let Ok(msg) = EqMessage::from_slice(cert, rep.modulus) else {
+            let Ok(msg) = EqMessage::from_slice(cert, modulus) else {
                 return false;
             };
-            if !rep.ports[i].bob_accepts(&msg) {
+            if !epoch.evaluator(port).bob_accepts(&msg) {
                 return false;
             }
         }
+        drop(epoch);
         self.inner_verdict(node.index())
     }
 
@@ -1247,6 +1333,7 @@ impl<S: Pls> PreparedCompiled<'_, S> {
         let mut reject_at = vec![NO_REJECT; trials];
         let mut node_fail: Vec<usize> = Vec::new();
         let sketch = self.scheme.sketch.filter(|_| plan.rounds == 1);
+        let views = borrow_all(&plan.epochs);
         for &u in &plan.order {
             let u = u as usize;
             match &plan.nodes[u] {
@@ -1288,8 +1375,8 @@ impl<S: Pls> PreparedCompiled<'_, S> {
                                     let c = &checks[idx as usize];
                                     let word = c.words(pattern, mode, g)(seed);
                                     let field = &plan.fields[c.field as usize];
-                                    let (send, recv) =
-                                        (c.sender.evaluator(), c.receiver.evaluator());
+                                    let send = evaluator(&views, c.sender);
+                                    let recv = evaluator(&views, c.receiver);
                                     if !EdgeCheck::probe(word, field, &send, &recv) {
                                         *fail = 1;
                                         break;
@@ -1299,9 +1386,14 @@ impl<S: Pls> PreparedCompiled<'_, S> {
                         }
                         _ => {
                             for c in checks {
-                                let word = c.words(pattern, mode, g);
-                                let field = &plan.fields[c.field as usize];
-                                c.probe_trials(word, field, seeds, &reject_at, &mut node_fail);
+                                c.probe_trials(
+                                    &views,
+                                    c.words(pattern, mode, g),
+                                    &plan.fields[c.field as usize],
+                                    seeds,
+                                    &reject_at,
+                                    &mut node_fail,
+                                );
                             }
                         }
                     }
@@ -1679,6 +1771,7 @@ mod tests {
             assert_eq!(a, b, "round {round}");
             assert!(!a.accepted);
             assert!(cache.retained_key_bits() <= PrepCache::KEY_BITS_BUDGET);
+            assert_eq!(cache.retained_key_bits(), cache.recount_bytes() * 8);
             assert!(cache.table_slots_reserved() <= PrepCache::TABLE_SLOT_BUDGET);
         }
         // 8 labelings × ~25 Mbit of distinct keys each (labels plus their
@@ -1686,6 +1779,54 @@ mod tests {
         // must have turned epochs over rather than growing past the cap.
         assert!(cache.retained_key_bits() <= PrepCache::KEY_BITS_BUDGET);
         assert!(cache.epochs() > 0, "overflow must turn an epoch: {cache:?}");
+    }
+
+    #[test]
+    fn label_larger_than_an_epoch_is_prepared_unshared() {
+        // A label whose key alone exceeds a whole epoch's budget gets a
+        // private epoch: the cache neither retains it nor turns over, and
+        // the prepared instance still matches fresh preparation.
+        let config = Configuration::plain(generators::cycle(3));
+        let scheme = CompiledRpls::new(IdLabel);
+        let big = 1usize << 26;
+        let own = {
+            let mut w = BitWriter::new();
+            w.write_u64(7, 64);
+            w.finish()
+        };
+        let junk = {
+            let mut w = BitWriter::new();
+            for i in 0..big / 64 {
+                w.write_u64(i as u64, 64);
+            }
+            w.finish()
+        };
+        // Two parts where a degree-2 node needs three, as in the budget
+        // test above: parsed and fingerprinted, never probed.
+        let labeling = Labeling::new(vec![
+            encode_replicated(big, &[&own, &junk]),
+            BitString::zeros(5),
+            BitString::zeros(6),
+        ]);
+        let mut cache = PrepCache::new();
+        let mut scratch = crate::buffer::RoundScratch::new();
+        for pass in 0..2 {
+            let misses = cache.misses();
+            let cached = scheme.prepare_cached(&config, &labeling, 4, &mut cache);
+            let fresh = Rpls::prepare(&scheme, &config, &labeling, 4);
+            for seed in [0u64, 3] {
+                let a =
+                    engine::run_prepared(&RunSpec::trial(seed), &*cached, &config, &mut scratch);
+                let b = engine::run_prepared(&RunSpec::trial(seed), &*fresh, &config, &mut scratch);
+                assert_eq!(a, b, "pass {pass}, seed {seed}");
+            }
+            // The giant label is prepared afresh every time.
+            assert!(cache.misses() > misses, "pass {pass}");
+        }
+        assert_eq!(cache.epochs(), 0);
+        assert_eq!(cache.shared_labels(), 2, "only the small labels are shared");
+        assert!(cache.retained_key_bits() <= PrepCache::KEY_BITS_BUDGET);
+        assert_eq!(cache.retained_key_bits(), cache.recount_bytes() * 8);
     }
 
     #[test]
@@ -1713,31 +1854,41 @@ mod tests {
 
     #[test]
     fn cache_entry_overhead_bounds_tiny_entry_floods() {
-        // Floods of tiny distinct labels: the per-entry overhead charge
-        // must cap the map at ~KEY_BITS_BUDGET / ENTRY_OVERHEAD_BITS
-        // entries per epoch even though the raw key bits alone would
-        // admit millions — and overflowing must turn epochs over, after
-        // which sharing immediately recovers for fresh candidates.
-        let config = Configuration::plain(generators::cycle(3));
+        // Floods of tiny distinct labels: every entry is charged at least
+        // its record and two index slots, so the epoch holds at most
+        // KEY_BITS_BUDGET / (8 · MIN_ENTRY_BYTES) entries even though the
+        // raw key bits alone would admit millions — and overflowing must
+        // turn epochs over, after which sharing immediately recovers for
+        // fresh candidates. The charge is the epoch's real size: after
+        // every preparation it equals a recount from the records.
+        // The flood is `max_entries + 6000` distinct 26-bit labels, 300 per
+        // labeling so the per-preparation recount stays cheap.
+        const NODES: u64 = 300;
+        let config = Configuration::plain(generators::cycle(NODES as usize));
         let scheme = CompiledRpls::new(IdLabel);
         let mut cache = PrepCache::new();
-        let max_entries = (PrepCache::KEY_BITS_BUDGET / PrepCache::ENTRY_OVERHEAD_BITS) as usize;
+        let max_entries = (PrepCache::KEY_BITS_BUDGET / (8 * prep::MIN_ENTRY_BYTES)) as usize;
         let tiny_labeling = |round: u64| -> Labeling {
-            (0..3u64)
+            (0..NODES)
                 .map(|v| {
                     let mut w = BitWriter::new();
-                    w.write_u64(round * 3 + v, 26);
+                    w.write_u64(round * NODES + v, 26);
                     w.finish()
                 })
                 .collect()
         };
-        let rounds = max_entries as u64 / 3 + 2000;
+        let rounds = (max_entries as u64 + 6000).div_ceil(NODES);
         for round in 0..rounds {
             let _ = scheme.prepare_cached(&config, &tiny_labeling(round), 4, &mut cache);
+            assert_eq!(
+                cache.retained_key_bits(),
+                cache.recount_bytes() * 8,
+                "round {round}"
+            );
         }
         assert!(
             cache.shared_labels() + cache.shared_fingerprints() <= max_entries,
-            "retained {} entries past the overhead bound {max_entries}",
+            "retained {} entries past the per-entry bound {max_entries}",
             cache.shared_labels() + cache.shared_fingerprints()
         );
         assert!(cache.retained_key_bits() <= PrepCache::KEY_BITS_BUDGET);

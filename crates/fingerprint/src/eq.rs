@@ -13,10 +13,10 @@
 //! [`EqProtocol::bob_accepts_repeated`].
 
 use crate::field::Fp;
-use crate::poly::BitPolynomial;
+use crate::poly::{BitPolynomial, Field};
 use crate::prime::protocol_prime;
 use rand::Rng;
-use rpls_bits::{bits_for, BitString};
+use rpls_bits::{bits_for, BitSlice, BitString};
 use std::cell::{Cell, OnceCell};
 
 /// Alice's single message: the evaluation point and her polynomial's value.
@@ -175,29 +175,31 @@ impl EqProtocol {
         BitPolynomial::from_bits(b, self.modulus).eval(x).value() == msg.value
     }
 
-    /// Prepares an input for many protocol rounds: the fingerprint
-    /// polynomial is parsed once, after which each round costs one random
-    /// field element plus one evaluation instead of a polynomial rebuild.
+    /// Prepares a `len`-bit input for many protocol rounds: the field's
+    /// reducer is chosen once, after which each round costs one random
+    /// field element plus one evaluation. The input itself stays with the
+    /// caller — in the compiler's preparation cache, a span of an arena —
+    /// and is passed back on every evaluation (see
+    /// [`PreparedEq::evaluator`]).
     ///
     /// When `expected_rounds` makes a full evaluation table pay for itself,
     /// the preparation is *allowed* to materialise one — but the table is
     /// built **lazily**, on the first evaluation past a probe-count
     /// threshold (see [`PreparedEq`]), so preparing a polynomial that is
-    /// never (or rarely) probed costs nothing beyond the parse. Honest
-    /// labelings in the compiled verifier are exactly that case: every
-    /// probe is statically satisfied, so no table is ever filled.
+    /// never (or rarely) probed costs nothing. Honest labelings in the
+    /// compiled verifier are exactly that case: every probe is statically
+    /// satisfied, so no table is ever filled.
     ///
-    /// Returns `None` if `input` is longer than the protocol's λ — on the
-    /// verifier side that is adversarial data, which must not panic.
+    /// Returns `None` if `len` exceeds the protocol's λ — on the verifier
+    /// side that is adversarial data, which must not panic.
     #[must_use]
-    pub fn prepare(&self, input: &BitString, expected_rounds: usize) -> Option<PreparedEq> {
-        if input.len() > self.lambda {
+    pub fn prepare(&self, len: usize, expected_rounds: usize) -> Option<PreparedEq> {
+        if len > self.lambda {
             return None;
         }
-        let poly = BitPolynomial::from_bits(input, self.modulus);
         Some(PreparedEq {
             proto: *self,
-            poly,
+            field: Field::new(self.modulus),
             table: OnceCell::new(),
             probes: Cell::new(0),
             table_allowed: Cell::new(table_worthwhile(self.modulus, expected_rounds)),
@@ -232,12 +234,17 @@ fn table_worthwhile(modulus: u64, expected_rounds: usize) -> bool {
 }
 
 /// One party's input to the equality protocol, prepared once for many
-/// rounds (see [`EqProtocol::prepare`]).
+/// rounds (see [`EqProtocol::prepare`]): the protocol, the polynomial's
+/// reducer, and the lazy evaluation table with its counters — everything
+/// but the input string, which the caller keeps (a preparation cache keeps
+/// the strings of many of these in one arena) and passes back on every
+/// evaluation. The caller must pass the same string every time: the lazy
+/// table is built from whichever string crosses its threshold.
 ///
 /// Both sides are transcript-identical to their unprepared counterparts:
-/// [`PreparedEq::alice_message`] consumes exactly the randomness
+/// [`EqEvaluator::alice_message`] consumes exactly the randomness
 /// [`EqProtocol::alice_message`] consumes (one `u64`) and produces the same
-/// message, and [`PreparedEq::bob_accepts`] returns exactly what
+/// message, and [`EqEvaluator::bob_accepts`] returns exactly what
 /// [`EqProtocol::bob_accepts`] returns for the prepared input.
 ///
 /// # Lazy evaluation tables
@@ -255,21 +262,22 @@ fn table_worthwhile(modulus: u64, expected_rounds: usize) -> bool {
 #[derive(Debug, Clone)]
 pub struct PreparedEq {
     proto: EqProtocol,
-    poly: BitPolynomial,
+    /// The polynomial's reducer, chosen once for the modulus.
+    field: Field,
     /// Filled once the probe count crosses the laziness threshold; then
     /// every evaluation is one array index.
     table: OnceCell<Vec<u64>>,
     /// Evaluations served so far by Horner (stops counting once the table
-    /// is built). Shared across everyone holding this preparation — under
-    /// an `Rc` in a cross-labeling cache, probes from different labelings
-    /// all push the same polynomial toward its table.
+    /// is built). Shared across everyone holding this preparation — in a
+    /// cross-labeling cache, probes from different labelings all push the
+    /// same polynomial toward its table.
     probes: Cell<u64>,
     /// Whether this preparation may materialise a table at all: decided at
-    /// [`EqProtocol::prepare`] time from the expected round count, the
-    /// per-table size cap, and (in the compiler) the aggregate memory
-    /// budget — and upgradeable later via [`PreparedEq::permit_table`]
-    /// when a shared preparation first created under a small round hint
-    /// is reused by a caller expecting many more.
+    /// [`EqProtocol::prepare`] time from the expected round count,
+    /// the per-table size cap, and (in the compiler) the aggregate memory
+    /// budget — and upgradeable later via [`PreparedEq::permit_table`] when
+    /// a shared preparation first created under a small round hint is
+    /// reused by a caller expecting many more.
     table_allowed: Cell<bool>,
 }
 
@@ -311,19 +319,26 @@ impl PreparedEq {
         true
     }
 
-    /// `A(x)` at the raw residue `x`, which must be `< p`.
+    /// A borrowed evaluation view of the polynomial with coefficients
+    /// `coeffs` (the string this was prepared for), with the table
+    /// dispatch resolved once when the table already exists — for callers
+    /// that probe the same prepared polynomial many times in a tight loop;
+    /// the batched trial engine evaluates one of these per (edge, trial).
+    /// Before the lazy table materialises, evaluations count toward it.
     #[must_use]
-    pub fn eval(&self, x: u64) -> u64 {
-        match self.table_after(1) {
-            Some(t) => t[x as usize],
-            None => self.poly.eval_raw(x),
+    pub fn evaluator<'a>(&'a self, coeffs: BitSlice<'a>) -> EqEvaluator<'a> {
+        debug_assert!(coeffs.len() <= self.proto.lambda, "input longer than λ");
+        EqEvaluator {
+            table: self.table.get().map(Vec::as_slice),
+            prep: self,
+            coeffs,
         }
     }
 
     /// The evaluation table if it exists or `probes` more evaluations
     /// build it; `None` when Horner must serve them. The probes count
     /// toward the lazy threshold only while the table is missing.
-    fn table_after(&self, probes: u64) -> Option<&[u64]> {
+    fn table_after(&self, coeffs: BitSlice<'_>, probes: u64) -> Option<&[u64]> {
         if let Some(t) = self.table.get() {
             return Some(t);
         }
@@ -334,54 +349,28 @@ impl PreparedEq {
             // are "wasted" before the p-evaluation build, keeping total
             // work within 2× of the best clairvoyant choice.
             if seen.saturating_mul(4) >= self.proto.modulus {
-                return Some(self.table.get_or_init(|| self.poly.evaluation_table()));
+                return Some(
+                    self.table
+                        .get_or_init(|| self.field.evaluation_table(coeffs)),
+                );
             }
         }
         None
     }
-
-    /// A borrowed evaluation view with the table dispatch resolved once
-    /// when the table already exists, for callers that probe the same
-    /// prepared polynomial many times in a tight loop — the batched trial
-    /// engine evaluates one of these per (edge, trial). Before the lazy
-    /// table materialises, evaluations fall through to
-    /// [`PreparedEq::eval`] (and keep pushing it toward materialising).
-    #[must_use]
-    pub fn evaluator(&self) -> EqEvaluator<'_> {
-        EqEvaluator {
-            table: self.table.get().map(Vec::as_slice),
-            prep: self,
-        }
-    }
-
-    /// Alice's side: fingerprint the prepared input at a fresh random
-    /// point.
-    pub fn alice_message<R: Rng + ?Sized>(&self, rng: &mut R) -> EqMessage {
-        let x = Fp::random(self.proto.modulus, rng).value();
-        EqMessage {
-            point: x,
-            value: self.eval(x),
-        }
-    }
-
-    /// Bob's side: accept iff the prepared polynomial agrees at Alice's
-    /// point. Total, like [`EqProtocol::bob_accepts`]: a point outside the
-    /// field rejects instead of panicking.
-    #[must_use]
-    pub fn bob_accepts(&self, msg: &EqMessage) -> bool {
-        msg.point < self.proto.modulus && self.eval(msg.point) == msg.value
-    }
 }
 
-/// A borrowed, loop-hoisted evaluation view of a [`PreparedEq`] (see
-/// [`PreparedEq::evaluator`]): the table reference (when one has already
-/// materialised) is resolved once instead of per probe.
+/// A borrowed, loop-hoisted evaluation view of a prepared input (see
+/// [`PreparedEq::evaluator`]): the coefficients, and the table reference
+/// when one has already materialised, are resolved once instead of per
+/// probe.
 ///
-/// Values are identical to [`PreparedEq::eval`] for every `x < p`.
+/// Values are identical to [`BitPolynomial::eval_raw`] of the input for
+/// every `x < p`, with or without the table.
 #[derive(Debug, Clone, Copy)]
 pub struct EqEvaluator<'a> {
     table: Option<&'a [u64]>,
     prep: &'a PreparedEq,
+    coeffs: BitSlice<'a>,
 }
 
 impl<'a> EqEvaluator<'a> {
@@ -389,11 +378,11 @@ impl<'a> EqEvaluator<'a> {
     #[inline]
     #[must_use]
     pub fn eval(&self, x: u64) -> u64 {
-        match self.table {
+        match self.table_after(1) {
             Some(t) => t[x as usize],
             // The lazy path: the table may materialise mid-loop, in which
-            // case `PreparedEq::eval` serves from it from then on.
-            None => self.prep.eval(x),
+            // case it serves from then on.
+            None => self.prep.field.eval_raw(self.coeffs, x),
         }
     }
 
@@ -404,8 +393,8 @@ impl<'a> EqEvaluator<'a> {
     /// its own table once that is built, and each side's probe counter
     /// advances as it would under two calls (twice, when both views share
     /// one preparation). When neither side has a table, both are
-    /// evaluated by [`BitPolynomial::eval_raw_pair`] — one window table,
-    /// two interleaved Horner chains, each from its own coefficients.
+    /// evaluated by the pair core — one window table, two interleaved
+    /// Horner chains, each from its own coefficients.
     #[inline]
     #[must_use]
     pub fn eval_pair(&self, other: &EqEvaluator<'_>, x: u64) -> (u64, u64) {
@@ -418,7 +407,8 @@ impl<'a> EqEvaluator<'a> {
     /// side toward the lazy tables (the batched engine probes in chunks of
     /// 8, so per-probe counting would cost a `Cell` round-trip per lane for
     /// the same materialisation decision). Sides without a table are
-    /// served by [`BitPolynomial::eval_raw_pair_lanes`].
+    /// served by the lane form of the pair core
+    /// ([`BitPolynomial::eval_raw_pair_lanes`]).
     #[inline]
     #[must_use]
     pub fn eval_pair_lanes<const L: usize>(
@@ -427,19 +417,20 @@ impl<'a> EqEvaluator<'a> {
         xs: &[u64; L],
     ) -> ([u64; L], [u64; L]) {
         let gather = |t: &[u64]| xs.map(|x| t[x as usize]);
+        let (f, g) = (self.prep.field, other.prep.field);
         match (self.table_after(L), other.table_after(L)) {
             (Some(a), Some(b)) => (gather(a), gather(b)),
-            (Some(a), None) => (gather(a), xs.map(|x| other.prep.poly.eval_raw(x))),
-            (None, Some(b)) => (xs.map(|x| self.prep.poly.eval_raw(x)), gather(b)),
-            (None, None) => self.prep.poly.eval_raw_pair_lanes(&other.prep.poly, xs),
+            (Some(a), None) => (gather(a), xs.map(|x| g.eval_raw(other.coeffs, x))),
+            (None, Some(b)) => (xs.map(|x| f.eval_raw(self.coeffs, x)), gather(b)),
+            (None, None) => f.eval_raw_pair_lanes(self.coeffs, g, other.coeffs, xs),
         }
     }
 
-    /// The table serving the next `probes` evaluations, if any (see
-    /// [`PreparedEq::eval`]).
+    /// The table serving the next `probes` evaluations, if any.
     #[inline]
     fn table_after(&self, probes: usize) -> Option<&'a [u64]> {
-        self.table.or_else(|| self.prep.table_after(probes as u64))
+        self.table
+            .or_else(|| self.prep.table_after(self.coeffs, probes as u64))
     }
 
     /// The field prime of the underlying protocol.
@@ -447,6 +438,22 @@ impl<'a> EqEvaluator<'a> {
     #[must_use]
     pub fn modulus(&self) -> u64 {
         self.prep.proto.modulus
+    }
+
+    /// Alice's side: fingerprint the input at a fresh random point.
+    pub fn alice_message<R: Rng + ?Sized>(&self, rng: &mut R) -> EqMessage {
+        let x = Fp::random(self.modulus(), rng).value();
+        EqMessage {
+            point: x,
+            value: self.eval(x),
+        }
+    }
+
+    /// Bob's side: accept iff the polynomial agrees at Alice's point. A
+    /// point outside the field rejects instead of panicking.
+    #[must_use]
+    pub fn bob_accepts(&self, msg: &EqMessage) -> bool {
+        msg.point < self.modulus() && self.eval(msg.point) == msg.value
     }
 }
 
@@ -513,21 +520,23 @@ mod tests {
         // One preparation probed scalar, one laned, one table-free: all
         // three must agree at every point even as the allowed ones cross
         // their lazy-table threshold mid-sweep.
-        let scalar = proto.prepare(&input, usize::MAX).unwrap();
-        let laned = proto.prepare(&input, usize::MAX).unwrap();
-        let bare = proto.prepare(&input, 1).unwrap();
-        let partner = proto.prepare(&other, 1).unwrap();
+        let scalar = proto.prepare(lambda, usize::MAX).unwrap();
+        let laned = proto.prepare(lambda, usize::MAX).unwrap();
+        let bare = proto.prepare(lambda, 1).unwrap();
+        let partner = proto.prepare(lambda, 1).unwrap();
         assert!(scalar.table_allowed() && !bare.table_allowed());
+        let (a, b) = (input.as_slice(), other.as_slice());
         let p = proto.modulus();
         let mut x = 0u64;
         while x < p {
             let xs: [u64; 8] = std::array::from_fn(|l| (x + l as u64) % p);
-            let (lanes, partner_lanes) =
-                laned.evaluator().eval_pair_lanes(&partner.evaluator(), &xs);
+            let (lanes, partner_lanes) = laned
+                .evaluator(a)
+                .eval_pair_lanes(&partner.evaluator(b), &xs);
             for (l, &xl) in xs.iter().enumerate() {
-                assert_eq!(lanes[l], scalar.eval(xl), "x = {xl}");
-                assert_eq!(lanes[l], bare.eval(xl), "x = {xl}");
-                assert_eq!(partner_lanes[l], partner.eval(xl), "x = {xl}");
+                assert_eq!(lanes[l], scalar.evaluator(a).eval(xl), "x = {xl}");
+                assert_eq!(lanes[l], bare.evaluator(a).eval(xl), "x = {xl}");
+                assert_eq!(partner_lanes[l], partner.evaluator(b).eval(xl), "x = {xl}");
             }
             x += 8;
         }
@@ -607,10 +616,11 @@ mod tests {
             value: honest.value,
         };
         assert!(!proto.bob_accepts(&a, &outside));
-        assert!(!proto.prepare(&a, 0).unwrap().bob_accepts(&outside));
+        let prep = proto.prepare(a.len(), 0).unwrap();
+        assert!(!prep.evaluator(a.as_slice()).bob_accepts(&outside));
         // Likewise an input longer than λ on the verifier side.
         assert!(!proto.bob_accepts(&BitString::zeros(9), &honest));
-        assert!(proto.prepare(&BitString::zeros(9), 0).is_none());
+        assert!(proto.prepare(9, 0).is_none());
     }
 
     #[test]
@@ -619,23 +629,24 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let a = random_bits(64, &mut rng);
         let p = proto.modulus();
+        let eval = |prep: &PreparedEq, x| prep.evaluator(a.as_slice()).eval(x);
 
         // Not allowed a table: never builds, no matter how many probes.
-        let never = proto.prepare(&a, 0).unwrap();
+        let never = proto.prepare(64, 0).unwrap();
         assert!(!never.table_allowed());
         for x in (0..p).cycle().take(2 * p as usize) {
-            let _ = never.eval(x);
+            let _ = eval(&never, x);
         }
         assert!(!never.has_table());
 
         // Allowed: builds only once probes reach p/4, and values before,
         // at, and after the switch all match the raw Horner reference.
-        let lazy = proto.prepare(&a, usize::MAX).unwrap();
-        let reference = proto.prepare(&a, 0).unwrap();
+        let lazy = proto.prepare(64, usize::MAX).unwrap();
+        let reference = proto.prepare(64, 0).unwrap();
         assert!(lazy.table_allowed() && !lazy.has_table());
         let mut probes = 0u64;
         for x in (0..p).cycle().take(p as usize) {
-            assert_eq!(lazy.eval(x), reference.eval(x), "x = {x}");
+            assert_eq!(eval(&lazy, x), eval(&reference, x), "x = {x}");
             probes += 1;
             assert_eq!(
                 lazy.has_table(),
@@ -649,26 +660,29 @@ mod tests {
         // `eval` calls would: on separate preparations, and on one
         // preparation probed as both sides (its counter moves twice).
         let b = random_bits(61, &mut rng);
+        let (sa, sb) = (a.as_slice(), b.as_slice());
         let (pair_a, pair_b) = (
-            proto.prepare(&a, usize::MAX).unwrap(),
-            proto.prepare(&b, usize::MAX).unwrap(),
+            proto.prepare(64, usize::MAX).unwrap(),
+            proto.prepare(61, usize::MAX).unwrap(),
         );
         let (solo_a, solo_b) = (
-            proto.prepare(&a, usize::MAX).unwrap(),
-            proto.prepare(&b, usize::MAX).unwrap(),
+            proto.prepare(64, usize::MAX).unwrap(),
+            proto.prepare(61, usize::MAX).unwrap(),
         );
         let (shared_pair, shared_solo) = (
-            proto.prepare(&a, usize::MAX).unwrap(),
-            proto.prepare(&a, usize::MAX).unwrap(),
+            proto.prepare(64, usize::MAX).unwrap(),
+            proto.prepare(64, usize::MAX).unwrap(),
         );
         for x in (0..p).cycle().take(p as usize) {
-            let pair = pair_a.evaluator().eval_pair(&pair_b.evaluator(), x);
-            assert_eq!(pair, (solo_a.eval(x), solo_b.eval(x)), "x = {x}");
+            let pair = pair_a.evaluator(sa).eval_pair(&pair_b.evaluator(sb), x);
+            let solo = (solo_a.evaluator(sa).eval(x), solo_b.evaluator(sb).eval(x));
+            assert_eq!(pair, solo, "x = {x}");
             assert_eq!(pair_a.has_table(), solo_a.has_table(), "x = {x}");
             assert_eq!(pair_b.has_table(), solo_b.has_table(), "x = {x}");
-            let ev = shared_pair.evaluator();
+            let ev = shared_pair.evaluator(sa);
             let pair = ev.eval_pair(&ev, x);
-            assert_eq!(pair, (shared_solo.eval(x), shared_solo.eval(x)));
+            let solo = shared_solo.evaluator(sa);
+            assert_eq!(pair, (solo.eval(x), solo.eval(x)));
             assert_eq!(shared_pair.has_table(), shared_solo.has_table());
         }
         assert!(pair_a.has_table() && pair_b.has_table() && shared_pair.has_table());
@@ -680,7 +694,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         let a = random_bits(64, &mut rng);
         let p = proto.modulus();
-        let prep = proto.prepare(&a, 0).unwrap();
+        let prep = proto.prepare(64, 0).unwrap();
         assert!(!prep.table_allowed());
         // Too few expected rounds: no upgrade.
         assert!(!prep.permit_table(p as usize - 1));
@@ -694,9 +708,12 @@ mod tests {
         );
         // The upgraded preparation behaves like one allowed from birth:
         // probes now count toward the lazy threshold and values match.
-        let reference = proto.prepare(&a, 0).unwrap();
+        let reference = proto.prepare(64, 0).unwrap();
         for x in (0..p).cycle().take(p as usize) {
-            assert_eq!(prep.eval(x), reference.eval(x));
+            assert_eq!(
+                prep.evaluator(a.as_slice()).eval(x),
+                reference.evaluator(a.as_slice()).eval(x)
+            );
         }
         assert!(prep.has_table());
     }
@@ -706,12 +723,13 @@ mod tests {
         let proto = EqProtocol::for_length(40);
         let mut rng = StdRng::seed_from_u64(13);
         let a = random_bits(40, &mut rng);
+        let poly = BitPolynomial::from_bits(&a, proto.modulus());
         for rounds in [0usize, usize::MAX] {
-            let prep = proto.prepare(&a, rounds).unwrap();
-            let ev = prep.evaluator();
+            let prep = proto.prepare(40, rounds).unwrap();
+            let ev = prep.evaluator(a.as_slice());
             assert_eq!(ev.modulus(), proto.modulus());
             for x in 0..proto.modulus() {
-                assert_eq!(ev.eval(x), prep.eval(x), "x = {x}, rounds = {rounds}");
+                assert_eq!(ev.eval(x), poly.eval_raw(x), "x = {x}, rounds = {rounds}");
             }
         }
     }
@@ -725,23 +743,26 @@ mod tests {
             let b = random_bits(lambda, &mut rng);
             // Force both variants: no table, and full table.
             for rounds in [0usize, usize::MAX] {
-                let pa = proto.prepare(&a, rounds).unwrap();
-                let pb = proto.prepare(&b, rounds).unwrap();
+                let (pa, pb) = (
+                    proto.prepare(lambda, rounds).unwrap(),
+                    proto.prepare(lambda, rounds).unwrap(),
+                );
                 assert_eq!(pa.table_allowed(), rounds > 0);
                 assert!(!pa.has_table(), "tables build lazily, not at prepare");
                 assert_eq!(pa.protocol(), &proto);
+                let (ea, eb) = (pa.evaluator(a.as_slice()), pb.evaluator(b.as_slice()));
                 let mut fresh = StdRng::seed_from_u64(42);
                 let mut fresh2 = StdRng::seed_from_u64(42);
                 for _ in 0..50 {
                     let msg = proto.alice_message(&a, &mut fresh);
-                    let prepared_msg = pa.alice_message(&mut fresh2);
+                    let prepared_msg = ea.alice_message(&mut fresh2);
                     assert_eq!(msg, prepared_msg, "λ = {lambda}");
                     assert_eq!(
                         proto.bob_accepts(&b, &msg),
-                        pb.bob_accepts(&msg),
+                        eb.bob_accepts(&msg),
                         "λ = {lambda}"
                     );
-                    assert!(pa.bob_accepts(&msg));
+                    assert!(ea.bob_accepts(&msg));
                 }
             }
         }

@@ -24,7 +24,7 @@
 //! same loop on [`crate::field::Barrett`].
 
 use crate::field::{Barrett, Fp, NarrowBarrett, Reducer};
-use rpls_bits::BitString;
+use rpls_bits::{BitSlice, BitString};
 
 /// A polynomial over `GF(p)` whose coefficients are the bits of a string
 /// (coefficient `i` = bit `i`).
@@ -49,9 +49,13 @@ pub struct BitPolynomial {
     field: Field,
 }
 
-/// The reducer a polynomial evaluates with (see the module docs).
+/// The reducer a polynomial evaluates with (see the module docs). The
+/// evaluation core below takes it together with borrowed coefficients, so
+/// a prepared fingerprint whose string lives in a caller's arena
+/// ([`crate::PreparedEq`]) runs exactly the code an owned
+/// [`BitPolynomial`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Field {
+pub(crate) enum Field {
     /// `p < 2³²`: one-word multiply-adds.
     Narrow(NarrowBarrett),
     /// `2³² ≤ p < 2⁶³`: 128-bit products.
@@ -88,7 +92,7 @@ fn window_table<R: Reducer>(r: R, x: u64) -> ([u64; 16], u64) {
 #[inline]
 fn horner_head<'a, R: Reducer>(
     r: R,
-    coeffs: &'a BitString,
+    coeffs: BitSlice<'a>,
     t: &[u64; 16],
     y: u64,
 ) -> (u64, &'a [u8]) {
@@ -124,7 +128,7 @@ fn horner_bytes<R: Reducer>(r: R, mut acc: u64, bytes: &[u8], t: &[u64; 16], y: 
 }
 
 /// `A(x)` by the windowed core.
-fn eval_windowed<R: Reducer>(r: R, coeffs: &BitString, x: u64) -> u64 {
+fn eval_windowed<R: Reducer>(r: R, coeffs: BitSlice<'_>, x: u64) -> u64 {
     let (t, y) = window_table(r, x);
     let (acc, bytes) = horner_head(r, coeffs, &t, y);
     horner_bytes(r, acc, bytes, &t, y)
@@ -135,8 +139,8 @@ fn eval_windowed<R: Reducer>(r: R, coeffs: &BitString, x: u64) -> u64 {
 /// chain's multiply latency hides behind the others'.
 fn eval_pair_windowed<R: Reducer, const L: usize>(
     r: R,
-    a: &BitString,
-    b: &BitString,
+    a: BitSlice<'_>,
+    b: BitSlice<'_>,
     xs: &[u64; L],
 ) -> ([u64; L], [u64; L]) {
     let tables = xs.map(|x| window_table(r, x));
@@ -164,6 +168,75 @@ fn eval_pair_windowed<R: Reducer, const L: usize>(
     (acc_a, acc_b)
 }
 
+impl Field {
+    /// The reducer for `modulus`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `modulus` is not prime, or not below `2⁶³`.
+    pub(crate) fn new(modulus: u64) -> Self {
+        assert!(
+            crate::prime::is_prime_cached(modulus),
+            "modulus {modulus} must be prime"
+        );
+        match NarrowBarrett::new(modulus) {
+            Some(narrow) => Field::Narrow(narrow),
+            None => Field::Wide(Barrett::cached(modulus)),
+        }
+    }
+
+    /// The field modulus.
+    pub(crate) fn modulus(self) -> u64 {
+        match self {
+            Field::Narrow(r) => r.modulus(),
+            Field::Wide(r) => r.modulus(),
+        }
+    }
+
+    /// `A(x)` for the polynomial with coefficients `coeffs`, at the raw
+    /// residue `x < p`.
+    pub(crate) fn eval_raw(self, coeffs: BitSlice<'_>, x: u64) -> u64 {
+        debug_assert!(x < self.modulus(), "evaluation point not reduced");
+        match self {
+            Field::Narrow(r) => eval_windowed(r, coeffs, x),
+            Field::Wide(r) => eval_windowed(r, coeffs, x),
+        }
+    }
+
+    /// `(A(x_l), B(x_l))` per lane, `A` over this field with coefficients
+    /// `a` and `B` over `other` with coefficients `b`: the pair core over a
+    /// shared field, two scalar evaluations otherwise.
+    pub(crate) fn eval_raw_pair_lanes<const L: usize>(
+        self,
+        a: BitSlice<'_>,
+        other: Self,
+        b: BitSlice<'_>,
+        xs: &[u64; L],
+    ) -> ([u64; L], [u64; L]) {
+        debug_assert!(
+            xs.iter()
+                .all(|&x| x < self.modulus() && x < other.modulus()),
+            "evaluation points not reduced"
+        );
+        match (self, other) {
+            (Field::Narrow(r), Field::Narrow(s)) if r == s => eval_pair_windowed(r, a, b, xs),
+            (Field::Wide(r), Field::Wide(s)) if r == s => eval_pair_windowed(r, a, b, xs),
+            _ => (
+                xs.map(|x| self.eval_raw(a, x)),
+                xs.map(|x| other.eval_raw(b, x)),
+            ),
+        }
+    }
+
+    /// The full evaluation table of the polynomial with coefficients
+    /// `coeffs` (see [`BitPolynomial::evaluation_table`]).
+    pub(crate) fn evaluation_table(self, coeffs: BitSlice<'_>) -> Vec<u64> {
+        (0..self.modulus())
+            .map(|x| self.eval_raw(coeffs, x))
+            .collect()
+    }
+}
+
 impl BitPolynomial {
     /// Builds the polynomial with coefficient `i` equal to bit `i` of
     /// `bits`, over `GF(modulus)`.
@@ -174,17 +247,9 @@ impl BitPolynomial {
     /// invariant of [`Fp`]).
     #[must_use]
     pub fn from_bits(bits: &BitString, modulus: u64) -> Self {
-        assert!(
-            crate::prime::is_prime_cached(modulus),
-            "modulus {modulus} must be prime"
-        );
-        let field = match NarrowBarrett::new(modulus) {
-            Some(narrow) => Field::Narrow(narrow),
-            None => Field::Wide(Barrett::cached(modulus)),
-        };
         Self {
             coeffs: bits.clone(),
-            field,
+            field: Field::new(modulus),
         }
     }
 
@@ -197,10 +262,7 @@ impl BitPolynomial {
     /// The field modulus.
     #[must_use]
     pub fn modulus(&self) -> u64 {
-        match self.field {
-            Field::Narrow(r) => r.modulus(),
-            Field::Wide(r) => r.modulus(),
-        }
+        self.field.modulus()
     }
 
     /// Evaluates the polynomial at `x` (see the module docs for the
@@ -226,11 +288,7 @@ impl BitPolynomial {
     /// a redundant primality-cache lookup per call.
     #[must_use]
     pub fn eval_raw(&self, x: u64) -> u64 {
-        debug_assert!(x < self.modulus(), "evaluation point not reduced");
-        match self.field {
-            Field::Narrow(r) => eval_windowed(r, &self.coeffs, x),
-            Field::Wide(r) => eval_windowed(r, &self.coeffs, x),
-        }
+        self.field.eval_raw(self.coeffs.as_slice(), x)
     }
 
     /// `(self(x), other(x))` at one raw residue `x` — the two sides of an
@@ -262,20 +320,12 @@ impl BitPolynomial {
         other: &Self,
         xs: &[u64; L],
     ) -> ([u64; L], [u64; L]) {
-        debug_assert!(
-            xs.iter()
-                .all(|&x| x < self.modulus() && x < other.modulus()),
-            "evaluation points not reduced"
-        );
-        match (self.field, other.field) {
-            (Field::Narrow(r), Field::Narrow(s)) if r == s => {
-                eval_pair_windowed(r, &self.coeffs, &other.coeffs, xs)
-            }
-            (Field::Wide(r), Field::Wide(s)) if r == s => {
-                eval_pair_windowed(r, &self.coeffs, &other.coeffs, xs)
-            }
-            _ => (xs.map(|x| self.eval_raw(x)), xs.map(|x| other.eval_raw(x))),
-        }
+        self.field.eval_raw_pair_lanes(
+            self.coeffs.as_slice(),
+            other.field,
+            other.coeffs.as_slice(),
+            xs,
+        )
     }
 
     /// The full evaluation table `[A(0), A(1), …, A(p−1)]`.
@@ -288,7 +338,7 @@ impl BitPolynomial {
     /// can push the protocol prime into the billions).
     #[must_use]
     pub fn evaluation_table(&self) -> Vec<u64> {
-        (0..self.modulus()).map(|x| self.eval_raw(x)).collect()
+        self.field.evaluation_table(self.coeffs.as_slice())
     }
 
     /// Upper bound on the collision probability of the fingerprint for

@@ -269,6 +269,99 @@ fn cached_preparation_sweep_is_transcript_identical() {
     assert!(cache.table_slots_reserved() <= PrepCache::TABLE_SLOT_BUDGET);
 }
 
+/// A cached instance must stay transcript-identical to fresh preparation
+/// after the cache has turned over the epoch it was prepared in — including
+/// the `t ≥ 2` plans it builds only after the turnover, whose slice
+/// fingerprints land in the new epoch while its labels stay in the retired
+/// one. The `force_dynamic` twin probes every slice, so a probe reading the
+/// wrong epoch's fingerprint would fail on the honest labeling.
+#[test]
+fn cached_instance_outlives_epoch_turnover() {
+    use rpls::bits::BitString;
+    use rpls::core::PrepCache;
+    let (scheme, config, honest) = compiled_spanning_tree_workload(10);
+    let mut tampered = honest.clone();
+    let flipped: BitString = tampered
+        .get(rpls::graph::NodeId::new(2))
+        .iter()
+        .enumerate()
+        .map(|(i, b)| if i == 50 { !b } else { b })
+        .collect();
+    tampered.set(rpls::graph::NodeId::new(2), flipped);
+
+    let dynamic = CompiledRpls::new(SpanningTreePls::new()).force_dynamic();
+    let runs = [
+        (&scheme, &honest),
+        (&scheme, &tampered),
+        (&dynamic, &honest),
+        (&dynamic, &tampered),
+    ];
+    let mut cache = PrepCache::new();
+    let old: Vec<_> = runs
+        .iter()
+        .map(|&(scheme, labeling)| scheme.prepare_cached(&config, labeling, 64, &mut cache))
+        .collect();
+    // Flood the cache with distinct 64-kbit garbage labels until it turns
+    // an epoch over; the instances above stay alive throughout.
+    let start = cache.epochs();
+    let mut round = 0u64;
+    while cache.epochs() == start {
+        let flood: Labeling = (0..10u64)
+            .map(|v| {
+                let mut w = rpls::bits::BitWriter::new();
+                for i in 0..1024u64 {
+                    w.write_u64(round.rotate_left(17) ^ (v << 40) ^ i, 64);
+                }
+                w.finish()
+            })
+            .collect();
+        let _ = scheme.prepare_cached(&config, &flood, 4, &mut cache);
+        round += 1;
+        assert!(round < 100_000, "the flood never turned an epoch over");
+    }
+
+    let mut fresh_scratch = RoundScratch::new();
+    let mut cached_scratch = RoundScratch::new();
+    let seeds: Vec<u64> = (0..24).map(|t| stats::trial_seed(0x5EED, t)).collect();
+    for (&(scheme, labeling), cached) in runs.iter().zip(&old) {
+        let fresh = scheme.prepare(&config, labeling, 64);
+        for rounds in [1usize, 2, 3] {
+            for seed in [0u64, 9, 77, 12345] {
+                let spec = RunSpec::trial(seed).with_rounds(rounds);
+                let a = engine::run_prepared(&spec, &*fresh, &config, &mut fresh_scratch);
+                let b = engine::run_prepared(&spec, &**cached, &config, &mut cached_scratch);
+                assert_eq!(a, b, "report (seed {seed}, t = {rounds})");
+                if rounds == 1 {
+                    assert_eq!(fresh_scratch.votes(), cached_scratch.votes(), "votes");
+                    assert_eq!(
+                        fresh_scratch.certificates().to_nested(config.port_base()),
+                        cached_scratch.certificates().to_nested(config.port_base()),
+                        "certificates (seed {seed})"
+                    );
+                }
+            }
+            let block = |prepared: &dyn rpls::core::PreparedRpls, scratch: &mut RoundScratch| {
+                let mut out = Vec::new();
+                engine::run_trials(
+                    &RunSpec::trial(0).with_rounds(rounds),
+                    prepared,
+                    &config,
+                    &seeds,
+                    scratch,
+                    &mut |r| out.push(r),
+                );
+                out
+            };
+            assert_eq!(
+                block(&*fresh, &mut fresh_scratch),
+                block(&**cached, &mut cached_scratch),
+                "block reports (t = {rounds})"
+            );
+        }
+    }
+    assert!(cache.retained_key_bits() <= PrepCache::KEY_BITS_BUDGET);
+}
+
 /// Same pinning for the κ-bit baseline wrapper, whose preparation caches
 /// whole verdicts.
 #[test]
