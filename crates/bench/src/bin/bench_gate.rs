@@ -6,9 +6,9 @@
 //!     BENCH_engine_smoke.json BENCH_engine.json [--max-regress 2.0]
 //! ```
 //!
-//! Only scale-free metrics (rounds/second, prepared/batched speedups) are
-//! compared, so a reduced-trial smoke run gates against the full-run
-//! reference; see `rpls_bench::gate` for the exact contract.
+//! Each metric's rule follows from its name (correctness bits must hold,
+//! within-run ratios may not fall more than the tolerance, bit accounting
+//! must match exactly); see `rpls_bench::gate` for the exact contract.
 
 use rpls_bench::gate;
 use std::process::ExitCode;
@@ -50,8 +50,12 @@ fn main() -> ExitCode {
 
     let report = gate::check(&current, &reference, max_regress);
     println!(
-        "bench_gate: {} metric(s) compared against {reference_path} (tolerance {max_regress}x)",
-        report.checks
+        "bench_gate: {} checks against {reference_path}: {} ratio(s) within {max_regress}x, {} \
+         exact, {} correctness bit(s)",
+        report.checks(),
+        report.ratios,
+        report.exact,
+        report.holds
     );
     if report.passed() {
         println!("bench_gate: PASS");

@@ -1,216 +1,329 @@
-//! The CI perf-regression gate over `BENCH_engine.json`.
+//! The engine bench's JSON schema and the CI perf-regression gate over it.
 //!
-//! PR 1 bought ≈7× Monte-Carlo throughput and PR 2 another ≈21× on the
-//! compiled path; this module is how CI keeps them. The PR-time
-//! `bench-smoke` job runs `bench_engine` in smoke mode (reduced trial
-//! counts) and hands the emitted JSON plus the committed reference to
-//! [`check`], which fails the build when a tracked ratio regresses more
-//! than the allowed factor.
+//! `bench_engine` writes one object: `{"bench", "mode", "cores", "rows"}`.
+//! `cores` is the machine's available parallelism, and `rows` is one flat
+//! array of self-describing [`Row`]s: `{"section": …, "key": …, metric:
+//! value, …}`, each metric a number or a boolean. [`check`] matches the
+//! current run's rows to the reference's by `(section, key)` and picks the
+//! rule for each metric from its name alone:
 //!
-//! Only **relative** metrics are compared — round throughput divided by
-//! the same run's allocation-per-trial baseline throughput, and the
-//! prepared/batched speedup ratios — never absolute seconds or absolute
-//! rounds/second. The smoke run uses smaller trial counts than the
-//! committed full run (so absolute seconds differ by construction) and CI
-//! runners are not the machine the reference was committed from (so
-//! absolute throughput differs by hardware); within-run ratios cancel
-//! both, while a genuine engine regression still collapses them. Rows are
-//! matched by `(family, n)` (round matrix) and by scheme name (acceptance
-//! table); rows present in only one file are skipped, so adding a
-//! workload never breaks the gate, and metrics missing from an older
-//! reference are simply not checked. Correctness bits
-//! (`estimates_identical`, `t1_identical`, `soundness_preserved`,
-//! `per_port_identical`, the service table's `verdicts_identical`,
-//! nonzero `cache_hit_rate`, the chaos row's `replay_identical` and
-//! `shed_accounting_ok`, and the scale table's `par_identical` and
-//! `dense_within_2x`) are enforced on the current run alone — they
-//! are deterministic at any machine speed, so no reference is consulted.
-//! The scale table's `thread_scaling` and `dense_vs_sparse_per_port`
-//! ratios are compared relatively like every other timing metric.
+//! | metric name               | rule                                          |
+//! |---------------------------|-----------------------------------------------|
+//! | `*_identical`, `*_ok`     | must be `true` on the current run             |
+//! | `*_ratio`                 | finite and positive; `cur ≥ ref / max_regress` |
+//! | `*_bits`, `messages`      | must equal the reference exactly              |
+//! | anything else             | informational (`*_secs`, `*_per_sec`, `*_iqr`, counts, estimates) |
 //!
-//! The parser is deliberately minimal: it reads exactly the flat
-//! object-per-row schema `bench_engine` emits (no nested objects inside
-//! rows, no escaped quotes), because the workspace builds offline and a
+//! Correctness bits are deterministic at any machine speed, so the
+//! reference is not consulted for them. Ratios are within-run (both sides
+//! timed on the same machine, interleaved), so runner speed cancels while a
+//! real regression still collapses them. Bit accounting is a function of
+//! the protocol alone, so any change to it is a change to the schedule.
+//! Rows that carry a `threads` field time a multi-threaded run: their
+//! ratios are compared only when both files report the same `cores`.
+//!
+//! A row or metric present in only one file is skipped, so adding a
+//! workload never needs an edit here. Malformed input fails the gate with a
+//! message naming the row: a field that does not parse, a duplicate
+//! `(section, key)`, a file without `rows`, or a ratio that is not finite
+//! and positive.
+//!
+//! The parser reads exactly what [`Bench::to_json`] writes (flat rows,
+//! plain-text keys, no escapes): the workspace builds offline, and a
 //! vendored full JSON parser would be all cost and no coverage.
 
-use std::collections::BTreeMap;
+use crate::timing::Spread;
+use std::collections::BTreeSet;
+use std::fmt;
 
-/// One parsed benchmark row: its identity fields plus every numeric or
-/// boolean field, keyed by name.
+/// One metric value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A number: a ratio, a count, a time.
+    Num(f64),
+    /// A correctness bit.
+    Bool(bool),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::Bool(b) => write!(f, "{b}"),
+            // Four significant digits below 1000, whole numbers above;
+            // non-finite values print as `NaN` / `inf` so the gate can
+            // reject them.
+            Value::Num(v) if !v.is_finite() || v == 0.0 || v.abs() >= 1000.0 => {
+                write!(f, "{v:.0}")
+            }
+            Value::Num(v) => {
+                let decimals = (3.0 - v.abs().log10().floor()).clamp(0.0, 15.0) as usize;
+                let s = format!("{v:.decimals$}");
+                f.write_str(s.trim_end_matches('0').trim_end_matches('.'))
+            }
+        }
+    }
+}
+
+/// One self-describing bench row: its identity and its metrics, in
+/// emission order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
-    /// String-valued fields (`family`, `scheme`, …).
-    pub tags: BTreeMap<String, String>,
-    /// Numeric fields (`n`, `rand_rounds_per_sec`, `prepared_speedup`, …);
-    /// booleans parse as 1.0 / 0.0.
-    pub nums: BTreeMap<String, f64>,
+    /// The workload that emitted the row.
+    pub section: String,
+    /// The row's identity within its section (`cycle/n=64`, `k2/t=4`, …).
+    pub key: String,
+    /// The metrics, by name.
+    pub metrics: Vec<(String, Value)>,
 }
 
 impl Row {
-    /// The row's identity within `section`: `family/n` for the round
-    /// matrix, the scheme name for the acceptance table, `scheme/t` for
-    /// the per-round-count trade-off rows, `kind/rate` for the
-    /// fault-tolerance sweep, `graph/pattern` for the message-pattern
-    /// sweep, the workload name for the service table.
+    /// An empty row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `section` or `key` contains a JSON delimiter.
     #[must_use]
-    pub fn key(&self) -> String {
-        if let Some(w) = self.tags.get("workload") {
-            return w.clone();
-        }
-        if let (Some(g), Some(p)) = (self.tags.get("graph"), self.tags.get("pattern")) {
-            return format!("{g}/{p}");
-        }
-        match (
-            self.tags.get("family"),
-            self.tags.get("scheme"),
-            self.tags.get("kind"),
-        ) {
-            (Some(f), _, _) => format!("{f}/n={}", self.nums.get("n").copied().unwrap_or(0.0)),
-            (None, Some(s), _) => match self.nums.get("t") {
-                Some(t) => format!("{s}/t={t}"),
-                None => s.clone(),
-            },
-            (None, None, Some(k)) => {
-                format!("{k}/rate={}", self.nums.get("rate").copied().unwrap_or(0.0))
-            }
-            (None, None, None) => String::from("?"),
+    pub fn new(section: &str, key: impl Into<String>) -> Self {
+        let key = key.into();
+        assert!(
+            !format!("{section}{key}").contains(['"', ',', ':', '{', '}', '[', ']', '\\']),
+            "section and key are plain text: {section}/{key}"
+        );
+        Self {
+            section: section.into(),
+            key,
+            metrics: Vec::new(),
         }
     }
-}
 
-/// Extracts the bracketed array that follows `"name":` in `json`, or an
-/// empty slice when the section is absent.
-fn section<'a>(json: &'a str, name: &str) -> &'a str {
-    let Some(at) = json.find(&format!("\"{name}\"")) else {
-        return "";
-    };
-    let rest = &json[at..];
-    let Some(open) = rest.find('[') else {
-        return "";
-    };
-    let Some(close) = rest[open..].find(']') else {
-        return "";
-    };
-    &rest[open + 1..open + close]
-}
+    /// Adds a numeric metric.
+    #[must_use]
+    pub fn num(mut self, name: &str, value: f64) -> Self {
+        self.metrics.push((name.into(), Value::Num(value)));
+        self
+    }
 
-/// Parses every flat `{…}` object inside `array` into a [`Row`].
-fn rows(array: &str) -> Vec<Row> {
-    let mut out = Vec::new();
-    let mut rest = array;
-    while let Some(open) = rest.find('{') {
-        let Some(close) = rest[open..].find('}') else {
-            break;
+    /// Adds a count.
+    #[must_use]
+    pub fn count(self, name: &str, value: usize) -> Self {
+        self.num(name, value as f64)
+    }
+
+    /// Adds a correctness bit.
+    #[must_use]
+    pub fn bool(mut self, name: &str, value: bool) -> Self {
+        self.metrics.push((name.into(), Value::Bool(value)));
+        self
+    }
+
+    /// Adds a timed metric: `name` holds the median, `name_iqr` the spread.
+    #[must_use]
+    pub fn spread(self, name: &str, spread: Spread) -> Self {
+        self.num(name, spread.median)
+            .num(&format!("{name}_iqr"), spread.iqr)
+    }
+
+    /// The metric called `name`.
+    #[must_use]
+    pub fn get(&self, name: &str) -> Option<Value> {
+        self.metrics
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
+
+    /// `section/key`, as failures name the row.
+    #[must_use]
+    pub fn id(&self) -> String {
+        format!("{}/{}", self.section, self.key)
+    }
+
+    /// The row as one JSON object.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\"section\": \"{}\", \"key\": \"{}\"",
+            self.section, self.key
+        );
+        for (name, value) in &self.metrics {
+            out.push_str(&format!(", \"{name}\": {value}"));
+        }
+        out.push('}');
+        out
+    }
+
+    /// Parses the body of one `{…}` object; `index` names the row until its
+    /// `section` and `key` are known.
+    fn parse(body: &str, index: usize) -> Result<Self, String> {
+        let fields: Vec<(&str, &str)> = body
+            .split(',')
+            .map(|field| {
+                let (name, value) = field.split_once(':').unwrap_or((field, ""));
+                (name.trim().trim_matches('"'), value.trim())
+            })
+            .collect();
+        let text = |name: &str| {
+            fields
+                .iter()
+                .find(|(n, _)| *n == name)
+                .and_then(|(_, v)| v.strip_prefix('"')?.strip_suffix('"'))
         };
-        let body = &rest[open + 1..open + close];
-        let mut row = Row {
-            tags: BTreeMap::new(),
-            nums: BTreeMap::new(),
+        let (Some(section), Some(key)) = (text("section"), text("key")) else {
+            return Err(format!("row {index} has no string `section` and `key`"));
         };
-        // Fields are `"key": value` separated by commas; values contain no
-        // commas, braces, or escaped quotes in this schema.
-        for field in body.split(',') {
-            let Some((key, value)) = field.split_once(':') else {
+        let mut row = Row::new(section, key);
+        for (name, raw) in fields {
+            if name == "section" || name == "key" {
                 continue;
-            };
-            let key = key.trim().trim_matches('"').to_string();
-            let value = value.trim();
-            if let Some(stripped) = value.strip_prefix('"') {
-                row.tags
-                    .insert(key, stripped.trim_end_matches('"').to_string());
-            } else if value == "true" || value == "false" {
-                row.nums.insert(key, f64::from(u8::from(value == "true")));
-            } else if let Ok(v) = value.parse::<f64>() {
-                row.nums.insert(key, v);
             }
+            let value = match raw {
+                "true" => Value::Bool(true),
+                "false" => Value::Bool(false),
+                _ => Value::Num(raw.parse().map_err(|_| {
+                    format!("{}: field `{name}` has unparseable value `{raw}`", row.id())
+                })?),
+            };
+            if row.get(name).is_some() {
+                return Err(format!("{}: duplicate field `{name}`", row.id()));
+            }
+            row.metrics.push((name.into(), value));
         }
-        out.push(row);
-        rest = &rest[open + close + 1..];
+        Ok(row)
     }
-    out
 }
 
-/// The seven row tables of one bench JSON, in emission order: round
-/// matrix, acceptance table, trade-off sweep, fault sweep, pattern sweep,
-/// service table, scale table.
-pub type Sections = (
-    Vec<Row>,
-    Vec<Row>,
-    Vec<Row>,
-    Vec<Row>,
-    Vec<Row>,
-    Vec<Row>,
-    Vec<Row>,
-);
-
-/// Parses one bench JSON into its row tables: the round matrix, the
-/// acceptance table, the t-round trade-off sweep, the fault-tolerance
-/// sweep, the message-pattern sweep, the service workload, and the
-/// large-graph scale workload (the latter five empty for JSONs predating
-/// their sections).
-#[must_use]
-pub fn parse(json: &str) -> Sections {
-    (
-        rows(section(json, "round_matrix")),
-        rows(section(json, "acceptance_probability_cycle256")),
-        rows(section(json, "tradeoff")),
-        rows(section(json, "faults")),
-        rows(section(json, "patterns")),
-        rows(section(json, "service")),
-        rows(section(json, "scale")),
-    )
+/// One bench file.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Bench {
+    /// `full` or `smoke`.
+    pub mode: String,
+    /// The available parallelism of the machine that ran it.
+    pub cores: Option<usize>,
+    /// Every row, in emission order.
+    pub rows: Vec<Row>,
 }
 
-/// Round-matrix comparisons, as `(name, numerator, denominator)` derived
-/// ratios: engine throughput is divided by the same run's
-/// allocation-per-trial baseline throughput, so the machine's absolute
-/// speed cancels — a slower CI runner slows both sides equally, while a
-/// real engine regression collapses the ratio. Higher is better.
-const MATRIX_RATIOS: &[(&str, &str, &str)] = &[
-    (
-        "det_vs_baseline",
-        "det_rounds_per_sec",
-        "baseline_rounds_per_sec",
-    ),
-    (
-        "rand_vs_baseline",
-        "rand_rounds_per_sec",
-        "baseline_rounds_per_sec",
-    ),
-];
-/// Scale-free metrics compared per acceptance row (already within-run
-/// ratios): higher is better. `prep_amortized_speedup` is the
-/// adversary-sweep row's shared-`PrepCache` vs per-labeling-prepare ratio;
-/// losing cross-labeling preparation sharing collapses it.
-const ACCEPTANCE_METRICS: &[&str] = &[
-    "prepared_speedup",
-    "batched_speedup",
-    "prep_amortized_speedup",
-];
-/// Scale-free metrics compared per trade-off row: `bits_shrink` is the
-/// workload's t = 1 per-round bits divided by this row's — the κ/t
-/// communication shrink of the t-round schedule. It is a deterministic
-/// function of the protocol (no timing), so a regression means the
-/// schedule itself changed, not the machine.
-const TRADEOFF_METRICS: &[&str] = &["bits_shrink"];
-/// Scale-free metrics compared per scale row: `thread_scaling` is the
-/// serial-over-parallel time ratio of the same run (losing it means the
-/// sharded runner stopped scaling, wherever it runs — a one-core runner's
-/// reference is ~1 and stays comparable), and `dense_vs_sparse_per_port`
-/// is the sketched clique's per-port throughput over the sparse family's
-/// (losing it means the dense cliff is back).
-const SCALE_METRICS: &[&str] = &["thread_scaling", "dense_vs_sparse_per_port"];
+impl Bench {
+    /// The file as written to disk: one row per line.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\n  \"bench\": \"engine\",\n  \"mode\": \"{}\",\n",
+            self.mode
+        );
+        if let Some(cores) = self.cores {
+            out.push_str(&format!("  \"cores\": {cores},\n"));
+        }
+        out.push_str("  \"rows\": [\n");
+        for (i, row) in self.rows.iter().enumerate() {
+            let sep = if i + 1 == self.rows.len() { "" } else { "," };
+            out.push_str(&format!("    {}{sep}\n", row.to_json()));
+        }
+        out.push_str("  ]\n}\n");
+        out
+    }
+
+    /// Parses a file written by [`Bench::to_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the problem (and the row, where there is
+    /// one) if the file has no `rows` array, a row or field does not parse,
+    /// or two rows share a `(section, key)`.
+    pub fn parse(json: &str) -> Result<Self, String> {
+        let at = json.find("\"rows\"").ok_or("no `rows` array")?;
+        let header = &json[..at];
+        let top = |name: &str| {
+            let rest = &header[header.find(&format!("\"{name}\""))? + name.len() + 2..];
+            let value = rest.trim_start().strip_prefix(':')?.trim_start();
+            Some(&value[..value.find([',', '\n', '}']).unwrap_or(value.len())])
+        };
+        let mode = top("mode")
+            .unwrap_or("")
+            .trim()
+            .trim_matches('"')
+            .to_string();
+        let cores = top("cores")
+            .map(|v| {
+                v.trim()
+                    .parse()
+                    .map_err(|_| format!("unparseable `cores`: {v}"))
+            })
+            .transpose()?;
+        let body = json[at + "\"rows\"".len()..]
+            .trim_start()
+            .strip_prefix(':')
+            .and_then(|rest| rest.trim_start().strip_prefix('['))
+            .ok_or("`rows` is not an array")?;
+        let body = &body[..body.find(']').ok_or("unterminated `rows` array")?];
+        let mut rows = Vec::new();
+        let mut seen = BTreeSet::new();
+        for chunk in body.split_inclusive('}') {
+            let chunk = chunk.trim_start_matches(|c: char| c == ',' || c.is_whitespace());
+            if chunk.is_empty() {
+                continue;
+            }
+            let inner = chunk
+                .strip_prefix('{')
+                .and_then(|c| c.strip_suffix('}'))
+                .ok_or_else(|| format!("row {} is not a flat object: {chunk}", rows.len()))?;
+            let row = Row::parse(inner, rows.len())?;
+            if !seen.insert((row.section.clone(), row.key.clone())) {
+                return Err(format!("duplicate row {}", row.id()));
+            }
+            rows.push(row);
+        }
+        Ok(Self { mode, cores, rows })
+    }
+}
+
+/// How the gate treats a metric, chosen by its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rule {
+    /// `*_identical`, `*_ok`: must be true.
+    Holds,
+    /// `*_ratio`: compared relatively against the reference.
+    Ratio,
+    /// `*_bits`, `messages`: must equal the reference.
+    Exact,
+    /// Recorded, never compared.
+    Info,
+}
+
+impl Rule {
+    fn of(metric: &str) -> Self {
+        if metric.ends_with("_identical") || metric.ends_with("_ok") {
+            Rule::Holds
+        } else if metric.ends_with("_ratio") {
+            Rule::Ratio
+        } else if metric.ends_with("_bits") || metric == "messages" {
+            Rule::Exact
+        } else {
+            Rule::Info
+        }
+    }
+}
 
 /// The outcome of one gate run.
 #[derive(Debug, Clone, Default)]
 pub struct GateReport {
-    /// Metrics compared (present in both files).
-    pub checks: usize,
+    /// `*_ratio` metrics compared against the reference.
+    pub ratios: usize,
+    /// `*_bits` and `messages` metrics compared against the reference.
+    pub exact: usize,
+    /// Correctness bits checked on the current run.
+    pub holds: usize,
     /// Human-readable failures; empty means the gate passes.
     pub failures: Vec<String>,
 }
 
 impl GateReport {
+    /// Every check made.
+    #[must_use]
+    pub fn checks(&self) -> usize {
+        self.ratios + self.exact + self.holds
+    }
+
     /// Whether the build should pass.
     #[must_use]
     pub fn passed(&self) -> bool {
@@ -218,11 +331,17 @@ impl GateReport {
     }
 }
 
-/// Compares `current` (the smoke run) against `reference` (the committed
-/// trajectory): every shared scale-free metric must satisfy
-/// `current >= reference / max_regress`, and the current run's estimates
-/// must be path-identical. Returns the report; the `bench_gate` binary
-/// turns a non-empty failure list into a non-zero exit.
+/// Whether `v` is a usable ratio.
+fn finite_positive(v: Value) -> Option<f64> {
+    match v {
+        Value::Num(x) if x.is_finite() && x > 0.0 => Some(x),
+        _ => None,
+    }
+}
+
+/// Checks `current` (a fresh run) against `reference` (the committed
+/// file) under the rules in the module docs. The `bench_gate` binary turns
+/// a non-empty failure list into a non-zero exit.
 ///
 /// # Panics
 ///
@@ -233,231 +352,73 @@ pub fn check(current: &str, reference: &str, max_regress: f64) -> GateReport {
         max_regress.is_finite() && max_regress > 0.0,
         "max_regress must be positive"
     );
-    let (cur_matrix, cur_acc, cur_tradeoff, cur_faults, cur_patterns, cur_service, cur_scale) =
-        parse(current);
-    let (ref_matrix, ref_acc, ref_tradeoff, _, _, _, ref_scale) = parse(reference);
     let mut report = GateReport::default();
-
-    // One comparison: the named value must not sit more than `max_regress`
-    // below the reference value.
-    let mut compare_one = |key: &str, metric: &str, c: f64, r: f64| {
-        report.checks += 1;
-        if c < r / max_regress {
-            report.failures.push(format!(
-                "{key} {metric}: {c:.2} is more than {max_regress}x below reference {r:.2}"
-            ));
+    let (cur, old) = match (Bench::parse(current), Bench::parse(reference)) {
+        (Ok(cur), Ok(old)) => (cur, old),
+        (cur, old) => {
+            for (file, result) in [("current", cur), ("reference", old)] {
+                if let Err(e) = result {
+                    report.failures.push(format!("{file}: {e}"));
+                }
+            }
+            return report;
         }
     };
-
-    // The derived within-run ratio of two row fields, when both are
-    // present and the denominator is positive.
-    let ratio = |row: &Row, num: &str, den: &str| -> Option<f64> {
-        match (row.nums.get(num), row.nums.get(den)) {
-            (Some(&n), Some(&d)) if d > 0.0 => Some(n / d),
-            _ => None,
-        }
-    };
-
-    let matrix_pairs: Vec<(&Row, &Row)> = cur_matrix
-        .iter()
-        .filter_map(|c| {
-            ref_matrix
-                .iter()
-                .find(|r| r.key() == c.key())
-                .map(|r| (c, r))
-        })
-        .collect();
-    for (cur, reference) in &matrix_pairs {
-        for &(name, num, den) in MATRIX_RATIOS {
-            let (Some(c), Some(r)) = (ratio(cur, num, den), ratio(reference, num, den)) else {
-                continue;
-            };
-            compare_one(&cur.key(), name, c, r);
-        }
-    }
-    let acc_pairs: Vec<(&Row, &Row)> = cur_acc
-        .iter()
-        .filter_map(|c| ref_acc.iter().find(|r| r.key() == c.key()).map(|r| (c, r)))
-        .collect();
-    for (cur, reference) in &acc_pairs {
-        for &metric in ACCEPTANCE_METRICS {
-            let (Some(&c), Some(&r)) = (cur.nums.get(metric), reference.nums.get(metric)) else {
-                continue;
-            };
-            compare_one(&cur.key(), metric, c, r);
-        }
-    }
-    let tradeoff_pairs: Vec<(&Row, &Row)> = cur_tradeoff
-        .iter()
-        .filter_map(|c| {
-            ref_tradeoff
-                .iter()
-                .find(|r| r.key() == c.key())
-                .map(|r| (c, r))
-        })
-        .collect();
-    for (cur, reference) in &tradeoff_pairs {
-        for &metric in TRADEOFF_METRICS {
-            let (Some(&c), Some(&r)) = (cur.nums.get(metric), reference.nums.get(metric)) else {
-                continue;
-            };
-            compare_one(&cur.key(), metric, c, r);
+    let same_cores = cur.cores.is_some() && cur.cores == old.cores;
+    for row in &cur.rows {
+        let id = row.id();
+        let old_row = old
+            .rows
+            .iter()
+            .find(|r| r.section == row.section && r.key == row.key);
+        let threaded = row.get("threads").is_some();
+        for (metric, value) in &row.metrics {
+            let old_value = old_row.and_then(|r| r.get(metric));
+            let mut fail = |what: String| report.failures.push(format!("{id} {metric}: {what}"));
+            match Rule::of(metric) {
+                Rule::Holds => {
+                    report.holds += 1;
+                    if *value != Value::Bool(true) {
+                        fail(format!("is {value}, must be true"));
+                    }
+                }
+                Rule::Ratio => {
+                    let Some(c) = finite_positive(*value) else {
+                        fail(format!("{value} is not a finite positive ratio"));
+                        continue;
+                    };
+                    let Some(old_value) = old_value else { continue };
+                    if threaded && !same_cores {
+                        continue;
+                    }
+                    let Some(r) = finite_positive(old_value) else {
+                        fail(format!(
+                            "reference {old_value} is not a finite positive ratio"
+                        ));
+                        continue;
+                    };
+                    report.ratios += 1;
+                    if c < r / max_regress {
+                        fail(format!(
+                            "{value} is more than {max_regress}x below reference {old_value}"
+                        ));
+                    }
+                }
+                Rule::Exact => {
+                    let Some(old_value) = old_value else { continue };
+                    report.exact += 1;
+                    if !matches!(value, Value::Num(_)) || *value != old_value {
+                        fail(format!("{value} differs from reference {old_value}"));
+                    }
+                }
+                Rule::Info => {}
+            }
         }
     }
-
-    let scale_pairs: Vec<(&Row, &Row)> = cur_scale
-        .iter()
-        .filter_map(|c| {
-            ref_scale
-                .iter()
-                .find(|r| r.key() == c.key())
-                .map(|r| (c, r))
-        })
-        .collect();
-    for (cur, reference) in &scale_pairs {
-        for &metric in SCALE_METRICS {
-            let (Some(&c), Some(&r)) = (cur.nums.get(metric), reference.nums.get(metric)) else {
-                continue;
-            };
-            compare_one(&cur.key(), metric, c, r);
-        }
-    }
-
-    if report.checks == 0 {
+    if report.ratios + report.exact == 0 {
         report
             .failures
             .push("no comparable metrics found — wrong file, or schema drift".into());
-    }
-    // Path-identity is a correctness bit, not a perf ratio: a current run
-    // whose serial and parallel estimates diverged must never pass.
-    for row in &cur_acc {
-        if row.nums.get("estimates_identical") == Some(&0.0) {
-            report
-                .failures
-                .push(format!("{}: estimates_identical is false", row.key()));
-        }
-    }
-    // Likewise the trade-off sweep's t = 1 rows: the multi-round schedule
-    // diverging from the batched one-round path is a correctness bug at
-    // any speed.
-    for row in &cur_tradeoff {
-        if row.nums.get("t1_identical") == Some(&0.0) {
-            report
-                .failures
-                .push(format!("{}: t1_identical is false", row.key()));
-        }
-    }
-    // The fault sweep is gated purely on its correctness bits (its
-    // acceptance values are deterministic in the seeds, not timing): a
-    // transparent plan diverging from the fault-free engine, or a faulted
-    // run accepting a labeling its clean twin rejects, fails at any speed.
-    for row in &cur_faults {
-        if row.nums.get("zero_fault_identical") == Some(&0.0) {
-            report
-                .failures
-                .push(format!("{}: zero_fault_identical is false", row.key()));
-        }
-        if row.nums.get("soundness_preserved") == Some(&0.0) {
-            report
-                .failures
-                .push(format!("{}: soundness_preserved is false", row.key()));
-        }
-    }
-    // The message-pattern sweep is gated on correctness bits and on its
-    // deterministic bit accounting, never on timing. `per_port_identical`
-    // says the per-port pattern reproduced the legacy engine's estimate
-    // and bit totals exactly — transcript identity at any speed. And on
-    // each graph unicast must not account more total bits than per-port:
-    // the half-width message (sender ships only the evaluation, the point
-    // is shared) is the entire content of that pattern.
-    for row in &cur_patterns {
-        if row.nums.get("per_port_identical") == Some(&0.0) {
-            report
-                .failures
-                .push(format!("{}: per_port_identical is false", row.key()));
-        }
-    }
-    for row in &cur_patterns {
-        if row.tags.get("pattern").map(String::as_str) != Some("unicast") {
-            continue;
-        }
-        let per_port_bits = row.tags.get("graph").and_then(|graph| {
-            cur_patterns
-                .iter()
-                .find(|r| {
-                    r.tags.get("graph") == Some(graph)
-                        && r.tags.get("pattern").map(String::as_str) == Some("per_port")
-                })
-                .and_then(|r| r.nums.get("total_bits").copied())
-        });
-        let (Some(&unicast_bits), Some(per_port_bits)) =
-            (row.nums.get("total_bits"), per_port_bits)
-        else {
-            continue;
-        };
-        if unicast_bits > per_port_bits {
-            report.failures.push(format!(
-                "{}: unicast total_bits {unicast_bits} exceeds per_port {per_port_bits}",
-                row.key()
-            ));
-        }
-    }
-    // The service workload is gated purely on its correctness bits, never
-    // on jobs/s (absolute throughput is machine-bound): a service reply
-    // diverging from the direct engine estimate, or a mixed batch whose
-    // shared cache stopped hitting, fails at any speed. Both are
-    // deterministic functions of the batch, not of timing. The chaos row
-    // adds two more such bits: `replay_identical` (the same chaos seed
-    // must reproduce outcomes, retries, and the shed/fault ledger
-    // exactly — losing it means the harness or the service went
-    // nondeterministic) and `shed_accounting_ok` (every worker panic cost
-    // exactly one restart and the completion ledger balances).
-    for row in &cur_service {
-        if row.nums.get("verdicts_identical") == Some(&0.0) {
-            report
-                .failures
-                .push(format!("{}: verdicts_identical is false", row.key()));
-        }
-        if row.nums.get("cache_hit_rate") == Some(&0.0) {
-            report.failures.push(format!(
-                "{}: cache_hit_rate is zero — the shared cache stopped sharing",
-                row.key()
-            ));
-        }
-        if row.nums.get("replay_identical") == Some(&0.0) {
-            report.failures.push(format!(
-                "{}: replay_identical is false — the chaos run is not seed-deterministic",
-                row.key()
-            ));
-        }
-        if row.nums.get("shed_accounting_ok") == Some(&0.0) {
-            report.failures.push(format!(
-                "{}: shed_accounting_ok is false — the shed/fault ledger does not balance",
-                row.key()
-            ));
-        }
-    }
-    // The scale workload's two correctness bits are enforced on the
-    // current run alone: `par_identical` (the thread-sharded estimator
-    // reproduced the serial estimate bit for bit — transcript identity at
-    // any speed and any worker count) and `dense_within_2x` (the sketched
-    // dense family stays within 2× of the sparse family's per-port
-    // throughput — the cliff criterion is a within-run ratio, so it holds
-    // or fails identically on any machine).
-    for row in &cur_scale {
-        if row.nums.get("par_identical") == Some(&0.0) {
-            report.failures.push(format!(
-                "{}: par_identical is false — the parallel estimate diverged from serial",
-                row.key()
-            ));
-        }
-        if row.nums.get("dense_within_2x") == Some(&0.0) {
-            report.failures.push(format!(
-                "{}: dense_within_2x is false — the dense family regressed more than 2x \
-                 vs sparse per-port throughput",
-                row.key()
-            ));
-        }
     }
     report
 }
@@ -466,652 +427,640 @@ pub fn check(current: &str, reference: &str, max_regress: f64) -> GateReport {
 mod tests {
     use super::*;
 
-    fn sample(rand_rps: f64, prepared: f64, batched: Option<f64>, identical: bool) -> String {
-        let batched_field =
-            batched.map_or(String::new(), |b| format!("\"batched_speedup\": {b}, "));
-        format!(
-            "{{\n  \"bench\": \"engine\",\n  \"round_matrix\": [\n    {{\"family\": \"cycle\", \
-             \"n\": 64, \"det_rounds_per_sec\": 1000000, \"rand_rounds_per_sec\": {rand_rps}, \
-             \"baseline_rounds_per_sec\": 48000}}\n  \
-             ],\n  \"acceptance_probability_cycle256\": [\n    {{\"scheme\": \"compiled\", \
-             \"trials\": 1000, \"prepared_speedup\": {prepared}, {batched_field}\
-             \"estimates_identical\": {identical}}}\n  ]\n}}\n"
-        )
+    fn json(cores: usize, rows: &[Row]) -> String {
+        Bench {
+            mode: "smoke".into(),
+            cores: Some(cores),
+            rows: rows.to_vec(),
+        }
+        .to_json()
+    }
+
+    /// A round-matrix row and a compiled acceptance row: four ratios and
+    /// one correctness bit.
+    fn sample(rand_ratio: f64, prepared: f64, batched: Option<f64>, identical: bool) -> Vec<Row> {
+        let matrix = Row::new("round_matrix", "cycle/n=64")
+            .num("det_vs_baseline_ratio", 20.8)
+            .num("rand_vs_baseline_ratio", rand_ratio)
+            .num("det_rounds_per_sec", 1_000_000.0)
+            .num("baseline_rounds_per_sec", 48_000.0);
+        let mut acc = Row::new("acceptance", "compiled")
+            .count("trials", 1000)
+            .num("prepared_ratio", prepared)
+            .num("prepared_trial_secs", 0.0001)
+            .bool("estimates_identical", identical);
+        if let Some(b) = batched {
+            acc = acc.num("batched_ratio", b);
+        }
+        vec![matrix, acc]
+    }
+
+    fn base() -> Vec<Row> {
+        sample(6.25, 20.0, Some(50.0), true)
+    }
+
+    fn with(mut rows: Vec<Row>, extra: impl IntoIterator<Item = Row>) -> Vec<Row> {
+        rows.extend(extra);
+        rows
+    }
+
+    fn gate(cur: &[Row], reference: &[Row]) -> GateReport {
+        check(&json(2, cur), &json(2, reference), 2.0)
+    }
+
+    /// Asserts that the sample plus `extra`, gated against itself, fails
+    /// exactly once, on `what` (`"key metric"`).
+    fn fails_on(extra: impl IntoIterator<Item = Row>, what: &str) {
+        let rows = with(base(), extra);
+        let report = gate(&rows, &rows);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains(what), "{:?}", report.failures);
+    }
+
+    /// The keys of the rows after the sample's two, read back from disk.
+    fn keys(rows: &[Row]) -> Vec<String> {
+        let parsed = Bench::parse(&json(2, rows)).expect("parses");
+        parsed.rows[2..].iter().map(|r| r.key.clone()).collect()
     }
 
     #[test]
     fn identical_files_pass() {
-        let j = sample(300000.0, 20.0, Some(50.0), true);
-        let report = check(&j, &j, 2.0);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
-        assert_eq!(report.checks, 4);
+        let report = gate(&base(), &base());
+        assert!(report.passed(), "{:?}", report.failures);
+        assert_eq!((report.ratios, report.exact, report.holds), (4, 0, 1));
     }
 
     #[test]
     fn small_regressions_within_tolerance_pass() {
-        let cur = sample(160000.0, 11.0, Some(26.0), true);
-        let reference = sample(300000.0, 20.0, Some(50.0), true);
-        assert!(check(&cur, &reference, 2.0).failures.is_empty());
+        let cur = sample(3.4, 11.0, Some(26.0), true);
+        assert!(gate(&cur, &base()).passed());
     }
 
     #[test]
     fn throughput_collapse_fails() {
-        let cur = sample(100000.0, 20.0, Some(50.0), true);
-        let reference = sample(300000.0, 20.0, Some(50.0), true);
-        let report = check(&cur, &reference, 2.0);
+        let report = gate(&sample(2.0, 20.0, Some(50.0), true), &base());
         assert_eq!(report.failures.len(), 1);
-        assert!(report.failures[0].contains("rand_vs_baseline"));
+        assert!(report.failures[0].contains("round_matrix/cycle/n=64 rand_vs_baseline_ratio"));
     }
 
     #[test]
     fn uniformly_slower_machine_passes() {
-        // A runner 3x slower on every metric (engine and baseline alike)
-        // must not trip the gate: the within-run ratios are unchanged.
-        let reference = sample(300000.0, 20.0, Some(50.0), true);
-        let cur = reference
-            .replace("1000000", "333333")
-            .replace("300000", "100000")
-            .replace("48000", "16000");
-        let report = check(&cur, &reference, 2.0);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        // A runner 3x slower on every side keeps every within-run ratio;
+        // only the raw times move, and they are informational.
+        let slow: Vec<Row> = base()
+            .into_iter()
+            .map(|mut row| {
+                for (name, value) in &mut row.metrics {
+                    if let Value::Num(v) = value {
+                        if name.ends_with("_per_sec") {
+                            *v /= 3.0;
+                        } else if name.ends_with("_secs") {
+                            *v *= 3.0;
+                        }
+                    }
+                }
+                row
+            })
+            .collect();
+        assert_ne!(slow, base());
+        let report = gate(&slow, &base());
+        assert!(report.passed(), "{:?}", report.failures);
     }
 
     #[test]
     fn speedup_collapse_fails() {
-        let cur = sample(300000.0, 5.0, Some(10.0), true);
-        let reference = sample(300000.0, 20.0, Some(50.0), true);
-        let report = check(&cur, &reference, 2.0);
+        let report = gate(&sample(6.25, 5.0, Some(10.0), true), &base());
         assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
     }
 
     #[test]
     fn metric_missing_from_reference_is_skipped() {
-        // An older committed reference without batched_speedup must not
-        // fail a newer smoke run, and vice versa.
-        let cur = sample(300000.0, 20.0, Some(50.0), true);
-        let reference = sample(300000.0, 20.0, None, true);
-        let report = check(&cur, &reference, 2.0);
-        assert!(report.failures.is_empty());
-        assert_eq!(report.checks, 3);
+        let report = gate(&base(), &sample(6.25, 20.0, None, true));
+        assert!(report.passed(), "{:?}", report.failures);
+        assert_eq!(report.ratios, 3);
     }
 
-    /// A second acceptance-array row shaped like the adversary-sweep
-    /// workload (its scale-free metric is `prep_amortized_speedup`).
-    fn with_sweep(base: &str, amortized: f64, identical: bool) -> String {
-        let sweep = format!(
-            "    {{\"scheme\": \"adversary_sweep64\", \"trials\": 256, \"labelings\": 64, \
-             \"sweep_secs\": 0.05, \"per_prepare_secs\": 0.50, \
-             \"prep_amortized_speedup\": {amortized}, \"estimates_identical\": {identical}}}\n  ]"
-        );
-        let at = base.rfind("  ]").expect("acceptance array close");
-        let mut out = String::from(&base[..at]);
-        // The previous row needs a separating comma.
-        let brace = out.rfind('}').expect("previous row");
-        out.insert(brace + 1, ',');
-        out.push_str(&sweep);
-        out.push_str(&base[at + 3..]);
-        out
+    fn sweep(amortized: f64, identical: bool) -> Row {
+        Row::new("adversary_sweep", "cycle256/labelings=64")
+            .num("prep_amortized_ratio", amortized)
+            .bool("estimates_identical", identical)
     }
 
     #[test]
     fn sweep_amortization_collapse_fails() {
-        let base = sample(300000.0, 20.0, Some(50.0), true);
-        let reference = with_sweep(&base, 8.0, true);
-        // Within tolerance: 8.0 → 4.5 is less than 2x down.
-        let ok = with_sweep(&base, 4.5, true);
-        assert!(check(&ok, &reference, 2.0).failures.is_empty());
-        // Collapse: the cache stopped sharing, the ratio fell to ~1.
-        let collapsed = with_sweep(&base, 1.1, true);
-        let report = check(&collapsed, &reference, 2.0);
+        let reference = with(base(), [sweep(8.0, true)]);
+        assert!(gate(&with(base(), [sweep(4.5, true)]), &reference).passed());
+        let report = gate(&with(base(), [sweep(1.1, true)]), &reference);
         assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
-        assert!(report.failures[0].contains("prep_amortized_speedup"));
-        assert!(report.failures[0].contains("adversary_sweep64"));
+        assert!(report.failures[0].contains("adversary_sweep/cycle256/labelings=64"));
+        assert!(report.failures[0].contains("prep_amortized_ratio"));
     }
 
     #[test]
     fn sweep_row_missing_from_reference_is_skipped() {
-        // Gating a new smoke run against a pre-sweep reference must not
-        // fail: rows present in only one file are skipped.
-        let reference = sample(300000.0, 20.0, Some(50.0), true);
-        let cur = with_sweep(&reference, 9.0, true);
-        let report = check(&cur, &reference, 2.0);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
-        assert_eq!(report.checks, 4);
+        let report = gate(&with(base(), [sweep(9.0, true)]), &base());
+        assert!(report.passed(), "{:?}", report.failures);
+        assert_eq!(report.ratios, 4);
     }
 
     #[test]
     fn sweep_estimate_divergence_fails_regardless_of_speed() {
-        let base = sample(300000.0, 20.0, Some(50.0), true);
-        let cur = with_sweep(&base, 50.0, false);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("adversary_sweep64") && f.contains("estimates_identical")));
+        fails_on(
+            [sweep(50.0, false)],
+            "cycle256/labelings=64 estimates_identical",
+        );
     }
 
     #[test]
     fn diverged_estimates_fail_regardless_of_speed() {
-        let cur = sample(300000.0, 20.0, Some(50.0), false);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("estimates_identical")));
+        let rows = sample(6.25, 20.0, Some(50.0), false);
+        let report = gate(&rows, &rows);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("acceptance/compiled estimates_identical"));
     }
 
     #[test]
     fn empty_current_file_fails_loudly() {
-        let reference = sample(300000.0, 20.0, Some(50.0), true);
-        let report = check("{}", &reference, 2.0);
-        assert!(!report.failures.is_empty());
+        let reference = json(2, &base());
+        for empty in ["", "{}", "{\"rows\": []}", "{\"rows\": [\n  ]\n}"] {
+            let report = check(empty, &reference, 2.0);
+            assert!(!report.passed(), "{empty:?} must fail");
+        }
+        assert!(check("{}", &reference, 2.0).failures[0].contains("current: no `rows`"));
     }
 
-    /// A bench JSON with a `tradeoff` section: two rows of one workload
-    /// (t = 1 and t = 16) with the given shrink and t = 1 identity bit.
-    fn with_tradeoff(base: &str, shrink_t16: f64, t1_identical: bool) -> String {
-        let tradeoff = format!(
-            ",\n  \"tradeoff\": [\n    {{\"scheme\": \"exchange_spanning_tree\", \"t\": 1, \
-             \"trials\": 1000, \"max_bits_per_round\": 96, \"total_bits\": 49152, \
-             \"bits_shrink\": 1.00, \"secs\": 0.1, \"honest_estimate\": 1, \
-             \"tampered_estimate\": 0.0, \"mean_reject_round\": 1.0, \
-             \"t1_identical\": {t1_identical}}},\n    {{\"scheme\": \
-             \"exchange_spanning_tree\", \"t\": 16, \"trials\": 1000, \
-             \"max_bits_per_round\": 6, \"total_bits\": 49152, \"bits_shrink\": {shrink_t16}, \
-             \"secs\": 0.1, \"honest_estimate\": 1, \"tampered_estimate\": 0.0, \
-             \"mean_reject_round\": 16.0}}\n  ]"
-        );
-        let at = base.rfind("\n}").expect("object close");
-        let mut out = String::from(&base[..at]);
-        out.push_str(&tradeoff);
-        out.push_str(&base[at..]);
-        out
+    fn tradeoff(t: usize, round_bits: usize, shrink: f64, t1_identical: bool) -> Row {
+        let row = Row::new("tradeoff", format!("exchange_spanning_tree/t={t}"))
+            .count("max_round_bits", round_bits)
+            .count("total_bits", 49152)
+            .num("bits_shrink_ratio", shrink)
+            .bool("complete_ok", true);
+        if t == 1 {
+            row.bool("t1_identical", t1_identical)
+        } else {
+            row
+        }
+    }
+
+    fn tradeoff_rows(round_bits_t16: usize, shrink_t16: f64, t1_identical: bool) -> Vec<Row> {
+        with(
+            base(),
+            [
+                tradeoff(1, 96, 1.0, t1_identical),
+                tradeoff(16, round_bits_t16, shrink_t16, true),
+            ],
+        )
     }
 
     #[test]
     fn tradeoff_rows_are_keyed_by_scheme_and_t() {
-        let json = with_tradeoff(&sample(300000.0, 20.0, Some(50.0), true), 16.0, true);
-        let (_, _, tradeoff, _, _, _, _) = parse(&json);
-        assert_eq!(tradeoff.len(), 2);
-        assert_eq!(tradeoff[0].key(), "exchange_spanning_tree/t=1");
-        assert_eq!(tradeoff[1].key(), "exchange_spanning_tree/t=16");
+        let keys = keys(&tradeoff_rows(6, 16.0, true));
+        assert_eq!(
+            keys,
+            ["exchange_spanning_tree/t=1", "exchange_spanning_tree/t=16"]
+        );
+        // Each row is compared with its own reference row: a change at
+        // t = 16 names t = 16 only.
+        let report = gate(&tradeoff_rows(7, 16.0, true), &tradeoff_rows(6, 16.0, true));
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("t=16 max_round_bits"));
     }
 
     #[test]
     fn tradeoff_bits_shrink_collapse_fails() {
-        let base = sample(300000.0, 20.0, Some(50.0), true);
-        let reference = with_tradeoff(&base, 16.0, true);
-        // Within tolerance passes…
-        let ok = with_tradeoff(&base, 9.0, true);
-        assert!(check(&ok, &reference, 2.0).failures.is_empty());
-        // …losing the per-round shrink (schedule fell back to one round)
-        // fails.
-        let collapsed = with_tradeoff(&base, 1.0, true);
-        let report = check(&collapsed, &reference, 2.0);
+        let reference = tradeoff_rows(6, 16.0, true);
+        assert!(gate(&tradeoff_rows(6, 9.0, true), &reference).passed());
+        let report = gate(&tradeoff_rows(6, 1.0, true), &reference);
         assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
-        assert!(report.failures[0].contains("bits_shrink"));
-        assert!(report.failures[0].contains("t=16"));
+        assert!(report.failures[0].contains("t=16 bits_shrink_ratio"));
     }
 
     #[test]
     fn tradeoff_t1_divergence_fails_regardless_of_speed() {
-        let cur = with_tradeoff(&sample(300000.0, 20.0, Some(50.0), true), 16.0, false);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("t=1") && f.contains("t1_identical")));
+        let rows = tradeoff_rows(6, 16.0, false);
+        fails_on(rows[2..].to_vec(), "t=1 t1_identical");
     }
 
     #[test]
     fn tradeoff_missing_from_reference_is_skipped() {
-        let reference = sample(300000.0, 20.0, Some(50.0), true);
-        let cur = with_tradeoff(&reference, 16.0, true);
-        let report = check(&cur, &reference, 2.0);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
-        assert_eq!(report.checks, 4);
+        let report = gate(&tradeoff_rows(6, 16.0, true), &base());
+        assert!(report.passed(), "{:?}", report.failures);
+        assert_eq!((report.ratios, report.exact), (4, 0));
+    }
+
+    #[test]
+    fn tradeoff_and_pattern_bits_are_exact() {
+        // A one-bit change anywhere in the bit accounting fails, however
+        // small next to a 2x tolerance.
+        let reference = with(tradeoff_rows(6, 16.0, true), patterns(true, true));
+        assert!(gate(&reference, &reference).passed());
+        let mut cur = reference.clone();
+        for (i, metric) in [(3, "total_bits"), (4, "max_round_bits"), (5, "messages")] {
+            let (_, value) = cur[i]
+                .metrics
+                .iter_mut()
+                .find(|(n, _)| n == metric)
+                .expect("metric present");
+            let Value::Num(v) = value else {
+                panic!("numeric")
+            };
+            *v += 1.0;
+        }
+        let report = gate(&cur, &reference);
+        assert_eq!(report.failures.len(), 3, "{:?}", report.failures);
+        assert!(report.failures[0].contains("t=16 total_bits: 49153 differs"));
+        assert!(report.failures[1].contains("patterns/cycle256/per_port max_round_bits"));
+        assert!(report.failures[2].contains("patterns/cycle256/unicast messages"));
     }
 
     #[test]
     fn real_schema_round_trips() {
-        // The committed reference itself must parse: guard against the
-        // emitter and the parser drifting apart.
-        let json = include_str!("../../../BENCH_engine.json");
-        let (matrix, acc, tradeoff, faults, patterns, service, scale) = parse(json);
-        assert!(matrix.len() >= 9);
-        assert!(acc.len() >= 2);
-        assert!(matrix[0].nums.contains_key("rand_rounds_per_sec"));
-        assert!(acc[0].nums.contains_key("prepared_speedup"));
-        assert!(
-            acc.iter()
-                .any(|r| r.nums.contains_key("prep_amortized_speedup")),
-            "committed reference must include the adversary-sweep row"
-        );
-        assert!(
-            tradeoff.len() >= 10,
-            "committed reference must include the t-round trade-off sweep"
-        );
-        assert!(
-            tradeoff
-                .iter()
-                .any(|r| r.nums.get("t1_identical") == Some(&1.0)),
-            "the t = 1 rows must carry their identity bit"
-        );
-        assert!(
-            faults.len() >= 6,
-            "committed reference must include the fault-tolerance sweep"
-        );
-        assert!(
-            faults
-                .iter()
-                .all(|r| r.nums.get("soundness_preserved") == Some(&1.0)),
-            "every committed fault row must have preserved soundness"
-        );
-        assert!(
-            faults
-                .iter()
-                .any(|r| r.nums.get("zero_fault_identical") == Some(&1.0)),
-            "the transparent row must carry its identity bit"
-        );
-        assert!(
-            patterns.len() >= 10,
-            "committed reference must include the message-pattern sweep"
-        );
-        assert!(
-            patterns.iter().all(
-                |r| r.tags.get("pattern").map(String::as_str) != Some("per_port")
-                    || r.nums.get("per_port_identical") == Some(&1.0)
-            ),
-            "every committed per_port row must carry its identity bit"
-        );
-        assert!(
-            patterns.iter().all(
-                |r| r.tags.get("pattern").map(String::as_str) != Some("broadcast")
-                    || r.nums.get("messages") == Some(&1.0)
-            ),
-            "every committed broadcast row must emit one message per node"
-        );
-        assert!(
-            service.len() >= 2,
-            "committed reference must include the service and chaos workloads"
-        );
-        assert!(
-            service
-                .iter()
-                .all(|r| r.nums.get("verdicts_identical") == Some(&1.0)),
-            "every committed service row must match the direct engine"
-        );
-        assert!(
-            service.iter().any(|r| r.key() == "mixed_tenants")
-                && service
-                    .iter()
-                    .filter_map(|r| r.nums.get("cache_hit_rate"))
-                    .all(|&rate| rate > 0.0),
-            "the committed mixed-tenant row must report a nonzero hit rate"
-        );
-        let chaos = service
-            .iter()
-            .find(|r| r.key() == "service_chaos")
-            .expect("committed reference must include the chaos row");
-        assert_eq!(
-            chaos.nums.get("replay_identical"),
-            Some(&1.0),
-            "the committed chaos row must be seed-deterministic"
-        );
-        assert_eq!(
-            chaos.nums.get("shed_accounting_ok"),
-            Some(&1.0),
-            "the committed chaos row's shed/fault ledger must balance"
-        );
-        assert!(
-            scale.len() >= 6,
-            "committed reference must include the scale workload"
-        );
-        assert!(
-            scale
-                .iter()
-                .filter(|r| r.key().starts_with("thread_scaling"))
-                .all(|r| r.nums.get("par_identical") == Some(&1.0)),
-            "every committed thread-scaling row must carry its identity bit"
-        );
-        let dense = scale
-            .iter()
-            .find(|r| r.key() == "clique_sketched")
-            .expect("committed reference must include the sketched clique row");
-        assert_eq!(
-            dense.nums.get("dense_within_2x"),
-            Some(&1.0),
-            "the committed dense row must sit within 2x of sparse per-port throughput"
-        );
-        let report = check(json, json, 2.0);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        // The committed reference must parse, re-render byte for byte (the
+        // emitter and the parser agree), and pass against itself.
+        let text = include_str!("../../../BENCH_engine.json");
+        let bench = Bench::parse(text).expect("committed reference parses");
+        assert_eq!(bench.to_json(), text);
+        assert_eq!(bench.mode, "full");
+        assert!(bench.cores.is_some_and(|c| c > 0));
+        let report = check(text, text, 2.0);
+        assert!(report.passed(), "{:?}", report.failures);
+        assert!(report.checks() >= 65, "{report:?}");
     }
 
-    /// A bench JSON with a `faults` section: the transparent row (carrying
-    /// `zero_fault_identical`) and one lossy row.
-    fn with_faults(base: &str, zero_identical: bool, sound: bool) -> String {
-        let faults = format!(
-            ",\n  \"faults\": [\n    {{\"kind\": \"none\", \"rate\": 0, \"trials\": 2000, \
-             \"honest_acceptance\": 1.0000, \"tampered_acceptance\": 0.4500, \
-             \"honest_degraded\": 0.0000, \"secs\": 0.01, \"soundness_preserved\": true, \
-             \"zero_fault_identical\": {zero_identical}}},\n    {{\"kind\": \"drop\", \
-             \"rate\": 0.005, \"trials\": 2000, \"honest_acceptance\": 0.0771, \
-             \"tampered_acceptance\": 0.0300, \"honest_degraded\": 0.9200, \"secs\": 0.01, \
-             \"soundness_preserved\": {sound}}}\n  ]"
-        );
-        let at = base.rfind("\n}").expect("object close");
-        let mut out = String::from(&base[..at]);
-        out.push_str(&faults);
-        out.push_str(&base[at..]);
-        out
+    fn faults(zero_identical: bool, sound: bool) -> [Row; 2] {
+        [
+            Row::new("faults", "none/rate=0")
+                .num("honest_acceptance", 1.0)
+                .bool("soundness_ok", true)
+                .bool("zero_fault_identical", zero_identical),
+            Row::new("faults", "drop/rate=0.005")
+                .num("honest_acceptance", 0.0771)
+                .bool("soundness_ok", sound),
+        ]
     }
 
     #[test]
     fn fault_rows_are_keyed_by_kind_and_rate() {
-        let json = with_faults(&sample(300000.0, 20.0, Some(50.0), true), true, true);
-        let (_, _, _, faults, _, _, _) = parse(&json);
-        assert_eq!(faults.len(), 2);
-        assert_eq!(faults[0].key(), "none/rate=0");
-        assert_eq!(faults[1].key(), "drop/rate=0.005");
-        // A healthy file passes against itself and against a pre-faults
-        // reference (new sections never break the gate).
-        assert!(check(&json, &json, 2.0).failures.is_empty());
-        let pre_faults = sample(300000.0, 20.0, Some(50.0), true);
-        assert!(check(&json, &pre_faults, 2.0).failures.is_empty());
+        let rows = with(base(), faults(true, true));
+        assert_eq!(keys(&rows), ["none/rate=0", "drop/rate=0.005"]);
+        // A healthy file passes against itself and against a reference
+        // without the section.
+        assert!(gate(&rows, &rows).passed());
+        assert!(gate(&rows, &base()).passed());
     }
 
     #[test]
     fn zero_fault_divergence_fails_regardless_of_speed() {
-        let cur = with_faults(&sample(300000.0, 20.0, Some(50.0), true), false, true);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("none/rate=0") && f.contains("zero_fault_identical")));
+        fails_on(faults(false, true), "none/rate=0 zero_fault_identical");
     }
 
     #[test]
     fn soundness_break_fails_regardless_of_speed() {
-        let cur = with_faults(&sample(300000.0, 20.0, Some(50.0), true), true, false);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("drop/rate=0.005") && f.contains("soundness_preserved")));
+        fails_on(faults(true, false), "drop/rate=0.005 soundness_ok");
     }
 
-    /// A bench JSON with a `patterns` section: one graph's per-port row
-    /// (carrying `per_port_identical`), its unicast row with the given
-    /// `total_bits`, and a broadcast row.
-    fn with_patterns(base: &str, per_port_identical: bool, unicast_bits: u64) -> String {
-        let patterns = format!(
-            ",\n  \"patterns\": [\n    {{\"graph\": \"cycle256\", \"pattern\": \"per_port\", \
-             \"trials\": 10000, \"messages\": 2, \"max_bits_per_round\": 14, \
-             \"total_bits\": 7168, \"secs\": 0.01, \"honest_estimate\": 1, \
-             \"per_port_identical\": {per_port_identical}}},\n    {{\"graph\": \"cycle256\", \
-             \"pattern\": \"unicast\", \"trials\": 10000, \"messages\": 2, \
-             \"max_bits_per_round\": 7, \"total_bits\": {unicast_bits}, \"secs\": 0.01, \
-             \"honest_estimate\": 1}},\n    {{\"graph\": \"cycle256\", \"pattern\": \
-             \"broadcast\", \"trials\": 10000, \"messages\": 1, \"max_bits_per_round\": 14, \
-             \"total_bits\": 3584, \"secs\": 0.01, \"honest_estimate\": 1}}\n  ]"
-        );
-        let at = base.rfind("\n}").expect("object close");
-        let mut out = String::from(&base[..at]);
-        out.push_str(&patterns);
-        out.push_str(&base[at..]);
-        out
+    fn patterns(per_port_identical: bool, unicast_ok: bool) -> [Row; 3] {
+        let row = |pattern: &str, messages: usize, round_bits: usize, total_bits: usize| {
+            Row::new("patterns", format!("cycle256/{pattern}"))
+                .count("messages", messages)
+                .count("max_round_bits", round_bits)
+                .count("total_bits", total_bits)
+                .bool("complete_ok", true)
+        };
+        [
+            row("per_port", 2, 14, 7168).bool("per_port_identical", per_port_identical),
+            row("unicast", 2, 7, 3584).bool("unicast_undercuts_ok", unicast_ok),
+            row("broadcast", 1, 14, 3584),
+        ]
     }
 
     #[test]
     fn pattern_rows_are_keyed_by_graph_and_pattern() {
-        let json = with_patterns(&sample(300000.0, 20.0, Some(50.0), true), true, 3584);
-        let (_, _, _, _, patterns, _, _) = parse(&json);
-        assert_eq!(patterns.len(), 3);
-        assert_eq!(patterns[0].key(), "cycle256/per_port");
-        assert_eq!(patterns[1].key(), "cycle256/unicast");
-        assert_eq!(patterns[2].key(), "cycle256/broadcast");
-        // A healthy file passes against itself and against a pre-patterns
-        // reference (new sections never break the gate).
-        assert!(check(&json, &json, 2.0).failures.is_empty());
-        let pre_patterns = sample(300000.0, 20.0, Some(50.0), true);
-        assert!(check(&json, &pre_patterns, 2.0).failures.is_empty());
+        let rows = with(base(), patterns(true, true));
+        let keys = keys(&rows);
+        assert_eq!(
+            keys,
+            [
+                "cycle256/per_port",
+                "cycle256/unicast",
+                "cycle256/broadcast"
+            ]
+        );
+        assert!(gate(&rows, &rows).passed());
+        assert!(gate(&rows, &base()).passed());
     }
 
     #[test]
     fn per_port_divergence_fails_regardless_of_speed() {
-        let cur = with_patterns(&sample(300000.0, 20.0, Some(50.0), true), false, 3584);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("cycle256/per_port") && f.contains("per_port_identical")));
+        fails_on(
+            patterns(false, true),
+            "cycle256/per_port per_port_identical",
+        );
     }
 
     #[test]
     fn unicast_bit_inflation_fails_regardless_of_speed() {
-        // Unicast accounting more bits than per-port means the half-width
-        // message was lost somewhere — fail at any speed.
-        let cur = with_patterns(&sample(300000.0, 20.0, Some(50.0), true), true, 9000);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("cycle256/unicast") && f.contains("exceeds per_port")));
-        // At or below the per-port total it passes.
-        let ok = with_patterns(&sample(300000.0, 20.0, Some(50.0), true), true, 7168);
-        assert!(check(&ok, &ok, 2.0).failures.is_empty());
+        // Unicast accounting no fewer bits than per-port means the
+        // half-width message was lost somewhere.
+        fails_on(
+            patterns(true, false),
+            "cycle256/unicast unicast_undercuts_ok",
+        );
     }
 
-    /// A bench JSON with a `service` section: one mixed-tenant batch row
-    /// with the given correctness bit and cache hit rate.
-    fn with_service(base: &str, identical: bool, hit_rate: f64) -> String {
-        let service = format!(
-            ",\n  \"service\": [\n    {{\"workload\": \"mixed_tenants\", \"jobs\": 24, \
-             \"trials\": 4000, \"jobs_per_sec\": 45.2, \"secs\": 0.53, \"sheds\": 0, \
-             \"cache_hit_rate\": {hit_rate:.4}, \"verdicts_identical\": {identical}}}\n  ]"
-        );
-        let at = base.rfind("\n}").expect("object close");
-        let mut out = String::from(&base[..at]);
-        out.push_str(&service);
-        out.push_str(&base[at..]);
-        out
+    fn service(identical: bool, hit_ok: bool) -> Row {
+        Row::new("service", "mixed_tenants")
+            .num("jobs_per_sec", 45.2)
+            .num("cache_hit_rate", if hit_ok { 0.85 } else { 0.0 })
+            .bool("verdicts_identical", identical)
+            .bool("cache_hit_ok", hit_ok)
+    }
+
+    fn chaos(replay: bool, accounting: bool) -> Row {
+        Row::new("service", "service_chaos")
+            .count("attempts", 9)
+            .bool("verdicts_identical", true)
+            .bool("replay_identical", replay)
+            .bool("shed_accounting_ok", accounting)
     }
 
     #[test]
     fn service_rows_are_keyed_by_workload() {
-        let json = with_service(&sample(300000.0, 20.0, Some(50.0), true), true, 0.85);
-        let (_, _, _, _, _, service, _) = parse(&json);
-        assert_eq!(service.len(), 1);
-        assert_eq!(service[0].key(), "mixed_tenants");
-        // A healthy file passes against itself and against a pre-service
-        // reference (new sections never break the gate).
-        assert!(check(&json, &json, 2.0).failures.is_empty());
-        let pre_service = sample(300000.0, 20.0, Some(50.0), true);
-        assert!(check(&json, &pre_service, 2.0).failures.is_empty());
+        let rows = with(base(), [service(true, true)]);
+        assert_eq!(keys(&rows), ["mixed_tenants"]);
+        assert!(gate(&rows, &rows).passed());
+        assert!(gate(&rows, &base()).passed());
     }
 
     #[test]
     fn service_verdict_divergence_fails_regardless_of_speed() {
-        let cur = with_service(&sample(300000.0, 20.0, Some(50.0), true), false, 0.85);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("mixed_tenants") && f.contains("verdicts_identical")));
-    }
-
-    /// A bench JSON with a `service` section holding both rows: the
-    /// mixed-tenant batch and the chaos-harness row with the given replay
-    /// and accounting bits.
-    fn with_chaos(base: &str, replay: bool, accounting: bool) -> String {
-        let service = format!(
-            ",\n  \"service\": [\n    {{\"workload\": \"mixed_tenants\", \"jobs\": 24, \
-             \"trials\": 4000, \"jobs_per_sec\": 45.2, \"secs\": 0.53, \"sheds\": 0, \
-             \"cache_hit_rate\": 0.8500, \"verdicts_identical\": true}},\n    \
-             {{\"workload\": \"service_chaos\", \"jobs\": 4, \"delivered\": 3, \
-             \"attempts\": 9, \"transport_retries\": 1, \"shed_retries\": 3, \
-             \"worker_faults\": 4, \"worker_restarts\": 4, \"secs\": 0.81, \
-             \"verdicts_identical\": true, \"replay_identical\": {replay}, \
-             \"shed_accounting_ok\": {accounting}}}\n  ]"
-        );
-        let at = base.rfind("\n}").expect("object close");
-        let mut out = String::from(&base[..at]);
-        out.push_str(&service);
-        out.push_str(&base[at..]);
-        out
-    }
-
-    #[test]
-    fn chaos_row_is_keyed_by_workload_and_healthy_bits_pass() {
-        let json = with_chaos(&sample(300000.0, 20.0, Some(50.0), true), true, true);
-        let (_, _, _, _, _, service, _) = parse(&json);
-        assert_eq!(service.len(), 2);
-        assert_eq!(service[1].key(), "service_chaos");
-        // Healthy bits pass against the file itself and against a
-        // pre-chaos reference (new rows never break the gate); the chaos
-        // row's absent cache_hit_rate is not treated as zero.
-        assert!(check(&json, &json, 2.0).failures.is_empty());
-        let pre_chaos = sample(300000.0, 20.0, Some(50.0), true);
-        assert!(check(&json, &pre_chaos, 2.0).failures.is_empty());
-    }
-
-    #[test]
-    fn chaos_replay_divergence_fails_regardless_of_speed() {
-        let cur = with_chaos(&sample(300000.0, 20.0, Some(50.0), true), false, true);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("service_chaos") && f.contains("replay_identical")));
-    }
-
-    #[test]
-    fn chaos_accounting_break_fails_regardless_of_speed() {
-        let cur = with_chaos(&sample(300000.0, 20.0, Some(50.0), true), true, false);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("service_chaos") && f.contains("shed_accounting_ok")));
+        fails_on([service(false, true)], "mixed_tenants verdicts_identical");
     }
 
     #[test]
     fn service_zero_hit_rate_fails_regardless_of_speed() {
-        // The mixed batch resubmits tenants: a zero hit rate means the
-        // shared cache stopped sharing — fail at any speed.
-        let cur = with_service(&sample(300000.0, 20.0, Some(50.0), true), true, 0.0);
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("mixed_tenants") && f.contains("cache_hit_rate")));
+        fails_on([service(true, false)], "mixed_tenants cache_hit_ok");
     }
 
-    /// A bench JSON with a `scale` section: the sparse row, the sketched
-    /// clique row (carrying the dense ratio and its 2x bit), and one
-    /// thread-scaling row with the given scaling ratio and identity bit.
-    fn with_scale(
-        base: &str,
-        dense_ratio: f64,
-        dense_ok: bool,
-        scaling: f64,
-        par_identical: bool,
-    ) -> String {
-        let scale = format!(
-            ",\n  \"scale\": [\n    {{\"workload\": \"sparse_random\", \"n\": 16384, \
-             \"ports\": 40958, \"trials\": 32, \"secs\": 0.2000, \
-             \"ports_per_sec\": 6553280}},\n    {{\"workload\": \"clique_sketched\", \
-             \"n\": 512, \"ports\": 261632, \"trials\": 4, \"secs\": 0.0500, \
-             \"ports_per_sec\": 20930560, \"dense_vs_sparse_per_port\": {dense_ratio:.4}, \
-             \"dense_within_2x\": {dense_ok}}},\n    {{\"workload\": \"thread_scaling_4\", \
-             \"n\": 16384, \"ports\": 40958, \"trials\": 32, \"secs\": 0.0600, \
-             \"ports_per_sec\": 21844266, \"thread_scaling\": {scaling:.4}, \
-             \"par_identical\": {par_identical}}}\n  ]"
-        );
-        let at = base.rfind("\n}").expect("object close");
-        let mut out = String::from(&base[..at]);
-        out.push_str(&scale);
-        out.push_str(&base[at..]);
-        out
+    #[test]
+    fn chaos_row_is_keyed_by_workload_and_healthy_bits_pass() {
+        let rows = with(base(), [service(true, true), chaos(true, true)]);
+        assert_eq!(keys(&rows), ["mixed_tenants", "service_chaos"]);
+        let report = gate(&rows, &base());
+        assert!(report.passed(), "{:?}", report.failures);
+        assert_eq!(report.holds, 1 + 2 + 3);
+    }
+
+    #[test]
+    fn chaos_replay_divergence_fails_regardless_of_speed() {
+        fails_on([chaos(false, true)], "service_chaos replay_identical");
+    }
+
+    #[test]
+    fn chaos_accounting_break_fails_regardless_of_speed() {
+        fails_on([chaos(true, false)], "service_chaos shed_accounting_ok");
+    }
+
+    fn scale(dense_ratio: f64, dense_ok: bool, scaling: f64, par_identical: bool) -> [Row; 3] {
+        [
+            Row::new("scale", "sparse_random").num("ports_per_sec", 6_553_280.0),
+            Row::new("scale", "clique_sketched")
+                .num("dense_vs_sparse_ratio", dense_ratio)
+                .bool("dense_within_2x_ok", dense_ok),
+            Row::new("scale", "thread_scaling_2")
+                .count("threads", 2)
+                .num("thread_scaling_ratio", scaling)
+                .bool("par_identical", par_identical),
+        ]
     }
 
     #[test]
     fn scale_rows_are_keyed_by_workload() {
-        let json = with_scale(
-            &sample(300000.0, 20.0, Some(50.0), true),
-            3.2,
-            true,
-            3.1,
-            true,
+        let rows = with(base(), scale(3.2, true, 1.6, true));
+        let keys = keys(&rows);
+        assert_eq!(
+            keys,
+            ["sparse_random", "clique_sketched", "thread_scaling_2"]
         );
-        let (_, _, _, _, _, _, scale) = parse(&json);
-        assert_eq!(scale.len(), 3);
-        assert_eq!(scale[0].key(), "sparse_random");
-        assert_eq!(scale[1].key(), "clique_sketched");
-        assert_eq!(scale[2].key(), "thread_scaling_4");
-        // A healthy file passes against itself and against a pre-scale
-        // reference (new sections never break the gate).
-        assert!(check(&json, &json, 2.0).failures.is_empty());
-        let pre_scale = sample(300000.0, 20.0, Some(50.0), true);
-        assert!(check(&json, &pre_scale, 2.0).failures.is_empty());
+        assert!(gate(&rows, &rows).passed());
+        assert!(gate(&rows, &base()).passed());
     }
 
     #[test]
     fn thread_scaling_collapse_fails() {
-        let base = sample(300000.0, 20.0, Some(50.0), true);
-        let reference = with_scale(&base, 3.2, true, 3.1, true);
-        // Within tolerance: 3.1 → 1.8 is less than 2x down.
-        let ok = with_scale(&base, 3.2, true, 1.8, true);
-        assert!(check(&ok, &reference, 2.0).failures.is_empty());
-        // Collapse: the sharded runner serialised, the ratio fell to ~1.
-        let collapsed = with_scale(&base, 3.2, true, 1.0, true);
-        let report = check(&collapsed, &reference, 2.0);
+        let reference = with(base(), scale(3.2, true, 1.9, true));
+        assert!(gate(&with(base(), scale(3.2, true, 1.0, true)), &reference).passed());
+        let report = gate(&with(base(), scale(3.2, true, 0.9, true)), &reference);
         assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
-        assert!(report.failures[0].contains("thread_scaling"));
+        assert!(report.failures[0].contains("thread_scaling_ratio"));
     }
 
     #[test]
     fn dense_ratio_collapse_fails() {
-        let base = sample(300000.0, 20.0, Some(50.0), true);
-        let reference = with_scale(&base, 3.2, true, 3.1, true);
-        // The dense cliff is back: the within-run ratio collapsed (the 2x
-        // bit is still true only because the emitter would have flipped
-        // it; here we keep it true to isolate the ratio comparison).
-        let collapsed = with_scale(&base, 0.9, true, 3.1, true);
-        let report = check(&collapsed, &reference, 2.0);
+        let reference = with(base(), scale(3.2, true, 1.6, true));
+        let report = gate(&with(base(), scale(0.9, true, 1.6, true)), &reference);
         assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
-        assert!(report.failures[0].contains("dense_vs_sparse_per_port"));
+        assert!(report.failures[0].contains("dense_vs_sparse_ratio"));
     }
 
     #[test]
     fn par_divergence_fails_regardless_of_speed() {
-        let cur = with_scale(
-            &sample(300000.0, 20.0, Some(50.0), true),
-            3.2,
-            true,
-            3.1,
-            false,
+        fails_on(
+            scale(3.2, true, 1.6, false),
+            "thread_scaling_2 par_identical",
         );
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| f.contains("thread_scaling_4") && f.contains("par_identical")));
     }
 
     #[test]
     fn dense_cliff_bit_fails_regardless_of_speed() {
-        let cur = with_scale(
-            &sample(300000.0, 20.0, Some(50.0), true),
-            0.3,
-            false,
-            3.1,
-            true,
+        fails_on(
+            scale(3.2, false, 1.6, true),
+            "clique_sketched dense_within_2x_ok",
         );
-        let report = check(&cur, &cur, 2.0);
-        assert!(report
+    }
+
+    #[test]
+    fn other_cores_skip_only_thread_scaling_ratios() {
+        let reference = with(base(), scale(3.2, true, 1.9, true));
+        // A collapsed scaling ratio from a machine with other cores is not
+        // compared; everything else still is.
+        let cur = with(base(), scale(0.4, true, 0.5, false));
+        let report = check(&json(2, &cur), &json(4, &reference), 2.0);
+        assert_eq!(report.ratios, 5, "{report:?}");
+        assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
+        assert!(report.failures[0].contains("dense_vs_sparse_ratio"));
+        assert!(report.failures[1].contains("thread_scaling_2 par_identical"));
+        // With equal cores the scaling ratio is compared too.
+        let same = check(&json(4, &cur), &json(4, &reference), 2.0);
+        assert_eq!(same.ratios, 6);
+        assert!(same
             .failures
             .iter()
-            .any(|f| f.contains("clique_sketched") && f.contains("dense_within_2x")));
+            .any(|f| f.contains("thread_scaling_ratio")));
+    }
+
+    /// Gates one metric of one row: `reference` (if any) against
+    /// `current`, and returns the failures.
+    fn one(metric: &str, reference: Option<Value>, current: Value) -> Vec<String> {
+        let row = |v: Option<Value>| {
+            let r = Row::new("table", "row").num("anchor_ratio", 1.0);
+            match v {
+                Some(Value::Num(x)) => r.num(metric, x),
+                Some(Value::Bool(b)) => r.bool(metric, b),
+                None => r,
+            }
+        };
+        check(
+            &json(2, &[row(Some(current))]),
+            &json(2, &[row(reference)]),
+            2.0,
+        )
+        .failures
+    }
+
+    #[test]
+    fn holds_rule_table() {
+        use Value::{Bool, Num};
+        for (metric, current, passes) in [
+            ("estimates_identical", Bool(true), true),
+            ("estimates_identical", Bool(false), false),
+            ("cache_hit_ok", Bool(true), true),
+            ("cache_hit_ok", Bool(false), false),
+            ("cache_hit_ok", Num(1.0), false),
+        ] {
+            // The reference is never consulted for correctness bits.
+            for reference in [None, Some(Bool(false))] {
+                let failures = one(metric, reference, current);
+                assert_eq!(
+                    failures.is_empty(),
+                    passes,
+                    "{metric} {current}: {failures:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ratio_rule_table() {
+        use Value::{Bool, Num};
+        for (reference, current, passes) in [
+            (Some(Num(10.0)), Num(10.0), true),
+            (Some(Num(10.0)), Num(5.0), true),
+            (Some(Num(10.0)), Num(4.99), false),
+            (Some(Num(10.0)), Num(1000.0), true),
+            (None, Num(0.01), true),
+            (None, Num(f64::NAN), false),
+            (None, Num(f64::INFINITY), false),
+            (None, Num(0.0), false),
+            (None, Num(-3.0), false),
+            (None, Bool(true), false),
+            (Some(Num(f64::NAN)), Num(1.0), false),
+            (Some(Num(0.0)), Num(1.0), false),
+        ] {
+            let failures = one("prepared_ratio", reference, current);
+            assert_eq!(
+                failures.is_empty(),
+                passes,
+                "{reference:?} -> {current}: {failures:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn exact_rule_table() {
+        use Value::{Bool, Num};
+        for (metric, reference, current, passes) in [
+            ("total_bits", Some(Num(9216.0)), Num(9216.0), true),
+            ("total_bits", Some(Num(9216.0)), Num(9215.0), false),
+            ("max_round_bits", Some(Num(18.0)), Num(19.0), false),
+            ("messages", Some(Num(2.0)), Num(2.0), true),
+            ("messages", Some(Num(2.0)), Num(1.0), false),
+            ("messages", Some(Bool(true)), Bool(true), false),
+            ("messages", None, Num(5.0), true),
+        ] {
+            let failures = one(metric, reference, current);
+            assert_eq!(
+                failures.is_empty(),
+                passes,
+                "{metric} {current}: {failures:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn informational_rule_table() {
+        use Value::{Bool, Num};
+        for (metric, reference, current) in [
+            ("batched_secs", Num(0.001), Num(100.0)),
+            ("ports_per_sec", Num(1e6), Num(1.0)),
+            ("prepared_ratio_iqr", Num(0.1), Num(50.0)),
+            ("honest_estimate", Num(1.0), Num(0.0)),
+            ("threads", Num(2.0), Bool(false)),
+        ] {
+            let failures = one(metric, Some(reference), current);
+            assert!(failures.is_empty(), "{metric}: {failures:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_ratio_fails() {
+        // 0/0 timings must not slip through a `<` comparison.
+        let text = json(2, &base()).replace("\"prepared_ratio\": 20", "\"prepared_ratio\": NaN");
+        assert!(text.contains("NaN"));
+        let report = check(&text, &json(2, &base()), 2.0);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("acceptance/compiled prepared_ratio: NaN"));
+    }
+
+    #[test]
+    fn unparseable_field_fails_naming_the_row() {
+        let good = json(2, &base());
+        let bad = good.replace("\"prepared_ratio\": 20", "\"prepared_ratio\": fast");
+        let report = check(&bad, &good, 2.0);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("current: acceptance/compiled"));
+        assert!(report.failures[0].contains("prepared_ratio"));
+        let report = check(&good, &bad, 2.0);
+        assert!(report.failures[0].starts_with("reference: acceptance/compiled"));
+    }
+
+    #[test]
+    fn duplicate_row_fails() {
+        let rows = with(base(), [base()[1].clone()]);
+        let report = check(&json(2, &rows), &json(2, &base()), 2.0);
+        assert_eq!(
+            report.failures,
+            ["current: duplicate row acceptance/compiled"]
+        );
+    }
+
+    #[test]
+    fn reference_without_rows_fails() {
+        let report = check(&json(2, &base()), "{\"bench\": \"engine\"}", 2.0);
+        assert_eq!(report.failures, ["reference: no `rows` array"]);
+    }
+
+    #[test]
+    fn rendering_round_trips() {
+        let rows = with(
+            base(),
+            [Row::new("x", "y/n=3")
+                .num("tiny", 0.000_04)
+                .num("big", 1_234_567.8)
+                .num("third", 1.0 / 3.0)
+                .spread(
+                    "z_ratio",
+                    Spread {
+                        median: 2.5,
+                        iqr: 0.25,
+                    },
+                )],
+        );
+        let text = json(3, &rows);
+        assert!(text.contains("\"tiny\": 0.00004, \"big\": 1234568, \"third\": 0.3333"));
+        assert!(text.contains("\"z_ratio\": 2.5, \"z_ratio_iqr\": 0.25"));
+        let parsed = Bench::parse(&text).expect("parses");
+        assert_eq!(parsed.cores, Some(3));
+        assert_eq!(parsed.to_json(), text);
     }
 }

@@ -26,6 +26,7 @@
 pub mod experiments;
 pub mod gate;
 pub mod table;
+pub mod timing;
 
 pub use table::Table;
 
