@@ -61,15 +61,17 @@
 //! verdicts accumulate with **early rejection** — a tampered replica is
 //! caught in the round whose slice covers the tampering. The one-round
 //! protocol is the `t = 1` case (one slice, the same prime, polynomial and
-//! randomness), so every `t` runs through one compiled plan, one clean
-//! kernel that reports each trial's first-rejection round, and one fault
-//! overlay; see the private `Plan` type.
+//! randomness), so every `t` runs through one compiled plan and one clean
+//! kernel that reports each trial's first-rejection round; see the private
+//! `Plan` type. Under faults, node `u` sends one message of its plan width
+//! per port in each of its covered rounds, delivered as the
+//! [`fault`](crate::fault) module describes.
 
 use crate::buffer::{Received, RoundScratch};
 use crate::engine::{
     multiround_seed, FaultReport, MessagePattern, PatternCost, RunReport, RunSpec, StreamMode,
 };
-use crate::fault::{DeliveryOutcome, FaultCounts, FaultPlan};
+use crate::fault::{Delivery, EdgeSchedule};
 use crate::labeling::Labeling;
 use crate::prep::{self, Epoch, PrepCache, SharedEpoch, Store};
 use crate::rng::{edge_stream_first_word, node_stream_word, sketch_stream_word};
@@ -593,7 +595,7 @@ struct Plan {
     /// The schedule length `t`.
     rounds: usize,
     /// Per-node `(message width, degree, covered rounds)` — the dimensions
-    /// of the message-pattern cost formulas and of the fault overlay
+    /// of the message-pattern cost formulas and of the fault schedule
     /// (width and coverage 0 when the node's prover prefix is malformed and
     /// it sends nothing). Round 0 always carries a full message wherever
     /// anything is sent.
@@ -1253,35 +1255,42 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
     }
 
     /// The one trial hook: the schedule's plan, its clean kernel, and —
-    /// under a non-transparent fault plan — the fault overlay. A
-    /// transparent fault plan reports all-zero fault statistics.
+    /// under a non-transparent fault plan — the plan's messages delivered
+    /// through the fault layer. A transparent fault plan reports all-zero
+    /// fault statistics.
     fn run_block(
         &self,
         spec: &RunSpec,
         config: &Configuration,
         seeds: &[u64],
-        scratch: &mut RoundScratch,
+        _scratch: &mut RoundScratch,
         emit: &mut dyn FnMut(RunReport),
     ) {
         let (pattern, mode, rounds) = (spec.pattern, spec.stream_mode, spec.rounds);
-        // The shared-stream violation mode threads one generator across a
-        // node's ports sequentially; batching per (node, port) would
-        // reorder its draws, so one-round trials in that diagnostics mode
-        // keep the scalar reference for the per-port-keyed patterns.
-        // Broadcast and k-messages key their streams by slot and ignore the
-        // stream mode entirely, and the streaming schedule keys every
-        // round's words explicitly, so those always batch.
-        if rounds == 1
-            && matches!(pattern, MessagePattern::PerPort | MessagePattern::Unicast)
-            && mode != StreamMode::EdgeIndependent
-        {
-            crate::engine::scalar_block(spec, self, config, seeds, scratch, emit);
-            return;
-        }
         let plan = self.plan(rounds);
         let clean = self.run_plan(&plan, config.graph(), seeds, pattern, mode);
         if let Some(faults) = spec.faults.as_ref().filter(|f| !f.is_transparent()) {
-            self.overlay_faults(&plan, config, seeds, faults, &clean, emit);
+            // Node `u` sends one message of its width per port in each of
+            // its covered rounds (the plan's `dims`). Crash draws cover the
+            // widest coverage of any node, port-less nodes included.
+            let horizon = if rounds == 1 {
+                1
+            } else {
+                plan.dims.iter().map(|d| d.2).max().unwrap_or(0)
+            };
+            let schedule = |_, sender: usize| {
+                let (bits, _, messages) = plan.dims[sender];
+                EdgeSchedule {
+                    messages,
+                    bits,
+                    extra: 0,
+                }
+            };
+            let mut delivery = Delivery::default();
+            for (&seed, &reject_at) in seeds.iter().zip(&clean) {
+                faults.deliver(config, seed, rounds, horizon, schedule, &mut delivery);
+                emit(delivery.report(rounds, reject_at == NO_REJECT, reject_at));
+            }
             return;
         }
         // Pattern-adjusted bit accounting, identical by construction to
@@ -1417,137 +1426,6 @@ impl<S: Pls> PreparedCompiled<'_, S> {
             }
         }
         reject_at
-    }
-
-    /// The fault overlay of the batched schedule: the clean kernel's
-    /// first-rejection rounds `clean` plus a per-trial fault scan over the
-    /// message set of **every** directed edge. The scan covers all ports —
-    /// not just the plan's dynamic checks — so a message the plan
-    /// statically skipped still fails its trial when the fault plan
-    /// perturbs it: a lost message never silently counts as a passed probe.
-    /// A node missing input rejects conservatively, so the global verdict
-    /// is the clean kernel's AND "no message missing" — exactly the scalar
-    /// reference semantics. The fault layer models point-to-point delivery,
-    /// so the scan stays per directed link under every pattern: a broadcast
-    /// message crossing d links is hazarded (and accounted) d times.
-    ///
-    /// Node `u` sends one message of its width per port in each of its
-    /// covered rounds (both from the plan's `dims`); rounds past coverage
-    /// carry nothing and draw no fault word. Senders crash-stop at their
-    /// first firing hazard. A failed message is re-sent within its round up
-    /// to the plan's retry budget, each attempt paying its width again. A
-    /// receiver still missing a message after retries rejects at the end of
-    /// that round, so `decided_round` is the earlier of the clean decision
-    /// and the first unrecovered loss.
-    ///
-    /// At `t = 1` the overlay follows the single-shot rules of the scalar
-    /// reference (`engine::degraded_round`): every directed edge is
-    /// hazarded once, even one carrying an empty certificate; nothing is
-    /// retried; and a duplicate is charged in `total_bits` without raising
-    /// `max_bits_per_round`.
-    fn overlay_faults(
-        &self,
-        plan: &Plan,
-        config: &Configuration,
-        seeds: &[u64],
-        faults: &FaultPlan,
-        clean: &[usize],
-        emit: &mut dyn FnMut(RunReport),
-    ) {
-        let single_shot = plan.rounds == 1;
-        let messages = |covered: usize| if single_shot { 1 } else { covered };
-        let retry_budget = if single_shot {
-            0
-        } else {
-            faults.retry_budget()
-        };
-        let max_messages = plan.dims.iter().map(|d| messages(d.2)).max();
-
-        let n = config.node_count();
-        let delivery = config.delivery();
-        let port_owner = config.port_owner();
-        let mut crash_round = vec![usize::MAX; n];
-        // Trial-stamped marker for "this receiver already lost a message".
-        let mut short_at = vec![usize::MAX; n];
-        for (t, &seed) in seeds.iter().enumerate() {
-            let mut counts = FaultCounts::default();
-            for (v, cr) in crash_round.iter_mut().enumerate() {
-                *cr = (0..max_messages.unwrap_or(0))
-                    .find(|&r| faults.crash_hazard(seed, v as u64, r as u64))
-                    .unwrap_or(usize::MAX);
-                counts.crashed_nodes += usize::from(*cr != usize::MAX);
-            }
-            let mut missing_messages = 0usize;
-            let mut insufficient_nodes = 0usize;
-            let mut earliest_missing = usize::MAX;
-            let mut max_round_bits = 0usize;
-            let mut total_bits = 0usize;
-            for (recv_port, &src) in delivery.iter().enumerate() {
-                let src = src as usize;
-                let sender = port_owner[src] as usize;
-                let receiver = port_owner[recv_port] as usize;
-                let (bits, _, covered) = plan.dims[sender];
-                let msgs = messages(covered);
-                let mut lose = |r: usize, lost: usize| {
-                    missing_messages += lost;
-                    if short_at[receiver] != t {
-                        short_at[receiver] = t;
-                        insufficient_nodes += 1;
-                    }
-                    earliest_missing = earliest_missing.min(r);
-                };
-                for r in 0..msgs {
-                    if r >= crash_round[sender] {
-                        // Crash-stop: every remaining message of this edge
-                        // is lost without being transmitted.
-                        lose(r, msgs - r);
-                        break;
-                    }
-                    let outcome = faults.outcome(seed, r as u64, src as u64);
-                    total_bits += bits * outcome.transmissions();
-                    let mut round_bits = if single_shot {
-                        bits
-                    } else {
-                        bits * outcome.transmissions()
-                    };
-                    match outcome {
-                        DeliveryOutcome::Intact => {}
-                        DeliveryOutcome::Duplicated => counts.duplicated += 1,
-                        DeliveryOutcome::Dropped | DeliveryOutcome::Corrupted => {
-                            if outcome == DeliveryOutcome::Dropped {
-                                counts.dropped += 1;
-                            } else {
-                                counts.corrupted += 1;
-                            }
-                            let delivered = (0..retry_budget).any(|attempt| {
-                                counts.retries += 1;
-                                total_bits += bits;
-                                round_bits += bits;
-                                faults.retry_delivers(seed, r as u64, src as u64, attempt as u64)
-                            });
-                            if !delivered {
-                                lose(r, 1);
-                            }
-                        }
-                    }
-                    max_round_bits = max_round_bits.max(round_bits);
-                }
-            }
-            emit(RunReport {
-                accepted: clean[t] == NO_REJECT && missing_messages == 0,
-                rounds: plan.rounds,
-                decided_round: clean[t]
-                    .min(plan.rounds)
-                    .min(earliest_missing.saturating_add(1)),
-                max_bits_per_round: max_round_bits,
-                total_bits,
-                fault: Some(FaultReport {
-                    insufficient_nodes,
-                    missing_messages,
-                    counts,
-                }),
-            });
-        }
     }
 }
 

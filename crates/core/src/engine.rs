@@ -43,7 +43,7 @@
 //! caller-owned [`RoundScratch`] without allocating after warm-up.
 
 use crate::buffer::{CertificateBuffer, Received, RoundScratch};
-use crate::fault::{DegradedSummary, DeliveryOutcome, FaultCounts, FaultPlan, NodeVerdict};
+use crate::fault::{DegradedSummary, Delivery, EdgeSchedule, FaultCounts, FaultPlan};
 use crate::labeling::Labeling;
 use crate::rng::PortRng;
 use crate::scheme::{DetView, LocalContext, Pls, PreparedRpls, Rpls, Unprepared};
@@ -296,12 +296,8 @@ impl SeedSource {
 /// (against a prepared scheme) or [`run_trials`] (whole seed blocks, the
 /// Monte-Carlo regime).
 ///
-/// With faults, `rounds = 1` is single-shot delivery: no retries, and every
-/// directed edge is hazarded, even one whose certificate has zero bits.
-/// `rounds ≥ 2` runs the multiround schedule, where only message-bearing
-/// chunks are hazarded and the plan's retry budget
-/// ([`FaultSpec::with_retry_budget`](crate::fault::FaultSpec::with_retry_budget))
-/// re-sends failed chunks within their round.
+/// Faults are delivered as the [`fault`](crate::fault) module describes,
+/// single-shot at `rounds = 1`.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// Schedule length `t` (must be ≥ 1; enforced at execution).
@@ -500,7 +496,7 @@ pub fn run_prepared<P: PreparedRpls + ?Sized>(
     assert!(spec.rounds > 0, "a schedule needs at least one round");
     let seed = spec.seed();
     if spec.rounds == 1 {
-        return scalar_trial(spec, prepared, config, seed, scratch);
+        return scalar_trial(spec, prepared, config, seed, scratch).0;
     }
     let mut out = None;
     prepared.run_block(spec, config, &[seed], scratch, &mut |r| out = Some(r));
@@ -550,30 +546,11 @@ pub fn run_degraded<P: PreparedRpls + ?Sized>(
     scratch: &mut RoundScratch,
 ) -> DegradedSummary {
     assert_eq!(spec.rounds, 1, "the per-node diagnostic is one-round only");
-    let seed = spec.seed();
-    match &spec.faults {
-        Some(plan) if !plan.is_transparent() => degraded_round(
-            prepared,
-            config,
-            seed,
-            spec.pattern,
-            spec.stream_mode,
-            plan,
-            scratch,
-        ),
-        faults => {
-            let mut report = clean_round(
-                prepared,
-                config,
-                seed,
-                spec.pattern,
-                spec.stream_mode,
-                scratch,
-            );
-            report.fault = faults.as_ref().map(|_| FaultReport::default());
-            DegradedSummary::transparent(report, scratch.votes())
-        }
-    }
+    let (report, missing) = match scalar_trial(spec, prepared, config, spec.seed(), scratch) {
+        (report, Some(delivery)) => (report, delivery.missing),
+        (report, None) => (report, vec![0; config.node_count()]),
+    };
+    DegradedSummary::new(report, scratch.votes(), missing)
 }
 
 /// Builds the strictly-local context of `node` within `config` —
@@ -646,8 +623,7 @@ pub fn run_randomized<S: Rpls + ?Sized>(
 }
 
 /// The scalar reference of [`PreparedRpls::run_block`]: one
-/// [`run_prepared`]-equivalent scalar trial per seed. The hook's default,
-/// and the fallback of batched overrides for shapes they do not batch.
+/// [`run_prepared`]-equivalent scalar trial per seed, the hook's default.
 pub(crate) fn scalar_block<P: PreparedRpls + ?Sized>(
     spec: &RunSpec,
     prepared: &P,
@@ -657,7 +633,7 @@ pub(crate) fn scalar_block<P: PreparedRpls + ?Sized>(
     emit: &mut dyn FnMut(RunReport),
 ) {
     for &seed in seeds {
-        emit(scalar_trial(spec, prepared, config, seed, scratch));
+        emit(scalar_trial(spec, prepared, config, seed, scratch).0);
     }
 }
 
@@ -686,35 +662,49 @@ pub(crate) fn run_seeded_trials(
     }
 }
 
-/// One scalar trial of `spec` under `seed`. Longer schedules re-time the
-/// one-round trial (same seed, same randomness) as the
-/// certificate-splitting schedule of [`RunReport::split`], with faults
-/// overlaid on its chunks by [`overlay_split_faults`].
+/// One scalar trial of `spec` under `seed`, plus its delivery when a
+/// non-transparent fault plan ran. Longer schedules re-time the one-round
+/// trial (same seed, same randomness) as the certificate-splitting
+/// schedule of [`RunReport::split`]; faults are delivered over the same
+/// split, chunk by chunk ([`EdgeSchedule::split`]). Afterwards
+/// `scratch.votes()` holds the votes, conservative under faults.
 fn scalar_trial<P: PreparedRpls + ?Sized>(
     spec: &RunSpec,
     prepared: &P,
     config: &Configuration,
     seed: u64,
     scratch: &mut RoundScratch,
-) -> RunReport {
-    let (pattern, mode) = (spec.pattern, spec.stream_mode);
-    match (&spec.faults, spec.rounds) {
-        (Some(plan), 1) if !plan.is_transparent() => {
-            degraded_round(prepared, config, seed, pattern, mode, plan, scratch).report
-        }
-        (faults, rounds) => {
-            let clean = clean_round(prepared, config, seed, pattern, mode, scratch);
-            match faults {
-                Some(plan) if !plan.is_transparent() => {
-                    overlay_split_faults(config, seed, rounds, plan, scratch.certificates(), clean)
-                }
-                _ => RunReport {
-                    fault: faults.as_ref().map(|_| FaultReport::default()),
-                    ..clean.split(rounds)
-                },
-            }
-        }
-    }
+) -> (RunReport, Option<Delivery>) {
+    let (pattern, mode, rounds) = (spec.pattern, spec.stream_mode, spec.rounds);
+    let Some(plan) = spec.faults.as_ref().filter(|p| !p.is_transparent()) else {
+        let report = RunReport {
+            fault: spec.faults.as_ref().map(|_| FaultReport::default()),
+            ..clean_round(prepared, config, seed, pattern, mode, scratch).split(rounds)
+        };
+        return (report, None);
+    };
+    let RoundScratch { buffer, votes, tmp } = scratch;
+    certify_round(prepared, config, seed, pattern, mode, buffer, tmp);
+    let split = |port: usize| EdgeSchedule::split(buffer.get(port).len(), rounds);
+    let horizon = if rounds == 1 {
+        1
+    } else {
+        (0..config.port_count())
+            .map(|p| split(p).messages)
+            .max()
+            .unwrap_or(0)
+    };
+    let mut delivery = Delivery::default();
+    plan.deliver(
+        config,
+        seed,
+        rounds,
+        horizon,
+        |src, _| split(src),
+        &mut delivery,
+    );
+    let accepted = verify_round(prepared, config, buffer, &delivery.missing, votes);
+    (delivery.report(rounds, accepted, rounds), Some(delivery))
 }
 
 /// The clean scalar round: certificate generation, then delivery and
@@ -737,100 +727,6 @@ fn clean_round<P: PreparedRpls + ?Sized>(
     match prepared.pattern_cost(pattern, 1) {
         Some(cost) => RunReport::one_round(accepted, cost.max_bits_per_round, cost.total_bits),
         None => RunReport::one_round(accepted, max_bits, total_bits),
-    }
-}
-
-/// The faulted scalar round under a non-transparent `plan` — the
-/// reference semantics every faulted one-round path agrees with:
-///
-/// * certificate generation is exactly the clean one (nodes draw their
-///   randomness before the network acts);
-/// * delivery consults the plan once per directed edge: a message from a
-///   crashed sender is never transmitted; a dropped or corrupted message
-///   is transmitted but lost; a duplicated message arrives intact with its
-///   bits counted twice;
-/// * a node missing any incident message votes
-///   [`NodeVerdict::InsufficientInput`] — a conservative reject — and its
-///   verifier is not consulted; every other node votes its clean verdict.
-///
-/// The fault layer models point-to-point delivery, so its bit totals
-/// charge each directed link individually (a broadcast message crossing
-/// `d` links pays `d` times): pattern-shared accounting applies to clean
-/// rounds only.
-fn degraded_round<P: PreparedRpls + ?Sized>(
-    prepared: &P,
-    config: &Configuration,
-    seed: u64,
-    pattern: MessagePattern,
-    mode: StreamMode,
-    plan: &FaultPlan,
-    scratch: &mut RoundScratch,
-) -> DegradedSummary {
-    let RoundScratch { buffer, votes, tmp } = scratch;
-    certify_round(prepared, config, seed, pattern, mode, buffer, tmp);
-
-    // Crash draws: the one-round engine has a single round, round 0.
-    let n = config.node_count();
-    let mut counts = FaultCounts::default();
-    let crashed: Vec<bool> = (0..n as u64)
-        .map(|v| plan.crash_hazard(seed, v, 0))
-        .collect();
-    counts.crashed_nodes = crashed.iter().filter(|&&c| c).count();
-
-    // The message of each directed edge is keyed by its *sender's* global
-    // port index; `delivery` being an involution, walking receiver ports
-    // visits every edge exactly once.
-    let port_owner = config.port_owner();
-    let mut missing: Vec<u32> = vec![0; n];
-    let mut max_bits = 0usize;
-    let mut total_bits = 0usize;
-    for (recv_port, &src) in config.delivery().iter().enumerate() {
-        let src = src as usize;
-        let receiver = port_owner[recv_port] as usize;
-        if crashed[port_owner[src] as usize] {
-            missing[receiver] += 1;
-            continue;
-        }
-        let len = buffer.get(src).len();
-        let outcome = plan.outcome(seed, 0, src as u64);
-        total_bits += len * outcome.transmissions();
-        max_bits = max_bits.max(len);
-        match outcome {
-            DeliveryOutcome::Intact => {}
-            DeliveryOutcome::Duplicated => counts.duplicated += 1,
-            DeliveryOutcome::Dropped => {
-                counts.dropped += 1;
-                missing[receiver] += 1;
-            }
-            DeliveryOutcome::Corrupted => {
-                counts.corrupted += 1;
-                missing[receiver] += 1;
-            }
-        }
-    }
-
-    let accepted = verify_round(prepared, config, buffer, &missing, votes);
-    let verdicts: Vec<NodeVerdict> = votes
-        .iter()
-        .zip(&missing)
-        .map(|(&vote, &miss)| match (miss > 0, vote) {
-            (true, _) => NodeVerdict::InsufficientInput,
-            (false, true) => NodeVerdict::Accept,
-            (false, false) => NodeVerdict::Reject,
-        })
-        .collect();
-    let fault = FaultReport {
-        insufficient_nodes: missing.iter().filter(|&&m| m > 0).count(),
-        missing_messages: missing.iter().map(|&m| m as usize).sum(),
-        counts,
-    };
-    DegradedSummary {
-        report: RunReport {
-            fault: Some(fault),
-            ..RunReport::one_round(accepted, max_bits, total_bits)
-        },
-        verdicts,
-        missing,
     }
 }
 
@@ -917,131 +813,6 @@ fn verify_round<P: PreparedRpls + ?Sized>(
         votes.push(vote);
     }
     accepted
-}
-
-/// Overlays the fault schedule of `plan` on the **certificate-splitting**
-/// multiround schedule of a trial whose clean one-round report is `clean`
-/// and whose certificates sit in `buffer`.
-///
-/// The split schedule cuts the `L`-bit certificate of each directed edge
-/// into `rounds` chunks (sizes `⌈L/rounds⌉` then `⌊L/rounds⌋`); zero-bit
-/// chunks carry no message and draw no fault word, so the loop is bounded
-/// by certificate bits even at `rounds = usize::MAX`. A chunk that fails
-/// delivery (dropped or corrupted) is re-sent within its round up to the
-/// plan's retry budget, each attempt paying the chunk's bits again;
-/// senders crash-stop at their first firing hazard and crashed senders
-/// never retry. A receiver still missing a chunk after retries rejects
-/// (insufficient input) at the end of that round, which is what
-/// `decided_round` reports.
-fn overlay_split_faults(
-    config: &Configuration,
-    seed: u64,
-    rounds: usize,
-    plan: &FaultPlan,
-    buffer: &CertificateBuffer,
-    clean: RunReport,
-) -> RunReport {
-    let n = config.node_count();
-    let delivery = config.delivery();
-    let port_owner = config.port_owner();
-
-    // Message-bearing rounds per edge: ⌈L/rounds⌉-then-⌊L/rounds⌋ chunks,
-    // of which exactly min(rounds, L) are non-empty.
-    let msgs_of = |len: usize| if len == 0 { 0 } else { rounds.min(len) };
-    let max_msgs = (0..delivery.len())
-        .map(|p| msgs_of(buffer.get(p).len()))
-        .max()
-        .unwrap_or(0);
-
-    // Crash rounds, drawn only while messages are still outstanding.
-    let mut counts = FaultCounts::default();
-    let mut crash_round: Vec<usize> = vec![usize::MAX; n];
-    for (v, cr) in crash_round.iter_mut().enumerate() {
-        for r in 0..max_msgs {
-            if plan.crash_hazard(seed, v as u64, r as u64) {
-                *cr = r;
-                counts.crashed_nodes += 1;
-                break;
-            }
-        }
-    }
-
-    let mut missing: Vec<u32> = vec![0; n];
-    let mut earliest_missing = usize::MAX;
-    let mut max_round_bits = 0usize;
-    let mut total_bits = 0usize;
-    for (recv_port, &src) in delivery.iter().enumerate() {
-        let src = src as usize;
-        let receiver = port_owner[recv_port] as usize;
-        let sender = port_owner[src] as usize;
-        let len = buffer.get(src).len();
-        let msgs = msgs_of(len);
-        let (q, rem) = if msgs == 0 {
-            (0, 0)
-        } else {
-            (len / rounds, len % rounds)
-        };
-        for r in 0..msgs {
-            if r >= crash_round[sender] {
-                // Crash-stop: every remaining chunk of this edge is lost
-                // without being transmitted.
-                missing[receiver] += (msgs - r) as u32;
-                earliest_missing = earliest_missing.min(r);
-                break;
-            }
-            let bits = q + usize::from(r < rem);
-            let outcome = plan.outcome(seed, r as u64, src as u64);
-            total_bits += bits * outcome.transmissions();
-            let mut round_bits = bits * outcome.transmissions();
-            match outcome {
-                DeliveryOutcome::Intact => {}
-                DeliveryOutcome::Duplicated => counts.duplicated += 1,
-                DeliveryOutcome::Dropped | DeliveryOutcome::Corrupted => {
-                    if matches!(outcome, DeliveryOutcome::Dropped) {
-                        counts.dropped += 1;
-                    } else {
-                        counts.corrupted += 1;
-                    }
-                    let mut delivered = false;
-                    for attempt in 0..plan.retry_budget() {
-                        counts.retries += 1;
-                        total_bits += bits;
-                        round_bits += bits;
-                        if plan.retry_delivers(seed, r as u64, src as u64, attempt as u64) {
-                            delivered = true;
-                            break;
-                        }
-                    }
-                    if !delivered {
-                        missing[receiver] += 1;
-                        earliest_missing = earliest_missing.min(r);
-                    }
-                }
-            }
-            max_round_bits = max_round_bits.max(round_bits);
-        }
-    }
-
-    let missing_messages: usize = missing.iter().map(|&m| m as usize).sum();
-    let decided_round = if missing_messages > 0 {
-        // The first receiver to come up short rejects at the end of that
-        // round; the split schedule itself only decides after the last.
-        rounds.min(earliest_missing + 1)
-    } else {
-        rounds
-    };
-    RunReport {
-        accepted: clean.accepted && missing_messages == 0,
-        rounds,
-        decided_round,
-        max_bits_per_round: max_round_bits,
-        total_bits,
-        fault: Some(FaultReport {
-            insufficient_nodes: missing.iter().filter(|&&m| m > 0).count(),
-            missing_messages,
-            counts,
-        }),
-    }
 }
 
 /// How many per-trial seeds the estimators hand to the batched engine at
@@ -1342,7 +1113,7 @@ mod tests {
 
     /// The four `(faults, rounds)` shapes of a spec, checked against their
     /// definitions: the materialised round, its certificate-splitting
-    /// re-timing, the per-node diagnostic, and the split fault overlay.
+    /// re-timing, the per-node diagnostic, and the faulted split schedule.
     #[test]
     fn run_spec_dispatch_matches_legacy_entry_points() {
         let config = Configuration::plain(generators::wheel(9));
@@ -1375,15 +1146,53 @@ mod tests {
             Some(degraded.missing.iter().map(|&m| m as usize).sum())
         );
 
-        // Faulted multiround: the overlay on the split schedule.
+        // Faulted multiround: the split schedule under loss, one-sided.
         let spec = RunSpec::trial(seed)
             .with_rounds(3)
             .with_faults(plan.clone());
         let report = run_prepared(&spec, &*prepared, &config, &mut scratch);
-        let clean = run_prepared(&RunSpec::trial(seed), &*prepared, &config, &mut scratch);
-        let overlay = overlay_split_faults(&config, seed, 3, &plan, scratch.certificates(), clean);
-        assert_eq!(report, overlay);
+        let clean_spec = RunSpec::trial(seed).with_rounds(3);
+        let clean = run_prepared(&clean_spec, &*prepared, &config, &mut scratch);
+        let lost = report.fault.map_or(0, |f| f.missing_messages);
+        assert_eq!(report.accepted, clean.accepted && lost == 0);
         assert_eq!(report.rounds, 3);
+        assert!(report.decided_round <= clean.decided_round);
+    }
+
+    /// A saturated retry budget bounds the work of a total-loss run: every
+    /// chunk is retried exactly `MAX_RETRY_BUDGET` times, then lost.
+    #[test]
+    fn saturated_retry_budget_finishes_under_total_loss() {
+        let config = Configuration::plain(generators::wheel(7));
+        let labeling = VariableLength.label(&config);
+        let prepared = Rpls::prepare(&VariableLength, &config, &labeling, 4);
+        let spec = FaultSpec::transparent()
+            .with_drop(1.0)
+            .with_retry_budget(usize::MAX);
+        let spec = RunSpec::trial(0)
+            .with_rounds(3)
+            .with_faults(FaultPlan::new(spec, 5));
+        let mut reports = Vec::new();
+        let mut scratch = RoundScratch::new();
+        run_trials(
+            &spec,
+            &*prepared,
+            &config,
+            &[1, 2, 3],
+            &mut scratch,
+            &mut |r| {
+                reports.push(r);
+            },
+        );
+        for r in reports {
+            let fault = r.fault.expect("faulted run");
+            assert!(fault.missing_messages > 0);
+            assert_eq!(fault.counts.dropped, fault.missing_messages);
+            assert_eq!(
+                fault.counts.retries,
+                crate::fault::MAX_RETRY_BUDGET * fault.missing_messages
+            );
+        }
     }
 
     #[test]

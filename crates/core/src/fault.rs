@@ -24,6 +24,41 @@
 //! **crash-stop** node stops sending from its crash round on; everything
 //! it would have sent is missing at the receivers.
 //!
+//! # Delivery
+//!
+//! Every faulted engine path — the scalar one-round trial, the scalar
+//! certificate-splitting schedule and the compiled scheme's batched
+//! kernel — delivers through one loop, the crate-private
+//! `FaultPlan::deliver`. A caller only describes its schedule: how many
+//! messages each directed edge carries (message `r` carries
+//! `bits + [r < extra]` bits) and the horizon of rounds its crash draws
+//! cover (one round at `t = 1`; beyond, the most messages any edge of the
+//! split schedule carries, or the widest coverage of any compiled node).
+//! For one trial the loop
+//!
+//! * gives each node a crash round — the first round below the horizon
+//!   whose hazard fires — after which it transmits nothing; every message
+//!   it still owed is missing at its receiver;
+//! * draws one outcome per message, keyed by `(round, sender's global
+//!   port)`: a dropped or corrupted message is transmitted but lost, a
+//!   duplicated one arrives with its bits paid twice;
+//! * re-sends a lost message within its round up to the retry budget,
+//!   each attempt paying the message's bits again;
+//! * counts each node's missing messages, the first round with an
+//!   unrecovered loss, the largest bits one edge carried in one round, and
+//!   the total bits on the wire.
+//!
+//! A one-round schedule is **single-shot**: every directed edge carries
+//! exactly one message, even an empty one; nothing is retried; and a
+//! duplicate is charged in the total without raising the per-round
+//! maximum. The fault layer models point-to-point delivery, so every
+//! message pattern is hazarded and charged per directed link (a broadcast
+//! message crossing `d` links pays `d` times).
+//!
+//! The trial's report accepts iff the clean run accepts and nothing is
+//! missing, and its `decided_round` is the earliest of the clean decision,
+//! the last round, and the round after the first unrecovered loss.
+//!
 //! # Degradation semantics
 //!
 //! A node missing one or more of its incident messages cannot run its
@@ -49,6 +84,7 @@
 
 use crate::engine::{FaultReport, RunReport};
 use crate::rng::{mix_seed, state_stream_word};
+use crate::state::Configuration;
 
 /// Seed-derivation tag of per-message delivery words, chosen to collide
 /// with neither the estimator tags in [`stats`](crate::stats) nor the
@@ -58,6 +94,11 @@ const TAG_FAULT_MSG: u64 = 0x666D_7367; // "fmsg"
 const TAG_FAULT_CRASH: u64 = 0x6372617368; // "crash"
 /// Seed-derivation tag of per-attempt retry words.
 const TAG_FAULT_RETRY: u64 = 0x7265747279; // "retry"
+
+/// The largest retry budget a [`FaultSpec`] holds: larger budgets saturate
+/// here. Each lost message costs up to this many retry draws, so the cap
+/// bounds a trial's work even at a drop rate of 1.0.
+pub const MAX_RETRY_BUDGET: usize = 64;
 
 /// 2⁶⁴ as an `f64`, the scale mapping a probability to a 64-bit threshold.
 const TWO_64: f64 = 18_446_744_073_709_551_616.0;
@@ -159,9 +200,10 @@ impl FaultSpec {
     /// round. Each attempt pays the chunk's bits again; crashed senders
     /// never retry. Retries apply only to schedules of two or more rounds:
     /// a one-round run is single-shot delivery and ignores the budget.
+    /// Budgets above [`MAX_RETRY_BUDGET`] saturate at it.
     #[must_use]
     pub fn with_retry_budget(mut self, budget: usize) -> Self {
-        self.retry_budget = budget;
+        self.retry_budget = budget.min(MAX_RETRY_BUDGET);
         self
     }
 
@@ -224,12 +266,6 @@ pub enum DeliveryOutcome {
 }
 
 impl DeliveryOutcome {
-    /// Whether the receiver sees the message content.
-    #[must_use]
-    pub fn delivered(self) -> bool {
-        matches!(self, Self::Intact | Self::Duplicated)
-    }
-
     /// How many times the message's bits crossed the wire.
     #[must_use]
     pub fn transmissions(self) -> usize {
@@ -307,23 +343,23 @@ pub struct DegradedSummary {
 }
 
 impl DegradedSummary {
-    /// A degraded summary for a trial that ran through the fault-free
-    /// engine (transparent plan): verdicts are the clean votes, nothing is
-    /// missing.
-    pub(crate) fn transparent(report: RunReport, votes: &[bool]) -> Self {
+    /// The summary of a trial whose nodes voted `votes` and were missing
+    /// `missing[v]` messages each: a node missing input is
+    /// [`NodeVerdict::InsufficientInput`], every other node its vote.
+    pub(crate) fn new(report: RunReport, votes: &[bool], missing: Vec<u32>) -> Self {
+        let verdicts = votes
+            .iter()
+            .zip(&missing)
+            .map(|(&vote, &miss)| match (miss > 0, vote) {
+                (true, _) => NodeVerdict::InsufficientInput,
+                (false, true) => NodeVerdict::Accept,
+                (false, false) => NodeVerdict::Reject,
+            })
+            .collect();
         Self {
             report,
-            verdicts: votes
-                .iter()
-                .map(|&v| {
-                    if v {
-                        NodeVerdict::Accept
-                    } else {
-                        NodeVerdict::Reject
-                    }
-                })
-                .collect(),
-            missing: vec![0; votes.len()],
+            verdicts,
+            missing,
         }
     }
 
@@ -414,8 +450,38 @@ impl FaultPlan {
     /// global port index `src_port`.
     #[must_use]
     pub fn outcome(&self, trial_seed: u64, round: u64, src_port: u64) -> DeliveryOutcome {
-        let base = mix_seed(self.fault_seed, trial_seed, TAG_FAULT_MSG);
-        let w = u128::from(mix_seed(base, round, src_port));
+        self.outcome_in(self.key(trial_seed, TAG_FAULT_MSG), round, src_port)
+    }
+
+    /// Whether `node`'s crash hazard fires **in** round `round` (0-based).
+    /// Crash-stop is cumulative: the node is down from the first round its
+    /// hazard fires.
+    #[must_use]
+    pub fn crash_hazard(&self, trial_seed: u64, node: u64, round: u64) -> bool {
+        self.crash_in(self.key(trial_seed, TAG_FAULT_CRASH), node, round)
+    }
+
+    /// Whether retry `attempt` (0-based) of the round-`round` message on
+    /// `src_port` gets through. A retry succeeds when its fresh delivery
+    /// draw is neither dropped nor corrupted; duplication is not modelled
+    /// on retries (the receiver already ignores copies).
+    #[must_use]
+    pub fn retry_delivers(&self, trial_seed: u64, round: u64, src_port: u64, attempt: u64) -> bool {
+        self.retry_in(
+            self.key(trial_seed, TAG_FAULT_RETRY),
+            round,
+            src_port,
+            attempt,
+        )
+    }
+
+    /// The key of the decision stream `tag` in the trial `trial_seed`.
+    fn key(&self, trial_seed: u64, tag: u64) -> u64 {
+        mix_seed(self.fault_seed, trial_seed, tag)
+    }
+
+    fn outcome_in(&self, key: u64, round: u64, src_port: u64) -> DeliveryOutcome {
+        let w = u128::from(mix_seed(key, round, src_port));
         if w < self.drop_to {
             DeliveryOutcome::Dropped
         } else if w < self.corrupt_to {
@@ -427,33 +493,169 @@ impl FaultPlan {
         }
     }
 
-    /// Whether `node`'s crash hazard fires **in** round `round` (0-based).
-    /// Crash-stop is cumulative: the node is down from the first round its
-    /// hazard fires; callers tracking multiround state fold this
-    /// incrementally (`crashed |= crash_hazard(...)`).
-    #[must_use]
-    pub fn crash_hazard(&self, trial_seed: u64, node: u64, round: u64) -> bool {
-        let base = mix_seed(self.fault_seed, trial_seed, TAG_FAULT_CRASH);
-        u128::from(mix_seed(base, node, round)) < self.crash_to
+    fn crash_in(&self, key: u64, node: u64, round: u64) -> bool {
+        // A zero rate never fires; skip the draw.
+        self.crash_to != 0 && u128::from(mix_seed(key, node, round)) < self.crash_to
     }
 
-    /// Whether `node` is crashed **by** round `round` inclusive — its
-    /// hazard fired in some round `≤ round`. O(round); multiround kernels
-    /// should fold [`Self::crash_hazard`] incrementally instead.
-    #[must_use]
-    pub fn crashed_by(&self, trial_seed: u64, node: u64, round: u64) -> bool {
-        (0..=round).any(|r| self.crash_hazard(trial_seed, node, r))
-    }
-
-    /// Whether retry `attempt` (0-based) of the round-`round` message on
-    /// `src_port` gets through. A retry succeeds when its fresh delivery
-    /// draw is neither dropped nor corrupted; duplication is not modelled
-    /// on retries (the receiver already ignores copies).
-    #[must_use]
-    pub fn retry_delivers(&self, trial_seed: u64, round: u64, src_port: u64, attempt: u64) -> bool {
-        let base = mix_seed(self.fault_seed, trial_seed, TAG_FAULT_RETRY);
-        let state = mix_seed(base, round, src_port);
+    fn retry_in(&self, key: u64, round: u64, src_port: u64, attempt: u64) -> bool {
+        let state = mix_seed(key, round, src_port);
         u128::from(state_stream_word(state, attempt)) >= self.corrupt_to
+    }
+
+    /// Delivers one trial of a `rounds`-round schedule over every directed
+    /// edge of `config` into `out` — the one delivery loop of the engine
+    /// (see the module docs). `schedule(src, sender)` describes the
+    /// messages of the edge whose sender owns global port `src`; crash
+    /// draws cover rounds `0..horizon`.
+    pub(crate) fn deliver(
+        &self,
+        config: &Configuration,
+        seed: u64,
+        rounds: usize,
+        horizon: usize,
+        schedule: impl Fn(usize, usize) -> EdgeSchedule,
+        out: &mut Delivery,
+    ) {
+        let (msg_key, crash_key, retry_key) = (
+            self.key(seed, TAG_FAULT_MSG),
+            self.key(seed, TAG_FAULT_CRASH),
+            self.key(seed, TAG_FAULT_RETRY),
+        );
+        let single_shot = rounds == 1;
+        let budget = if single_shot { 0 } else { self.retry_budget() };
+        let n = config.node_count();
+        out.reset(n);
+        if self.crash_to != 0 {
+            for (v, crash_round) in out.crash_round.iter_mut().enumerate() {
+                let crash = (0..horizon).find(|&r| self.crash_in(crash_key, v as u64, r as u64));
+                *crash_round = crash.unwrap_or(usize::MAX);
+                out.counts.crashed_nodes += usize::from(crash.is_some());
+            }
+        }
+
+        let owner = config.port_owner();
+        for (recv_port, &src) in config.delivery().iter().enumerate() {
+            let src = src as usize;
+            let sender = owner[src] as usize;
+            let receiver = owner[recv_port] as usize;
+            let edge = schedule(src, sender);
+            let messages = if single_shot { 1 } else { edge.messages };
+            for r in 0..messages {
+                if r >= out.crash_round[sender] {
+                    out.lose(receiver, r, messages - r);
+                    break;
+                }
+                let bits = edge.bits + usize::from(r < edge.extra);
+                let outcome = self.outcome_in(msg_key, r as u64, src as u64);
+                let sent = bits * outcome.transmissions();
+                out.total_bits += sent;
+                let mut round_bits = if single_shot { bits } else { sent };
+                match outcome {
+                    DeliveryOutcome::Intact => {}
+                    DeliveryOutcome::Duplicated => out.counts.duplicated += 1,
+                    DeliveryOutcome::Dropped | DeliveryOutcome::Corrupted => {
+                        if outcome == DeliveryOutcome::Dropped {
+                            out.counts.dropped += 1;
+                        } else {
+                            out.counts.corrupted += 1;
+                        }
+                        let delivered = (0..budget).any(|attempt| {
+                            out.counts.retries += 1;
+                            out.total_bits += bits;
+                            round_bits += bits;
+                            self.retry_in(retry_key, r as u64, src as u64, attempt as u64)
+                        });
+                        if !delivered {
+                            out.lose(receiver, r, 1);
+                        }
+                    }
+                }
+                out.max_round_bits = out.max_round_bits.max(round_bits);
+            }
+        }
+    }
+}
+
+/// The messages one directed edge carries in a delivery schedule: message
+/// `r < messages` carries `bits + [r < extra]` bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EdgeSchedule {
+    pub(crate) messages: usize,
+    pub(crate) bits: usize,
+    pub(crate) extra: usize,
+}
+
+impl EdgeSchedule {
+    /// The certificate-splitting schedule of a `len`-bit certificate over
+    /// `rounds` rounds: `⌈len/rounds⌉`-then-`⌊len/rounds⌋`-bit chunks, of
+    /// which the `min(rounds, len)` non-empty ones are sent. At one round
+    /// this is the whole certificate.
+    pub(crate) fn split(len: usize, rounds: usize) -> Self {
+        Self {
+            messages: rounds.min(len),
+            bits: len / rounds,
+            extra: len % rounds,
+        }
+    }
+}
+
+/// One trial's delivery, as [`FaultPlan::deliver`] leaves it; the buffers
+/// are reused across trials.
+#[derive(Debug, Default)]
+pub(crate) struct Delivery {
+    crash_round: Vec<usize>,
+    /// Messages each node is missing after retries.
+    pub(crate) missing: Vec<u32>,
+    insufficient_nodes: usize,
+    missing_messages: usize,
+    /// 0-based round of the first unrecovered loss, `usize::MAX` if none.
+    first_loss: usize,
+    max_round_bits: usize,
+    total_bits: usize,
+    counts: FaultCounts,
+}
+
+impl Delivery {
+    fn reset(&mut self, nodes: usize) {
+        self.crash_round.clear();
+        self.crash_round.resize(nodes, usize::MAX);
+        self.missing.clear();
+        self.missing.resize(nodes, 0);
+        self.insufficient_nodes = 0;
+        self.missing_messages = 0;
+        self.first_loss = usize::MAX;
+        self.max_round_bits = 0;
+        self.total_bits = 0;
+        self.counts = FaultCounts::default();
+    }
+
+    /// Records `lost` messages missing at `receiver` from round `round` on.
+    fn lose(&mut self, receiver: usize, round: usize, lost: usize) {
+        let missing = &mut self.missing[receiver];
+        self.insufficient_nodes += usize::from(*missing == 0);
+        *missing += u32::try_from(lost).expect("missing count fits in u32");
+        self.missing_messages += lost;
+        self.first_loss = self.first_loss.min(round);
+    }
+
+    /// The trial's report over a `rounds`-round schedule whose clean run
+    /// `accepted` and was decided in round `decided_round`.
+    pub(crate) fn report(&self, rounds: usize, accepted: bool, decided_round: usize) -> RunReport {
+        RunReport {
+            accepted: accepted && self.missing_messages == 0,
+            rounds,
+            decided_round: decided_round
+                .min(rounds)
+                .min(self.first_loss.saturating_add(1)),
+            max_bits_per_round: self.max_round_bits,
+            total_bits: self.total_bits,
+            fault: Some(FaultReport {
+                insufficient_nodes: self.insufficient_nodes,
+                missing_messages: self.missing_messages,
+                counts: self.counts,
+            }),
+        }
     }
 }
 
@@ -495,6 +697,14 @@ mod tests {
     }
 
     #[test]
+    fn retry_budget_saturates() {
+        let spec = FaultSpec::default().with_retry_budget(usize::MAX);
+        assert_eq!(spec.retry_budget(), MAX_RETRY_BUDGET);
+        let spec = FaultSpec::default().with_retry_budget(MAX_RETRY_BUDGET - 1);
+        assert_eq!(spec.retry_budget(), MAX_RETRY_BUDGET - 1);
+    }
+
+    #[test]
     fn transparency_ignores_retry_budget() {
         assert!(FaultSpec::transparent()
             .with_retry_budget(7)
@@ -512,7 +722,7 @@ mod tests {
             assert!(!never.crash_hazard(i, i, 0));
             assert_eq!(always_drop.outcome(i, 0, i * 31), DeliveryOutcome::Dropped);
             assert!(always_crash.crash_hazard(i, i, 0));
-            assert!(always_crash.crashed_by(i, i, 3));
+            assert!(always_crash.crash_hazard(i, i, 3));
         }
     }
 
@@ -564,29 +774,19 @@ mod tests {
         let plan = FaultPlan::new(FaultSpec::default().with_drop(0.5).with_crash(0.5), 42);
         // Message, crash and retry words over the same counters must not be
         // the same stream: check they disagree somewhere.
-        let msg: Vec<bool> = (0..64).map(|i| plan.outcome(1, 0, i).delivered()).collect();
+        let outcomes = |plan: &FaultPlan| -> Vec<DeliveryOutcome> {
+            (0..64).map(|i| plan.outcome(1, 0, i)).collect()
+        };
+        let msg: Vec<bool> = (outcomes(&plan).into_iter())
+            .map(|o| o == DeliveryOutcome::Intact)
+            .collect();
         let crash: Vec<bool> = (0..64).map(|i| !plan.crash_hazard(1, i, 0)).collect();
         let retry: Vec<bool> = (0..64).map(|i| plan.retry_delivers(1, 0, i, 0)).collect();
         assert_ne!(msg, crash);
         assert_ne!(msg, retry);
         // And different fault seeds reshuffle the schedule.
         let other = FaultPlan::new(FaultSpec::default().with_drop(0.5).with_crash(0.5), 43);
-        let msg2: Vec<bool> = (0..64)
-            .map(|i| other.outcome(1, 0, i).delivered())
-            .collect();
-        assert_ne!(msg, msg2);
-    }
-
-    #[test]
-    fn crashed_by_is_monotone() {
-        let plan = FaultPlan::new(FaultSpec::default().with_crash(0.3), 5);
-        for node in 0..32u64 {
-            let mut down = false;
-            for round in 0..16u64 {
-                down |= plan.crash_hazard(9, node, round);
-                assert_eq!(plan.crashed_by(9, node, round), down);
-            }
-        }
+        assert_ne!(outcomes(&plan), outcomes(&other));
     }
 
     #[test]
@@ -594,11 +794,8 @@ mod tests {
         assert!(NodeVerdict::Accept.accepts());
         assert!(!NodeVerdict::Reject.accepts());
         assert!(!NodeVerdict::InsufficientInput.accepts());
-        assert!(DeliveryOutcome::Intact.delivered());
-        assert!(DeliveryOutcome::Duplicated.delivered());
+        assert_eq!(DeliveryOutcome::Intact.transmissions(), 1);
         assert_eq!(DeliveryOutcome::Duplicated.transmissions(), 2);
-        assert!(!DeliveryOutcome::Dropped.delivered());
-        assert!(!DeliveryOutcome::Corrupted.delivered());
         assert_eq!(DeliveryOutcome::Corrupted.transmissions(), 1);
     }
 
@@ -633,12 +830,19 @@ mod tests {
     #[test]
     fn transparent_constructors_are_clean() {
         let report = RunReport::one_round(true, 4, 8);
-        let d = DegradedSummary::transparent(report, &[true, true]);
+        let d = DegradedSummary::new(report, &[true, true], vec![0, 0]);
         assert_eq!(d.verdicts, vec![NodeVerdict::Accept, NodeVerdict::Accept]);
         assert_eq!(d.missing, vec![0, 0]);
         assert_eq!(d.report, report);
         assert_eq!(d.fault(), FaultReport::default());
-        let r = DegradedSummary::transparent(report, &[true, false]);
-        assert_eq!(r.verdicts[1], NodeVerdict::Reject);
+        let r = DegradedSummary::new(report, &[true, false, true], vec![0, 0, 2]);
+        assert_eq!(
+            r.verdicts,
+            vec![
+                NodeVerdict::Accept,
+                NodeVerdict::Reject,
+                NodeVerdict::InsufficientInput
+            ]
+        );
     }
 }

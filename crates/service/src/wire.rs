@@ -33,7 +33,7 @@
 
 use rpls_bits::BitString;
 use rpls_core::engine::{MessagePattern, RunSpec, SeedSource, StreamMode};
-use rpls_core::fault::{FaultPlan, FaultSpec};
+use rpls_core::fault::{FaultPlan, FaultSpec, MAX_RETRY_BUDGET};
 use rpls_core::prep::CacheStats;
 use std::io::{self, Read, Write};
 
@@ -69,11 +69,6 @@ const MAX_NODES: u32 = 1 << 20;
 const MAX_EDGES: u32 = 1 << 22;
 const MAX_BITS: u32 = 1 << 24;
 const MAX_NAME: u32 = 1 << 10;
-/// Cap on a job's multiround retry budget per failed chunk. Deadlines are
-/// checked only at dequeue, so an uncapped budget under a drop rate of 1.0
-/// would hold the single worker for up to `u32::MAX` retry draws per lost
-/// chunk.
-const MAX_RETRY_BUDGET: u32 = 64;
 
 /// Payload kind byte: a job submission.
 const KIND_REQUEST: u8 = 0;
@@ -139,8 +134,8 @@ pub struct WireFaults {
     pub duplicate_rate: f64,
     /// Per-(node, round) crash-stop hazard.
     pub crash_rate: f64,
-    /// Multiround retry budget per failed chunk, at most 64 (larger
-    /// budgets fail decoding).
+    /// Multiround retry budget per failed chunk, at most
+    /// [`MAX_RETRY_BUDGET`] (larger budgets fail decoding).
     pub retry_budget: u32,
     /// Seed of the fault schedule.
     pub fault_seed: u64,
@@ -402,7 +397,8 @@ impl JobRequest {
                 let duplicate_rate = c.rate()?;
                 let crash_rate = c.rate()?;
                 let retry_budget = c.u32()?;
-                if retry_budget > MAX_RETRY_BUDGET {
+                // The core saturates larger budgets; the wire refuses them.
+                if retry_budget as usize > MAX_RETRY_BUDGET {
                     return Err(WireError::Invalid("retry budget"));
                 }
                 let fault_seed = c.u64()?;

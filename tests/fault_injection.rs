@@ -15,13 +15,14 @@
 //!    verdict, and counter exactly.
 
 use proptest::prelude::*;
-use rpls::core::engine::{self, FaultReport, RunReport, RunSpec, StreamMode};
+use rpls::core::engine::{self, FaultReport, MessagePattern, RunReport, RunSpec, StreamMode};
 use rpls::core::stats::{self, EstimateOpts};
 use rpls::core::{
     Configuration, FaultPlan, FaultSpec, Labeling, NodeVerdict, Pls, PrepCache, RoundScratch, Rpls,
     Unprepared,
 };
 use rpls::graph::{generators, NodeId};
+use rpls_core::scheme::ExchangeLabels;
 use rpls_core::CompiledRpls;
 
 /// Flips one mid-label bit of the first node with a non-empty label — a
@@ -595,13 +596,24 @@ fn retries_recover_messages_and_cost_bits() {
     );
 }
 
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
 /// FNV-1a over every field of a block of reports, fault statistics
 /// included.
 fn reports_digest(reports: &[RunReport]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for r in reports {
+    fnv(reports.iter().flat_map(|r| {
         let fault = r.fault.unwrap_or_default();
-        for word in [
+        [
             u64::from(r.accepted),
             r.rounds as u64,
             r.decided_round as u64,
@@ -615,21 +627,41 @@ fn reports_digest(reports: &[RunReport]) -> u64 {
             fault.counts.duplicated as u64,
             fault.counts.crashed_nodes as u64,
             fault.counts.retries as u64,
-        ] {
-            for b in word.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-    }
-    h
+        ]
+    }))
 }
 
-/// The compiled streaming overlay's whole reports — verdicts, counts,
-/// retries, bits and decided round — pinned for every hostile spec ×
-/// {honest, tampered, garbage} labeling at t ∈ {2, 3}, 12 seeds per digest.
+/// Every report of `spec` over `seeds` through the one trial hook.
+fn block(
+    spec: &RunSpec,
+    prepared: &dyn rpls::core::PreparedRpls,
+    config: &Configuration,
+    seeds: &[u64],
+) -> Vec<RunReport> {
+    let mut reports = Vec::new();
+    let mut scratch = RoundScratch::new();
+    engine::run_trials(spec, prepared, config, seeds, &mut scratch, &mut |r| {
+        reports.push(r);
+    });
+    reports
+}
+
+/// The faulted engine's whole reports — verdicts, counts, retries, bits
+/// and decided round — pinned on every delivery schedule the fault layer
+/// serves, 12 seeds per digest unless noted:
+///
+/// * the compiled overlay, for every hostile spec × {honest, tampered,
+///   garbage} labeling at t ∈ {1, 2, 3};
+/// * `ExchangeLabels` through `run_trials` at t ∈ {1, 2, 3} — the scalar
+///   one-round delivery and the certificate-splitting schedule, with
+///   variable-length (and empty) certificates;
+/// * `run_degraded`'s per-node `missing` counts and verdicts;
+/// * one-round `SharedPerNode` compiled blocks (16 seeds, per-port and
+///   unicast, clean and faulted);
+/// * a configuration with a port-less node under crash rates above 0.
+///
 /// The soundness sweep above checks these runs only by inequalities and
-/// replay; a change to the faulted kernels must leave every digest intact.
+/// replay; a change to the faulted paths must leave every digest intact.
 #[test]
 fn compiled_faulted_streaming_reports_are_pinned() {
     let config = rpls::schemes::spanning_tree::spanning_tree_config(
@@ -641,8 +673,54 @@ fn compiled_faulted_streaming_reports_are_pinned() {
     let labelings = [honest.clone(), tamper(&honest), garbage(&config)];
     let seeds: Vec<u64> = (0..12).map(|t| stats::trial_seed(0x601D, t)).collect();
     // Columns: honest, tampered, garbage. Garbage labels parse no prover
-    // prefix, so nothing is sent or hazarded and the column is constant.
-    let expected: [(usize, [[u64; 3]; 8]); 2] = [
+    // prefix, so nothing is sent or hazarded at t ≥ 2 and the column is
+    // constant.
+    let expected: [(usize, [[u64; 3]; 8]); 3] = [
+        (
+            1,
+            [
+                [
+                    0x529A_6063_F22B_A8AD,
+                    0x529A_6063_F22B_A8AD,
+                    0xE83B_9ACC_714A_39C5,
+                ],
+                [
+                    0xECFC_0941_ECDD_79AD,
+                    0xECFC_0941_ECDD_79AD,
+                    0x998D_88CE_F1BE_AC05,
+                ],
+                [
+                    0xF413_6127_EE67_730F,
+                    0xC953_A26E_0F1F_3607,
+                    0xC244_EFAE_2E35_76EB,
+                ],
+                [
+                    0x96FB_EFB7_75E3_CB17,
+                    0xC31A_FF9F_7EC3_1FBB,
+                    0x56D8_3ED6_9BC0_2B88,
+                ],
+                [
+                    0x3BB0_E28B_75E8_FF29,
+                    0x3BB0_E28B_75E8_FF29,
+                    0x2EE3_1C8E_334C_5A74,
+                ],
+                [
+                    0x7E0D_6D9B_1EA2_64C5,
+                    0x7E0D_6D9B_1EA2_64C5,
+                    0x5228_C6A1_B1CA_8E25,
+                ],
+                [
+                    0xA945_99A5_10BD_0BC5,
+                    0xA945_99A5_10BD_0BC5,
+                    0xE2BB_E27F_AE47_1625,
+                ],
+                [
+                    0x5287_FE2A_F3BD_4765,
+                    0x5287_FE2A_F3BD_4765,
+                    0x5287_FE2A_F3BD_4765,
+                ],
+            ],
+        ),
         (
             2,
             [
@@ -734,7 +812,6 @@ fn compiled_faulted_streaming_reports_are_pinned() {
             ],
         ),
     ];
-    let mut scratch = RoundScratch::new();
     for (rounds, rows) in expected {
         for (spec, row) in hostile_specs().into_iter().zip(rows) {
             let plan = FaultPlan::new(spec, FAULT_SEED);
@@ -743,24 +820,138 @@ fn compiled_faulted_streaming_reports_are_pinned() {
                 .zip(labelings.iter().zip(row))
             {
                 let prepared = scheme.prepare(&config, labeling, seeds.len());
-                let mut reports = Vec::new();
-                engine::run_trials(
-                    &RunSpec::trial(0)
-                        .with_rounds(rounds)
-                        .with_faults(plan.clone()),
-                    &*prepared,
-                    &config,
-                    &seeds,
-                    &mut scratch,
-                    &mut |r| reports.push(r),
-                );
-                let got = reports_digest(&reports);
+                let spec = RunSpec::trial(0)
+                    .with_rounds(rounds)
+                    .with_faults(plan.clone());
+                let got = reports_digest(&block(&spec, &*prepared, &config, &seeds));
                 assert_eq!(
                     got, want,
                     "faulted report digest changed: t={rounds}, {kind}, {spec:?} (got {got:#018X})"
                 );
             }
         }
+    }
+
+    let mut pins: Vec<(String, u64)> = Vec::new();
+    let plans: Vec<FaultPlan> = hostile_specs()
+        .into_iter()
+        .map(|spec| FaultPlan::new(spec, FAULT_SEED))
+        .collect();
+
+    // The scalar schedules, on the κ-bit baseline.
+    let exchange = ExchangeLabels::new(rpls::schemes::spanning_tree::SpanningTreePls::new());
+    for rounds in [1usize, 2, 3] {
+        let mut reports = Vec::new();
+        for labeling in &labelings {
+            let prepared = exchange.prepare(&config, labeling, seeds.len());
+            for plan in &plans {
+                let spec = RunSpec::trial(0)
+                    .with_rounds(rounds)
+                    .with_faults(plan.clone());
+                reports.extend(block(&spec, &*prepared, &config, &seeds));
+            }
+        }
+        pins.push((format!("exchange t={rounds}"), reports_digest(&reports)));
+    }
+
+    // The per-node diagnostic, on both schemes.
+    let mut scratch = RoundScratch::new();
+    let mut words = Vec::new();
+    for labeling in &labelings {
+        let preps = [
+            scheme.prepare(&config, labeling, 1),
+            exchange.prepare(&config, labeling, 1),
+        ];
+        for prepared in &preps {
+            for plan in &plans {
+                for &s in &seeds {
+                    let spec = RunSpec::trial(s).with_faults(plan.clone());
+                    let d = engine::run_degraded(&spec, &**prepared, &config, &mut scratch);
+                    words.push(reports_digest(&[d.report]));
+                    words.extend(d.missing.iter().map(|&m| u64::from(m)));
+                    words.extend(d.verdicts.iter().map(|&v| v as u64));
+                }
+            }
+        }
+    }
+    pins.push(("run_degraded missing".into(), fnv(words)));
+
+    // One-round shared-stream blocks of the compiled scheme.
+    let seeds16: Vec<u64> = (0..16).map(|t| stats::trial_seed(0x5EED, t)).collect();
+    for pattern in [MessagePattern::PerPort, MessagePattern::Unicast] {
+        let mut reports = Vec::new();
+        for labeling in &labelings {
+            let prepared = scheme.prepare(&config, labeling, seeds16.len());
+            let shared = RunSpec::trial(0)
+                .with_pattern(pattern)
+                .with_stream_mode(StreamMode::SharedPerNode);
+            reports.extend(block(&shared, &*prepared, &config, &seeds16));
+            for plan in &plans {
+                let spec = shared.clone().with_faults(plan.clone());
+                reports.extend(block(&spec, &*prepared, &config, &seeds16));
+            }
+        }
+        pins.push((
+            format!("shared-stream {pattern:?}"),
+            reports_digest(&reports),
+        ));
+    }
+
+    // A port-less node: it sends nothing, but its crash draws still count.
+    let mut b = rpls::graph::GraphBuilder::new(7);
+    for i in 0..6usize {
+        b.add_edge(NodeId::new(i), NodeId::new((i + 1) % 6))
+            .expect("cycle edge");
+    }
+    let isolated = rpls::schemes::coloring::greedy_coloring_config(&Configuration::plain(
+        b.finish().expect("cycle plus an isolated node"),
+    ));
+    let coloring = CompiledRpls::new(rpls::schemes::coloring::ColoringPls::new());
+    let coloring_exchange = ExchangeLabels::new(rpls::schemes::coloring::ColoringPls::new());
+    let crashy = [
+        FaultSpec::transparent()
+            .with_crash(0.3)
+            .with_drop(0.2)
+            .with_retry_budget(1),
+        FaultSpec::transparent().with_crash(1.0),
+    ];
+    for rounds in [1usize, 2, 3] {
+        let mut reports = Vec::new();
+        let honest = Rpls::label(&coloring, &isolated);
+        for labeling in [honest.clone(), garbage(&isolated)] {
+            let preps = [
+                coloring.prepare(&isolated, &labeling, seeds.len()),
+                coloring_exchange.prepare(&isolated, &labeling, seeds.len()),
+            ];
+            for prepared in &preps {
+                for spec in crashy {
+                    let spec = RunSpec::trial(0)
+                        .with_rounds(rounds)
+                        .with_faults(FaultPlan::new(spec, FAULT_SEED));
+                    reports.extend(block(&spec, &**prepared, &isolated, &seeds));
+                }
+            }
+        }
+        assert!(reports
+            .iter()
+            .any(|r| r.fault.unwrap().counts.crashed_nodes > 0));
+        pins.push((format!("port-less t={rounds}"), reports_digest(&reports)));
+    }
+
+    let want: [(&str, u64); 9] = [
+        ("exchange t=1", 0x3A47_F858_3ADA_E119),
+        ("exchange t=2", 0x4E14_A3B5_AC96_499A),
+        ("exchange t=3", 0x3BA2_E10C_FC68_810A),
+        ("run_degraded missing", 0x90F5_8F1C_DCCE_D4F9),
+        ("shared-stream PerPort", 0xB2A6_158E_B0DD_B879),
+        ("shared-stream Unicast", 0x9536_3EAF_AA75_3A99),
+        ("port-less t=1", 0x6C79_B310_DC34_6813),
+        ("port-less t=2", 0x1ABC_772A_C109_5509),
+        ("port-less t=3", 0x8A89_EDE5_AF4E_378C),
+    ];
+    for ((name, got), (want_name, want)) in pins.iter().zip(want) {
+        assert_eq!(name, want_name);
+        assert_eq!(*got, want, "{name}: digest changed (got {got:#018X})");
     }
 }
 
