@@ -58,6 +58,7 @@ use rpls_service::tcp::{FrontConfig, TcpFront};
 use rpls_service::wire::{JobReply, JobRequest, WireFaults};
 use std::cell::{Cell, RefCell};
 use std::hint::black_box;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -620,8 +621,14 @@ fn patterns(rows: &mut Vec<Row>) {
         ("per_port", MessagePattern::PerPort),
         ("broadcast", MessagePattern::Broadcast),
         ("unicast", MessagePattern::Unicast),
-        ("k2", MessagePattern::KMessages(2)),
-        ("k4", MessagePattern::KMessages(4)),
+        (
+            "k2",
+            MessagePattern::KMessages(NonZeroUsize::new(2).unwrap()),
+        ),
+        (
+            "k4",
+            MessagePattern::KMessages(NonZeroUsize::new(4).unwrap()),
+        ),
     ];
     // The sparse workload (Δ = 2) and a dense one (Δ = 63), where the
     // broadcast/k-messages slot sharing actually bites.

@@ -291,12 +291,12 @@ pub fn eb_boosting() -> Table {
                 .collect()
         }
         fn verify(&self, view: &DetView<'_>) -> bool {
-            let mut r = BitReader::new(view.label);
+            let mut r = BitReader::from_slice(view.label);
             r.read_u64(64).is_ok_and(|id| id == view.local.state.id())
                 && view
                     .neighbor_labels
                     .iter()
-                    .all(|l| BitReader::new(l).read_u64(64).is_ok())
+                    .all(|&l| BitReader::from_slice(l).read_u64(64).is_ok())
         }
     }
 

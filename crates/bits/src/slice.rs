@@ -26,12 +26,20 @@ impl<'a> BitSlice<'a> {
     ///
     /// Panics if `bytes` is not exactly `len.div_ceil(8)` bytes long.
     #[must_use]
+    #[inline]
     pub fn new(bytes: &'a [u8], len: usize) -> Self {
         assert_eq!(
             bytes.len(),
             len.div_ceil(8),
             "byte slice does not match bit length {len}"
         );
+        Self { bytes, len }
+    }
+
+    /// Wraps the bytes of a [`BitString`], which upholds the invariants
+    /// itself: no check on the hot path of every label view.
+    pub(crate) fn of_string(bytes: &'a [u8], len: usize) -> Self {
+        debug_assert_eq!(bytes.len(), len.div_ceil(8));
         Self { bytes, len }
     }
 
@@ -81,6 +89,19 @@ impl<'a> BitSlice<'a> {
             acc = (acc << 1) | u64::from(self.bit(i).unwrap_or(false));
         }
         acc
+    }
+
+    /// The slice past its first `bytes` whole bytes (`8 · bytes` bits),
+    /// borrowed in place, or `None` when it is shorter than that. A field
+    /// that starts on a byte boundary is thus read without a copy.
+    #[must_use]
+    #[inline]
+    pub fn skip_bytes(&self, bytes: usize) -> Option<BitSlice<'a>> {
+        let len = self.len.checked_sub(bytes.checked_mul(8)?)?;
+        Some(Self {
+            bytes: &self.bytes[bytes..],
+            len,
+        })
     }
 
     /// Copies the slice into an owned [`BitString`].
@@ -200,6 +221,20 @@ mod tests {
         assert!(BitSlice::empty().is_empty());
         assert_eq!(BitSlice::default().len(), 0);
         assert_eq!(BitSlice::empty().to_bitstring(), BitString::new());
+    }
+
+    #[test]
+    fn skip_bytes_borrows_the_byte_aligned_tail() {
+        let s = BitString::from_bools((0..21).map(|i| i % 3 == 0));
+        let tail = s.as_slice().skip_bytes(2).unwrap();
+        assert_eq!(tail.len(), 5);
+        assert!(tail.iter().eq(s.iter().skip(16)));
+        assert_eq!(s.as_slice().skip_bytes(0), Some(s.as_slice()));
+        // Exactly consumed, and past the end.
+        let whole = BitString::zeros(16);
+        assert_eq!(whole.as_slice().skip_bytes(2), Some(BitSlice::empty()));
+        assert_eq!(s.as_slice().skip_bytes(3), None);
+        assert_eq!(s.as_slice().skip_bytes(usize::MAX), None);
     }
 
     #[test]

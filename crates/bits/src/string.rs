@@ -245,7 +245,7 @@ impl BitString {
     /// A borrowed view of the whole string.
     #[must_use]
     pub fn as_slice(&self) -> BitSlice<'_> {
-        BitSlice::new(&self.bytes, self.len)
+        BitSlice::of_string(&self.bytes, self.len)
     }
 
     /// Concatenates the given bit strings into one.

@@ -78,7 +78,7 @@ use crate::rng::{edge_stream_first_word, node_stream_word, sketch_stream_word};
 use crate::scheme::{CertView, DetView, ErrorSides, Pls, PreparedRpls, RandView, Rpls};
 use crate::state::{Configuration, DegreeBuckets};
 use rand::Rng;
-use rpls_bits::{BitReader, BitString, BitWriter};
+use rpls_bits::{BitSlice, BitString, BitWriter};
 use rpls_fingerprint::{Barrett, EqEvaluator, EqMessage, EqProtocol};
 use rpls_graph::{Graph, NodeId};
 use std::cell::{OnceCell, Ref, RefCell};
@@ -225,40 +225,29 @@ fn encode_replicated(kappa: usize, parts: &[&BitString]) -> BitString {
     w.finish()
 }
 
-/// Parses a replicated label into `(κ, parts)`. Returns `None` on any
-/// structural violation (see [`scan_replicated`]) — adversarial labels must
-/// never panic the verifier.
-fn parse_replicated(label: &BitString) -> Option<(usize, Vec<BitString>)> {
-    let mut ranges = Vec::new();
-    let (kappa, whole) = scan_replicated(label, &mut ranges)?;
-    let part = |&(start, len): &(usize, usize)| {
-        let mut bytes = Vec::with_capacity(len.div_ceil(8));
-        prep::append_bits(&mut bytes, label.as_bytes(), start, len);
-        BitString::from_bytes(&bytes, len)
-    };
-    whole.then(|| (kappa, ranges.iter().map(part).collect()))
-}
-
-/// Parses only the prefix of a replicated label the prover needs: `κ` and
-/// the node's own inner label. Avoids materialising every claimed neighbor
-/// copy on the certificate-generation hot path.
-fn parse_own_label(label: &BitString) -> Option<(usize, BitString)> {
-    let mut r = BitReader::new(label);
-    let kappa = r.read_u64(LEN_BITS).ok()? as usize;
-    let len = r.read_u64(LEN_BITS).ok()? as usize;
-    if len > kappa {
-        return None;
+/// Stages the parts at `ranges` of `label` (see [`scan_replicated`]) in
+/// `bytes` as the cache's arena stores them, each part's length-prefixed
+/// string on a byte boundary (see [`prep::append_length_prefixed`]), and
+/// returns those strings: the unprepared path fingerprints them and hands
+/// the inner verifier their tails, exactly as the prepared path does.
+fn stage_parts<'b>(
+    label: &BitString,
+    ranges: &[(usize, usize)],
+    bytes: &'b mut Vec<u8>,
+) -> Vec<BitSlice<'b>> {
+    for &(start, len) in ranges {
+        prep::append_length_prefixed(bytes, label.as_bytes(), start, len);
     }
-    Some((kappa, r.read_bits(len).ok()?))
-}
-
-/// The string actually fingerprinted for an inner label: 32-bit length then
-/// the label bits.
-fn length_prefixed(label: &BitString) -> BitString {
-    let mut w = BitWriter::new();
-    w.write_u64(label.len() as u64, LEN_BITS);
-    w.write_bits(label);
-    w.finish()
+    let mut rest: &[u8] = bytes;
+    ranges
+        .iter()
+        .map(|&(_, len)| {
+            let bits = LEN_BITS as usize + len;
+            let (string, tail) = rest.split_at(bits.div_ceil(8));
+            rest = tail;
+            BitSlice::new(string, bits)
+        })
+        .collect()
 }
 
 /// The 32-bit big-endian field at bit `pos` of `label`, if it lies inside.
@@ -279,8 +268,8 @@ fn field_at(label: &BitString, pos: usize) -> Option<usize> {
 /// truncated field, or a part longer than κ or than what is left). Returns
 /// `None` when the `(κ, own-label)` prefix is malformed (no part was read),
 /// else `κ` and whether the whole replication parses. The label cache
-/// copies parts straight from these ranges; [`parse_replicated`]
-/// materialises them.
+/// stages parts straight from these ranges into its arena, and the
+/// unprepared path with [`stage_parts`].
 fn scan_replicated(label: &BitString, parts: &mut Vec<(usize, usize)>) -> Option<(usize, bool)> {
     parts.clear();
     let kappa = field_at(label, 0)?;
@@ -340,34 +329,42 @@ impl<S: Pls> Rpls for CompiledRpls<S> {
         &self,
         view: &CertView<'_>,
         _port: rpls_graph::Port,
-        mut rng: &mut dyn Rng,
+        rng: &mut dyn Rng,
         out: &mut BitString,
     ) {
         out.clear();
-        // Only the (κ, own-label) prefix matters for certificate
-        // generation; a label whose prefix is malformed yields an empty
-        // certificate. A label with a valid prefix but malformed neighbor
-        // copies emits a normal fingerprint — soundness is preserved
-        // because `verify` at the label's own node still parses the full
-        // replication (`parse_replicated`) and rejects, which suffices:
-        // acceptance requires every node to accept.
-        let Some((kappa, own)) = parse_own_label(view.label) else {
+        // Only the (κ, own-label) prefix matters here: a malformed prefix
+        // yields an empty certificate, while malformed neighbor copies
+        // behind a valid prefix still emit a fingerprint. That is sound:
+        // `verify` at the label's own node scans the whole replication and
+        // rejects, and acceptance requires every node to accept.
+        let mut ranges = Vec::new();
+        let Some((kappa, _)) = scan_replicated(view.label, &mut ranges) else {
             return;
         };
+        let mut bytes = Vec::new();
+        let own = stage_parts(view.label, &ranges[..1], &mut bytes)[0];
         let proto = EqProtocol::for_length(LEN_BITS as usize + kappa);
-        let msg = proto.alice_message(&length_prefixed(&own), &mut rng);
+        // An unshared preparation without a table: one evaluation.
+        let eq = proto.prepare(own.len(), 0).expect("parts are bounded by κ");
+        let msg = eq.evaluator(own).alice_message(rng);
         msg.append_to(proto.modulus(), out);
     }
 
     fn verify(&self, view: &RandView<'_>) -> bool {
-        let Some((kappa, parts)) = parse_replicated(view.label) else {
+        let mut ranges = Vec::new();
+        let Some((kappa, true)) = scan_replicated(view.label, &mut ranges) else {
             return false;
         };
-        let degree = view.local.degree();
-        if parts.len() != degree + 1 {
+        if ranges.len() != view.local.degree() + 1 {
             return false;
         }
+        let mut bytes = Vec::new();
+        let strings = stage_parts(view.label, &ranges, &mut bytes);
         let proto = EqProtocol::for_length(LEN_BITS as usize + kappa);
+        // One unshared preparation without a table serves every part: each
+        // is at most λ bits.
+        let eq = proto.prepare(proto.input_length(), 0).expect("λ bits fit");
         let expected_bits = proto.message_bits();
         for (i, received) in view.received.iter().enumerate() {
             if received.len() != expected_bits {
@@ -380,17 +377,16 @@ impl<S: Pls> Rpls for CompiledRpls<S> {
             // neighbor on this port. `bob_accepts` is total: an
             // out-of-field point in a malformed certificate rejects rather
             // than panicking, so no pre-check is needed here.
-            if !proto.bob_accepts(&length_prefixed(&parts[i + 1]), &msg) {
+            if !eq.evaluator(strings[i + 1]).bob_accepts(&msg) {
                 return false;
             }
         }
         // Fingerprints passed: run the inner verifier on the claimed
-        // labels.
-        let neighbor_labels: Vec<&BitString> = parts[1..].iter().collect();
+        // labels, read in place.
         let det = DetView {
             local: view.local.clone(),
-            label: &parts[0],
-            neighbor_labels,
+            label: prep::part_of(strings[0]),
+            neighbor_labels: strings[1..].iter().map(|&s| prep::part_of(s)).collect(),
         };
         self.inner.verify(&det)
     }
@@ -547,8 +543,7 @@ impl PrepCache {
             if let Some(proto) = &proto {
                 for &(start, len) in ranges {
                     let mark = e.mark();
-                    e.stage_len(u32::try_from(len).expect("part lengths are bounded by κ"));
-                    e.stage_bits(label.as_bytes(), start, len);
+                    e.stage_part(label.as_bytes(), start, len);
                     let lp = LEN_BITS as usize + len;
                     let id = e.intern_eq(proto, mark, lp, rounds_hint, &mut store.tally);
                     self.part_ids.push(id);
@@ -1434,7 +1429,19 @@ mod tests {
     use super::*;
     use crate::engine;
     use crate::stats;
+    use rpls_bits::BitReader;
     use rpls_graph::{generators, NodeId};
+
+    /// A replicated label parsed into `(κ, parts)`, each part copied out;
+    /// `None` where the compiled verifier rejects the layout.
+    fn parse_replicated(label: &BitString) -> Option<(usize, Vec<BitString>)> {
+        let mut ranges = Vec::new();
+        let (kappa, whole) = scan_replicated(label, &mut ranges)?;
+        let mut bytes = Vec::new();
+        let strings = stage_parts(label, &ranges, &mut bytes);
+        let copy = |&s| prep::part_of(s).to_bitstring();
+        whole.then(|| (kappa, strings.iter().map(copy).collect()))
+    }
 
     /// The intro's spanning-tree-style toy: every node's label must equal
     /// its id written in 64 bits, and neighbors must carry ids that are
@@ -1458,7 +1465,7 @@ mod tests {
                 .collect()
         }
         fn verify(&self, view: &DetView<'_>) -> bool {
-            let mut r = BitReader::new(view.label);
+            let mut r = BitReader::from_slice(view.label);
             let Ok(claimed) = r.read_u64(64) else {
                 return false;
             };
@@ -1466,7 +1473,7 @@ mod tests {
                 && view
                     .neighbor_labels
                     .iter()
-                    .all(|l| BitReader::new(l).read_u64(64).is_ok())
+                    .all(|&l| BitReader::from_slice(l).read_u64(64).is_ok())
         }
     }
 
@@ -1944,6 +1951,112 @@ mod tests {
         // λ = 96: t = 16 slices are 6 bits, p ∈ (18, 36) → ≤ 12-bit
         // messages vs 20 at t = 1.
         assert!(last < 16, "per-round bits must shrink: {last}");
+    }
+
+    /// Inner label lengths around every byte and word boundary.
+    const PART_LENS: [usize; 8] = [0, 1, 7, 8, 9, 31, 33, 64];
+
+    /// An inner scheme that accepts everything and records, per node, the
+    /// labels its verifier was shown: its own, then its neighbors' by port.
+    #[derive(Default)]
+    struct Recording {
+        seen: RefCell<std::collections::BTreeMap<usize, Vec<BitString>>>,
+    }
+
+    impl Recording {
+        /// The views recorded since the last call, in node order.
+        fn take(&self) -> Vec<Vec<BitString>> {
+            std::mem::take(&mut *self.seen.borrow_mut())
+                .into_values()
+                .collect()
+        }
+    }
+
+    impl Pls for Recording {
+        fn name(&self) -> String {
+            "recording".into()
+        }
+        fn label(&self, config: &Configuration) -> Labeling {
+            config
+                .graph()
+                .nodes()
+                .map(|v| {
+                    let len = PART_LENS[v.index() % PART_LENS.len()];
+                    BitString::from_bools((0..len).map(|i| (v.index() + i) % 3 == 0))
+                })
+                .collect()
+        }
+        fn verify(&self, view: &DetView<'_>) -> bool {
+            let shown: Vec<BitString> = std::iter::once(view.label)
+                .chain(view.neighbor_labels.iter().copied())
+                .map(|l| l.to_bitstring())
+                .collect();
+            let node = view.local.node.index();
+            let before = self.seen.borrow_mut().insert(node, shown.clone());
+            assert!(before.is_none_or(|b| b == shown), "node {node}: two views");
+            true
+        }
+    }
+
+    #[test]
+    fn inner_verifier_reads_the_same_parts_on_every_path() {
+        // K₈ under inner labels of every length in PART_LENS: each
+        // replicated label holds parts of all eight lengths, at assorted
+        // bit offsets.
+        let config = Configuration::plain(generators::complete(PART_LENS.len()));
+        let scheme = CompiledRpls::new(Recording::default());
+        let inner = scheme.inner().label(&config);
+        let labeling = Rpls::label(&scheme, &config);
+        let g = config.graph();
+        let original: Vec<Vec<BitString>> = g
+            .nodes()
+            .map(|v| {
+                std::iter::once(v)
+                    .chain(g.neighbors(v).map(|nb| nb.node))
+                    .map(|u| inner.get(u).clone())
+                    .collect()
+            })
+            .collect();
+        let rec = engine::run_randomized(&scheme, &config, &labeling, 3);
+        assert!(rec.outcome.accepted());
+        assert_eq!(scheme.inner().take(), original, "unprepared");
+
+        let mut cache = PrepCache::new();
+        let mut scratch = RoundScratch::new();
+        let mut run = |prepared: &dyn PreparedRpls| {
+            let report = engine::run_prepared(&RunSpec::trial(3), prepared, &config, &mut scratch);
+            assert!(report.accepted);
+            scheme.inner().take()
+        };
+        for pass in ["fresh", "warm"] {
+            let prepared = scheme.prepare_cached(&config, &labeling, 1, &mut cache);
+            assert_eq!(run(&*prepared), original, "{pass} cache");
+            assert_eq!(cache.recount_bytes(), cache.retained_key_bits() / 8);
+        }
+        assert_eq!(cache.shared_labels(), PART_LENS.len());
+
+        // An instance kept alive across a turnover reads its parts from
+        // the epoch it pins. The flood: 16-Mbit labels, distinct per
+        // round, on another configuration and scheme.
+        let kept = scheme.prepare_cached(&config, &labeling, 1, &mut cache);
+        let flood_config = Configuration::plain(generators::cycle(3));
+        let flood_scheme = CompiledRpls::new(IdLabel);
+        let big = 1usize << 24;
+        for round in 0u64.. {
+            if cache.epochs() > 0 {
+                break;
+            }
+            assert!(round < 8, "the flood must turn the cache over");
+            let mut w = BitWriter::new();
+            for i in 0..big / 64 {
+                w.write_u64(round ^ i as u64, 64);
+            }
+            let junk = w.finish();
+            let flood: Labeling = (0..3).map(|_| encode_replicated(big, &[&junk])).collect();
+            flood_scheme.prepare_cached(&flood_config, &flood, 1, &mut cache);
+        }
+        assert_eq!(run(&*kept), original, "across a turnover");
+        assert_eq!(cache.recount_bytes(), cache.retained_key_bits() / 8);
     }
 
     #[test]

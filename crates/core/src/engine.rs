@@ -48,7 +48,7 @@ use crate::labeling::Labeling;
 use crate::rng::PortRng;
 use crate::scheme::{DetView, LocalContext, Pls, PreparedRpls, Rpls, Unprepared};
 use crate::state::Configuration;
-use rpls_bits::BitString;
+use rpls_bits::{BitSlice, BitString};
 use rpls_graph::{NodeId, Port};
 
 pub use crate::rng::mix_seed;
@@ -197,15 +197,15 @@ pub enum MessagePattern {
     /// One distinct message per port at half the wire cost for compiled
     /// fingerprint schemes (the random point rides the public round seed).
     Unicast,
-    /// Exactly `k` distinct messages per node per round (clamped to
-    /// `1..=degree`); port `p` carries slot `p mod k`.
-    KMessages(usize),
+    /// `k` distinct messages per node per round, or one per port at nodes
+    /// of degree below `k`; port `p` carries slot `p mod k`.
+    KMessages(std::num::NonZeroUsize),
 }
 
 impl MessagePattern {
     /// The number of distinct message slots a node of `degree` fills under
     /// this pattern: `degree` for per-port and unicast, 1 for broadcast,
-    /// `k.clamp(1, degree)` for k-messages. A degree-0 node fills no slot
+    /// `min(k, degree)` for k-messages. A degree-0 node fills no slot
     /// under any pattern.
     #[must_use]
     pub fn slots(self, degree: usize) -> usize {
@@ -215,7 +215,7 @@ impl MessagePattern {
         match self {
             Self::PerPort | Self::Unicast => degree,
             Self::Broadcast => 1,
-            Self::KMessages(k) => k.clamp(1, degree),
+            Self::KMessages(k) => k.get().min(degree),
         }
     }
 
@@ -577,15 +577,15 @@ pub fn run_deterministic<S: Pls + ?Sized>(
         "one label per node required"
     );
     let g = config.graph();
-    let mut neighbor_labels: Vec<&BitString> = Vec::new();
+    let mut neighbor_labels: Vec<BitSlice<'_>> = Vec::new();
     let votes = g
         .nodes()
         .map(|v| {
             neighbor_labels.clear();
-            neighbor_labels.extend(g.neighbors(v).map(|nb| labeling.get(nb.node)));
+            neighbor_labels.extend(g.neighbors(v).map(|nb| labeling.get(nb.node).as_slice()));
             let view = DetView {
                 local: local_context(config, v),
-                label: labeling.get(v),
+                label: labeling.get(v).as_slice(),
                 neighbor_labels: std::mem::take(&mut neighbor_labels),
             };
             let vote = scheme.verify(&view);

@@ -193,6 +193,7 @@ mod tests {
     use rand::Rng;
     use rpls_bits::BitString;
     use rpls_graph::{generators, Port};
+    use std::num::NonZeroUsize;
 
     /// Labels of size n (unary!), certificates of size ⌈log n⌉.
     struct UnaryVsBinary;
@@ -344,7 +345,7 @@ mod tests {
             (MessagePattern::PerPort, 2),
             (MessagePattern::Broadcast, 1),
             (MessagePattern::Unicast, 2),
-            (MessagePattern::KMessages(2), 2),
+            (MessagePattern::KMessages(NonZeroUsize::new(2).unwrap()), 2),
         ] {
             let one = triple(pattern, 1);
             assert_eq!(
@@ -383,7 +384,12 @@ mod tests {
             (MessagePattern::PerPort, 2, 14, 12),
             (MessagePattern::Broadcast, 1, 14, 12),
             (MessagePattern::Unicast, 2, 7, 6),
-            (MessagePattern::KMessages(2), 2, 14, 12),
+            (
+                MessagePattern::KMessages(NonZeroUsize::new(2).unwrap()),
+                2,
+                14,
+                12,
+            ),
         ] {
             let one = triple(pattern, 1);
             assert_eq!(

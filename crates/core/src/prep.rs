@@ -35,10 +35,9 @@
 //! label and fingerprint records in two vectors indexed by `u32`, and one
 //! open-addressing index of `u32` ids serving both layers. A prepared
 //! instance refers to cached state by `(epoch, id)` and pins the epochs it
-//! refers to through `Rc`. The one exception to "strings live in the
-//! arena" is the inner verifier, which reads labels as `&BitString`: a
-//! part it reads is copied out of the arena on first use and kept with
-//! its fingerprint record for the rest of the epoch.
+//! refers to through `Rc`. The inner verifier reads each part in place,
+//! as the tail of its fingerprinted string, so every byte an epoch holds
+//! is one the budget charges.
 //!
 //! Memory is bounded by two per-epoch budgets: an aggregate cap on
 //! evaluation-table slots ([`PrepCache::TABLE_SLOT_BUDGET`], 64 MiB of
@@ -46,8 +45,7 @@
 //! arena bytes, records and index slots). A miss that would overflow the
 //! size cap **turns the epoch over** first — the cache swaps in an empty
 //! epoch and drops its handle on the old one, which is freed once no
-//! prepared instance pins it: a few large frees, plus one small one per
-//! part copied out for the inner verifier. A sweep of any length
+//! prepared instance pins it: a few large frees. A sweep of any length
 //! thus keeps amortising against its recent candidates while the cache's
 //! live memory stays bounded by one epoch (plus whatever outstanding
 //! prepared instances pin). A label's preparation is sized before it
@@ -58,7 +56,7 @@
 
 use rpls_bits::{BitSlice, BitString};
 use rpls_fingerprint::{EqEvaluator, EqProtocol, PreparedEq};
-use std::cell::{OnceCell, RefCell};
+use std::cell::RefCell;
 use std::hash::Hasher;
 use std::mem::size_of;
 use std::rc::Rc;
@@ -163,16 +161,12 @@ pub(crate) struct LabelRecord {
     pub(crate) arity: u32,
 }
 
-/// One prepared fingerprint: the fingerprinted string, its prepared
-/// equality input, and — once an inner verifier has asked for it — the
-/// parsed part the string length-prefixes, copied out of the arena.
+/// One prepared fingerprint: the fingerprinted string and its prepared
+/// equality input. When the string length-prefixes a parsed part, the
+/// inner verifier reads that part in place (see [`Epoch::part`]).
 struct EqRecord {
     coeffs: Span,
     prep: PreparedEq,
-    /// The inner verifier reads labels as `&BitString`, so a part it reads
-    /// is copied out once per epoch, on first use. The copy is not charged
-    /// to the budget; it is never larger than the record's string.
-    part: OnceCell<BitString>,
 }
 
 /// The smallest charge any retained entry adds to its epoch: its record,
@@ -270,6 +264,21 @@ pub(crate) fn append_bits(dst: &mut Vec<u8>, src: &[u8], start: usize, len: usiz
         let last = dst.last_mut().expect("a non-empty string was appended");
         *last &= 0xFFu8 << (8 - len % 8);
     }
+}
+
+/// Appends the fingerprinted form of the part at bits `[start, start +
+/// len)` of `src` to `dst`: its 32-bit big-endian length, then the part
+/// from a fresh byte (see [`append_bits`]), which [`part_of`] reads back.
+pub(crate) fn append_length_prefixed(dst: &mut Vec<u8>, src: &[u8], start: usize, len: usize) {
+    let prefix = u32::try_from(len).expect("part lengths are bounded by κ");
+    dst.extend_from_slice(&prefix.to_be_bytes());
+    append_bits(dst, src, start, len);
+}
+
+/// The part a fingerprinted string (see [`append_length_prefixed`])
+/// holds, borrowed in place: the bits past its 4-byte prefix.
+pub(crate) fn part_of(string: BitSlice<'_>) -> BitSlice<'_> {
+    string.skip_bytes(4).expect("a 32-bit length prefix")
 }
 
 /// A shared handle on one epoch of a [`PrepCache`].
@@ -433,15 +442,10 @@ impl Epoch {
         rec.prep.evaluator(self.span(rec.coeffs))
     }
 
-    /// The parsed part fingerprint `id` length-prefixes, for the inner
-    /// verifier (copied out on first use). A part is its fingerprinted
-    /// string past the 32-bit length prefix, so it starts on a byte
-    /// boundary.
-    pub(crate) fn part(&self, id: u32) -> &BitString {
-        self.eqs[id as usize].part.get_or_init(|| {
-            let lp = self.coeffs(id);
-            BitString::from_bytes(&lp.as_bytes()[4..], lp.len() - 32)
-        })
+    /// The parsed part fingerprint `id` length-prefixes, read in place
+    /// for the inner verifier.
+    pub(crate) fn part(&self, id: u32) -> BitSlice<'_> {
+        part_of(self.coeffs(id))
     }
 
     /// The id of the entry with hash `hash` that `matches`, or the empty
@@ -510,10 +514,11 @@ impl Epoch {
         append_bits(&mut self.bits, src, start, len);
     }
 
-    /// Appends a 32-bit big-endian length prefix to the arena, the head of
-    /// a fingerprinted string.
-    pub(crate) fn stage_len(&mut self, len: u32) {
-        self.bits.extend_from_slice(&len.to_be_bytes());
+    /// Appends the fingerprinted form of a part to the arena (see
+    /// [`append_length_prefixed`]) — the staging step of
+    /// [`Epoch::intern_eq`] for a part.
+    pub(crate) fn stage_part(&mut self, src: &[u8], start: usize, len: usize) {
+        append_length_prefixed(&mut self.bits, src, start, len);
     }
 
     /// The arena's current end, where the next staged string starts.
@@ -575,7 +580,6 @@ impl Epoch {
                 len: epoch_u32(len),
             },
             prep,
-            part: OnceCell::new(),
         });
         self.file(hash, id);
         id

@@ -11,7 +11,7 @@ use crate::buffer::Received;
 use crate::labeling::Labeling;
 use crate::state::{Configuration, State};
 use rand::Rng;
-use rpls_bits::BitString;
+use rpls_bits::{BitSlice, BitString};
 use rpls_graph::{NodeId, Port};
 
 /// A boolean predicate over configurations — the property `P` a scheme
@@ -66,15 +66,22 @@ impl LocalContext<'_> {
 
 /// The verifier input of a deterministic scheme at one node: local context,
 /// own label, neighbor labels by port.
+///
+/// Labels are [`BitSlice`]s borrowed wherever they live: the [`Labeling`],
+/// the round's certificate arena, or (under the Theorem 3.1 compiler,
+/// where neighbor labels are adversarial claimed copies) a replicated
+/// label. Decode one with
+/// [`BitReader::from_slice`](rpls_bits::BitReader::from_slice), treating
+/// every read as fallible.
 #[derive(Debug, Clone)]
 pub struct DetView<'a> {
     /// The node's local context.
     pub local: LocalContext<'a>,
     /// The label assigned to this node.
-    pub label: &'a BitString,
+    pub label: BitSlice<'a>,
     /// `neighbor_labels[p]` is the label of the neighbor reached through
     /// port rank `p`.
-    pub neighbor_labels: Vec<&'a BitString>,
+    pub neighbor_labels: Vec<BitSlice<'a>>,
 }
 
 /// A deterministic proof-labeling scheme: a prover assigning labels on legal
@@ -95,7 +102,9 @@ pub trait Pls {
     /// prover is only defined on yes-instances).
     fn label(&self, config: &Configuration) -> Labeling;
 
-    /// The verifier at one node.
+    /// The verifier at one node. Labels may be adversarial (see
+    /// [`DetView`] for decoding them): a malformed one rejects, never
+    /// panics.
     fn verify(&self, view: &DetView<'_>) -> bool;
 }
 
@@ -395,6 +404,21 @@ impl<S: Pls> ExchangeLabels<S> {
     pub fn inner(&self) -> &S {
         &self.inner
     }
+
+    /// The inner verifier on a node's own label and its neighbors'
+    /// certificates, read in place.
+    fn verdict<'a>(
+        &self,
+        local: LocalContext<'a>,
+        label: &'a BitString,
+        certificates: impl Iterator<Item = BitSlice<'a>>,
+    ) -> bool {
+        self.inner.verify(&DetView {
+            local,
+            label: label.as_slice(),
+            neighbor_labels: certificates.collect(),
+        })
+    }
 }
 
 impl<S: Pls> Rpls for ExchangeLabels<S> {
@@ -426,17 +450,7 @@ impl<S: Pls> Rpls for ExchangeLabels<S> {
     }
 
     fn verify(&self, view: &RandView<'_>) -> bool {
-        // The inner deterministic verifier expects owned neighbor labels;
-        // materialise the received certificates (this wrapper is the κ-bit
-        // baseline the compiled schemes are measured against, so the copy
-        // is part of the cost being modelled).
-        let owned: Vec<BitString> = view.received.iter().map(|c| c.to_bitstring()).collect();
-        let det = DetView {
-            local: view.local.clone(),
-            label: view.label,
-            neighbor_labels: owned.iter().collect(),
-        };
-        self.inner.verify(&det)
+        self.verdict(view.local.clone(), view.label, view.received.iter())
     }
 
     fn prepare<'a>(
@@ -454,22 +468,14 @@ impl<S: Pls> Rpls for ExchangeLabels<S> {
         // so when the delivered certificates are the neighbor labels —
         // always the case for rounds this prepared instance certifies —
         // the verdict is a pure function of the labeling: compute it once
-        // instead of materialising owned neighbor-label copies every
-        // round.
-        let votes: Vec<bool> = config
-            .graph()
+        // instead of re-running the inner verifier every round.
+        let g = config.graph();
+        let votes: Vec<bool> = g
             .nodes()
             .map(|v| {
-                let det = DetView {
-                    local: crate::engine::local_context(config, v),
-                    label: labeling.get(v),
-                    neighbor_labels: config
-                        .graph()
-                        .neighbors(v)
-                        .map(|nb| labeling.get(nb.node))
-                        .collect(),
-                };
-                self.inner.verify(&det)
+                let local = crate::engine::local_context(config, v);
+                let neighbors = g.neighbors(v).map(|nb| labeling.get(nb.node).as_slice());
+                self.verdict(local, labeling.get(v), neighbors)
             })
             .collect();
         Box::new(PreparedExchange {
@@ -511,13 +517,9 @@ impl<S: Pls> PreparedRpls for PreparedExchange<'_, S> {
         if delivered_matches_labeling {
             return self.votes[node.index()];
         }
-        let owned: Vec<BitString> = received.iter().map(|c| c.to_bitstring()).collect();
-        let det = DetView {
-            local: crate::engine::local_context(self.config, node),
-            label: self.labeling.get(node),
-            neighbor_labels: owned.iter().collect(),
-        };
-        self.scheme.inner.verify(&det)
+        let local = crate::engine::local_context(self.config, node);
+        self.scheme
+            .verdict(local, self.labeling.get(node), received.iter())
     }
 }
 

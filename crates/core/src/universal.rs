@@ -24,7 +24,7 @@ use crate::compiler::CompiledRpls;
 use crate::labeling::Labeling;
 use crate::scheme::{DetView, Pls, Predicate};
 use crate::state::{Configuration, State};
-use rpls_bits::{bits_for, id_width, BitReader, BitString, BitWriter};
+use rpls_bits::{bits_for, id_width, BitReader, BitSlice, BitString, BitWriter};
 use rpls_graph::{Graph, GraphBuilder, NodeId, Port};
 
 /// Fixed width of the node-count field.
@@ -145,8 +145,8 @@ pub fn encode_configuration(config: &Configuration) -> BitString {
 /// Decodes a configuration. Returns `None` on any malformed input —
 /// adversarial labels must never panic the verifier.
 #[must_use]
-pub fn decode_configuration(bits: &BitString) -> Option<Configuration> {
-    let mut r = BitReader::new(bits);
+pub fn decode_configuration(bits: BitSlice<'_>) -> Option<Configuration> {
+    let mut r = BitReader::from_slice(bits);
     let matrix = r.read_bool().ok()?;
     let n = r.read_u64(N_BITS).ok()? as usize;
     if n == 0 || n > 1 << 24 {
@@ -313,12 +313,10 @@ impl<P: Predicate> UniversalPls<P> {
     }
 }
 
-/// Splits a universal label into `(id, R)`.
-fn parse_universal_label(label: &BitString) -> Option<(u64, BitString)> {
-    let mut r = BitReader::new(label);
-    let id = r.read_u64(64).ok()?;
-    let rest = r.read_bits(r.remaining()).ok()?;
-    Some((id, rest))
+/// Splits a universal label into `(id, R)`; `R` is read in place from
+/// byte 8 on.
+fn parse_universal_label(label: BitSlice<'_>) -> Option<(u64, BitSlice<'_>)> {
+    Some((label.leading_u64(), label.skip_bytes(8)?))
 }
 
 impl<P: Predicate> Pls for UniversalPls<P> {
@@ -349,7 +347,7 @@ impl<P: Predicate> Pls for UniversalPls<P> {
         }
         // (a) All neighbors hold the same representation.
         let mut neighbor_ids = Vec::with_capacity(view.neighbor_labels.len());
-        for l in &view.neighbor_labels {
+        for &l in &view.neighbor_labels {
             let Some((nid, nrepr)) = parse_universal_label(l) else {
                 return false;
             };
@@ -359,7 +357,7 @@ impl<P: Predicate> Pls for UniversalPls<P> {
             neighbor_ids.push(nid);
         }
         // (b) Our row of R matches our actual local view.
-        let Some(decoded) = decode_configuration(&repr) else {
+        let Some(decoded) = decode_configuration(repr) else {
             return false;
         };
         let Some(me) = decoded.node_with_id(own_id) else {
@@ -444,7 +442,7 @@ mod tests {
         ] {
             let c = Configuration::plain(g);
             let enc = encode_configuration(&c);
-            let dec = decode_configuration(&enc).expect("decodes");
+            let dec = decode_configuration(enc.as_slice()).expect("decodes");
             assert_eq!(dec.node_count(), c.node_count());
             assert_eq!(dec.graph().sorted_edge_list(), c.graph().sorted_edge_list());
             for v in c.graph().nodes() {
@@ -458,7 +456,7 @@ mod tests {
         let g = generators::cycle(5).with_weights(&[9, 1, 7, 3, 5]);
         let c = Configuration::plain(g);
         let enc = encode_configuration(&c);
-        let dec = decode_configuration(&enc).expect("decodes");
+        let dec = decode_configuration(enc.as_slice()).expect("decodes");
         // Weighted graphs use the list encoding: port-exact.
         for v in c.graph().nodes() {
             for nb in c.graph().neighbors(v) {
@@ -550,7 +548,7 @@ mod tests {
     fn decode_rejects_truncated_and_asymmetric_input() {
         let c = Configuration::plain(generators::cycle(4));
         let enc = encode_configuration(&c);
-        assert!(decode_configuration(&enc.truncated(enc.len() - 3)).is_none());
-        assert!(decode_configuration(&BitString::zeros(10)).is_none());
+        assert!(decode_configuration(enc.truncated(enc.len() - 3).as_slice()).is_none());
+        assert!(decode_configuration(BitString::zeros(10).as_slice()).is_none());
     }
 }

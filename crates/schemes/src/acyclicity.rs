@@ -14,7 +14,7 @@
 //! ±1, so a maximum-distance node of the cycle sees two neighbors at
 //! `d − 1` and rejects.
 
-use rpls_bits::{BitReader, BitString, BitWriter};
+use rpls_bits::{BitReader, BitSlice, BitString, BitWriter};
 use rpls_core::{Configuration, DetView, Labeling, Pls, Predicate};
 use rpls_graph::{cycles, traversal};
 
@@ -62,8 +62,8 @@ fn encode_label(root_id: u64, dist: u64) -> BitString {
     w.finish()
 }
 
-fn decode_label(bits: &BitString) -> Option<(u64, u64)> {
-    let mut r = BitReader::new(bits);
+fn decode_label(bits: BitSlice<'_>) -> Option<(u64, u64)> {
+    let mut r = BitReader::from_slice(bits);
     let root_id = r.read_u64(ID_BITS).ok()?;
     let dist = r.read_u64(DIST_BITS).ok()?;
     r.is_exhausted().then_some((root_id, dist))
@@ -96,7 +96,7 @@ impl Pls for AcyclicityPls {
             return false;
         };
         let mut below = 0usize;
-        for l in &view.neighbor_labels {
+        for &l in &view.neighbor_labels {
             let Some((rid, d)) = decode_label(l) else {
                 return false;
             };
@@ -198,7 +198,7 @@ mod tests {
     fn disagreeing_root_ids_rejected() {
         let c = Configuration::plain(generators::path(4));
         let mut labeling = AcyclicityPls.label(&c);
-        let (_, d) = decode_label(labeling.get(NodeId::new(2))).unwrap();
+        let (_, d) = decode_label(labeling.get(NodeId::new(2)).as_slice()).unwrap();
         labeling.set(NodeId::new(2), encode_label(42, d));
         assert!(!engine::run_deterministic(&AcyclicityPls, &c, &labeling).accepted());
     }

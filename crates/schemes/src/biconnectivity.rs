@@ -19,7 +19,7 @@
 //! non-root `v` — is exactly the absence of articulation points.
 //! Verification complexity Θ(log n); compiled: Θ(log log n).
 
-use rpls_bits::{bits_for, BitReader, BitString, BitWriter};
+use rpls_bits::{bits_for, BitReader, BitSlice, BitString, BitWriter};
 use rpls_core::{Configuration, DetView, Labeling, Pls, Predicate};
 use rpls_graph::{connectivity, traversal};
 
@@ -73,8 +73,8 @@ impl BcLabel {
         wtr.finish()
     }
 
-    fn decode(bits: &BitString) -> Option<Self> {
-        let mut r = BitReader::new(bits);
+    fn decode(bits: BitSlice<'_>) -> Option<Self> {
+        let mut r = BitReader::from_slice(bits);
         let w_id = u32::try_from(r.read_u64(WIDTH_BITS).ok()?).ok()?;
         let w = u32::try_from(r.read_u64(WIDTH_BITS).ok()?).ok()?;
         if w_id == 0 || w_id > 64 || w == 0 || w > 63 {
@@ -164,7 +164,7 @@ impl Pls for BiconnectivityPls {
             return false;
         };
         let mut nbs = Vec::with_capacity(view.neighbor_labels.len());
-        for l in &view.neighbor_labels {
+        for &l in &view.neighbor_labels {
             let Some(nl) = BcLabel::decode(l) else {
                 return false;
             };
@@ -340,7 +340,7 @@ mod tests {
     fn tampered_lowpt_rejected() {
         let c = Configuration::plain(generators::cycle(6));
         let mut labeling = BiconnectivityPls.label(&c);
-        let mut lbl = BcLabel::decode(labeling.get(rpls_graph::NodeId::new(3))).unwrap();
+        let mut lbl = BcLabel::decode(labeling.get(rpls_graph::NodeId::new(3)).as_slice()).unwrap();
         lbl.lowpt = lbl.lowpt.saturating_add(1);
         labeling.set(rpls_graph::NodeId::new(3), lbl.encode());
         assert!(!engine::run_deterministic(&BiconnectivityPls, &c, &labeling).accepted());
@@ -380,7 +380,7 @@ mod tests {
             span_hi: 12,
             lowpt: 1,
         };
-        assert_eq!(BcLabel::decode(&l.encode()), Some(l));
-        assert_eq!(BcLabel::decode(&BitString::zeros(4)), None);
+        assert_eq!(BcLabel::decode(l.encode().as_slice()), Some(l));
+        assert_eq!(BcLabel::decode(BitString::zeros(4).as_slice()), None);
     }
 }

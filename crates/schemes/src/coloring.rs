@@ -6,15 +6,15 @@
 //! (Θ(log C) bits for C colors) and each node checks that its label equals
 //! its color and differs from every neighbor's.
 
-use rpls_bits::{BitReader, BitString, BitWriter};
+use rpls_bits::{BitReader, BitSlice, BitString, BitWriter};
 use rpls_core::{Configuration, DetView, Labeling, Pls, Predicate};
 
 const COLOR_BITS: u32 = 32;
 
 /// Reads the color payload of a node.
 #[must_use]
-pub fn decode_color(bits: &BitString) -> Option<u64> {
-    let mut r = BitReader::new(bits);
+pub fn decode_color(bits: BitSlice<'_>) -> Option<u64> {
+    let mut r = BitReader::from_slice(bits);
     let c = r.read_u64(COLOR_BITS).ok()?;
     r.is_exhausted().then_some(c)
 }
@@ -68,8 +68,8 @@ impl Predicate for ProperColoringPredicate {
 
     fn holds(&self, config: &Configuration) -> bool {
         config.graph().edges().all(|(_, rec)| {
-            let cu = decode_color(config.state(rec.u).payload());
-            let cv = decode_color(config.state(rec.v).payload());
+            let cu = decode_color(config.state(rec.u).payload().as_slice());
+            let cv = decode_color(config.state(rec.v).payload().as_slice());
             matches!((cu, cv), (Some(a), Some(b)) if a != b)
         })
     }
@@ -106,12 +106,12 @@ impl Pls for ColoringPls {
         let Some(own) = decode_color(view.label) else {
             return false;
         };
-        if Some(own) != decode_color(view.local.state.payload()) {
+        if Some(own) != decode_color(view.local.state.payload().as_slice()) {
             return false;
         }
         view.neighbor_labels
             .iter()
-            .all(|l| matches!(decode_color(l), Some(c) if c != own))
+            .all(|l| matches!(decode_color(*l), Some(c) if c != own))
     }
 }
 
@@ -146,7 +146,7 @@ mod tests {
     fn monochrome_edge_detected() {
         let mut c = greedy_coloring_config(&Configuration::plain(generators::cycle(5)));
         // Make nodes 1 and 2 share a color.
-        let color = decode_color(c.state(NodeId::new(1)).payload()).unwrap();
+        let color = decode_color(c.state(NodeId::new(1)).payload().as_slice()).unwrap();
         c.state_mut(NodeId::new(2)).set_payload(encode_color(color));
         assert!(!ProperColoringPredicate.holds(&c));
         // No labeling fools the verifier: labels are pinned to payloads.

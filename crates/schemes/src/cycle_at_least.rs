@@ -18,7 +18,7 @@
 //! has chords — e.g. the wheel of Figure 2, where `v0` has many
 //! distance-0 neighbors.
 
-use rpls_bits::{BitReader, BitString, BitWriter};
+use rpls_bits::{BitReader, BitSlice, BitString, BitWriter};
 use rpls_core::{Configuration, DetView, Labeling, Pls, Predicate};
 use rpls_graph::{cycles, NodeId};
 
@@ -75,8 +75,8 @@ fn encode_label(dist: u64, index: u64) -> BitString {
     w.finish()
 }
 
-fn decode_label(bits: &BitString) -> Option<(u64, u64)> {
-    let mut r = BitReader::new(bits);
+fn decode_label(bits: BitSlice<'_>) -> Option<(u64, u64)> {
+    let mut r = BitReader::from_slice(bits);
     let dist = r.read_u64(FIELD_BITS).ok()?;
     let index = r.read_u64(FIELD_BITS).ok()?;
     r.is_exhausted().then_some((dist, index))
@@ -170,7 +170,7 @@ impl Pls for CycleAtLeastPls {
             return false;
         };
         let mut parsed = Vec::with_capacity(view.neighbor_labels.len());
-        for l in &view.neighbor_labels {
+        for &l in &view.neighbor_labels {
             let Some(p) = decode_label(l) else {
                 return false;
             };

@@ -13,7 +13,7 @@
 //! Compiling the scheme (Theorem 3.1) yields the `O(log k + log log n)`
 //! certificates the paper notes at the end of §5.2.
 
-use rpls_bits::{BitReader, BitString, BitWriter};
+use rpls_bits::{BitReader, BitSlice, BitString, BitWriter};
 use rpls_core::{Configuration, DetView, Labeling, Pls, Predicate};
 use rpls_graph::{flow as graph_flow, NodeId};
 
@@ -92,8 +92,8 @@ impl FlowLabel {
         w.finish()
     }
 
-    fn decode(bits: &BitString) -> Option<Self> {
-        let mut r = BitReader::new(bits);
+    fn decode(bits: BitSlice<'_>) -> Option<Self> {
+        let mut r = BitReader::from_slice(bits);
         let id = r.read_u64(ID_BITS).ok()?;
         let k = r.read_u64(K_BITS).ok()?;
         let on_source_side = r.read_bool().ok()?;
@@ -207,7 +207,7 @@ impl Pls for FlowPls {
             return false;
         }
         let mut neighbors = Vec::with_capacity(view.neighbor_labels.len());
-        for l in &view.neighbor_labels {
+        for &l in &view.neighbor_labels {
             let Some(nl) = FlowLabel::decode(l) else {
                 return false;
             };
@@ -361,7 +361,7 @@ mod tests {
         let c = Configuration::plain(generators::cycle(6));
         let scheme = FlowPls::new(FlowPredicate::new(0, 3, 2));
         let mut labeling = scheme.label(&c);
-        let mut lbl = FlowLabel::decode(labeling.get(NodeId::new(1))).unwrap();
+        let mut lbl = FlowLabel::decode(labeling.get(NodeId::new(1)).as_slice()).unwrap();
         if let Some(e) = lbl.entries.first_mut() {
             e.path = 1 - e.path;
         }
@@ -403,7 +403,7 @@ mod tests {
                 outgoing: false,
             }],
         };
-        assert_eq!(FlowLabel::decode(&l.encode()), Some(l));
-        assert!(FlowLabel::decode(&BitString::zeros(3)).is_none());
+        assert_eq!(FlowLabel::decode(l.encode().as_slice()), Some(l));
+        assert!(FlowLabel::decode(BitString::zeros(3).as_slice()).is_none());
     }
 }

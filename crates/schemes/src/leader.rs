@@ -6,7 +6,7 @@
 //! the descending-distance chains make it existent; the flag is pinned to
 //! `dist = 0`. Θ(log n) deterministic, Θ(log log n) compiled.
 
-use rpls_bits::{BitReader, BitString, BitWriter};
+use rpls_bits::{BitReader, BitSlice, BitString, BitWriter};
 use rpls_core::{Configuration, DetView, Labeling, Pls, Predicate};
 use rpls_graph::traversal;
 
@@ -85,8 +85,8 @@ fn encode_label(leader_id: u64, dist: u64) -> BitString {
     w.finish()
 }
 
-fn decode_label(bits: &BitString) -> Option<(u64, u64)> {
-    let mut r = BitReader::new(bits);
+fn decode_label(bits: BitSlice<'_>) -> Option<(u64, u64)> {
+    let mut r = BitReader::from_slice(bits);
     let id = r.read_u64(ID_BITS).ok()?;
     let d = r.read_u64(DIST_BITS).ok()?;
     r.is_exhausted().then_some((id, d))
@@ -128,7 +128,7 @@ impl Pls for LeaderPls {
             return false;
         }
         let mut closer = false;
-        for l in &view.neighbor_labels {
+        for &l in &view.neighbor_labels {
             let Some((lid, d)) = decode_label(l) else {
                 return false;
             };

@@ -31,7 +31,7 @@
 //! certify a non-MST.
 
 use crate::spanning_tree::{decode_pointer, encode_pointer, SpanningTreePredicate};
-use rpls_bits::{bits_for, BitReader, BitString, BitWriter};
+use rpls_bits::{bits_for, BitReader, BitSlice, BitString, BitWriter};
 use rpls_core::{Configuration, DetView, Labeling, Pls, Predicate};
 use rpls_graph::{mst as graph_mst, EdgeId, NodeId};
 
@@ -178,8 +178,8 @@ impl MstLabel {
         w.finish()
     }
 
-    fn decode(bits: &BitString) -> Option<Self> {
-        let mut r = BitReader::new(bits);
+    fn decode(bits: BitSlice<'_>) -> Option<Self> {
+        let mut r = BitReader::from_slice(bits);
         let w_id = u32::try_from(r.read_u64(WIDTH_BITS).ok()?).ok()?;
         let w_dist = u32::try_from(r.read_u64(WIDTH_BITS).ok()?).ok()?;
         let w_weight = u32::try_from(r.read_u64(WIDTH_BITS).ok()?).ok()?;
@@ -348,7 +348,7 @@ impl Pls for MstPls {
             return false;
         };
         let mut neighbors = Vec::with_capacity(view.neighbor_labels.len());
-        for l in &view.neighbor_labels {
+        for &l in &view.neighbor_labels {
             let Some(nl) = MstLabel::decode(l) else {
                 return false;
             };
@@ -681,9 +681,9 @@ mod tests {
                 },
             ],
         };
-        let decoded = MstLabel::decode(&label.encode()).unwrap();
+        let decoded = MstLabel::decode(label.encode().as_slice()).unwrap();
         assert_eq!(decoded, label);
-        assert!(MstLabel::decode(&BitString::zeros(5)).is_none());
+        assert!(MstLabel::decode(BitString::zeros(5).as_slice()).is_none());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `d(p(v)) = d(v) − 1`, and that the root has `d(r) = 0` — exactly the
 //! procedure described in §1 of the paper.
 
-use rpls_bits::{BitReader, BitString, BitWriter};
+use rpls_bits::{BitReader, BitSlice, BitString, BitWriter};
 use rpls_core::{Configuration, DetView, Labeling, Pls, Predicate};
 use rpls_graph::{traversal, NodeId, Port};
 
@@ -157,8 +157,8 @@ fn encode_label(root_id: u64, dist: u64) -> BitString {
     w.finish()
 }
 
-fn decode_label(bits: &BitString) -> Option<(u64, u64)> {
-    let mut r = BitReader::new(bits);
+fn decode_label(bits: BitSlice<'_>) -> Option<(u64, u64)> {
+    let mut r = BitReader::from_slice(bits);
     let root_id = r.read_u64(ID_BITS).ok()?;
     let dist = r.read_u64(DIST_BITS).ok()?;
     r.is_exhausted().then_some((root_id, dist))
@@ -211,7 +211,7 @@ impl Pls for SpanningTreePls {
         // All neighbors must agree on the root identity, and carry parseable
         // labels.
         let mut neighbor_dists = Vec::with_capacity(view.neighbor_labels.len());
-        for l in &view.neighbor_labels {
+        for &l in &view.neighbor_labels {
             let Some((rid, d)) = decode_label(l) else {
                 return false;
             };
@@ -309,7 +309,7 @@ mod tests {
     fn wrong_distance_rejected() {
         let c = legal_config(8);
         let mut labeling = SpanningTreePls.label(&c);
-        let (rid, d) = decode_label(labeling.get(NodeId::new(3))).unwrap();
+        let (rid, d) = decode_label(labeling.get(NodeId::new(3)).as_slice()).unwrap();
         labeling.set(NodeId::new(3), encode_label(rid, d + 1));
         let out = engine::run_deterministic(&SpanningTreePls, &c, &labeling);
         assert!(!out.accepted());

@@ -63,7 +63,7 @@ impl Pls for UniformityPls {
         // My label must be my own payload, and all neighbors must carry the
         // same label. Transitivity over the connected graph forces global
         // uniformity.
-        view.label == view.local.state.payload()
+        view.label == *view.local.state.payload()
             && view.neighbor_labels.iter().all(|l| *l == view.label)
     }
 }

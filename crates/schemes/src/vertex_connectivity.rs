@@ -23,7 +23,7 @@
 //! Labels are `O(k log n)` bits; the compiled scheme (Theorem 3.1)
 //! certifies the same predicate with `O(log k + log log n)` bits.
 
-use rpls_bits::{BitReader, BitString, BitWriter};
+use rpls_bits::{BitReader, BitSlice, BitString, BitWriter};
 use rpls_core::{Configuration, DetView, Labeling, Pls, Predicate};
 use rpls_graph::flow as graph_flow;
 use rpls_graph::NodeId;
@@ -138,8 +138,8 @@ impl StLabel {
         w.finish()
     }
 
-    fn decode(bits: &BitString) -> Option<Self> {
-        let mut r = BitReader::new(bits);
+    fn decode(bits: BitSlice<'_>) -> Option<Self> {
+        let mut r = BitReader::from_slice(bits);
         let id = r.read_u64(ID_BITS).ok()?;
         let k = r.read_u64(K_BITS).ok()?;
         let side = Side::decode(r.read_u64(2).ok()?)?;
@@ -259,7 +259,7 @@ impl Pls for StConnectivityPls {
             return false;
         }
         let mut neighbors = Vec::with_capacity(view.neighbor_labels.len());
-        for l in &view.neighbor_labels {
+        for &l in &view.neighbor_labels {
             let Some(nl) = StLabel::decode(l) else {
                 return false;
             };
@@ -434,7 +434,7 @@ mod tests {
         let c = Configuration::plain(generators::grid(3, 3));
         let scheme = StConnectivityPls::new(StConnectivityPredicate::new(0, 8, 2));
         let mut labels = scheme.label(&c);
-        let mut lbl = StLabel::decode(labels.get(NodeId::new(4))).unwrap();
+        let mut lbl = StLabel::decode(labels.get(NodeId::new(4)).as_slice()).unwrap();
         lbl.cut_ids[0] = lbl.cut_ids[0].wrapping_add(1);
         labels.set(NodeId::new(4), lbl.encode());
         assert!(!engine::run_deterministic(&scheme, &c, &labels).accepted());
@@ -465,7 +465,7 @@ mod tests {
                 outgoing: true,
             }],
         };
-        assert_eq!(StLabel::decode(&l.encode()), Some(l));
-        assert!(StLabel::decode(&BitString::zeros(7)).is_none());
+        assert_eq!(StLabel::decode(l.encode().as_slice()), Some(l));
+        assert!(StLabel::decode(BitString::zeros(7).as_slice()).is_none());
     }
 }

@@ -36,6 +36,7 @@ use rpls_core::engine::{MessagePattern, RunSpec, SeedSource, StreamMode};
 use rpls_core::fault::{FaultPlan, FaultSpec, MAX_RETRY_BUDGET};
 use rpls_core::prep::CacheStats;
 use std::io::{self, Read, Write};
+use std::num::NonZeroUsize;
 
 /// Magic bytes opening every payload.
 pub const MAGIC: [u8; 4] = *b"RPLS";
@@ -267,7 +268,9 @@ impl JobRequest {
             MessagePattern::Unicast => out.push(2),
             MessagePattern::KMessages(k) => {
                 out.push(3);
-                put_u32(&mut out, k as u32);
+                // Every k at or above a node's degree is the same job, and
+                // no graph on the wire has 2³² nodes: saturate.
+                put_u32(&mut out, u32::try_from(k.get()).unwrap_or(u32::MAX));
             }
         }
         out.push(match self.stream_mode {
@@ -376,11 +379,8 @@ impl JobRequest {
             1 => MessagePattern::Broadcast,
             2 => MessagePattern::Unicast,
             3 => {
-                let k = c.u32()?;
-                if k == 0 {
-                    return Err(WireError::Invalid("k-messages k"));
-                }
-                MessagePattern::KMessages(k as usize)
+                let k = NonZeroUsize::new(c.u32()? as usize);
+                MessagePattern::KMessages(k.ok_or(WireError::Invalid("k-messages k"))?)
             }
             t => return Err(WireError::BadTag("pattern", t)),
         };

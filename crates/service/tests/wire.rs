@@ -5,11 +5,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use rpls_bits::BitString;
-use rpls_core::engine::{MessagePattern, SeedSource, StreamMode};
+use rpls_core::engine::{self, MessagePattern, SeedSource, StreamMode};
 use rpls_core::prep::CacheStats;
+use rpls_service::registry;
 use rpls_service::wire::{
     self, JobReply, JobRequest, JobResponse, ShedReason, WireEdge, WireFaults,
 };
+use std::num::NonZeroUsize;
 
 /// A randomized but well-formed request drawn from `seed`.
 fn random_request(seed: u64) -> JobRequest {
@@ -43,7 +45,7 @@ fn random_request(seed: u64) -> JobRequest {
         0 => MessagePattern::PerPort,
         1 => MessagePattern::Broadcast,
         2 => MessagePattern::Unicast,
-        _ => MessagePattern::KMessages(rng.random_range(1usize..5)),
+        _ => MessagePattern::KMessages(NonZeroUsize::new(rng.random_range(1usize..5)).unwrap()),
     };
     let milli = |rng: &mut StdRng| rng.random_range(0u64..=1000) as f64 / 1000.0;
     let faults = rng.random_bool(0.5).then(|| WireFaults {
@@ -265,5 +267,22 @@ fn retry_budget_is_capped() {
             JobRequest::decode(&req.encode()),
             Err(wire::WireError::Invalid("retry budget"))
         );
+    }
+}
+
+/// A `k` too wide for the wire's 32-bit field still crosses it as the same
+/// job: every `k` at or above a node's degree is, so the encoder saturates
+/// instead of truncating `k` to its low 32 bits.
+#[test]
+fn wide_k_messages_cross_the_wire_as_the_same_job() {
+    // A star: the hub has degree 5, so a truncated k = 3 or 0 would differ.
+    let star = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)];
+    let mut req = registry::request_skeleton("spanning-tree", 6, &star);
+    let job = registry::build(&req).expect("a runnable job");
+    let run = |r: &JobRequest| engine::run(&r.run_spec(), &*job.scheme, &job.config, &job.labeling);
+    for k in [(1usize << 32) + 3, 1 << 32, usize::MAX] {
+        req.pattern = MessagePattern::KMessages(NonZeroUsize::new(k).unwrap());
+        let decoded = JobRequest::decode(&req.encode()).expect("a wide k decodes");
+        assert_eq!(run(&decoded), run(&req), "k = {k}");
     }
 }

@@ -27,6 +27,7 @@ use rpls::core::stats::EstimateOpts;
 use rpls::core::{measure, stats, CompiledRpls, Configuration, Rpls};
 use rpls::graph::{generators, NodeId};
 use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
+use std::num::NonZeroUsize;
 
 fn main() {
     let n = 64;
@@ -55,7 +56,10 @@ fn main() {
         ("per-port", MessagePattern::PerPort),
         ("broadcast", MessagePattern::Broadcast),
         ("unicast", MessagePattern::Unicast),
-        ("2-messages", MessagePattern::KMessages(2)),
+        (
+            "2-messages",
+            MessagePattern::KMessages(NonZeroUsize::new(2).unwrap()),
+        ),
     ];
 
     println!(

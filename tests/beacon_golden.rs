@@ -17,6 +17,7 @@ use rpls::schemes::leader::{leader_config, LeaderPls};
 use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
 use rpls::schemes::uniformity::{uniform_config, UniformityPls};
 use rpls_core::CompiledRpls;
+use std::num::NonZeroUsize;
 
 /// The reference beacon pulse all pinned digests below are derived from.
 const ROUND_ID: u64 = 271_828;
@@ -94,7 +95,7 @@ const PATTERNS: [MessagePattern; 4] = [
     MessagePattern::PerPort,
     MessagePattern::Broadcast,
     MessagePattern::Unicast,
-    MessagePattern::KMessages(2),
+    MessagePattern::KMessages(NonZeroUsize::new(2).unwrap()),
 ];
 
 /// Runs one beacon-seeded verification and returns its transcript digest.
@@ -154,7 +155,7 @@ fn beacon_equals_trial_of_derived_seed_across_schemes_and_patterns() {
 #[test]
 fn beacon_transcript_digests_are_pinned() {
     // Note the degree-capped coincidences: on the cycle and path workloads
-    // every node has degree ≤ 2, so `KMessages(2)` assigns the same slots
+    // every node has degree ≤ 2, so `KMessages(NonZeroUsize::new(2).unwrap())` assigns the same slots
     // as `PerPort` and their transcripts agree; the wheel workload
     // (degrees up to 6) separates them.
     let expected: [(&str, [u64; 4]); 3] = [

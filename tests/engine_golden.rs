@@ -1089,8 +1089,8 @@ mod multiround {
                     // votes after the last round.
                     let det = rpls::core::DetView {
                         local: engine::local_context(config, u),
-                        label: &parts[0],
-                        neighbor_labels: parts[1..].iter().collect(),
+                        label: parts[0].as_slice(),
+                        neighbor_labels: parts[1..].iter().map(BitString::as_slice).collect(),
                     };
                     if !scheme.inner().verify(&det) {
                         first_fail = Some(rounds);

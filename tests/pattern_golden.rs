@@ -18,13 +18,14 @@ use rpls::core::{
 use rpls::graph::generators;
 use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
 use rpls_core::CompiledRpls;
+use std::num::NonZeroUsize;
 
 const ALL_PATTERNS: [MessagePattern; 5] = [
     MessagePattern::PerPort,
     MessagePattern::Broadcast,
     MessagePattern::Unicast,
-    MessagePattern::KMessages(1),
-    MessagePattern::KMessages(2),
+    MessagePattern::KMessages(NonZeroUsize::new(1).unwrap()),
+    MessagePattern::KMessages(NonZeroUsize::new(2).unwrap()),
 ];
 
 fn spanning_tree_workload(n: usize) -> (Configuration, Labeling, Labeling, Labeling) {
@@ -288,7 +289,8 @@ fn saturated_k_and_unicast_share_per_port_transcripts() {
             // Cycle degree is 2: k = 2 saturates, as does any larger k.
             for k in [2usize, 3, 64] {
                 let b = engine::run_prepared(
-                    &RunSpec::trial(seed).with_pattern(MessagePattern::KMessages(k)),
+                    &RunSpec::trial(seed)
+                        .with_pattern(MessagePattern::KMessages(NonZeroUsize::new(k).unwrap())),
                     &Unprepared::new(&compiled, &config, labeling),
                     &config,
                     &mut b_scratch,

@@ -105,7 +105,7 @@ proptest! {
         let g = generators::gnp_connected(n, p, &mut rng);
         let config = Configuration::plain(g);
         let enc = encode_configuration(&config);
-        let dec = decode_configuration(&enc).expect("decodes");
+        let dec = decode_configuration(enc.as_slice()).expect("decodes");
         prop_assert_eq!(dec.node_count(), config.node_count());
         prop_assert_eq!(
             dec.graph().sorted_edge_list(),
