@@ -809,11 +809,14 @@ impl EdgeCheck {
 }
 
 /// Trials per chunk of the probe kernel. On the 32-trial `scale` rows of
-/// `bench_engine` (2-vCPU x86-64 host) 8-lane chunks ran the sparse and
-/// power-law families ~1.7× faster than a one-trial-at-a-time pair loop,
-/// and the full clique ~1.1× faster: the sixteen independent chains fill
-/// the multiplier pipeline that two chains leave idle. Values do not
-/// depend on the lane count.
+/// `bench_engine` (2-vCPU x86-64 host, 21 interleaved pairs per row, three
+/// runs), 8-lane chunks ran the sparse family 1.03–1.11× and the power-law
+/// family 1.08–1.12× faster than a one-trial-at-a-time pair loop: the
+/// sixteen independent chains fill the multiplier pipeline that two
+/// chains leave idle. The gap is small because a lone pair's chains wait
+/// on little more than one multiply-add per step (reductions are
+/// deferred, see `rpls_fingerprint::poly`). The 4-trial full clique never
+/// fills a chunk (0.99–1.01×). Values do not depend on the lane count.
 const PROBE_LANES: usize = 8;
 
 /// The prover-side schedule of one node: how its length-prefixed inner

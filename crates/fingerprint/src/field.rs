@@ -13,10 +13,12 @@
 //!   per reduction. [`Fp`] arithmetic and the wide fields of adversarially
 //!   declared lengths run on it.
 //! * The one-word reducer covers `p < 2³²`, where a Horner step
-//!   `acc·y + c` fits in one `u64`: one product and a 64-bit Barrett
-//!   reduction by `⌊2⁶⁴ / p⌋`. Every protocol prime for λ below ~7·10⁸
-//!   lies in this range, so it carries the fingerprint probes of the
-//!   verification engine (see [`crate::poly`]).
+//!   `acc·y + c` fits in one `u64`, and reduces by `⌊2⁶⁴ / p⌋` with a
+//!   64-bit Barrett step. A small prime fits several Horner steps in a
+//!   `u64` before one reduction (its *step budget*: 6 at `p = 389`).
+//!   Every protocol prime for λ below ~7·10⁸ lies in this range, so it
+//!   carries the fingerprint probes of the verification engine (see
+//!   [`crate::poly`]).
 //!
 //! Either factor is computed once per modulus; [`Barrett::cached`]
 //! memoises the wide one per thread.
@@ -170,15 +172,43 @@ impl Barrett {
     }
 }
 
-/// The multiply-add step of polynomial evaluation over one field: the
-/// windowed Horner core in [`crate::poly`] is generic over it, so the
-/// one-word and the wide reducer run the same loop.
+/// The Horner step of polynomial evaluation over one field: the windowed
+/// core in [`crate::poly`] is generic over it, so the one-word and the
+/// wide reducer run the same loop.
+///
+/// A step `acc·y + c` is plain arithmetic in the accumulator type; the
+/// reduction mod `p` is separate. Starting from a residue, the
+/// accumulator absorbs [`Reducer::budget`] steps with `y, c ≤ p − 1`
+/// before it must be reduced, so the core reduces once per `budget()`
+/// steps rather than once per step.
 pub(crate) trait Reducer: Copy {
+    /// The accumulator of unreduced steps.
+    type Acc: Copy;
+
     /// The modulus `p`.
     fn modulus(self) -> u64;
 
-    /// `(a·b + c) mod p` for residues `a, b, c < p`.
-    fn mul_add(self, a: u64, b: u64, c: u64) -> u64;
+    /// The step budget `k ≥ 1`: the number of steps `acc·y + c` that,
+    /// starting from `acc ≤ p − 1` with `y, c ≤ p − 1`, stay inside
+    /// [`Reducer::Acc`].
+    fn budget(self) -> usize;
+
+    /// A residue as an accumulator.
+    fn lift(a: u64) -> Self::Acc;
+
+    /// The unreduced step `acc·y + c` (plain arithmetic: in
+    /// overflow-checked builds a step past the budget panics).
+    fn step(acc: Self::Acc, y: u64, c: u64) -> Self::Acc;
+
+    /// `acc mod p`.
+    fn reduce(self, acc: Self::Acc) -> u64;
+
+    /// `(a·b + c) mod p` for residues `a, b, c < p`: one step and a
+    /// reduction.
+    #[inline]
+    fn mul_add(self, a: u64, b: u64, c: u64) -> u64 {
+        self.reduce(Self::step(Self::lift(a), b, c))
+    }
 
     /// `(a + b) mod p` for residues `a, b < p` (`p < 2⁶³`, so the sum
     /// cannot overflow).
@@ -193,25 +223,56 @@ pub(crate) trait Reducer: Copy {
     }
 }
 
+/// The wide reducer's accumulator is a `u128`: one step from a residue
+/// ends below `p² < 2¹²⁶`, and near `p = 2⁶³` a second would pass `2¹²⁸`,
+/// so every step is reduced (`k = 1` for every wide modulus).
 impl Reducer for Barrett {
+    type Acc = u128;
+
     #[inline]
     fn modulus(self) -> u64 {
         self.modulus
     }
 
     #[inline]
-    fn mul_add(self, a: u64, b: u64, c: u64) -> u64 {
-        self.reduce(u128::from(a) * u128::from(b) + u128::from(c))
+    fn budget(self) -> usize {
+        1
+    }
+
+    #[inline]
+    fn lift(a: u64) -> u128 {
+        u128::from(a)
+    }
+
+    #[inline]
+    fn step(acc: u128, y: u64, c: u64) -> u128 {
+        acc * u128::from(y) + u128::from(c)
+    }
+
+    #[inline]
+    fn reduce(self, acc: u128) -> u64 {
+        Barrett::reduce(self, acc)
     }
 }
 
-/// One-word Barrett reduction for a modulus `2 ≤ p < 2³²`: with every
-/// operand below `p`, `a·b + c ≤ p(p − 1) < 2⁶⁴`, so a Horner step is one
-/// `u64` product and a reduction by the factor `⌊2⁶⁴ / p⌋` — the high word
-/// of one 64×64 multiply, then at most one conditional subtract.
+/// The most steps one reduction is ever deferred by. Without a cap the
+/// budget of `p = 2` would be unbounded (its worst case grows by 1 per
+/// step); no protocol prime gets near it (`p = 389` allows 6).
+const MAX_BUDGET: usize = 64;
+
+/// One-word Barrett reduction for a modulus `2 ≤ p < 2³²`, with a `u64`
+/// accumulator. Every operand below `p` gives `a·b + c ≤ p(p − 1) < 2⁶⁴`,
+/// so at least one Horner step fits, and a small prime fits several: the
+/// step budget `k` is the largest count (up to [`MAX_BUDGET`]) for which
+/// `k` worst-case steps from `acc = p − 1` stay below `2⁶⁴` — 6 at
+/// `p = 389`, 1 near `2³²`. A reduction takes the high word of one 64×64
+/// multiply by the factor `⌊2⁶⁴ / p⌋`, then at most one conditional
+/// subtract, and is exact for every `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct NarrowBarrett {
     modulus: u64,
+    /// The step budget `k` (a pure function of the modulus).
+    budget: usize,
     /// `⌊2⁶⁴ / modulus⌋`.
     factor: u64,
 }
@@ -225,21 +286,48 @@ impl NarrowBarrett {
         }
         // 2⁶⁴ = u64::MAX + 1, so ⌊2⁶⁴/m⌋ = ⌊u64::MAX/m⌋ + [m | 2⁶⁴].
         let factor = u64::MAX / modulus + u64::from(u64::MAX % modulus == modulus - 1);
-        Some(Self { modulus, factor })
+        // The worst case after each step, from acc = y = c = p − 1.
+        let top = modulus - 1;
+        let (mut worst, mut budget) = (top, 0);
+        while budget < MAX_BUDGET {
+            match worst.checked_mul(top).and_then(|w| w.checked_add(top)) {
+                Some(w) => (worst, budget) = (w, budget + 1),
+                None => break,
+            }
+        }
+        Some(Self {
+            modulus,
+            budget,
+            factor,
+        })
     }
 }
 
 impl Reducer for NarrowBarrett {
+    type Acc = u64;
+
     #[inline]
     fn modulus(self) -> u64 {
         self.modulus
     }
 
     #[inline]
-    fn mul_add(self, a: u64, b: u64, c: u64) -> u64 {
-        // Plain (overflow-checked in checked builds) arithmetic: an
-        // operand at or above 2³² would push the product past 2⁶⁴.
-        let z = a * b + c;
+    fn budget(self) -> usize {
+        self.budget
+    }
+
+    #[inline]
+    fn lift(a: u64) -> u64 {
+        a
+    }
+
+    #[inline]
+    fn step(acc: u64, y: u64, c: u64) -> u64 {
+        acc * y + c
+    }
+
+    #[inline]
+    fn reduce(self, z: u64) -> u64 {
         // q ∈ {⌊z/p⌋ − 1, ⌊z/p⌋}, so the remainder estimate is in [0, 2p).
         let q = ((u128::from(z) * u128::from(self.factor)) >> 64) as u64;
         let r = z - q * self.modulus;
@@ -433,7 +521,7 @@ impl fmt::Display for Fp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -592,6 +680,87 @@ mod tests {
         }
         assert_eq!(NarrowBarrett::new(1 << 32), None);
         assert_eq!(NarrowBarrett::new(1), None);
+    }
+
+    /// Whether `k` worst-case Horner steps from `acc = y = c = p − 1` stay
+    /// in a `u64`, in `u128` arithmetic (independent of the reducer's own
+    /// derivation).
+    fn worst_case_fits(p: u64, k: usize) -> bool {
+        let m = u128::from(p - 1);
+        let mut acc = m;
+        (0..k).all(|_| {
+            acc = acc * m + m;
+            acc <= u128::from(u64::MAX)
+        })
+    }
+
+    /// The smallest and the largest one-word prime of every step budget
+    /// some prime has, with that budget, found by [`worst_case_fits`]
+    /// alone (the worst case grows with `p`, so each budget is an interval
+    /// of moduli).
+    pub(crate) fn budget_boundary_primes() -> Vec<(u64, usize)> {
+        let largest_fitting = |k: usize| {
+            let (mut lo, mut hi) = (2u64, (1 << 32) - 1);
+            while lo < hi {
+                let mid = lo + (hi - lo).div_ceil(2);
+                if worst_case_fits(mid, k) {
+                    lo = mid;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            lo
+        };
+        let mut out = Vec::new();
+        for k in 1..=MAX_BUDGET {
+            let top = largest_fitting(k);
+            let bottom = if k == MAX_BUDGET {
+                2
+            } else {
+                largest_fitting(k + 1) + 1
+            };
+            let Some(first) = (bottom..=top).find(|&q| crate::prime::is_prime(q)) else {
+                continue;
+            };
+            let last = (first..=top)
+                .rev()
+                .find(|&q| crate::prime::is_prime(q))
+                .expect("first is prime");
+            out.push((first, k));
+            if last != first {
+                out.push((last, k));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn step_budget_is_the_largest_worst_case_count_that_fits() {
+        let budget = |p: u64| NarrowBarrett::new(p).expect("one-word prime").budget();
+        let check = |p: u64| {
+            let k = budget(p);
+            assert!(worst_case_fits(p, k), "p={p}: {k} steps overflow");
+            assert!(
+                k == MAX_BUDGET || !worst_case_fits(p, k + 1),
+                "p={p}: {} steps would still fit",
+                k + 1
+            );
+            k
+        };
+        // p = 2 fits any number of steps: the cap ends its derivation.
+        assert_eq!(check(2), MAX_BUDGET);
+        assert_eq!(check(3), 62);
+        assert_eq!(check(389), 6);
+        assert_eq!(check(4_294_967_291), 1);
+        let edges = budget_boundary_primes();
+        for &(p, k) in &edges {
+            assert_eq!(check(p), k, "p={p}");
+        }
+        // Every budget from 1 up to 12 is reached by some prime, at both
+        // ends of its interval.
+        for k in 1..=12 {
+            assert_eq!(edges.iter().filter(|&&(_, j)| j == k).count(), 2, "k={k}");
+        }
     }
 
     #[test]

@@ -12,16 +12,23 @@
 //! and `W_w(x) = a_{4w} + a_{4w+1}x + a_{4w+2}x² + a_{4w+3}x³`. Per point
 //! the core builds the 16-entry table `T[c] = W_c(x)` of every window
 //! value (3 multiplies, 11 additions), then runs Horner in `y`: one
-//! multiply-add per window, `⌈λ/4⌉` in all. The windows are the raw
-//! nibbles of the string's backing bytes — bits are stored MSB-first, so
-//! a nibble's top bit is its window's constant coefficient and the table
-//! is indexed by the nibble as stored; only the final partial window is
-//! masked.
+//! multiply-add `acc·y + T[c]` per window, `⌈λ/4⌉` in all. The windows are
+//! the raw nibbles of the string's backing bytes — bits are stored
+//! MSB-first, so a nibble's top bit is its window's constant coefficient
+//! and the table is indexed by the nibble as stored; only the final
+//! partial window is masked.
 //!
-//! The reducer is chosen once per polynomial: a modulus below `2³²` (every
-//! protocol prime for λ below ~7·10⁸) reduces each step in one word; wider
-//! moduli — adversarially declared lengths, field-size ablations — run the
-//! same loop on [`crate::field::Barrett`].
+//! The multiply-adds are plain arithmetic: the accumulator is reduced mod
+//! `p` once per group of `k` steps, where `k` is the reducer's *step
+//! budget* — the most steps from a residue, with `y` and every table
+//! entry at most `p − 1`, that cannot overflow the accumulator. The
+//! reducer is chosen once per polynomial. A modulus below `2³²` (every
+//! protocol prime for λ below ~7·10⁸) runs in one `u64` word, where small
+//! primes defer many reductions (`k = 6` at `p = 389`, the prime of a
+//! 128-bit string) and primes near `2³²` none (`k = 1`). Wider moduli —
+//! adversarially declared lengths, field-size ablations — run the same
+//! loop on [`crate::field::Barrett`] with `k = 1`. Values are exactly
+//! those of per-step reduction: every reduction lands on the same residue.
 
 use crate::field::{Barrett, Fp, NarrowBarrett, Reducer};
 use rpls_bits::{BitSlice, BitString};
@@ -85,58 +92,84 @@ fn window_table<R: Reducer>(r: R, x: u64) -> ([u64; 16], u64) {
     (t, y)
 }
 
-/// The Horner accumulator after the windows above the string's whole
-/// coefficient bytes, and those whole bytes (windows `0..2k`). The top
-/// window is masked to the coefficients below `len`, so padding bits are
-/// never trusted.
+/// The start of one string's Horner chain: the accumulator after the
+/// windows above the string's whole coefficient bytes, the steps it can
+/// still take within the reducer's budget (at least 1), and those whole
+/// bytes (windows `0..2k`). The top window is masked to the coefficients
+/// below `len`, so padding bits are never trusted.
 #[inline]
 fn horner_head<'a, R: Reducer>(
     r: R,
     coeffs: BitSlice<'a>,
     t: &[u64; 16],
     y: u64,
-) -> (u64, &'a [u8]) {
+) -> (R::Acc, usize, &'a [u8]) {
     let len = coeffs.len();
     let Some(top) = len.div_ceil(4).checked_sub(1) else {
-        return (0, &[]);
+        return (R::lift(0), r.budget(), &[]);
     };
     let bytes = coeffs.as_bytes();
     let byte = bytes[top / 2];
     let valid = len - 4 * top; // coefficients in the top window, 1..=4
     let mask = (0x0Fu8 << (4 - valid)) & 0x0F;
-    let mut acc;
+    let rest = &bytes[..top / 2];
     if top % 2 == 0 {
         // The top window is the high nibble of its byte.
-        acc = t[usize::from((byte >> 4) & mask)];
+        (
+            R::lift(t[usize::from((byte >> 4) & mask)]),
+            r.budget(),
+            rest,
+        )
     } else {
         // The low nibble, then the same byte's high nibble below it.
-        acc = t[usize::from(byte & mask)];
-        acc = r.mul_add(acc, y, t[usize::from(byte >> 4)]);
+        let acc = R::step(
+            R::lift(t[usize::from(byte & mask)]),
+            y,
+            t[usize::from(byte >> 4)],
+        );
+        match r.budget() - 1 {
+            0 => (R::lift(r.reduce(acc)), r.budget(), rest),
+            left => (acc, left, rest),
+        }
     }
-    (acc, &bytes[..top / 2])
 }
 
-/// Continues Horner from `acc` down through whole coefficient bytes (the
-/// low nibble of a byte holds the higher-degree window).
+/// Continues a chain from `acc`, which can take `left ≥ 1` more steps,
+/// down through whole coefficient bytes (the low nibble of a byte holds
+/// the higher-degree window). The accumulator is reduced each time the
+/// budget runs out; returns it, possibly unreduced, with the steps left.
 #[inline]
-fn horner_bytes<R: Reducer>(r: R, mut acc: u64, bytes: &[u8], t: &[u64; 16], y: u64) -> u64 {
+fn horner_bytes<R: Reducer>(
+    r: R,
+    mut acc: R::Acc,
+    mut left: usize,
+    bytes: &[u8],
+    t: &[u64; 16],
+    y: u64,
+) -> (R::Acc, usize) {
     for &b in bytes.iter().rev() {
-        acc = r.mul_add(acc, y, t[usize::from(b & 0x0F)]);
-        acc = r.mul_add(acc, y, t[usize::from(b >> 4)]);
+        for c in [b & 0x0F, b >> 4] {
+            acc = R::step(acc, y, t[usize::from(c)]);
+            left -= 1;
+            if left == 0 {
+                (acc, left) = (R::lift(r.reduce(acc)), r.budget());
+            }
+        }
     }
-    acc
+    (acc, left)
 }
 
 /// `A(x)` by the windowed core.
 fn eval_windowed<R: Reducer>(r: R, coeffs: BitSlice<'_>, x: u64) -> u64 {
     let (t, y) = window_table(r, x);
-    let (acc, bytes) = horner_head(r, coeffs, &t, y);
-    horner_bytes(r, acc, bytes, &t, y)
+    let (acc, left, bytes) = horner_head(r, coeffs, &t, y);
+    r.reduce(horner_bytes(r, acc, left, bytes, &t, y).0)
 }
 
 /// `(A(x_l), B(x_l))` for every lane `l`: one window table per lane, and
 /// the `2L` Horner chains interleaved once all have started, so each
-/// chain's multiply latency hides behind the others'.
+/// chain's multiply latency hides behind the others'. The interleaved
+/// chains share one budget count and reduce together.
 fn eval_pair_windowed<R: Reducer, const L: usize>(
     r: R,
     a: BitSlice<'_>,
@@ -144,28 +177,43 @@ fn eval_pair_windowed<R: Reducer, const L: usize>(
     xs: &[u64; L],
 ) -> ([u64; L], [u64; L]) {
     let tables = xs.map(|x| window_table(r, x));
-    let (mut acc_a, mut acc_b) = ([0u64; L], [0u64; L]);
+    let (mut acc_a, mut acc_b) = ([R::lift(0); L], [R::lift(0); L]);
+    // Budget counts and byte runs depend on the strings alone, not on the
+    // lane.
+    let (mut left_a, mut left_b) = (0, 0);
     let (mut rest_a, mut rest_b): (&[u8], &[u8]) = (&[], &[]);
     for (l, (t, y)) in tables.iter().enumerate() {
-        (acc_a[l], rest_a) = horner_head(r, a, t, *y);
-        (acc_b[l], rest_b) = horner_head(r, b, t, *y);
+        (acc_a[l], left_a, rest_a) = horner_head(r, a, t, *y);
+        (acc_b[l], left_b, rest_b) = horner_head(r, b, t, *y);
     }
     // The longer string's chains run alone until both have the same
     // bytes left.
     let k = rest_a.len().min(rest_b.len());
+    let (mut after_a, mut after_b) = (left_a, left_b);
     for (l, (t, y)) in tables.iter().enumerate() {
-        acc_a[l] = horner_bytes(r, acc_a[l], &rest_a[k..], t, *y);
-        acc_b[l] = horner_bytes(r, acc_b[l], &rest_b[k..], t, *y);
+        (acc_a[l], after_a) = horner_bytes(r, acc_a[l], left_a, &rest_a[k..], t, *y);
+        (acc_b[l], after_b) = horner_bytes(r, acc_b[l], left_b, &rest_b[k..], t, *y);
     }
+    // Each chain stays within budget for the fewer steps either has left.
+    let mut left = after_a.min(after_b);
     for (&ba, &bb) in rest_a[..k].iter().zip(&rest_b[..k]).rev() {
         for (ca, cb) in [(ba & 0x0F, bb & 0x0F), (ba >> 4, bb >> 4)] {
             for (l, (t, y)) in tables.iter().enumerate() {
-                acc_a[l] = r.mul_add(acc_a[l], *y, t[usize::from(ca)]);
-                acc_b[l] = r.mul_add(acc_b[l], *y, t[usize::from(cb)]);
+                acc_a[l] = R::step(acc_a[l], *y, t[usize::from(ca)]);
+                acc_b[l] = R::step(acc_b[l], *y, t[usize::from(cb)]);
+            }
+            left -= 1;
+            if left == 0 {
+                acc_a = acc_a.map(|acc| R::lift(r.reduce(acc)));
+                acc_b = acc_b.map(|acc| R::lift(r.reduce(acc)));
+                left = r.budget();
             }
         }
     }
-    (acc_a, acc_b)
+    (
+        acc_a.map(|acc| r.reduce(acc)),
+        acc_b.map(|acc| r.reduce(acc)),
+    )
 }
 
 impl Field {
@@ -378,28 +426,65 @@ mod tests {
         }
     }
 
-    /// `Σ_{i: bit i set} x^i mod p`, straight from the definition.
+    /// `Σ_{i: bit i set} x^i mod p`, straight from the definition, one
+    /// power at a time in `u128`.
     fn naive(b: &BitString, x: u64, p: u64) -> u64 {
-        b.iter()
-            .enumerate()
-            .filter(|&(_, bit)| bit)
-            .fold(0, |acc, (i, _)| {
-                (acc + crate::prime::pow_mod(x, i as u64, p)) % p
-            })
+        let (x, p) = (u128::from(x), u128::from(p));
+        let (mut sum, mut power) = (0, 1 % p);
+        for bit in b.iter() {
+            if bit {
+                sum = (sum + power) % p;
+            }
+            power = power * x % p;
+        }
+        sum as u64
+    }
+
+    /// The primes at both ends of every step budget of the one-word
+    /// reducer, the smallest wide prime, and a 62-bit one.
+    fn budget_edge_primes() -> Vec<u64> {
+        let mut primes: Vec<u64> = crate::field::tests::budget_boundary_primes()
+            .into_iter()
+            .map(|(p, _)| p)
+            .collect();
+        primes.extend([101, 389, 4_294_967_311, (1 << 61) - 1]);
+        primes
+    }
+
+    /// An all-ones and a patterned 320-bit string: 80 windows, more than
+    /// one reduction group at every budget.
+    fn edge_strings() -> [BitString; 2] {
+        let pattern = "1101001011101000100101110110100101110100110";
+        [
+            BitString::from_bools(std::iter::repeat_n(true, 320)),
+            bits(&pattern.repeat(8)[..320]),
+        ]
+    }
+
+    /// The first `len` bits of `s` as a view over `s`'s own bytes: the
+    /// padding past `len` keeps `s`'s bits, which the core must mask.
+    fn prefix(s: &BitString, len: usize) -> BitSlice<'_> {
+        BitSlice::new(&s.as_bytes()[..len.div_ceil(8)], len)
     }
 
     #[test]
     fn windowed_core_matches_naive_at_every_length_and_reducer() {
-        // Every top-window shape (len mod 8 = 0..7) over a one-word prime,
-        // the largest one-word prime, the smallest wide one, and a 62-bit
-        // prime.
-        let pattern = "1101001011101000100101110110100101110100110";
-        for p in [2, 101, 4_294_967_291, 4_294_967_311, (1 << 61) - 1] {
-            for len in 0..=pattern.len() {
-                let b = bits(&pattern[..len]);
-                let poly = BitPolynomial::from_bits(&b, p);
-                for x in [0, 1, 2 % p, p / 3, p - 1] {
-                    assert_eq!(poly.eval_raw(x), naive(&b, x, p), "p={p} len={len} x={x}");
+        // Every top-window shape (len mod 8 = 0..7), at both ends of every
+        // step budget, single and as the longer and the shorter side of a
+        // pair (lengths len and 320 − len), over views with dirty padding.
+        let strings = edge_strings();
+        for p in budget_edge_primes() {
+            let f = Field::new(p);
+            for s in &strings {
+                for len in 0..=320 {
+                    let (a, b) = (prefix(s, len), prefix(s, 320 - len));
+                    let (ta, tb) = (s.truncated(len), s.truncated(320 - len));
+                    for x in [0, 1, p - 1, p / 3] {
+                        let want = (naive(&ta, x, p), naive(&tb, x, p));
+                        assert_eq!(f.eval_raw(a, x), want.0, "p={p} len={len} x={x}");
+                        let ([va], [vb]) = f.eval_raw_pair_lanes(a, f, b, &[x]);
+                        assert_eq!((va, vb), want, "p={p} len={len} x={x}");
+                    }
                 }
             }
         }
@@ -432,6 +517,59 @@ mod tests {
             a.eval_raw_pair_lanes(&b, &xs4).1,
             xs4.map(|x| b.eval_raw(x))
         );
+        // 8 lanes at both ends of every step budget, over unequal lengths.
+        let strings = edge_strings();
+        for p in budget_edge_primes() {
+            let f = Field::new(p);
+            let xs = [0, 1, p - 1, p / 3, p / 2, 2 % p, p.saturating_sub(2), p / 7];
+            for s in &strings {
+                for len in 0..=320 {
+                    let (ta, tb) = (s.truncated(len), s.truncated(320 - len));
+                    let want = (xs.map(|x| naive(&ta, x, p)), xs.map(|x| naive(&tb, x, p)));
+                    let got = f.eval_raw_pair_lanes(prefix(s, len), f, prefix(s, 320 - len), &xs);
+                    assert_eq!(got, want, "p={p} len={len}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Single, pair and 8-lane evaluation of random strings up to 512
+        /// bits equal the naive power sum, over budget-edge primes (and so
+        /// every reduction-group shape), protocol-sized primes and wide
+        /// ones.
+        #[test]
+        fn evaluation_matches_naive_sum_over_budget_edges(
+            pick in 0usize..1000,
+            len in 0usize..513,
+            cut in 0usize..513,
+            seed in proptest::prelude::any::<u64>(),
+            x_raw in proptest::prelude::any::<u64>(),
+        ) {
+            let edges = budget_edge_primes();
+            let p = match pick % 3 {
+                0 => edges[pick % edges.len()],
+                1 => crate::prime::next_prime(2 + pick as u64),
+                _ => crate::prime::next_prime((1 << 32) + (seed >> 40)),
+            };
+            let mut state = seed | 1;
+            let a = BitString::from_bools((0..len).map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state & 1 == 1
+            }));
+            let b = a.truncated(cut.min(len));
+            let (pa, pb) = (BitPolynomial::from_bits(&a, p), BitPolynomial::from_bits(&b, p));
+            let xs: [u64; 8] = std::array::from_fn(|l| x_raw.wrapping_mul(2 * l as u64 + 1) % p);
+            let want = |x| (naive(&a, x, p), naive(&b, x, p));
+            proptest::prop_assert_eq!(pa.eval_raw(xs[0]), want(xs[0]).0, "p={} len={}", p, len);
+            proptest::prop_assert_eq!(pb.eval_raw_pair(&pa, xs[0]), (want(xs[0]).1, want(xs[0]).0));
+            let (va, vb) = pa.eval_raw_pair_lanes(&pb, &xs);
+            for (l, &x) in xs.iter().enumerate() {
+                proptest::prop_assert_eq!((va[l], vb[l]), want(x), "lane {} p={} len={}", l, p, len);
+            }
+        }
     }
 
     #[test]
