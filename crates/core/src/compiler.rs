@@ -82,6 +82,7 @@ use rpls_bits::{BitSlice, BitString, BitWriter};
 use rpls_fingerprint::{Barrett, EqEvaluator, EqMessage, EqProtocol};
 use rpls_graph::{Graph, NodeId};
 use std::cell::{OnceCell, Ref, RefCell};
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Length-prefix width used both in the replicated label layout and in the
@@ -585,7 +586,10 @@ impl PrepCache {
 /// Everything here is a pure function of the prepared labeling: per-round
 /// certificate widths, coverage mismatches, and which probes are
 /// non-trivial are resolved once, leaving the per-(edge, round, trial)
-/// loop one SplitMix64 word, one reduction, and two polynomial probes.
+/// loop one SplitMix64 word, one reduction, and one pair evaluation of the
+/// two polynomials at that point. The non-trivial probes of every node sit
+/// in one flat array, node by node, so walking a plan chases no per-node
+/// pointer.
 struct Plan {
     /// The schedule length `t`.
     rounds: usize,
@@ -597,6 +601,9 @@ struct Plan {
     dims: Vec<(usize, usize, usize)>,
     /// One entry per node, parallel to `PreparedCompiled::nodes`.
     nodes: Vec<NodePlan>,
+    /// Every dynamic node's checks, node by node: a
+    /// [`NodePlan::Dynamic`] holds its run as a range into this array.
+    checks: Vec<EdgeCheck>,
     /// The reducers of the checks' sender fields, indexed by
     /// `EdgeCheck::field`. A labeling's checks almost all share one field,
     /// so a reducer is stored once per run of equal fields rather than in
@@ -644,7 +651,9 @@ fn evaluator<'a>(views: &'a [Ref<'_, Epoch>], r: EqRef) -> EqEvaluator<'a> {
     views[r.epoch as usize].evaluator(r.id)
 }
 
-/// How one node's accumulated vote resolves across a block of trials.
+/// How one node's accumulated vote resolves across a block of trials. A
+/// plan stores no per-node allocation: a dynamic node's checks are a run
+/// of `Plan::checks`.
 enum NodePlan {
     /// Rejects deterministically in the given 1-based round, every trial:
     /// parse/arity failures and certificate-width mismatches (a malformed
@@ -663,8 +672,9 @@ enum NodePlan {
         /// (coverage mismatch), [`NO_REJECT`] if none; probes at or past it
         /// are pruned.
         static_reject: usize,
-        /// Non-trivial probes, sorted by round.
-        checks: Vec<EdgeCheck>,
+        /// This node's non-trivial probes, sorted by round: a range into
+        /// `Plan::checks`.
+        checks: Range<u32>,
     },
 }
 
@@ -744,26 +754,12 @@ impl EdgeCheck {
 
     /// Applies this check to every trial it can still decide, recording its
     /// 1-based round in `node_fail` where the probe fails — the **probe
-    /// kernel**. A trial is live unless its node already failed at or
-    /// before this round (`node_fail`) or an earlier node rejected it by
-    /// then (`reject_at`).
-    ///
-    /// Trials are laid out in chunks of [`PROBE_LANES`]: the probe words,
-    /// each reduced into the sender's field, then both sides evaluated at
-    /// every lane's point by one [`EqEvaluator::eval_pair_lanes`] — one
-    /// window table per lane and `2·PROBE_LANES` interleaved Horner chains,
-    /// plain scalar code with no target-feature gates. The trials past the
-    /// last whole chunk take the single-point probe. A chunk with no live
-    /// trial is skipped entirely; a chunk with any evaluates every lane
-    /// (dead lanes' verdicts are discarded — probe streams are stateless
-    /// pure functions, so the extra evaluations can't shift anything
-    /// another trial observes, and only nudge the lazy-table probe counter,
-    /// which moves work but never values).
-    ///
-    /// Mismatched-field probes (sender prime above the receiver's,
-    /// adversarial labelings only) take the single-point probe throughout:
-    /// a point past the receiver's field must reject *without* touching
-    /// either polynomial.
+    /// kernel**: one loop over the live trials, each probed at its own
+    /// point by [`EdgeCheck::probe`]. A trial is live unless its node
+    /// already failed at or before this round (`node_fail`) or an earlier
+    /// node rejected it by then (`reject_at`); dead trials draw nothing
+    /// (probe streams are stateless pure functions, so skipping them
+    /// shifts nothing another trial observes).
     fn probe_trials(
         &self,
         views: &[Ref<'_, Epoch>],
@@ -778,46 +774,15 @@ impl EdgeCheck {
             evaluator(views, self.receiver),
         );
         let round1 = self.round as usize + 1;
-        let live = |fail: usize, rejected: usize| fail > round1 && rejected > round1;
-        let mut t0 = 0usize;
-        // Sender prime ≤ receiver prime: every reduced point lies in both
-        // fields, so whole chunks evaluate unconditionally.
-        if field.modulus() <= recv.modulus() {
-            while t0 + PROBE_LANES <= seeds.len() {
-                let lanes = t0..t0 + PROBE_LANES;
-                let (fails, rejected) = (&mut node_fail[lanes.clone()], &reject_at[lanes]);
-                if fails.iter().zip(rejected).any(|(&f, &r)| live(f, r)) {
-                    let xs: [u64; PROBE_LANES] =
-                        std::array::from_fn(|l| field.reduce(u128::from(word(seeds[t0 + l]))));
-                    let (sv, rv) = send.eval_pair_lanes(&recv, &xs);
-                    for (l, (f, &r)) in fails.iter_mut().zip(rejected).enumerate() {
-                        if sv[l] != rv[l] && live(*f, r) {
-                            *f = round1;
-                        }
-                    }
-                }
-                t0 += PROBE_LANES;
-            }
-        }
-        let tail = node_fail[t0..].iter_mut().zip(&reject_at[t0..]);
-        for ((f, &r), &seed) in tail.zip(&seeds[t0..]) {
-            if live(*f, r) && !Self::probe(word(seed), field, &send, &recv) {
-                *f = round1;
+        let trials = node_fail.iter_mut().zip(reject_at).zip(seeds);
+        for ((fail, &rejected), &seed) in trials {
+            let live = *fail > round1 && rejected > round1;
+            if live && !Self::probe(word(seed), field, &send, &recv) {
+                *fail = round1;
             }
         }
     }
 }
-
-/// Trials per chunk of the probe kernel. On the 32-trial `scale` rows of
-/// `bench_engine` (2-vCPU x86-64 host, 21 interleaved pairs per row, three
-/// runs), 8-lane chunks ran the sparse family 1.03–1.11× and the power-law
-/// family 1.08–1.12× faster than a one-trial-at-a-time pair loop: the
-/// sixteen independent chains fill the multiplier pipeline that two
-/// chains leave idle. The gap is small because a lone pair's chains wait
-/// on little more than one multiply-add per step (reductions are
-/// deferred, see `rpls_fingerprint::poly`). The 4-trial full clique never
-/// fills a chunk (0.99–1.01×). Values do not depend on the lane count.
-const PROBE_LANES: usize = 8;
 
 /// The prover-side schedule of one node: how its length-prefixed inner
 /// label streams across `t` rounds.
@@ -931,6 +896,8 @@ impl Plan {
         let mut pending = PendingSlices::default();
         let (mut slice_send, mut slice_recv) = (Vec::new(), Vec::new());
         let mut nodes = Vec::with_capacity(prepared.nodes.len());
+        let mut checks: Vec<EdgeCheck> = Vec::new();
+        let index = |i: usize| u32::try_from(i).expect("check count fits in u32");
         for (u, n) in prepared.nodes.iter().enumerate() {
             if !n.ready {
                 nodes.push(NodePlan::RejectAt(1));
@@ -944,14 +911,20 @@ impl Plan {
             let proto_u = (rounds > 1)
                 .then(|| EqProtocol::for_length(recv_proto.input_length().div_ceil(rounds)));
             let mut static_reject = NO_REJECT;
-            let mut checks: Vec<EdgeCheck> = Vec::new();
+            let start = checks.len();
             let lo = port_base[u] as usize;
             let plan = 'node: {
                 for (i, &recv_id) in ports.iter().enumerate() {
                     let src = delivery[lo + i] as usize;
                     let v = owner[src] as usize;
-                    let mut check =
-                        |round: usize, sender: EqRef, receiver: EqRef, modulus| EdgeCheck {
+                    let mut push_check = |round: usize, sender: EqRef, receiver: EqRef, modulus| {
+                        if checks.capacity() == 0 {
+                            // Room for one check per port left (all of
+                            // them at t = 1), so a large plan never
+                            // reallocates while it fills.
+                            checks.reserve_exact(config.port_count() - lo);
+                        }
+                        checks.push(EdgeCheck {
                             round: u32::try_from(round).expect("round index fits in u32"),
                             field: field_of(modulus),
                             src_node: owner[src],
@@ -959,7 +932,8 @@ impl Plan {
                                 .expect("port rank fits in u32"),
                             sender,
                             receiver,
-                        };
+                        });
+                    };
                     // A malformed sender prover emits empty certificates,
                     // which fail round 1's length check, as does a κ
                     // mismatch that changes the message width.
@@ -987,7 +961,7 @@ impl Plan {
                             id: recv_id,
                         };
                         if force_dynamic || send != recv {
-                            checks.push(check(0, send, recv, send_proto.modulus()));
+                            push_check(0, send, recv, send_proto.modulus());
                         }
                         continue;
                     };
@@ -1021,28 +995,33 @@ impl Plan {
                         }
                         let sender = pending.push(sv.proto, &slice_send, len_s);
                         let receiver = pending.push(proto_u, &slice_recv, len_u);
-                        checks.push(check(r, sender, receiver, sv.proto.modulus()));
+                        push_check(r, sender, receiver, sv.proto.modulus());
                     }
                 }
-                if static_reject != NO_REJECT {
-                    // Probes at or past a deterministic rejection cannot
-                    // move the node's first-failure round.
-                    checks.retain(|c| (c.round as usize) + 1 < static_reject);
-                }
+                let own = &mut checks[start..];
                 if rounds > 1 {
                     // Round order lets the kernel skip the probes of trials
                     // this node already failed in an earlier round.
-                    checks.sort_by_key(|c| c.round);
+                    own.sort_by_key(|c| c.round);
                 }
-                match (checks.is_empty(), static_reject) {
+                // Probes at or past a deterministic rejection cannot move
+                // the node's first-failure round; in round order they are
+                // a suffix.
+                let end = start + own.partition_point(|c| (c.round as usize) + 1 < static_reject);
+                checks.truncate(end);
+                match (end == start, static_reject) {
                     (true, NO_REJECT) => NodePlan::StaticPass,
                     (true, k) => NodePlan::RejectAt(k),
                     (false, _) => NodePlan::Dynamic {
                         static_reject,
-                        checks,
+                        checks: index(start)..index(end),
                     },
                 }
             };
+            if !matches!(plan, NodePlan::Dynamic { .. }) {
+                // A node rejected outright keeps none of its checks.
+                checks.truncate(start);
+            }
             nodes.push(plan);
         }
         drop(views);
@@ -1068,13 +1047,9 @@ impl Plan {
                     *r = interned[r.id as usize];
                 }
             };
-            for node in &mut nodes {
-                if let NodePlan::Dynamic { checks, .. } = node {
-                    for c in checks {
-                        resolve(&mut c.sender);
-                        resolve(&mut c.receiver);
-                    }
-                }
+            for c in &mut checks {
+                resolve(&mut c.sender);
+                resolve(&mut c.receiver);
             }
         }
 
@@ -1082,6 +1057,7 @@ impl Plan {
             rounds,
             dims,
             nodes,
+            checks,
             fields,
             order: DegreeBuckets::new(g).iter_by_bucket().collect(),
             epochs,
@@ -1361,6 +1337,7 @@ impl<S: Pls> PreparedCompiled<'_, S> {
                     static_reject,
                     checks,
                 } => {
+                    let checks = &plan.checks[checks.start as usize..checks.end as usize];
                     node_fail.clear();
                     node_fail.resize(trials, *static_reject);
                     match sketch {
@@ -1522,9 +1499,22 @@ mod tests {
         let refs: Vec<&BitString> = parts.iter().collect();
         labeling.set(NodeId::new(3), encode_replicated(kappa, &refs));
 
-        let p = stats::acceptance_probability(&scheme, &config, &labeling, 1000, 17);
-        // The corrupted edge check fails with probability > 2/3.
-        assert!(p < 1.0 / 3.0 + 0.05, "acceptance = {p}");
+        let spec = RunSpec::trial(17);
+        let est = stats::estimate(
+            &scheme,
+            &config,
+            &labeling,
+            &spec,
+            &stats::EstimateOpts::new(1000),
+        );
+        // The corrupted edge check fails with probability > 2/3: the
+        // acceptance's upper confidence bound (confidence 1 − 10⁻⁶) stays
+        // at or below 1/3.
+        let upper = stats::clopper_pearson_upper(est.accepts, est.trials, 1e-6);
+        assert!(
+            upper <= 1.0 / 3.0,
+            "acceptance {est:?}, upper bound {upper}"
+        );
     }
 
     #[test]

@@ -590,6 +590,51 @@ pub fn confidence_radius(p_hat: f64, trials: usize) -> f64 {
     2.0 * (p_hat * (1.0 - p_hat) / trials as f64).sqrt() + 1.0 / trials as f64
 }
 
+/// The one-sided Clopper–Pearson upper confidence bound on a binomial
+/// probability after `k` successes in `n` trials: the `p` at which
+/// `Pr[Bin(n, p) ≤ k] = α`. A true probability above it would show `k` or
+/// fewer successes with probability at most `α`, so "the bound is ≤ b"
+/// certifies `p ≤ b` at confidence `1 − α` with no normal approximation.
+///
+/// Found by bisection on the binomial tail, summed in log space so that
+/// `n` in the thousands neither underflows nor overflows. `α` is meant to
+/// lie in `(0, 1)`. `k ≥ n` (and so `n = 0`) gives 1; for `k = 0` the
+/// bound is `1 − α^{1/n}`.
+#[must_use]
+pub fn clopper_pearson_upper(k: usize, n: usize, alpha: f64) -> f64 {
+    if k >= n {
+        return 1.0;
+    }
+    // ln Pr[Bin(n, p) ≤ k], term by term: ln C(n, i) + i ln p + (n − i) ln(1 − p).
+    let log_tail = |p: f64| {
+        let (lp, lq) = (p.ln(), (-p).ln_1p());
+        let (mut log_choose, mut total) = (0.0, f64::NEG_INFINITY);
+        for i in 0..=k {
+            let term = log_choose + i as f64 * lp + (n - i) as f64 * lq;
+            let (hi, lo) = if term > total {
+                (term, total)
+            } else {
+                (total, term)
+            };
+            total = hi + (lo - hi).exp().ln_1p();
+            log_choose += ((n - i) as f64 / (i + 1) as f64).ln();
+        }
+        total
+    };
+    // The tail falls as p grows: keep it above α at `lo`, at most α at `hi`.
+    let (mut lo, mut hi) = (k as f64 / n as f64, 1.0);
+    let log_alpha = alpha.ln();
+    for _ in 0..100 {
+        let mid = 0.5 * (lo + hi);
+        if log_tail(mid) > log_alpha {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -919,6 +964,41 @@ mod tests {
         for threads in [None, Some(1), Some(4), Some(13)] {
             let par = estimate_par(&CoinAtNodeZero, &config, &labeling, &spec, &opts, threads);
             assert_eq!(serial, par, "threads {threads:?}");
+        }
+    }
+
+    #[test]
+    fn clopper_pearson_upper_matches_closed_forms_and_grows_with_k() {
+        // No successes: (1 − p)^n = α.
+        for (n, alpha) in [(1, 0.05), (10, 0.05), (1000, 1e-6), (5000, 0.01)] {
+            let want = 1.0 - f64::powf(alpha, 1.0 / n as f64);
+            let got = clopper_pearson_upper(0, n, alpha);
+            assert!(
+                (got - want).abs() < 1e-12,
+                "n={n} α={alpha}: {got} vs {want}"
+            );
+        }
+        // All successes (and no trials) say nothing.
+        assert_eq!(clopper_pearson_upper(10, 10, 0.05), 1.0);
+        assert_eq!(clopper_pearson_upper(0, 0, 0.05), 1.0);
+        // The textbook one-sided 95% bound for 1 success in 10 trials:
+        // (1 − p)^10 + 10p(1 − p)^9 = 0.05 at p ≈ 0.3942.
+        assert!((clopper_pearson_upper(1, 10, 0.05) - 0.394_163).abs() < 1e-5);
+        // Increasing in k, and never below the point estimate.
+        let runs: [(usize, f64, Vec<usize>); 2] = [
+            (50, 0.05, (0..=50).collect()),
+            (1000, 1e-6, (0..=40).chain([999, 1000]).collect()),
+        ];
+        for (n, alpha, ks) in runs {
+            let bounds: Vec<f64> = ks
+                .iter()
+                .map(|&k| clopper_pearson_upper(k, n, alpha))
+                .collect();
+            for (i, w) in bounds.windows(2).enumerate() {
+                let k = ks[i];
+                assert!(w[0] < w[1], "n={n} k={k}: {} then {}", w[0], w[1]);
+                assert!(w[0] >= k as f64 / n as f64, "n={n} k={k}");
+            }
         }
     }
 

@@ -335,15 +335,15 @@ impl PreparedEq {
         }
     }
 
-    /// The evaluation table if it exists or `probes` more evaluations
-    /// build it; `None` when Horner must serve them. The probes count
-    /// toward the lazy threshold only while the table is missing.
-    fn table_after(&self, coeffs: BitSlice<'_>, probes: u64) -> Option<&[u64]> {
+    /// The evaluation table if it exists or one more evaluation builds
+    /// it; `None` when Horner must serve it. The evaluation counts toward
+    /// the lazy threshold only while the table is missing.
+    fn table_after(&self, coeffs: BitSlice<'_>) -> Option<&[u64]> {
         if let Some(t) = self.table.get() {
             return Some(t);
         }
         if self.table_allowed.get() {
-            let seen = self.probes.get() + probes;
+            let seen = self.probes.get() + 1;
             self.probes.set(seen);
             // Build once probes reach p/4: at most p/4 Horner evaluations
             // are "wasted" before the p-evaluation build, keeping total
@@ -378,7 +378,7 @@ impl<'a> EqEvaluator<'a> {
     #[inline]
     #[must_use]
     pub fn eval(&self, x: u64) -> u64 {
-        match self.table_after(1) {
+        match self.table_after() {
             Some(t) => t[x as usize],
             // The lazy path: the table may materialise mid-loop, in which
             // case it serves from then on.
@@ -389,48 +389,28 @@ impl<'a> EqEvaluator<'a> {
     /// `(A(x), B(x))` for this view's polynomial `A` and `other`'s `B` at
     /// one shared raw residue `x` (reduced in both fields) — one equality
     /// probe. Values and lazy-table behaviour are exactly those of
-    /// `self.eval(x)` followed by `other.eval(x)`: each side serves from
-    /// its own table once that is built, and each side's probe counter
-    /// advances as it would under two calls (twice, when both views share
-    /// one preparation). When neither side has a table, both are
-    /// evaluated by the pair core — one window table, two interleaved
-    /// Horner chains, each from its own coefficients.
+    /// `self.eval(x)` followed by `other.eval(x)`: each call counts one
+    /// probe per side toward its lazy table (two, when both views share
+    /// one preparation), and each side serves from its own table once that
+    /// is built. When neither side has a table, both are evaluated by the
+    /// pair core ([`BitPolynomial::eval_raw_pair`]) — one window table,
+    /// two interleaved Horner chains, each from its own coefficients.
     #[inline]
     #[must_use]
     pub fn eval_pair(&self, other: &EqEvaluator<'_>, x: u64) -> (u64, u64) {
-        let ([a], [b]) = self.eval_pair_lanes(other, &[x]);
-        (a, b)
-    }
-
-    /// [`EqEvaluator::eval_pair`] at `L` points at once, values
-    /// bit-identical to `L` pair calls. One chunk counts as `L` probes per
-    /// side toward the lazy tables (the batched engine probes in chunks of
-    /// 8, so per-probe counting would cost a `Cell` round-trip per lane for
-    /// the same materialisation decision). Sides without a table are
-    /// served by the lane form of the pair core
-    /// ([`BitPolynomial::eval_raw_pair_lanes`]).
-    #[inline]
-    #[must_use]
-    pub fn eval_pair_lanes<const L: usize>(
-        &self,
-        other: &EqEvaluator<'_>,
-        xs: &[u64; L],
-    ) -> ([u64; L], [u64; L]) {
-        let gather = |t: &[u64]| xs.map(|x| t[x as usize]);
         let (f, g) = (self.prep.field, other.prep.field);
-        match (self.table_after(L), other.table_after(L)) {
-            (Some(a), Some(b)) => (gather(a), gather(b)),
-            (Some(a), None) => (gather(a), xs.map(|x| g.eval_raw(other.coeffs, x))),
-            (None, Some(b)) => (xs.map(|x| f.eval_raw(self.coeffs, x)), gather(b)),
-            (None, None) => f.eval_raw_pair_lanes(self.coeffs, g, other.coeffs, xs),
+        match (self.table_after(), other.table_after()) {
+            (Some(a), Some(b)) => (a[x as usize], b[x as usize]),
+            (Some(a), None) => (a[x as usize], g.eval_raw(other.coeffs, x)),
+            (None, Some(b)) => (f.eval_raw(self.coeffs, x), b[x as usize]),
+            (None, None) => f.eval_raw_pair(self.coeffs, g, other.coeffs, x),
         }
     }
 
-    /// The table serving the next `probes` evaluations, if any.
+    /// The table serving the next evaluation, if any.
     #[inline]
-    fn table_after(&self, probes: usize) -> Option<&'a [u64]> {
-        self.table
-            .or_else(|| self.prep.table_after(self.coeffs, probes as u64))
+    fn table_after(&self) -> Option<&'a [u64]> {
+        self.table.or_else(|| self.prep.table_after(self.coeffs))
     }
 
     /// The field prime of the underlying protocol.
@@ -511,36 +491,30 @@ mod tests {
     }
 
     #[test]
-    fn lane_evaluation_matches_scalar_across_table_materialisation() {
+    fn pair_evaluation_matches_scalar_across_table_materialisation() {
         let mut rng = StdRng::seed_from_u64(13);
         let lambda = 48usize;
         let proto = EqProtocol::for_length(lambda);
         let input = random_bits(lambda, &mut rng);
         let other = random_bits(lambda, &mut rng);
-        // One preparation probed scalar, one laned, one table-free: all
+        // One preparation probed singly, one in pairs, one table-free: all
         // three must agree at every point even as the allowed ones cross
         // their lazy-table threshold mid-sweep.
         let scalar = proto.prepare(lambda, usize::MAX).unwrap();
-        let laned = proto.prepare(lambda, usize::MAX).unwrap();
+        let paired = proto.prepare(lambda, usize::MAX).unwrap();
         let bare = proto.prepare(lambda, 1).unwrap();
         let partner = proto.prepare(lambda, 1).unwrap();
         assert!(scalar.table_allowed() && !bare.table_allowed());
         let (a, b) = (input.as_slice(), other.as_slice());
         let p = proto.modulus();
-        let mut x = 0u64;
-        while x < p {
-            let xs: [u64; 8] = std::array::from_fn(|l| (x + l as u64) % p);
-            let (lanes, partner_lanes) = laned
-                .evaluator(a)
-                .eval_pair_lanes(&partner.evaluator(b), &xs);
-            for (l, &xl) in xs.iter().enumerate() {
-                assert_eq!(lanes[l], scalar.evaluator(a).eval(xl), "x = {xl}");
-                assert_eq!(lanes[l], bare.evaluator(a).eval(xl), "x = {xl}");
-                assert_eq!(partner_lanes[l], partner.evaluator(b).eval(xl), "x = {xl}");
-            }
-            x += 8;
+        // Runs of eight points from every multiple of 8, wrapping past p.
+        for x in (0..p).step_by(8).flat_map(|x| (x..x + 8).map(|x| x % p)) {
+            let (va, vb) = paired.evaluator(a).eval_pair(&partner.evaluator(b), x);
+            assert_eq!(va, scalar.evaluator(a).eval(x), "x = {x}");
+            assert_eq!(va, bare.evaluator(a).eval(x), "x = {x}");
+            assert_eq!(vb, partner.evaluator(b).eval(x), "x = {x}");
         }
-        assert!(laned.has_table(), "lane probes must feed the lazy table");
+        assert!(paired.has_table(), "pair probes must feed the lazy table");
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //!   `⌊2¹²⁸ / p⌋` — four 64-bit multiplies and one conditional subtract
 //!   per reduction. [`Fp`] arithmetic and the wide fields of adversarially
 //!   declared lengths run on it.
-//! * The one-word reducer covers `p < 2³²`, where a Horner step
-//!   `acc·y + c` fits in one `u64`, and reduces by `⌊2⁶⁴ / p⌋` with a
-//!   64-bit Barrett step. A small prime fits several Horner steps in a
-//!   `u64` before one reduction (its *step budget*: 6 at `p = 389`).
-//!   Every protocol prime for λ below ~7·10⁸ lies in this range, so it
-//!   carries the fingerprint probes of the verification engine (see
+//! * The one-word reducer covers the moduli for which a Horner *byte
+//!   step* `acc·y² + (c₁·y + c₀)` from a residue fits in one `u64` —
+//!   `(p − 1)(2p − 1) < 2⁶⁴`, so `p ≤ 3 037 000 500` — and reduces by
+//!   `⌊2⁶⁴ / p⌋` with a 64-bit Barrett step. A small prime fits several
+//!   byte steps in a `u64` before one reduction (its *step budget*: 6 at
+//!   `p = 389`). Every protocol prime for λ below ~10⁹ lies in this range,
+//!   so it carries the fingerprint probes of the verification engine (see
 //!   [`crate::poly`]).
 //!
 //! Either factor is computed once per modulus; [`Barrett::cached`]
@@ -33,7 +34,7 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// `x < 2¹²⁶` into multiplications and one conditional subtraction.
 ///
 /// This is the general-purpose reducer: field elements ([`Fp`]) and
-/// polynomial evaluation over moduli of `2³²` and above use it. Smaller
+/// polynomial evaluation over moduli above `3 037 000 500` use it. Smaller
 /// fields — every honest protocol prime — evaluate fingerprints with a
 /// cheaper one-word reduction instead (see [`crate::poly`]).
 ///
@@ -177,10 +178,11 @@ impl Barrett {
 /// wide reducer run the same loop.
 ///
 /// A step `acc·y + c` is plain arithmetic in the accumulator type; the
-/// reduction mod `p` is separate. Starting from a residue, the
-/// accumulator absorbs [`Reducer::budget`] steps with `y, c ≤ p − 1`
-/// before it must be reduced, so the core reduces once per `budget()`
-/// steps rather than once per step.
+/// reduction mod `p` is separate. The core takes one *byte step*
+/// `acc·y² + (c₁·y + c₀)` per coefficient byte, with `y, y², c₀, c₁ ≤ p − 1`:
+/// starting from a residue, the accumulator absorbs [`Reducer::budget`]
+/// of them before it must be reduced, so the core reduces once per
+/// `budget()` bytes rather than once per byte.
 pub(crate) trait Reducer: Copy {
     /// The accumulator of unreduced steps.
     type Acc: Copy;
@@ -188,9 +190,10 @@ pub(crate) trait Reducer: Copy {
     /// The modulus `p`.
     fn modulus(self) -> u64;
 
-    /// The step budget `k ≥ 1`: the number of steps `acc·y + c` that,
-    /// starting from `acc ≤ p − 1` with `y, c ≤ p − 1`, stay inside
-    /// [`Reducer::Acc`].
+    /// The step budget `k ≥ 1`: the number of byte steps that, starting
+    /// from `acc ≤ p − 1`, stay inside [`Reducer::Acc`]. Each step's
+    /// addend `c₁·y + c₀` is at most `(p − 1)·p`, so the worst case runs
+    /// `w ← w·(p − 1) + (p − 1)·p` from `w = p − 1`.
     fn budget(self) -> usize;
 
     /// A residue as an accumulator.
@@ -198,7 +201,7 @@ pub(crate) trait Reducer: Copy {
 
     /// The unreduced step `acc·y + c` (plain arithmetic: in
     /// overflow-checked builds a step past the budget panics).
-    fn step(acc: Self::Acc, y: u64, c: u64) -> Self::Acc;
+    fn step(acc: Self::Acc, y: u64, c: Self::Acc) -> Self::Acc;
 
     /// `acc mod p`.
     fn reduce(self, acc: Self::Acc) -> u64;
@@ -207,7 +210,7 @@ pub(crate) trait Reducer: Copy {
     /// reduction.
     #[inline]
     fn mul_add(self, a: u64, b: u64, c: u64) -> u64 {
-        self.reduce(Self::step(Self::lift(a), b, c))
+        self.reduce(Self::step(Self::lift(a), b, Self::lift(c)))
     }
 
     /// `(a + b) mod p` for residues `a, b < p` (`p < 2⁶³`, so the sum
@@ -223,9 +226,9 @@ pub(crate) trait Reducer: Copy {
     }
 }
 
-/// The wide reducer's accumulator is a `u128`: one step from a residue
-/// ends below `p² < 2¹²⁶`, and near `p = 2⁶³` a second would pass `2¹²⁸`,
-/// so every step is reduced (`k = 1` for every wide modulus).
+/// The wide reducer's accumulator is a `u128`: one byte step from a
+/// residue ends below `2p² < 2¹²⁷`, and near `p = 2⁶³` a second would pass
+/// `2¹²⁸`, so every step is reduced (`k = 1` for every wide modulus).
 impl Reducer for Barrett {
     type Acc = u128;
 
@@ -245,8 +248,8 @@ impl Reducer for Barrett {
     }
 
     #[inline]
-    fn step(acc: u128, y: u64, c: u64) -> u128 {
-        acc * u128::from(y) + u128::from(c)
+    fn step(acc: u128, y: u64, c: u128) -> u128 {
+        acc * u128::from(y) + c
     }
 
     #[inline]
@@ -255,19 +258,19 @@ impl Reducer for Barrett {
     }
 }
 
-/// The most steps one reduction is ever deferred by. Without a cap the
-/// budget of `p = 2` would be unbounded (its worst case grows by 1 per
+/// The most byte steps one reduction is ever deferred by. Without a cap
+/// the budget of `p = 2` would be unbounded (its worst case grows by 2 per
 /// step); no protocol prime gets near it (`p = 389` allows 6).
 const MAX_BUDGET: usize = 64;
 
-/// One-word Barrett reduction for a modulus `2 ≤ p < 2³²`, with a `u64`
-/// accumulator. Every operand below `p` gives `a·b + c ≤ p(p − 1) < 2⁶⁴`,
-/// so at least one Horner step fits, and a small prime fits several: the
-/// step budget `k` is the largest count (up to [`MAX_BUDGET`]) for which
-/// `k` worst-case steps from `acc = p − 1` stay below `2⁶⁴` — 6 at
-/// `p = 389`, 1 near `2³²`. A reduction takes the high word of one 64×64
-/// multiply by the factor `⌊2⁶⁴ / p⌋`, then at most one conditional
-/// subtract, and is exact for every `u64`.
+/// One-word Barrett reduction with a `u64` accumulator, for the moduli
+/// `p ≥ 2` whose first worst-case byte step fits it:
+/// `(p − 1)(2p − 1) < 2⁶⁴`, i.e. `p ≤ 3 037 000 500`. A small prime fits
+/// several: the step budget `k` is the largest count (up to
+/// [`MAX_BUDGET`]) for which `k` worst-case byte steps from `acc = p − 1`
+/// stay below `2⁶⁴` — 6 at `p = 389`, 1 near the bound. A reduction takes
+/// the high word of one 64×64 multiply by the factor `⌊2⁶⁴ / p⌋`, then at
+/// most one conditional subtract, and is exact for every `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct NarrowBarrett {
     modulus: u64,
@@ -278,23 +281,25 @@ pub(crate) struct NarrowBarrett {
 }
 
 impl NarrowBarrett {
-    /// The reducer for `modulus`, or `None` unless `2 ≤ modulus < 2³²`
-    /// (wider moduli overflow one-word products).
+    /// The reducer for `modulus`, or `None` unless `modulus ≥ 2` and one
+    /// worst-case byte step fits a `u64` (wider moduli run on
+    /// [`Barrett`]).
     pub(crate) fn new(modulus: u64) -> Option<Self> {
-        if !(2..1 << 32).contains(&modulus) {
-            return None;
-        }
-        // 2⁶⁴ = u64::MAX + 1, so ⌊2⁶⁴/m⌋ = ⌊u64::MAX/m⌋ + [m | 2⁶⁴].
-        let factor = u64::MAX / modulus + u64::from(u64::MAX % modulus == modulus - 1);
-        // The worst case after each step, from acc = y = c = p − 1.
-        let top = modulus - 1;
+        let top = modulus.checked_sub(1).filter(|&top| top > 0)?;
+        // The worst case after each byte step, from acc = y = c₀ = c₁ = p − 1.
+        let addend = top.checked_mul(modulus)?;
         let (mut worst, mut budget) = (top, 0);
         while budget < MAX_BUDGET {
-            match worst.checked_mul(top).and_then(|w| w.checked_add(top)) {
+            match worst.checked_mul(top).and_then(|w| w.checked_add(addend)) {
                 Some(w) => (worst, budget) = (w, budget + 1),
                 None => break,
             }
         }
+        if budget == 0 {
+            return None;
+        }
+        // 2⁶⁴ = u64::MAX + 1, so ⌊2⁶⁴/m⌋ = ⌊u64::MAX/m⌋ + [m | 2⁶⁴].
+        let factor = u64::MAX / modulus + u64::from(u64::MAX % modulus == modulus - 1);
         Some(Self {
             modulus,
             budget,
@@ -658,12 +663,23 @@ pub(crate) mod tests {
         }
     }
 
+    /// The largest modulus whose first worst-case byte step from a residue,
+    /// `(p − 1)² + (p − 1)·p = (p − 1)(2p − 1)`, fits in a `u64`.
+    const NARROW_BOUND: u64 = 3_037_000_500;
+    /// The primes either side of [`NARROW_BOUND`].
+    const LAST_NARROW_PRIME: u64 = 3_037_000_493;
+    const FIRST_WIDE_PRIME: u64 = 3_037_000_507;
+
     #[test]
     fn narrow_barrett_matches_naive_multiply_add_up_to_its_bound() {
         // Includes the power-of-two prime 2 (the ⌊2⁶⁴/m⌋ rounding edge
-        // case) and the largest modulus below 2³², where the extreme step
-        // (p−1)² + (p−1) = p(p−1) sits just under 2⁶⁴.
-        for m in [2u64, 3, 97, (1 << 20) - 3, 4_294_967_291, (1 << 32) - 1] {
+        // case) and the largest one-word moduli, where one worst-case byte
+        // step (p−1)·(p−1) + (p−1)·p sits just under 2⁶⁴.
+        for m in [2u64, 3, 97, (1 << 20) - 3, LAST_NARROW_PRIME, NARROW_BOUND] {
+            let byte_step = |a: u64, y: u64, c1: u64, c0: u64| {
+                let [a, y, c1, c0, m] = [a, y, c1, c0, m].map(u128::from);
+                ((a * y * y + c1 * y + c0) % m) as u64
+            };
             let r = NarrowBarrett::new(m).expect("below the one-word bound");
             assert_eq!(Reducer::modulus(r), m);
             let edge = [0, 1, 2 % m, m / 2, m - 2 % m, m - 1];
@@ -674,22 +690,37 @@ pub(crate) mod tests {
                             as u64;
                         assert_eq!(r.mul_add(a, b, c), want, "a={a} b={b} c={c} m={m}");
                         assert_eq!(Barrett::new(m).mul_add(a, b, c), want);
+                        // One unreduced byte step acc·y² + (c₁·y + c₀) with
+                        // every operand at this edge value.
+                        let y2 = r.mul_add(b, b, 0);
+                        let step = |acc, c1, c0| {
+                            NarrowBarrett::step(acc, y2, NarrowBarrett::step(c1, b, c0))
+                        };
+                        assert_eq!(r.reduce(step(a, c, c)), byte_step(a, b, c, c));
                     }
                 }
             }
         }
-        assert_eq!(NarrowBarrett::new(1 << 32), None);
-        assert_eq!(NarrowBarrett::new(1), None);
+        for m in [
+            0,
+            1,
+            NARROW_BOUND + 1,
+            FIRST_WIDE_PRIME,
+            4_294_967_291,
+            1 << 32,
+        ] {
+            assert_eq!(NarrowBarrett::new(m), None, "m={m}");
+        }
     }
 
-    /// Whether `k` worst-case Horner steps from `acc = y = c = p − 1` stay
-    /// in a `u64`, in `u128` arithmetic (independent of the reducer's own
-    /// derivation).
+    /// Whether `k` worst-case byte steps `w ← w·(p − 1) + (p − 1)·p` from
+    /// `w = p − 1` stay in a `u64`, in `u128` arithmetic (independent of
+    /// the reducer's own derivation).
     fn worst_case_fits(p: u64, k: usize) -> bool {
-        let m = u128::from(p - 1);
+        let (m, p) = (u128::from(p - 1), u128::from(p));
         let mut acc = m;
         (0..k).all(|_| {
-            acc = acc * m + m;
+            acc = acc * m + m * p;
             acc <= u128::from(u64::MAX)
         })
     }
@@ -749,16 +780,22 @@ pub(crate) mod tests {
         };
         // p = 2 fits any number of steps: the cap ends its derivation.
         assert_eq!(check(2), MAX_BUDGET);
-        assert_eq!(check(3), 62);
+        assert_eq!(check(3), 61);
         assert_eq!(check(389), 6);
-        assert_eq!(check(4_294_967_291), 1);
+        // The narrow bound: one step fits at the last one-word prime, none
+        // at the first prime past it, which runs on the wide reducer.
+        assert_eq!(check(LAST_NARROW_PRIME), 1);
+        assert!(worst_case_fits(NARROW_BOUND, 1) && !worst_case_fits(NARROW_BOUND + 1, 1));
+        assert!(!worst_case_fits(FIRST_WIDE_PRIME, 1));
+        assert_eq!(NarrowBarrett::new(FIRST_WIDE_PRIME), None);
         let edges = budget_boundary_primes();
+        assert!(edges.contains(&(LAST_NARROW_PRIME, 1)));
         for &(p, k) in &edges {
             assert_eq!(check(p), k, "p={p}");
         }
-        // Every budget from 1 up to 12 is reached by some prime, at both
+        // Every budget from 1 up to 11 is reached by some prime, at both
         // ends of its interval.
-        for k in 1..=12 {
+        for k in 1..=11 {
             assert_eq!(edges.iter().filter(|&&(_, j)| j == k).count(), 2, "k={k}");
         }
     }

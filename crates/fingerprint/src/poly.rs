@@ -11,24 +11,27 @@
 //! coefficients in 4-bit windows, `A(x) = Σ_w W_w(x)·y^w` with `y = x⁴`
 //! and `W_w(x) = a_{4w} + a_{4w+1}x + a_{4w+2}x² + a_{4w+3}x³`. Per point
 //! the core builds the 16-entry table `T[c] = W_c(x)` of every window
-//! value (3 multiplies, 11 additions), then runs Horner in `y`: one
-//! multiply-add `acc·y + T[c]` per window, `⌈λ/4⌉` in all. The windows are
-//! the raw nibbles of the string's backing bytes — bits are stored
+//! value (3 multiplies, 11 additions) and `y² = x⁸`, then runs Horner in
+//! `y²` with one step per byte of the string's backing bytes:
+//! `acc·y² + (T[lo]·y + T[hi])`, `⌈λ/8⌉` in all. Bits are stored
 //! MSB-first, so a nibble's top bit is its window's constant coefficient
-//! and the table is indexed by the nibble as stored; only the final
-//! partial window is masked.
+//! and the table is indexed by the nibble as stored; a byte's high nibble
+//! is the lower-degree window. Only the final partial byte is masked. The
+//! addend `T[lo]·y + T[hi]` does not wait on `acc`, so each chain's
+//! dependent work is one multiply-add per byte.
 //!
-//! The multiply-adds are plain arithmetic: the accumulator is reduced mod
-//! `p` once per group of `k` steps, where `k` is the reducer's *step
-//! budget* — the most steps from a residue, with `y` and every table
+//! The steps are plain arithmetic: the accumulator is reduced mod `p`
+//! once per group of `k` bytes, where `k` is the reducer's *step budget*
+//! — the most byte steps from a residue, with `y`, `y²` and every table
 //! entry at most `p − 1`, that cannot overflow the accumulator. The
-//! reducer is chosen once per polynomial. A modulus below `2³²` (every
-//! protocol prime for λ below ~7·10⁸) runs in one `u64` word, where small
-//! primes defer many reductions (`k = 6` at `p = 389`, the prime of a
-//! 128-bit string) and primes near `2³²` none (`k = 1`). Wider moduli —
-//! adversarially declared lengths, field-size ablations — run the same
-//! loop on [`crate::field::Barrett`] with `k = 1`. Values are exactly
-//! those of per-step reduction: every reduction lands on the same residue.
+//! reducer is chosen once per polynomial. A modulus up to
+//! `3 037 000 500`, where one byte step fits a `u64` (every protocol prime
+//! for λ below ~10⁹), runs in one word, where small primes defer many
+//! reductions (`k = 6` at `p = 389`, the prime of a 128-bit string) and
+//! primes near the bound none (`k = 1`). Wider moduli — adversarially
+//! declared lengths, field-size ablations — run the same loop on
+//! [`crate::field::Barrett`] with `k = 1`. Values are exactly those of
+//! per-step reduction: every reduction lands on the same residue.
 
 use crate::field::{Barrett, Fp, NarrowBarrett, Reducer};
 use rpls_bits::{BitSlice, BitString};
@@ -63,80 +66,83 @@ pub struct BitPolynomial {
 /// [`BitPolynomial`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Field {
-    /// `p < 2³²`: one-word multiply-adds.
+    /// `p ≤ 3 037 000 500`: one-word byte steps.
     Narrow(NarrowBarrett),
-    /// `2³² ≤ p < 2⁶³`: 128-bit products.
+    /// Wider moduli up to `2⁶³`: 128-bit products.
     Wide(Barrett),
 }
 
-/// The window table `T[c]` for the point `x` together with the Horner
-/// step `y = x⁴`. Nibble bit 3 is the window's `x⁰` coefficient, so
-/// `T[8] = 1`, `T[4] = x`, `T[2] = x²`, `T[1] = x³`, and every other entry
-/// is the sum of two entries already built.
-#[inline]
-fn window_table<R: Reducer>(r: R, x: u64) -> ([u64; 16], u64) {
-    let x2 = r.mul_add(x, x, 0);
-    let x3 = r.mul_add(x2, x, 0);
-    let y = r.mul_add(x2, x2, 0);
-    let mut t = [0u64; 16];
-    t[8] = 1;
-    t[4] = x;
-    t[2] = x2;
-    t[1] = x3;
-    for c in 3..16usize {
-        if !c.is_power_of_two() {
-            // Split off the lowest set bit: both parts are smaller.
-            t[c] = r.add(t[c & (c - 1)], t[c & c.wrapping_neg()]);
+/// The per-point state of the windowed core: the window table `T[c]` for
+/// the point `x`, with `y = x⁴` and the byte step's multiplier `y² = x⁸`.
+struct Windows {
+    t: [u64; 16],
+    y: u64,
+    y2: u64,
+}
+
+impl Windows {
+    /// Nibble bit 3 is the window's `x⁰` coefficient, so `T[8] = 1`,
+    /// `T[4] = x`, `T[2] = x²`, `T[1] = x³`, and every other entry is the
+    /// sum of two entries already built.
+    #[inline]
+    fn new<R: Reducer>(r: R, x: u64) -> Self {
+        let x2 = r.mul_add(x, x, 0);
+        let x3 = r.mul_add(x2, x, 0);
+        let y = r.mul_add(x2, x2, 0);
+        let mut t = [0u64; 16];
+        t[8] = 1;
+        t[4] = x;
+        t[2] = x2;
+        t[1] = x3;
+        for c in 3..16usize {
+            if !c.is_power_of_two() {
+                // Split off the lowest set bit: both parts are smaller.
+                t[c] = r.add(t[c & (c - 1)], t[c & c.wrapping_neg()]);
+            }
+        }
+        Self {
+            t,
+            y,
+            y2: r.mul_add(y, y, 0),
         }
     }
-    (t, y)
+
+    /// The unreduced addend `T[lo]·y + T[hi]` of the byte `b`, at most
+    /// `(p − 1)·p` (the low nibble holds the higher-degree window).
+    #[inline]
+    fn term<R: Reducer>(&self, b: u8) -> R::Acc {
+        let (lo, hi) = (self.t[usize::from(b & 0x0F)], self.t[usize::from(b >> 4)]);
+        R::step(R::lift(lo), self.y, R::lift(hi))
+    }
 }
 
 /// The start of one string's Horner chain: the accumulator after the
-/// windows above the string's whole coefficient bytes, the steps it can
-/// still take within the reducer's budget (at least 1), and those whole
-/// bytes (windows `0..2k`). The top window is masked to the coefficients
-/// below `len`, so padding bits are never trusted.
+/// string's top byte, the byte steps it can still take within the
+/// reducer's budget (at least 1), and the bytes below the top one. The top
+/// byte is masked to the coefficients below `len`, so padding bits are
+/// never trusted.
 #[inline]
 fn horner_head<'a, R: Reducer>(
     r: R,
     coeffs: BitSlice<'a>,
-    t: &[u64; 16],
-    y: u64,
+    w: &Windows,
 ) -> (R::Acc, usize, &'a [u8]) {
-    let len = coeffs.len();
-    let Some(top) = len.div_ceil(4).checked_sub(1) else {
+    let Some((&top, rest)) = coeffs.as_bytes().split_last() else {
         return (R::lift(0), r.budget(), &[]);
     };
-    let bytes = coeffs.as_bytes();
-    let byte = bytes[top / 2];
-    let valid = len - 4 * top; // coefficients in the top window, 1..=4
-    let mask = (0x0Fu8 << (4 - valid)) & 0x0F;
-    let rest = &bytes[..top / 2];
-    if top % 2 == 0 {
-        // The top window is the high nibble of its byte.
-        (
-            R::lift(t[usize::from((byte >> 4) & mask)]),
-            r.budget(),
-            rest,
-        )
-    } else {
-        // The low nibble, then the same byte's high nibble below it.
-        let acc = R::step(
-            R::lift(t[usize::from(byte & mask)]),
-            y,
-            t[usize::from(byte >> 4)],
-        );
-        match r.budget() - 1 {
-            0 => (R::lift(r.reduce(acc)), r.budget(), rest),
-            left => (acc, left, rest),
-        }
+    // Coefficients in the top byte, 1..=8.
+    let valid = coeffs.len() - 8 * rest.len();
+    // The top byte's addend is one byte step from 0, so it spends one step
+    // of the budget.
+    let acc = w.term::<R>(top & (0xFF << (8 - valid)));
+    match r.budget() - 1 {
+        0 => (R::lift(r.reduce(acc)), r.budget(), rest),
+        left => (acc, left, rest),
     }
 }
 
-/// Continues a chain from `acc`, which can take `left ≥ 1` more steps,
-/// down through whole coefficient bytes (the low nibble of a byte holds
-/// the higher-degree window). The accumulator is reduced each time the
+/// Continues a chain from `acc`, which can take `left ≥ 1` more byte
+/// steps, down through `bytes`. The accumulator is reduced each time the
 /// budget runs out; returns it, possibly unreduced, with the steps left.
 #[inline]
 fn horner_bytes<R: Reducer>(
@@ -144,16 +150,13 @@ fn horner_bytes<R: Reducer>(
     mut acc: R::Acc,
     mut left: usize,
     bytes: &[u8],
-    t: &[u64; 16],
-    y: u64,
+    w: &Windows,
 ) -> (R::Acc, usize) {
     for &b in bytes.iter().rev() {
-        for c in [b & 0x0F, b >> 4] {
-            acc = R::step(acc, y, t[usize::from(c)]);
-            left -= 1;
-            if left == 0 {
-                (acc, left) = (R::lift(r.reduce(acc)), r.budget());
-            }
+        acc = R::step(acc, w.y2, w.term::<R>(b));
+        left -= 1;
+        if left == 0 {
+            (acc, left) = (R::lift(r.reduce(acc)), r.budget());
         }
     }
     (acc, left)
@@ -161,59 +164,37 @@ fn horner_bytes<R: Reducer>(
 
 /// `A(x)` by the windowed core.
 fn eval_windowed<R: Reducer>(r: R, coeffs: BitSlice<'_>, x: u64) -> u64 {
-    let (t, y) = window_table(r, x);
-    let (acc, left, bytes) = horner_head(r, coeffs, &t, y);
-    r.reduce(horner_bytes(r, acc, left, bytes, &t, y).0)
+    let w = Windows::new(r, x);
+    let (acc, left, bytes) = horner_head(r, coeffs, &w);
+    r.reduce(horner_bytes(r, acc, left, bytes, &w).0)
 }
 
-/// `(A(x_l), B(x_l))` for every lane `l`: one window table per lane, and
-/// the `2L` Horner chains interleaved once all have started, so each
-/// chain's multiply latency hides behind the others'. The interleaved
-/// chains share one budget count and reduce together.
-fn eval_pair_windowed<R: Reducer, const L: usize>(
-    r: R,
-    a: BitSlice<'_>,
-    b: BitSlice<'_>,
-    xs: &[u64; L],
-) -> ([u64; L], [u64; L]) {
-    let tables = xs.map(|x| window_table(r, x));
-    let (mut acc_a, mut acc_b) = ([R::lift(0); L], [R::lift(0); L]);
-    // Budget counts and byte runs depend on the strings alone, not on the
-    // lane.
-    let (mut left_a, mut left_b) = (0, 0);
-    let (mut rest_a, mut rest_b): (&[u8], &[u8]) = (&[], &[]);
-    for (l, (t, y)) in tables.iter().enumerate() {
-        (acc_a[l], left_a, rest_a) = horner_head(r, a, t, *y);
-        (acc_b[l], left_b, rest_b) = horner_head(r, b, t, *y);
-    }
-    // The longer string's chains run alone until both have the same
-    // bytes left.
+/// `(A(x), B(x))`: one window table, and the two Horner chains
+/// interleaved once both have the same bytes left, so each chain's
+/// multiply latency hides behind the other's. The interleaved chains
+/// share one budget count and reduce together.
+fn eval_pair_windowed<R: Reducer>(r: R, a: BitSlice<'_>, b: BitSlice<'_>, x: u64) -> (u64, u64) {
+    let w = Windows::new(r, x);
+    let (acc_a, left_a, rest_a) = horner_head(r, a, &w);
+    let (acc_b, left_b, rest_b) = horner_head(r, b, &w);
+    // The longer string's chain runs alone until both have the same bytes
+    // left.
     let k = rest_a.len().min(rest_b.len());
-    let (mut after_a, mut after_b) = (left_a, left_b);
-    for (l, (t, y)) in tables.iter().enumerate() {
-        (acc_a[l], after_a) = horner_bytes(r, acc_a[l], left_a, &rest_a[k..], t, *y);
-        (acc_b[l], after_b) = horner_bytes(r, acc_b[l], left_b, &rest_b[k..], t, *y);
-    }
+    let (mut acc_a, left_a) = horner_bytes(r, acc_a, left_a, &rest_a[k..], &w);
+    let (mut acc_b, left_b) = horner_bytes(r, acc_b, left_b, &rest_b[k..], &w);
     // Each chain stays within budget for the fewer steps either has left.
-    let mut left = after_a.min(after_b);
+    let mut left = left_a.min(left_b);
     for (&ba, &bb) in rest_a[..k].iter().zip(&rest_b[..k]).rev() {
-        for (ca, cb) in [(ba & 0x0F, bb & 0x0F), (ba >> 4, bb >> 4)] {
-            for (l, (t, y)) in tables.iter().enumerate() {
-                acc_a[l] = R::step(acc_a[l], *y, t[usize::from(ca)]);
-                acc_b[l] = R::step(acc_b[l], *y, t[usize::from(cb)]);
-            }
-            left -= 1;
-            if left == 0 {
-                acc_a = acc_a.map(|acc| R::lift(r.reduce(acc)));
-                acc_b = acc_b.map(|acc| R::lift(r.reduce(acc)));
-                left = r.budget();
-            }
+        acc_a = R::step(acc_a, w.y2, w.term::<R>(ba));
+        acc_b = R::step(acc_b, w.y2, w.term::<R>(bb));
+        left -= 1;
+        if left == 0 {
+            acc_a = R::lift(r.reduce(acc_a));
+            acc_b = R::lift(r.reduce(acc_b));
+            left = r.budget();
         }
     }
-    (
-        acc_a.map(|acc| r.reduce(acc)),
-        acc_b.map(|acc| r.reduce(acc)),
-    )
+    (r.reduce(acc_a), r.reduce(acc_b))
 }
 
 impl Field {
@@ -251,28 +232,24 @@ impl Field {
         }
     }
 
-    /// `(A(x_l), B(x_l))` per lane, `A` over this field with coefficients
-    /// `a` and `B` over `other` with coefficients `b`: the pair core over a
-    /// shared field, two scalar evaluations otherwise.
-    pub(crate) fn eval_raw_pair_lanes<const L: usize>(
+    /// `(A(x), B(x))`, `A` over this field with coefficients `a` and `B`
+    /// over `other` with coefficients `b`: the pair core over a shared
+    /// field, two single evaluations otherwise.
+    pub(crate) fn eval_raw_pair(
         self,
         a: BitSlice<'_>,
         other: Self,
         b: BitSlice<'_>,
-        xs: &[u64; L],
-    ) -> ([u64; L], [u64; L]) {
+        x: u64,
+    ) -> (u64, u64) {
         debug_assert!(
-            xs.iter()
-                .all(|&x| x < self.modulus() && x < other.modulus()),
-            "evaluation points not reduced"
+            x < self.modulus() && x < other.modulus(),
+            "evaluation point not reduced"
         );
         match (self, other) {
-            (Field::Narrow(r), Field::Narrow(s)) if r == s => eval_pair_windowed(r, a, b, xs),
-            (Field::Wide(r), Field::Wide(s)) if r == s => eval_pair_windowed(r, a, b, xs),
-            _ => (
-                xs.map(|x| self.eval_raw(a, x)),
-                xs.map(|x| other.eval_raw(b, x)),
-            ),
+            (Field::Narrow(r), Field::Narrow(s)) if r == s => eval_pair_windowed(r, a, b, x),
+            (Field::Wide(r), Field::Wide(s)) if r == s => eval_pair_windowed(r, a, b, x),
+            _ => (self.eval_raw(a, x), other.eval_raw(b, x)),
         }
     }
 
@@ -350,29 +327,11 @@ impl BitPolynomial {
     /// `x` must be reduced in both fields.
     #[must_use]
     pub fn eval_raw_pair(&self, other: &Self, x: u64) -> (u64, u64) {
-        let ([a], [b]) = self.eval_raw_pair_lanes(other, &[x]);
-        (a, b)
-    }
-
-    /// [`BitPolynomial::eval_raw_pair`] at `L` points at once: `L` window
-    /// tables and `2L` interleaved Horner chains. Values are bit-identical
-    /// to `L` pair calls; the lane layout only keeps the multiplier busy
-    /// while each chain waits on its previous step (portable scalar code,
-    /// no target-feature gates). The batched trial engine probes in
-    /// chunks of 8 lanes through this path.
-    ///
-    /// Every lane must be reduced in both fields.
-    #[must_use]
-    pub fn eval_raw_pair_lanes<const L: usize>(
-        &self,
-        other: &Self,
-        xs: &[u64; L],
-    ) -> ([u64; L], [u64; L]) {
-        self.field.eval_raw_pair_lanes(
+        self.field.eval_raw_pair(
             self.coeffs.as_slice(),
             other.field,
             other.coeffs.as_slice(),
-            xs,
+            x,
         )
     }
 
@@ -482,8 +441,7 @@ mod tests {
                     for x in [0, 1, p - 1, p / 3] {
                         let want = (naive(&ta, x, p), naive(&tb, x, p));
                         assert_eq!(f.eval_raw(a, x), want.0, "p={p} len={len} x={x}");
-                        let ([va], [vb]) = f.eval_raw_pair_lanes(a, f, b, &[x]);
-                        assert_eq!((va, vb), want, "p={p} len={len} x={x}");
+                        assert_eq!(f.eval_raw_pair(a, f, b, x), want, "p={p} len={len} x={x}");
                     }
                 }
             }
@@ -491,33 +449,22 @@ mod tests {
     }
 
     #[test]
-    fn lane_evaluation_is_bit_identical_to_scalar() {
+    fn pair_evaluation_matches_scalar_and_naive_at_many_points() {
         let p = protocol_prime(40);
         let a = BitPolynomial::from_bits(&bits("1101001011101000100101110110100101110100"), p);
         let b = BitPolynomial::from_bits(&bits("0110100101110"), p);
-        // Sweep misaligned windows so every lane position sees many points.
+        let scalar = |x| (a.eval_raw(x), b.eval_raw(x));
+        // Strided sweeps from misaligned starts, so many points are seen.
         for start in 0..32u64 {
-            let xs: [u64; 8] = std::array::from_fn(|l| (start + 7 * l as u64) % p);
-            let (la, lb) = a.eval_raw_pair_lanes(&b, &xs);
-            for (l, &x) in xs.iter().enumerate() {
-                assert_eq!(
-                    (la[l], lb[l]),
-                    (a.eval_raw(x), b.eval_raw(x)),
-                    "lane {l}, x = {x}"
-                );
+            for x in (0..8).map(|l| (start + 7 * l) % p) {
+                assert_eq!(a.eval_raw_pair(&b, x), scalar(x), "x = {x}");
             }
         }
-        // Narrow lane widths share the same code path.
-        let xs4: [u64; 4] = [0, 1, p - 1, p / 2];
-        assert_eq!(
-            a.eval_raw_pair_lanes(&b, &xs4).0,
-            xs4.map(|x| a.eval_raw(x))
-        );
-        assert_eq!(
-            a.eval_raw_pair_lanes(&b, &xs4).1,
-            xs4.map(|x| b.eval_raw(x))
-        );
-        // 8 lanes at both ends of every step budget, over unequal lengths.
+        for x in [0, 1, p - 1, p / 2] {
+            assert_eq!(a.eval_raw_pair(&b, x), scalar(x), "x = {x}");
+        }
+        // Eight points at both ends of every step budget, over unequal
+        // lengths.
         let strings = edge_strings();
         for p in budget_edge_primes() {
             let f = Field::new(p);
@@ -525,19 +472,21 @@ mod tests {
             for s in &strings {
                 for len in 0..=320 {
                     let (ta, tb) = (s.truncated(len), s.truncated(320 - len));
-                    let want = (xs.map(|x| naive(&ta, x, p)), xs.map(|x| naive(&tb, x, p)));
-                    let got = f.eval_raw_pair_lanes(prefix(s, len), f, prefix(s, 320 - len), &xs);
-                    assert_eq!(got, want, "p={p} len={len}");
+                    let (a, b) = (prefix(s, len), prefix(s, 320 - len));
+                    for x in xs {
+                        let want = (naive(&ta, x, p), naive(&tb, x, p));
+                        assert_eq!(f.eval_raw_pair(a, f, b, x), want, "p={p} len={len} x={x}");
+                    }
                 }
             }
         }
     }
 
     proptest::proptest! {
-        /// Single, pair and 8-lane evaluation of random strings up to 512
-        /// bits equal the naive power sum, over budget-edge primes (and so
-        /// every reduction-group shape), protocol-sized primes and wide
-        /// ones.
+        /// Single and pair evaluation of random strings up to 512 bits, the
+        /// pair at eight points, equal the naive power sum, over
+        /// budget-edge primes (and so every reduction-group shape),
+        /// protocol-sized primes and wide ones.
         #[test]
         fn evaluation_matches_naive_sum_over_budget_edges(
             pick in 0usize..1000,
@@ -565,9 +514,8 @@ mod tests {
             let want = |x| (naive(&a, x, p), naive(&b, x, p));
             proptest::prop_assert_eq!(pa.eval_raw(xs[0]), want(xs[0]).0, "p={} len={}", p, len);
             proptest::prop_assert_eq!(pb.eval_raw_pair(&pa, xs[0]), (want(xs[0]).1, want(xs[0]).0));
-            let (va, vb) = pa.eval_raw_pair_lanes(&pb, &xs);
-            for (l, &x) in xs.iter().enumerate() {
-                proptest::prop_assert_eq!((va[l], vb[l]), want(x), "lane {} p={} len={}", l, p, len);
+            for x in xs {
+                proptest::prop_assert_eq!(pa.eval_raw_pair(&pb, x), want(x), "x={} p={} len={}", x, p, len);
             }
         }
     }

@@ -26,13 +26,14 @@ fn random_string(len: usize, seed: u64) -> BitString {
 }
 
 /// A field prime for the evaluation properties: small protocol-sized
-/// primes, the primes either side of the one-word reducer's 2³² bound,
-/// and arbitrary primes up to 2⁶².
+/// primes, the primes either side of the one-word reducer's bound
+/// (3 037 000 500, where one Horner byte step stops fitting a `u64`),
+/// primes around 2³², and arbitrary primes up to 2⁶².
 fn pick_prime(pick: usize, raw: u64) -> u64 {
     match pick % 5 {
         0 => next_prime(2 + raw % 2000),
-        1 => 4_294_967_291, // largest prime below 2^32
-        2 => 4_294_967_311, // smallest prime above 2^32
+        1 => 3_037_000_493, // largest one-word prime
+        2 => 3_037_000_507, // smallest prime past the one-word bound
         3 => next_prime((1 << 32) - (raw % 1000)),
         _ => next_prime(2 + raw % ((1 << 62) - 200)),
     }
@@ -177,8 +178,8 @@ proptest! {
         }
     }
 
-    /// Pair and pair-lane evaluation of two strings of independent
-    /// lengths equal the naive power sums of each side.
+    /// Pair evaluation of two strings of independent lengths, at eight
+    /// points, equals the naive power sums of each side.
     #[test]
     fn pair_evaluation_matches_naive_sum(
         len_a in 0usize..301,
@@ -196,13 +197,9 @@ proptest! {
         );
         let xs: [u64; 8] = std::array::from_fn(|l| x_raw.wrapping_mul(l as u64 + 1) % p);
         let want = |x: u64| (naive_eval(&a, x, p), naive_eval(&b, x, p));
-        prop_assert_eq!(pa.eval_raw_pair(&pb, xs[0]), want(xs[0]), "len={}/{} p={}", len_a, len_b, p);
-        let (va, vb) = pa.eval_raw_pair_lanes(&pb, &xs);
-        for l in 0..8 {
-            prop_assert_eq!((va[l], vb[l]), want(xs[l]), "lane {} x={} p={}", l, xs[l], p);
+        for x in xs {
+            prop_assert_eq!(pa.eval_raw_pair(&pb, x), want(x), "len={}/{} x={} p={}", len_a, len_b, x, p);
         }
-        let (va, vb) = pa.eval_raw_pair_lanes(&pb, &[xs[1], xs[2], xs[3]]);
-        prop_assert_eq!((va[2], vb[2]), want(xs[3]));
     }
 
     /// The full evaluation table equals the naive power sum at every point

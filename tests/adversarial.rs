@@ -112,12 +112,14 @@ fn compiled_acyclicity_sound_against_replayed_labels() {
     let _ = Labeling::empty(0);
 }
 
-/// Wide-field regression: when every node declares κ = 2³² − 64, the
-/// protocol prime exceeds 2³², so fingerprint probes leave the one-word
-/// reducer and run on the wide one — inside the batched kernel's lane
-/// chunks, its single-point tail, and the scalar trial path. A labeling
-/// with one tampered neighbour copy (and its honest twin, probed under
-/// `force_dynamic`) must get identical verdicts on every path.
+/// Wide-field regression: when every node declares a huge κ, the
+/// protocol prime leaves the small fields. At κ = 2³² − 64 it exceeds 2³²;
+/// at the other two declared κ it is the last prime for which one Horner
+/// byte step fits a `u64` (`(p − 1)(2p − 1) < 2⁶⁴`, the one-word reducer)
+/// and the first past it (the wide reducer). A labeling with one tampered
+/// neighbour copy (and its honest twin, probed under `force_dynamic`) must
+/// get identical verdicts from the batched kernel and the scalar trial
+/// paths at each.
 #[test]
 fn wide_field_probes_agree_across_trial_paths() {
     use rpls::bits::{BitReader, BitString, BitWriter};
@@ -126,18 +128,30 @@ fn wide_field_probes_agree_across_trial_paths() {
     use rpls::schemes::spanning_tree::{spanning_tree_config, SpanningTreePls};
 
     const LEN_BITS: u32 = 32;
-    const WIDE_KAPPA: u64 = (1 << 32) - 64;
-    assert!(
-        rpls::fingerprint::prime::protocol_prime(LEN_BITS as usize + WIDE_KAPPA as usize) > 1 << 32
-    );
+    // (declared κ, whether one worst-case byte step fits a u64)
+    const KAPPAS: [(u64, bool); 3] = [
+        ((1 << 32) - 64, false),
+        (1_012_333_465, true),
+        (1_012_333_466, false),
+    ];
+    use rpls::fingerprint::prime::{next_prime, protocol_prime};
+    let prime_of = |kappa: u64| protocol_prime(LEN_BITS as usize + kappa as usize);
+    for (kappa, narrow) in KAPPAS {
+        let p = prime_of(kappa);
+        let first_step = u128::from(p - 1) * u128::from(2 * p - 1);
+        assert_eq!(first_step < 1 << 64, narrow, "κ = {kappa}, p = {p}");
+    }
+    // The last two declared κ give consecutive primes, the two sides of
+    // the one-word bound.
+    assert_eq!(next_prime(prime_of(KAPPAS[1].0) + 1), prime_of(KAPPAS[2].0));
 
     // Re-declare every replicated label's κ (32-bit κ, then per part a
     // 32-bit length and the bits), keeping the parts.
-    let redeclare = |label: &BitString, tamper: bool| {
+    let redeclare = |label: &BitString, kappa: u64, tamper: bool| {
         let mut r = BitReader::new(label);
         r.read_u64(LEN_BITS).expect("honest label has a κ prefix");
         let mut w = BitWriter::new();
-        w.write_u64(WIDE_KAPPA, LEN_BITS);
+        w.write_u64(kappa, LEN_BITS);
         let mut part = 0;
         while !r.is_exhausted() {
             let len = r.read_u64(LEN_BITS).expect("part length") as usize;
@@ -158,56 +172,69 @@ fn wide_field_probes_agree_across_trial_paths() {
     };
 
     let config = spanning_tree_config(&Configuration::plain(generators::cycle(7)), NodeId::new(0));
-    let seeds: Vec<u64> = (0..19).collect(); // two 8-lane chunks and a tail
-    for scheme in [
-        CompiledRpls::new(SpanningTreePls::new()),
-        CompiledRpls::new(SpanningTreePls::new()).force_dynamic(),
-    ] {
-        let honest = Rpls::label(&scheme, &config);
-        for tampered in [false, true] {
-            let mut labeling = honest.clone();
-            for v in config.graph().nodes() {
-                let tamper = tampered && v == NodeId::new(3);
-                labeling.set(v, redeclare(honest.get(v), tamper));
-            }
-            let prepared = Rpls::prepare(&scheme, &config, &labeling, seeds.len());
-            let mut scratch = RoundScratch::new();
-            let unprepared: Vec<bool> = seeds
-                .iter()
-                .map(|&seed| {
-                    engine::run_prepared(
-                        &RunSpec::trial(seed),
-                        &Unprepared::new(&scheme, &config, &labeling),
-                        &config,
-                        &mut scratch,
-                    )
-                    .accepted
-                })
-                .collect();
-            let scalar: Vec<bool> = seeds
-                .iter()
-                .map(|&seed| {
-                    engine::run_prepared(&RunSpec::trial(seed), &*prepared, &config, &mut scratch)
+    let seeds: Vec<u64> = (0..19).collect();
+    for (kappa, _) in KAPPAS {
+        for scheme in [
+            CompiledRpls::new(SpanningTreePls::new()),
+            CompiledRpls::new(SpanningTreePls::new()).force_dynamic(),
+        ] {
+            let honest = Rpls::label(&scheme, &config);
+            for tampered in [false, true] {
+                let mut labeling = honest.clone();
+                for v in config.graph().nodes() {
+                    let tamper = tampered && v == NodeId::new(3);
+                    labeling.set(v, redeclare(honest.get(v), kappa, tamper));
+                }
+                let prepared = Rpls::prepare(&scheme, &config, &labeling, seeds.len());
+                let mut scratch = RoundScratch::new();
+                let unprepared: Vec<bool> = seeds
+                    .iter()
+                    .map(|&seed| {
+                        engine::run_prepared(
+                            &RunSpec::trial(seed),
+                            &Unprepared::new(&scheme, &config, &labeling),
+                            &config,
+                            &mut scratch,
+                        )
                         .accepted
-                })
-                .collect();
-            let mut batched = Vec::new();
-            engine::run_trials(
-                &RunSpec::trial(0),
-                &*prepared,
-                &config,
-                &seeds,
-                &mut scratch,
-                &mut |r| batched.push(r.accepted),
-            );
-            let name = scheme.name();
-            assert_eq!(unprepared, scalar, "{name}, tampered = {tampered}");
-            assert_eq!(unprepared, batched, "{name}, tampered = {tampered}");
-            assert_eq!(
-                unprepared.contains(&true),
-                !tampered,
-                "{name}: honest wide labelings accept, tampered ones reject"
-            );
+                    })
+                    .collect();
+                let scalar: Vec<bool> = seeds
+                    .iter()
+                    .map(|&seed| {
+                        engine::run_prepared(
+                            &RunSpec::trial(seed),
+                            &*prepared,
+                            &config,
+                            &mut scratch,
+                        )
+                        .accepted
+                    })
+                    .collect();
+                let mut batched = Vec::new();
+                engine::run_trials(
+                    &RunSpec::trial(0),
+                    &*prepared,
+                    &config,
+                    &seeds,
+                    &mut scratch,
+                    &mut |r| batched.push(r.accepted),
+                );
+                let name = scheme.name();
+                assert_eq!(
+                    unprepared, scalar,
+                    "{name}, κ = {kappa}, tampered = {tampered}"
+                );
+                assert_eq!(
+                    unprepared, batched,
+                    "{name}, κ = {kappa}, tampered = {tampered}"
+                );
+                assert_eq!(
+                    unprepared.contains(&true),
+                    !tampered,
+                    "{name}, κ = {kappa}: honest labelings accept, tampered ones reject"
+                );
+            }
         }
     }
 }

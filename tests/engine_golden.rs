@@ -1112,9 +1112,8 @@ mod multiround {
     /// (verdict **and** decided round) with the independent scalar
     /// reference, for honest, tampered, truncated-replica, κ-mismatched
     /// and garbage labelings, several `t`s, both stream modes — one trial
-    /// at a time, and as one 17-seed block (two whole 8-lane chunks plus a
-    /// one-trial tail, with trials already rejected by earlier nodes
-    /// skipped) with and without `force_dynamic`.
+    /// at a time, and as one 17-seed block (with trials already rejected
+    /// by earlier nodes skipped) with and without `force_dynamic`.
     #[test]
     fn compiled_schedule_matches_independent_reference() {
         let (scheme, config, honest) = compiled_spanning_tree_workload(8);
