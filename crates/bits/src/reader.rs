@@ -89,20 +89,25 @@ impl<'a> BitReader<'a> {
             });
         }
         let bytes = self.src.as_bytes();
-        let mut acc: u64 = 0;
-        let mut taken: u32 = 0;
-        // Consume up to a byte per step instead of a bit per step.
-        while taken < width {
-            let bit_off = (self.pos % 8) as u32;
-            let avail = 8 - bit_off;
-            let take = (width - taken).min(avail);
-            let byte = bytes[self.pos / 8];
-            let chunk = (byte >> (avail - take)) & (((1u16 << take) - 1) as u8);
-            acc = (acc << take) | u64::from(chunk);
-            self.pos += take as usize;
-            taken += take;
-        }
-        Ok(acc)
+        let (first, off) = (self.pos / 8, (self.pos % 8) as u32);
+        // The field spans at most 9 bytes. Load them MSB-first into the
+        // top of one window, then shift once to drop the `off` bits before
+        // the field and everything after it. Near the slice's end, where
+        // 16 bytes are not there to load, the window is filled byte by
+        // byte from exactly the bytes the field spans.
+        let window = match bytes.get(first..first + 16) {
+            Some(chunk) => u128::from_be_bytes(chunk.try_into().expect("a 16-byte chunk")),
+            None => {
+                let span = (off + width).div_ceil(8) as usize;
+                let mut window = 0u128;
+                for (i, &b) in bytes[first..first + span].iter().enumerate() {
+                    window |= u128::from(b) << (120 - 8 * i);
+                }
+                window
+            }
+        };
+        self.pos += width as usize;
+        Ok(((window << off) >> (128 - width)) as u64)
     }
 
     /// Reads `len` bits into a fresh [`BitString`].
@@ -181,6 +186,52 @@ mod tests {
         let rest = r.read_bits(2).unwrap();
         assert_eq!(rest, BitString::from_bools([true, true]));
         assert!(r.read_bits(1).is_err());
+    }
+
+    /// The byte-at-a-time `read_u64` loop this reader used before its
+    /// window load: the reference for `window_read_matches_byte_loop`.
+    fn read_bytewise(src: BitSlice<'_>, mut pos: usize, width: u32) -> u64 {
+        let bytes = src.as_bytes();
+        let (mut acc, mut taken) = (0u64, 0u32);
+        while taken < width {
+            let bit_off = (pos % 8) as u32;
+            let avail = 8 - bit_off;
+            let take = (width - taken).min(avail);
+            let chunk = (bytes[pos / 8] >> (avail - take)) & (((1u16 << take) - 1) as u8);
+            acc = (acc << take) | u64::from(chunk);
+            pos += take as usize;
+            taken += take;
+        }
+        acc
+    }
+
+    #[test]
+    fn window_read_matches_byte_loop() {
+        // Every width at every bit offset, at fields starting in bytes 0,
+        // 1 and 9 (so both the 16-byte load and the byte-by-byte fill near
+        // the end run), on slices ending exactly at the field's end, a few
+        // bits past it (mid-byte), and far past it.
+        let pattern = |i: usize| (i * 7 + i / 3) % 5 < 2 || i.is_multiple_of(11);
+        for start_byte in [0usize, 1, 9] {
+            for off in 0..8 {
+                let pos = start_byte * 8 + off;
+                for width in 1..=64u32 {
+                    let end = pos + width as usize;
+                    for len in [end, end + 1, end + 3, end + 7, end + 200] {
+                        let s = BitString::from_bools((0..len).map(pattern));
+                        let mut r = BitReader::new(&s);
+                        r.pos = pos;
+                        let want = read_bytewise(s.as_slice(), pos, width);
+                        assert_eq!(
+                            r.read_u64(width),
+                            Ok(want),
+                            "pos {pos} width {width} len {len}"
+                        );
+                        assert_eq!(r.remaining(), len - end);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

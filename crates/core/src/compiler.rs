@@ -46,8 +46,13 @@
 //! reuses one cache across labelings — an adversary sweeping hundreds of
 //! near-identical forged candidates re-prepares only the labels that
 //! actually changed — while plain [`Rpls::prepare`] runs the same code
-//! against a throwaway cache. Both are transcript-identical to the
-//! unprepared path — `tests/engine_golden.rs` pins it.
+//! against a throwaway cache. What binds a labeling to one configuration
+//! (each node's arity fit and memoised inner verdict, and the per-`t`
+//! plans) is one shared instance, which the cache keeps and hands back to
+//! a repeated prepare of the same scheme, configuration and labeling (see
+//! the [`prep`] module's kept instances). Both are
+//! transcript-identical to the unprepared path — `tests/engine_golden.rs`
+//! pins it.
 //!
 //! # The t-round trade-off schedule
 //!
@@ -105,6 +110,10 @@ pub struct CompiledRpls<S> {
     /// Disables the plan's static-pass shortcut so every honest probe
     /// runs dynamically (see [`CompiledRpls::force_dynamic`]).
     force_dynamic: bool,
+    /// Identity of this scheme's content, for the preparation cache's kept
+    /// instances: fresh from `new`, `with_sketch` and `force_dynamic`,
+    /// copied by `Clone`.
+    id: u64,
 }
 
 /// Per-node **probe subsampling** for dense graphs: a node with more than
@@ -172,6 +181,7 @@ impl<S: Pls> CompiledRpls<S> {
             inner,
             sketch: None,
             force_dynamic: false,
+            id: prep::fresh_id(),
         }
     }
 
@@ -182,6 +192,7 @@ impl<S: Pls> CompiledRpls<S> {
     #[must_use]
     pub fn with_sketch(mut self, sketch: ProbeSketch) -> Self {
         self.sketch = Some(sketch);
+        self.id = prep::fresh_id();
         self
     }
 
@@ -197,6 +208,7 @@ impl<S: Pls> CompiledRpls<S> {
     #[must_use]
     pub fn force_dynamic(mut self) -> Self {
         self.force_dynamic = true;
+        self.id = prep::fresh_id();
         self
     }
 
@@ -423,43 +435,37 @@ impl<S: Pls> Rpls for CompiledRpls<S> {
         // v's inner label is prepared once as v's prover polynomial and
         // once per neighbor's claimed copy (identical inputs, one shared
         // preparation), and across a sweep's near-identical candidate
-        // labelings almost every lookup is a hash hit. Whether a node's
-        // replication matches its degree is the only per-(config, node)
-        // fact, resolved here at binding time.
+        // labelings almost every lookup is a hash hit.
         let mut epochs: Vec<SharedEpoch> = Vec::new();
-        let nodes: Vec<PreparedNode> = config
-            .graph()
-            .nodes()
-            .map(|v| {
-                let (epoch, label) = cache.label_prep(labeling.get(v), rounds_hint);
-                let (prover, arity) = {
-                    let record = epoch.borrow();
-                    let record = record.label(label);
-                    (record.prover, record.arity as usize)
-                };
-                PreparedNode {
-                    epoch: epoch_slot(&mut epochs, epoch),
-                    label,
-                    prover,
-                    ready: arity == config.graph().degree(v) + 1,
-                    inner: OnceCell::new(),
-                }
-            })
-            .collect();
-        let prepared = PreparedCompiled {
+        let mut found = std::mem::take(&mut cache.found);
+        found.clear();
+        for v in config.graph().nodes() {
+            let (epoch, label) = cache.label_prep(labeling.get(v), rounds_hint);
+            found.push((epoch_slot(&mut epochs, epoch), label));
+        }
+        // The same scheme, configuration and labeling bound before: its
+        // plans and inner verdicts are reused (see the `prep` module's
+        // kept instances). Else the labeling is bound afresh, and kept if
+        // this pair comes back.
+        let key = (self.id, config.id());
+        let kept = (cache.store.borrow().instances.iter())
+            .find(|i| i.key == key && i.binds(&epochs, &found))
+            .cloned();
+        let instance = kept.unwrap_or_else(|| {
+            let instance = Rc::new(Instance::new(key, config, epochs, &found));
+            cache.store.borrow_mut().keep(&instance);
+            instance
+        });
+        cache.found = found;
+        // Plans are built on first use, so a cold prepare whose instance
+        // is never run builds none.
+        Box::new(PreparedCompiled {
             scheme: self,
             config,
             rounds_hint,
             store: cache.store_handle(),
-            epochs,
-            nodes,
-            plans: RefCell::new(Vec::new()),
-        };
-        // The one-round plan is built at binding time, so preparation
-        // timings keep covering it; other schedules are planned on first
-        // use.
-        prepared.plan(1);
-        Box::new(prepared)
+            instance,
+        })
     }
 }
 
@@ -560,7 +566,8 @@ impl PrepCache {
 /// The labeling-static plan of the compiled scheme's `t`-round schedule:
 /// how each node's accumulated vote resolves across a whole block of
 /// trials. There is one plan per `t`, built on first use and cached on the
-/// prepared instance.
+/// shared [`Instance`], so every repeated prepare the cache serves from a
+/// kept instance reuses it.
 ///
 /// The schedule is **chunked fingerprint streaming**. Instead of
 /// fingerprinting the whole length-prefixed inner label once, the prover
@@ -599,7 +606,7 @@ struct Plan {
     /// it sends nothing). Round 0 always carries a full message wherever
     /// anything is sent.
     dims: Vec<(usize, usize, usize)>,
-    /// One entry per node, parallel to `PreparedCompiled::nodes`.
+    /// One entry per node, parallel to `Instance::nodes`.
     nodes: Vec<NodePlan>,
     /// Every dynamic node's checks, node by node: a
     /// [`NodePlan::Dynamic`] holds its run as a range into this array.
@@ -849,10 +856,11 @@ impl Plan {
         let (port_base, delivery, owner) =
             (config.port_base(), config.delivery(), config.port_owner());
         let force_dynamic = prepared.scheme.force_dynamic;
-        let views = borrow_all(&prepared.epochs);
+        let instance = &*prepared.instance;
+        let views = borrow_all(&instance.epochs);
         // Each node's prover fingerprint as a plan reference: its id in its
         // label's epoch (plan epoch slots start as the label epochs).
-        let provers: Vec<Option<EqRef>> = (prepared.nodes.iter())
+        let provers: Vec<Option<EqRef>> = (instance.nodes.iter())
             .map(|n| n.prover.map(|id| EqRef { epoch: n.epoch, id }))
             .collect();
         let proto_of = |r: EqRef| *views[r.epoch as usize].eq(r.id).protocol();
@@ -895,10 +903,10 @@ impl Plan {
         };
         let mut pending = PendingSlices::default();
         let (mut slice_send, mut slice_recv) = (Vec::new(), Vec::new());
-        let mut nodes = Vec::with_capacity(prepared.nodes.len());
+        let mut nodes = Vec::with_capacity(instance.nodes.len());
         let mut checks: Vec<EdgeCheck> = Vec::new();
         let index = |i: usize| u32::try_from(i).expect("check count fits in u32");
-        for (u, n) in prepared.nodes.iter().enumerate() {
+        for (u, n) in instance.nodes.iter().enumerate() {
             if !n.ready {
                 nodes.push(NodePlan::RejectAt(1));
                 continue;
@@ -1032,7 +1040,7 @@ impl Plan {
         // or recurring across the labelings and per-t plans of a sweep — is
         // prepared once, in the cache's current epoch and against its
         // budgets.
-        let mut epochs = prepared.epochs.clone();
+        let mut epochs = instance.epochs.clone();
         let interned: Vec<EqRef> = pending
             .slices
             .iter()
@@ -1068,10 +1076,11 @@ impl Plan {
 /// Per-node state of a prepared compiled scheme: the content-derived label
 /// preparation (shared through the [`PrepCache`]) plus the two
 /// per-(configuration, node) facts that are *not* label content and so
-/// never cross labelings — the arity fit and the memoised inner verdict.
+/// never cross configurations — the arity fit and the memoised inner
+/// verdict.
 struct PreparedNode {
-    /// The slot in `PreparedCompiled::epochs` of the epoch holding this
-    /// node's label preparation.
+    /// The slot in `Instance::epochs` of the epoch holding this node's
+    /// label preparation.
     epoch: u32,
     /// The label preparation's id in that epoch: the parsed replication
     /// with one prepared fingerprint per part.
@@ -1086,30 +1095,23 @@ struct PreparedNode {
     ready: bool,
     /// The inner verifier's verdict on the claimed labels. It does not
     /// depend on the round's randomness, so it is computed at most once
-    /// per prepared instance — and, matching the unprepared path, only on
-    /// a round in which every fingerprint check passed. It depends on the
-    /// node's local context (identity, payload, weights), which is not
-    /// label content, so it deliberately lives here and not in the cache.
+    /// per [`Instance`] — however many prepares a cache serves that
+    /// instance to — and, matching the unprepared path, only on a round
+    /// in which every fingerprint check passed. It depends on the node's
+    /// local context (identity, payload, weights) and on the inner
+    /// scheme, which are not label content, so it lives in the instance
+    /// the cache keys by scheme and configuration identity, not in the
+    /// content-keyed epochs.
     inner: OnceCell<bool>,
 }
 
-/// The prepared form of [`CompiledRpls`] (the ROADMAP's "prepared
-/// prover"): each replicated label parsed once per labeling,
-/// length-prefixed once, one fingerprint polynomial per node on the prover
-/// side and one per claimed neighbor copy on the verifier side — after
-/// which each (node, port, trial) costs one random field element plus one
-/// polynomial evaluation (a table lookup at Monte-Carlo trial counts).
-struct PreparedCompiled<'a, S> {
-    scheme: &'a CompiledRpls<S>,
-    config: &'a Configuration,
-    /// The round count this instance was prepared for, reused as the
-    /// lazy-table hint of slice fingerprints.
-    rounds_hint: usize,
-    /// Handle on the preparing cache's store: plans built after binding
-    /// time (the `t ≥ 2` slice schedules) request their preparations
-    /// through it, sharing content and budgets with everything prepared up
-    /// front.
-    store: Rc<RefCell<Store>>,
+/// One compiled scheme's labeling bound to one configuration: a pure
+/// function of (compiled scheme, configuration, labeling), shared by every
+/// [`PreparedCompiled`] a [`PrepCache`] returns for that triple (see the
+/// `prep` module's kept instances).
+pub(crate) struct Instance {
+    /// The `(scheme, configuration)` ids it was prepared for.
+    key: (u64, u64),
     /// The cache epochs holding the nodes' label preparations (usually
     /// one; more when the cache turned over mid-labeling), pinned for the
     /// instance's lifetime.
@@ -1121,14 +1123,91 @@ struct PreparedCompiled<'a, S> {
     plans: RefCell<Vec<Rc<Plan>>>,
 }
 
+impl Instance {
+    /// Binds the label preparations `found` (per node: the slot in
+    /// `epochs` and the label id there) to `config`.
+    fn new(
+        key: (u64, u64),
+        config: &Configuration,
+        epochs: Vec<SharedEpoch>,
+        found: &[(u32, u32)],
+    ) -> Self {
+        let g = config.graph();
+        let views = borrow_all(&epochs);
+        let nodes = (found.iter().zip(g.nodes()))
+            .map(|(&(epoch, label), v)| {
+                let record = views[epoch as usize].label(label);
+                PreparedNode {
+                    epoch,
+                    label,
+                    prover: record.prover,
+                    ready: record.arity as usize == g.degree(v) + 1,
+                    inner: OnceCell::new(),
+                }
+            })
+            .collect();
+        drop(views);
+        Self {
+            key,
+            epochs,
+            nodes,
+            plans: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// Whether this instance binds exactly the label preparations `found`
+    /// (slots into `epochs`): the same epoch and label id at every node,
+    /// so the same label content.
+    fn binds(&self, epochs: &[SharedEpoch], found: &[(u32, u32)]) -> bool {
+        let same_epoch = |(a, b): (&SharedEpoch, &SharedEpoch)| Rc::ptr_eq(a, b);
+        let same_label = |(n, &(e, l)): (&PreparedNode, &(u32, u32))| n.epoch == e && n.label == l;
+        self.epochs.len() == epochs.len()
+            && self.epochs.iter().zip(epochs).all(same_epoch)
+            && self.nodes.len() == found.len()
+            && self.nodes.iter().zip(found).all(same_label)
+    }
+
+    /// The `(scheme, configuration)` ids it was prepared for.
+    pub(crate) fn key(&self) -> (u64, u64) {
+        self.key
+    }
+
+    /// The label epochs it pins.
+    pub(crate) fn pins(&self) -> &[SharedEpoch] {
+        &self.epochs
+    }
+}
+
+/// The prepared form of [`CompiledRpls`] (the ROADMAP's "prepared
+/// prover"): each replicated label parsed once per cache, length-prefixed
+/// once, one fingerprint polynomial per node on the prover side and one
+/// per claimed neighbor copy on the verifier side — after which each
+/// (node, port, trial) costs one random field element plus one polynomial
+/// evaluation (a table lookup at Monte-Carlo trial counts). The labeling's
+/// binding to the configuration, its inner verdicts and its plans live in
+/// the shared [`Instance`]; this is the borrowed view a prepare returns.
+struct PreparedCompiled<'a, S> {
+    scheme: &'a CompiledRpls<S>,
+    config: &'a Configuration,
+    /// The round count this instance was prepared for, reused as the
+    /// lazy-table hint of slice fingerprints.
+    rounds_hint: usize,
+    /// Handle on the preparing cache's store: plans, all built after
+    /// binding time, request their slice preparations through it, sharing
+    /// content and budgets with everything prepared up front.
+    store: Rc<RefCell<Store>>,
+    instance: Rc<Instance>,
+}
+
 impl<S: Pls> PreparedCompiled<'_, S> {
     /// The plan of the `rounds`-round schedule, built on first use.
     fn plan(&self, rounds: usize) -> Rc<Plan> {
-        if let Some(plan) = self.plans.borrow().iter().find(|p| p.rounds == rounds) {
+        let plans = &self.instance.plans;
+        if let Some(plan) = plans.borrow().iter().find(|p| p.rounds == rounds) {
             return Rc::clone(plan);
         }
         let plan = Rc::new(Plan::build(self, rounds));
-        self.plans.borrow_mut().push(Rc::clone(&plan));
+        plans.borrow_mut().push(Rc::clone(&plan));
         plan
     }
 
@@ -1158,7 +1237,8 @@ impl<S: Pls> PreparedCompiled<'_, S> {
 
     /// The epoch holding node `u`'s label preparation, borrowed.
     fn epoch_of(&self, u: usize) -> Ref<'_, Epoch> {
-        self.epochs[self.nodes[u].epoch as usize].borrow()
+        let instance = &*self.instance;
+        instance.epochs[instance.nodes[u].epoch as usize].borrow()
     }
 
     /// The memoised inner verdict of node `u`, which must be `ready`.
@@ -1167,7 +1247,7 @@ impl<S: Pls> PreparedCompiled<'_, S> {
     /// is only ever queried after a round (or trial) in which every
     /// fingerprint check passed.
     fn inner_verdict(&self, u: usize) -> bool {
-        let node = &self.nodes[u];
+        let node = &self.instance.nodes[u];
         debug_assert!(node.ready, "inner verdict queried for a rejecting node");
         *node.inner.get_or_init(|| {
             let epoch = self.epoch_of(u);
@@ -1196,7 +1276,7 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
         out: &mut BitString,
     ) {
         out.clear();
-        let Some(prover) = self.nodes[node.index()].prover else {
+        let Some(prover) = self.instance.nodes[node.index()].prover else {
             return;
         };
         let epoch = self.epoch_of(node.index());
@@ -1205,7 +1285,7 @@ impl<S: Pls> PreparedRpls for PreparedCompiled<'_, S> {
     }
 
     fn verify(&self, node: NodeId, received: &Received<'_>) -> bool {
-        let n = &self.nodes[node.index()];
+        let n = &self.instance.nodes[node.index()];
         if !n.ready {
             return false;
         }
@@ -2016,22 +2096,42 @@ mod tests {
 
         let mut cache = PrepCache::new();
         let mut scratch = RoundScratch::new();
-        let mut run = |prepared: &dyn PreparedRpls| {
-            let report = engine::run_prepared(&RunSpec::trial(3), prepared, &config, &mut scratch);
+        let mut run = |config: &Configuration, prepared: &dyn PreparedRpls| {
+            let report = engine::run_prepared(&RunSpec::trial(3), prepared, config, &mut scratch);
             assert!(report.accepted);
-            scheme.inner().take()
+            (report, scheme.inner().take())
         };
+        // Each pass binds a freshly built configuration, so no pass is
+        // served a kept instance: the inner verifier runs every time, on
+        // parts read from a fresh, then a warm cache.
+        let rebuilt = || Configuration::plain(generators::complete(PART_LENS.len()));
         for pass in ["fresh", "warm"] {
+            let config = rebuilt();
             let prepared = scheme.prepare_cached(&config, &labeling, 1, &mut cache);
-            assert_eq!(run(&*prepared), original, "{pass} cache");
+            assert_eq!(run(&config, &*prepared).1, original, "{pass} cache");
             assert_eq!(cache.recount_bytes(), cache.retained_key_bits() / 8);
         }
         assert_eq!(cache.shared_labels(), PART_LENS.len());
 
+        // A memo hit: the second prepare of this (scheme, configuration)
+        // is kept, the third is served it and runs no inner verifier.
+        let mut report = None;
+        for pass in ["first sight", "kept"] {
+            let prepared = scheme.prepare_cached(&config, &labeling, 1, &mut cache);
+            let (r, seen) = run(&config, &*prepared);
+            assert_eq!(seen, original, "{pass}");
+            report = Some(r);
+        }
+        let hit = scheme.prepare_cached(&config, &labeling, 1, &mut cache);
+        let (r, seen) = run(&config, &*hit);
+        assert!(seen.is_empty(), "a memo hit ran the inner verifier");
+        assert_eq!(Some(r), report, "memo hit");
+
         // An instance kept alive across a turnover reads its parts from
         // the epoch it pins. The flood: 16-Mbit labels, distinct per
         // round, on another configuration and scheme.
-        let kept = scheme.prepare_cached(&config, &labeling, 1, &mut cache);
+        let kept_config = rebuilt();
+        let kept = scheme.prepare_cached(&kept_config, &labeling, 1, &mut cache);
         let flood_config = Configuration::plain(generators::cycle(3));
         let flood_scheme = CompiledRpls::new(IdLabel);
         let big = 1usize << 24;
@@ -2048,8 +2148,194 @@ mod tests {
             let flood: Labeling = (0..3).map(|_| encode_replicated(big, &[&junk])).collect();
             flood_scheme.prepare_cached(&flood_config, &flood, 1, &mut cache);
         }
-        assert_eq!(run(&*kept), original, "across a turnover");
+        assert_eq!(run(&kept_config, &*kept).1, original, "across a turnover");
         assert_eq!(cache.recount_bytes(), cache.retained_key_bits() / 8);
+    }
+
+    /// [`IdLabel`], counting its verifier's calls.
+    #[derive(Default, Clone)]
+    struct Counting {
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl Pls for Counting {
+        fn name(&self) -> String {
+            "counting".into()
+        }
+        fn label(&self, config: &Configuration) -> Labeling {
+            IdLabel.label(config)
+        }
+        fn verify(&self, view: &DetView<'_>) -> bool {
+            self.calls.set(self.calls.get() + 1);
+            IdLabel.verify(view)
+        }
+    }
+
+    impl CompiledRpls<Counting> {
+        /// Inner verifier calls since the last call.
+        fn inner_calls(&self) -> usize {
+            self.inner().calls.replace(0)
+        }
+    }
+
+    /// The kept instance whose plans and inner verdicts a cache would
+    /// serve for (scheme, configuration, labeling) next, if any.
+    fn kept_instance<S: Pls>(
+        cache: &PrepCache,
+        scheme: &CompiledRpls<S>,
+        config: &Configuration,
+    ) -> Vec<Rc<Instance>> {
+        let key = (scheme.id, config.id());
+        let store = cache.store.borrow();
+        store
+            .instances
+            .iter()
+            .filter(|i| i.key == key)
+            .cloned()
+            .collect()
+    }
+
+    /// One `estimate_with` on `cache`, checked against a fresh-cache
+    /// estimate; returns the inner verifier calls it made.
+    fn estimate_on(
+        cache: &mut PrepCache,
+        scheme: &CompiledRpls<Counting>,
+        config: &Configuration,
+        labeling: &Labeling,
+    ) -> usize {
+        let (spec, opts) = (RunSpec::trial(11), stats::EstimateOpts::new(40));
+        let fresh = stats::estimate(scheme, config, labeling, &spec, &opts);
+        scheme.inner_calls();
+        let mut scratch = RoundScratch::new();
+        let est = stats::estimate_with(scheme, config, labeling, &spec, &opts, &mut scratch, cache);
+        let calls = scheme.inner_calls();
+        assert_eq!(est, fresh, "cached estimate");
+        calls
+    }
+
+    #[test]
+    fn repeated_prepare_shares_plans_and_inner_verdicts() {
+        let config = Configuration::plain(generators::cycle(9));
+        let scheme = CompiledRpls::new(Counting::default());
+        let labeling = Rpls::label(&scheme, &config);
+        let mut cache = PrepCache::new();
+        // First sight: nothing kept. Second: bound afresh, then kept.
+        assert_eq!(estimate_on(&mut cache, &scheme, &config, &labeling), 9);
+        assert!(kept_instance(&cache, &scheme, &config).is_empty());
+        assert_eq!(estimate_on(&mut cache, &scheme, &config, &labeling), 9);
+        let [kept] = &kept_instance(&cache, &scheme, &config)[..] else {
+            panic!("the second sight is kept");
+        };
+        let plan = Rc::clone(&kept.plans.borrow()[0]);
+        // Every later prepare is a hit: the same plan, no inner verdict
+        // recomputed, the fresh cache's estimate. A clone of the scheme
+        // is the same content, so it hits too.
+        for scheme in [&scheme, &scheme.clone()] {
+            assert_eq!(estimate_on(&mut cache, scheme, &config, &labeling), 0);
+            assert_eq!(kept.plans.borrow().len(), 1);
+            assert!(Rc::ptr_eq(&kept.plans.borrow()[0], &plan));
+        }
+        assert_eq!(cache.store.borrow().instances.len(), 1);
+    }
+
+    #[test]
+    fn changed_scheme_configuration_or_labeling_never_hits() {
+        let mut config = Configuration::plain(generators::cycle(9));
+        let scheme = CompiledRpls::new(Counting::default());
+        let labeling = Rpls::label(&scheme, &config);
+        let mut flipped = labeling.clone();
+        let bits = flipped.get(NodeId::new(4));
+        let bits: BitString = bits
+            .iter()
+            .enumerate()
+            .map(|(i, b)| b ^ (i == 70))
+            .collect();
+        flipped.set(NodeId::new(4), bits);
+
+        // A first sight on a fresh cache keeps nothing.
+        let mut cache = PrepCache::new();
+        assert_eq!(estimate_on(&mut cache, &scheme, &config, &labeling), 9);
+        assert!(cache.store.borrow().instances.is_empty());
+        assert_eq!(estimate_on(&mut cache, &scheme, &config, &labeling), 9);
+        assert_eq!(estimate_on(&mut cache, &scheme, &config, &labeling), 0);
+
+        // One flipped bit is another labeling: it misses, and is kept
+        // beside the honest one (a second sight of the pair).
+        let calls = estimate_on(&mut cache, &scheme, &config, &flipped);
+        assert!(calls > 0, "a one-bit change hit the memo");
+        assert_eq!(kept_instance(&cache, &scheme, &config).len(), 2);
+        assert_eq!(estimate_on(&mut cache, &scheme, &config, &labeling), 0);
+
+        // Rebuilt schemes are new identities, even with equal flags.
+        for other in [
+            scheme.clone().force_dynamic(),
+            scheme.clone().with_sketch(ProbeSketch::new(1)),
+        ] {
+            assert!(estimate_on(&mut cache, &other, &config, &labeling) > 0);
+            assert!(estimate_on(&mut cache, &other, &config, &labeling) > 0);
+            assert_eq!(estimate_on(&mut cache, &other, &config, &labeling), 0);
+        }
+
+        // Any mutable access to a state renews the configuration's
+        // identity, whether or not the state changes.
+        let _ = config.state_mut(NodeId::new(0));
+        assert!(kept_instance(&cache, &scheme, &config).is_empty());
+        assert_eq!(estimate_on(&mut cache, &scheme, &config, &labeling), 9);
+    }
+
+    #[test]
+    fn turnover_drops_kept_instances_but_not_live_ones() {
+        let config = Configuration::plain(generators::cycle(9));
+        let scheme = CompiledRpls::new(Counting::default());
+        let labeling = Rpls::label(&scheme, &config);
+        let mut cache = PrepCache::new();
+        let mut scratch = RoundScratch::new();
+        let _ = scheme.prepare_cached(&config, &labeling, 1, &mut cache);
+        let live = scheme.prepare_cached(&config, &labeling, 1, &mut cache);
+        let seeds: Vec<u64> = (0..16).collect();
+        let block = |prepared: &dyn PreparedRpls, scratch: &mut RoundScratch| {
+            let mut out = Vec::new();
+            let spec = RunSpec::trial(0);
+            engine::run_trials(&spec, prepared, &config, &seeds, scratch, &mut |r| {
+                out.push(r)
+            });
+            out
+        };
+        let before = block(&*live, &mut scratch);
+        assert_eq!(kept_instance(&cache, &scheme, &config).len(), 1);
+
+        // Flood the cache with 16-Mbit labels, distinct per round, on
+        // another configuration and scheme, until it turns over.
+        let flood_config = Configuration::plain(generators::cycle(3));
+        let flood_scheme = CompiledRpls::new(IdLabel);
+        let big = 1usize << 24;
+        for round in 0u64.. {
+            if cache.epochs() > 0 {
+                break;
+            }
+            assert!(round < 8, "the flood must turn the cache over");
+            let mut w = BitWriter::new();
+            for i in 0..big / 64 {
+                w.write_u64(round ^ i as u64, 64);
+            }
+            let junk = w.finish();
+            let flood: Labeling = (0..3).map(|_| encode_replicated(big, &[&junk])).collect();
+            flood_scheme.prepare_cached(&flood_config, &flood, 1, &mut cache);
+        }
+        // Only the flood's own latest binding, prepared after the
+        // turnover, may be kept.
+        assert!(kept_instance(&cache, &scheme, &config).is_empty());
+        assert!(cache.store.borrow().instances.len() <= 1);
+        // The live instance still reports as before; the same triple
+        // prepared again is bound afresh.
+        scheme.inner_calls();
+        assert_eq!(block(&*live, &mut scratch), before);
+        assert_eq!(scheme.inner_calls(), 0);
+        let fresh = Rpls::prepare(&scheme, &config, &labeling, 1);
+        assert_eq!(block(&*fresh, &mut scratch), before);
+        let again = scheme.prepare_cached(&config, &labeling, 1, &mut cache);
+        assert_eq!(block(&*again, &mut scratch), before);
+        assert!(scheme.inner_calls() > 0);
     }
 
     #[test]

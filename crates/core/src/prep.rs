@@ -20,12 +20,13 @@
 //!
 //! **Cache poisoning is impossible by construction**: every key is the full
 //! content the cached value is a function of (the index hashes the key and
-//! then verifies it by equality on every hit), and nothing
-//! configuration- or scheme-dependent is ever stored — arity-vs-degree
-//! checks and inner-verifier verdicts stay per-prepared-instance. One cache
-//! may therefore serve different labelings, different configurations, and
-//! different compiled schemes; transcripts are bit-identical to uncached
-//! preparation either way (`tests/engine_golden.rs` pins it).
+//! then verifies it by equality on every hit), and the one
+//! configuration- and scheme-dependent layer, the kept instances below, is
+//! keyed by the identity of the very scheme and configuration objects it
+//! was prepared for. One cache may therefore serve different labelings,
+//! different configurations, and different compiled schemes; transcripts
+//! are bit-identical to uncached preparation either way
+//! (`tests/engine_golden.rs` pins it).
 //!
 //! # Epochs
 //!
@@ -53,13 +54,58 @@
 //! whole epoch is prepared into a private epoch of its own and shared with
 //! no one. Values are identical shared or not, so neither budget
 //! exhaustion nor an epoch boundary can ever change a transcript.
+//!
+//! # Kept instances
+//!
+//! A compiled scheme's prepared instance — each node's label reference
+//! and arity fit, its memoised inner verdict, and the plan of every
+//! schedule length `t` run so far — is a pure function of (compiled
+//! scheme, configuration, labeling). The store keeps a few of them, so a
+//! repeated `prepare_cached` of the same triple (a Monte-Carlo estimate
+//! re-run under new seeds) returns the instance prepared before and pays
+//! for its plans and inner verdicts once. The contract:
+//!
+//! * **Key.** The scheme and the configuration are matched by identity,
+//!   never hashed: each carries an id drawn from one process-wide counter
+//!   (`fresh_id`), assigned at construction, copied by `Clone` (the
+//!   content is equal) and renewed by every mutation
+//!   (`Configuration::state_mut`, `CompiledRpls::with_sketch` and
+//!   `force_dynamic`). The labeling is matched exactly: every prepare
+//!   still runs its label lookups, and a kept instance is returned only if
+//!   each node's lookup lands on the same `(epoch, label id)` as the
+//!   instance's — equal label content.
+//! * **Second sight.** An instance is kept only when its (scheme,
+//!   configuration) pair is prepared the second time or later; the store
+//!   remembers the last `KEPT_INSTANCES` (8) pairs it saw. A caller that
+//!   builds a fresh configuration and scheme for every job, as the service
+//!   does, never keeps one.
+//! * **Bound.** At most `KEPT_INSTANCES` instances are kept; the oldest
+//!   goes first.
+//! * **Turnover.** Turning over to a new epoch drops every kept instance,
+//!   and an instance with a label outside the current epoch is never kept,
+//!   so kept instances pin no retired epoch.
 
+use crate::compiler::Instance;
 use rpls_bits::{BitSlice, BitString};
 use rpls_fingerprint::{EqEvaluator, EqProtocol, PreparedEq};
 use std::cell::RefCell;
 use std::hash::Hasher;
 use std::mem::size_of;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// How many compiled instances a cache keeps, and how many recently
+/// prepared (scheme, configuration) pairs it remembers (see the module
+/// docs).
+const KEPT_INSTANCES: usize = 8;
+
+/// A fresh identity from one process-wide counter: kept instances are
+/// matched by the ids of the scheme and configuration they were prepared
+/// for (see the module docs).
+pub(crate) fn fresh_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A multiply-rotate hasher (the `FxHash` construction) for the cache
 /// index: the keys are multi-word bit strings hashed on every lookup of
@@ -647,16 +693,21 @@ impl Tally {
 
 /// The shared state of a [`PrepCache`]: the current epoch plus budgets and
 /// counters, behind one handle so prepared instances can keep requesting
-/// content-keyed preparations *after* binding time — the multi-round
-/// planner cuts slice fingerprints on first use of each `t`, long after
+/// content-keyed preparations *after* binding time — the planner cuts
+/// slice fingerprints on first use of each `t`, long after
 /// `prepare_cached` returned — against the same epoch and budgets as
-/// binding-time preparation.
+/// binding-time preparation. It also holds the kept compiled instances.
 pub(crate) struct Store {
     /// The epoch new entries go to.
     current: SharedEpoch,
     /// Epoch turnovers so far (see [`PrepCache::epochs`]).
     epoch_count: u64,
     pub(crate) tally: Tally,
+    /// Kept compiled instances, oldest first (see the module docs).
+    pub(crate) instances: Vec<Rc<Instance>>,
+    /// The (scheme, configuration) id pairs prepared most recently, oldest
+    /// first.
+    sightings: Vec<(u64, u64)>,
 }
 
 impl Store {
@@ -669,12 +720,35 @@ impl Store {
                 hits: 0,
                 misses: 0,
             },
+            instances: Vec::new(),
+            sightings: Vec::new(),
         }
     }
 
     /// The current epoch.
     pub(crate) fn current(&self) -> SharedEpoch {
         Rc::clone(&self.current)
+    }
+
+    /// Records a freshly prepared `instance` and keeps it if its (scheme,
+    /// configuration) pair was seen before and every label epoch it pins
+    /// is the current one (see the module docs).
+    pub(crate) fn keep(&mut self, instance: &Rc<Instance>) {
+        let key = instance.key();
+        let seen = self.sightings.contains(&key) || self.instances.iter().any(|i| i.key() == key);
+        if !seen {
+            if self.sightings.len() == KEPT_INSTANCES {
+                self.sightings.remove(0);
+            }
+            self.sightings.push(key);
+            return;
+        }
+        if instance.pins().iter().all(|e| Rc::ptr_eq(e, &self.current)) {
+            if self.instances.len() == KEPT_INSTANCES {
+                self.instances.remove(0);
+            }
+            self.instances.push(Rc::clone(instance));
+        }
     }
 
     /// The epoch a miss appending at most `growth` is prepared into, with
@@ -686,9 +760,11 @@ impl Store {
             self.current()
         } else if Epoch::new(true).fits(growth) {
             // Turnover: drop the cache's handle on the old epoch (freed
-            // now, or when the last prepared instance pinning it drops)
-            // and reset the table budget. Values never depend on sharing,
-            // so an epoch boundary can never change a transcript.
+            // now, or when the last prepared instance pinning it drops),
+            // and the kept instances, which pin it too, and reset the
+            // table budget. Values never depend on sharing, so an epoch
+            // boundary can never change a transcript.
+            self.instances.clear();
             self.current = Rc::new(RefCell::new(Epoch::new(true)));
             self.tally.table_slots = PrepCache::TABLE_SLOT_BUDGET;
             self.epoch_count += 1;
@@ -703,6 +779,16 @@ impl Store {
 
 /// A preparation cache shared across labelings (and configurations); see
 /// the [module docs](self) for the contract.
+///
+/// Besides content-keyed label and fingerprint preparations, a cache keeps
+/// up to eight whole compiled instances: a repeated `prepare_cached` of the
+/// same compiled scheme, configuration and labeling returns the instance
+/// prepared before, with its plans and memoised inner verdicts. Scheme and
+/// configuration are matched by identity (a clone matches, a mutated
+/// configuration or a rebuilt scheme does not), the labeling by content.
+/// An instance is kept only the second time its scheme and configuration
+/// are prepared together, and every kept instance is dropped when the
+/// cache turns over to a new epoch.
 ///
 /// # Examples
 ///
@@ -744,6 +830,9 @@ pub struct PrepCache {
     pub(crate) part_ranges: Vec<(usize, usize)>,
     /// Scratch for label preparation: the part fingerprint ids.
     pub(crate) part_ids: Vec<u32>,
+    /// Scratch for binding a labeling: each node's `(epoch slot, label
+    /// id)`, compared in place against the kept instances.
+    pub(crate) found: Vec<(u32, u32)>,
 }
 
 impl PrepCache {
@@ -774,6 +863,7 @@ impl PrepCache {
             store: Rc::new(RefCell::new(Store::new())),
             part_ranges: Vec::new(),
             part_ids: Vec::new(),
+            found: Vec::new(),
         }
     }
 

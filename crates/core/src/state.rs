@@ -94,12 +94,16 @@ pub struct Configuration {
     delivery: Vec<u32>,
     /// Inverse CSR: `port_owner[i]` is the node owning global port `i`.
     port_owner: Vec<u32>,
+    /// Identity of this content (see `prep::fresh_id`): fresh at
+    /// construction and after every mutation, copied by `Clone`. A
+    /// preparation cache matches configurations by it, never by content.
+    id: u64,
 }
 
 impl PartialEq for Configuration {
     fn eq(&self, other: &Self) -> bool {
         // The CSR caches are functions of the graph; comparing them would
-        // be redundant.
+        // be redundant. The id names content, it is not content.
         self.graph == other.graph && self.states == other.states
     }
 }
@@ -137,6 +141,7 @@ impl Configuration {
             port_weights,
             delivery,
             port_owner,
+            id: crate::prep::fresh_id(),
         }
     }
 
@@ -217,7 +222,15 @@ impl Configuration {
     /// Mutable access to the state of `node` (used by workload builders to
     /// install algorithm outputs).
     pub fn state_mut(&mut self, node: NodeId) -> &mut State {
+        // The only mutator: whatever the caller changes, this is new
+        // content.
+        self.id = crate::prep::fresh_id();
         &mut self.states[node.index()]
+    }
+
+    /// The identity of this configuration's content (see the `id` field).
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// All states, indexed by node.
@@ -281,6 +294,7 @@ impl Configuration {
             port_weights,
             delivery,
             port_owner,
+            id: crate::prep::fresh_id(),
         }
     }
 

@@ -208,26 +208,30 @@ impl Pls for SpanningTreePls {
         let Some((root_id, dist)) = decode_label(view.label) else {
             return false;
         };
+        let pointer = decode_pointer(view.local.state.payload());
+        let parent = pointer.flatten().map(|port| port.rank());
         // All neighbors must agree on the root identity, and carry parseable
-        // labels.
-        let mut neighbor_dists = Vec::with_capacity(view.neighbor_labels.len());
-        for &l in &view.neighbor_labels {
+        // labels; only the parent's distance is kept.
+        let mut parent_dist = None;
+        for (i, &l) in view.neighbor_labels.iter().enumerate() {
             let Some((rid, d)) = decode_label(l) else {
                 return false;
             };
             if rid != root_id {
                 return false;
             }
-            neighbor_dists.push(d);
+            if Some(i) == parent {
+                parent_dist = Some(d);
+            }
         }
-        match decode_pointer(view.local.state.payload()) {
+        match pointer {
             Some(None) => {
                 // Root: checks d(r) = 0 and that it really owns id(r).
                 dist == 0 && view.local.state.id() == root_id
             }
-            Some(Some(port)) => {
+            Some(Some(_)) => {
                 // Non-root: d(p(v)) = d(v) − 1 (also forces d(v) ≥ 1).
-                let Some(&pd) = neighbor_dists.get(port.rank()) else {
+                let Some(pd) = parent_dist else {
                     return false;
                 };
                 dist >= 1 && pd == dist - 1 && view.local.state.id() != root_id

@@ -362,6 +362,92 @@ fn cached_instance_outlives_epoch_turnover() {
     assert!(cache.retained_key_bits() <= PrepCache::KEY_BITS_BUDGET);
 }
 
+/// Repeated estimates of one (scheme, configuration, labeling) on one cache:
+/// the cache keeps the instance from the second prepare on and serves it,
+/// with its plans and memoised inner verdicts, to every later job. Each
+/// repeat must equal a fresh-cache `stats::estimate`. The specs' trial
+/// counts (each prepare's rounds hint) differ, so a `t ≥ 2` plan is built by
+/// a later job than the one that bound the instance, under another hint.
+#[test]
+fn repeated_estimates_on_one_cache_match_fresh_estimates() {
+    use rpls::bits::BitString;
+    use rpls::core::engine::MessagePattern;
+    use rpls::core::{FaultPlan, FaultSpec, PrepCache, ProbeSketch};
+    let flip = |labeling: &Labeling, node: usize, bit: usize| {
+        let mut out = labeling.clone();
+        let v = rpls::graph::NodeId::new(node);
+        let flipped: BitString = out
+            .get(v)
+            .iter()
+            .enumerate()
+            .map(|(i, b)| b ^ (i == bit))
+            .collect();
+        out.set(v, flipped);
+        out
+    };
+    let (scheme, config, honest) = compiled_spanning_tree_workload(12);
+    let tampered = flip(&honest, 2, 50);
+    let dynamic = CompiledRpls::new(SpanningTreePls::new()).force_dynamic();
+    // Degree 23 > 16: the sketch samples every node's probes.
+    let clique = spanning_tree_config(
+        &Configuration::plain(generators::complete(24)),
+        rpls::graph::NodeId::new(0),
+    );
+    let sketched = CompiledRpls::new(SpanningTreePls::new())
+        .force_dynamic()
+        .with_sketch(ProbeSketch::new(16));
+    let clique_honest = Rpls::label(&sketched, &clique);
+    let clique_tampered = flip(&clique_honest, 5, 300);
+    let cases = [
+        ("honest", &scheme, &config, &honest),
+        ("tampered", &scheme, &config, &tampered),
+        ("force_dynamic honest", &dynamic, &config, &honest),
+        ("force_dynamic tampered", &dynamic, &config, &tampered),
+        ("sketched clique honest", &sketched, &clique, &clique_honest),
+        (
+            "sketched clique tampered",
+            &sketched,
+            &clique,
+            &clique_tampered,
+        ),
+    ];
+    let faults = FaultPlan::new(FaultSpec::transparent().with_drop(0.1), 9);
+    let specs = [
+        (RunSpec::trial(3), 24),
+        (RunSpec::trial(4).with_rounds(4), 16),
+        (
+            RunSpec::trial(5)
+                .with_rounds(8)
+                .with_pattern(MessagePattern::Broadcast),
+            12,
+        ),
+        (RunSpec::trial(6).with_faults(faults), 20),
+    ];
+    let mut cache = PrepCache::new();
+    let mut scratch = RoundScratch::new();
+    let mut rejected = 0;
+    for (name, scheme, config, labeling) in cases {
+        for (spec, trials) in &specs {
+            let opts = EstimateOpts::new(*trials);
+            let fresh = stats::estimate(scheme, config, labeling, spec, &opts);
+            rejected += fresh.trials - fresh.accepts;
+            for repeat in 0..3 {
+                let est = stats::estimate_with(
+                    scheme,
+                    config,
+                    labeling,
+                    spec,
+                    &opts,
+                    &mut scratch,
+                    &mut cache,
+                );
+                assert_eq!(est, fresh, "{name}, {spec:?}, repeat {repeat}");
+            }
+        }
+    }
+    assert!(rejected > 0, "the tampered labelings must reject somewhere");
+}
+
 /// Same pinning for the κ-bit baseline wrapper, whose preparation caches
 /// whole verdicts.
 #[test]
