@@ -484,15 +484,13 @@ fn tradeoff(rows: &mut Vec<Row>) {
         let mut t1_bits = 0;
         for t in [1usize, 2, 4, 8, 16] {
             let spec = RunSpec::trial(seed).with_rounds(t);
+            let opts = EstimateOpts::new(trials);
             let t0 = Instant::now();
             let honest_estimate =
-                stats::estimate(scheme, &config, &honest, &spec, &EstimateOpts::new(trials))
-                    .acceptance();
+                stats::estimate(scheme, &config, &honest, &spec, &opts).acceptance();
             let secs = t0.elapsed().as_secs_f64();
             let report = engine::run(&spec, scheme, &config, &honest);
-            let profile =
-                stats::rounds_to_reject_profile(scheme, &config, &tampered, t, trials, seed);
-            let tampered_estimate = profile.accepts as f64 / trials as f64;
+            let tampered_est = stats::estimate(scheme, &config, &tampered, &spec, &opts);
             if t == 1 {
                 t1_bits = report.max_bits_per_round;
             }
@@ -506,10 +504,10 @@ fn tradeoff(rows: &mut Vec<Row>) {
                 )
                 .num("secs", secs)
                 .num("honest_estimate", honest_estimate)
-                .num("tampered_estimate", tampered_estimate)
+                .num("tampered_estimate", tampered_est.acceptance())
                 .num(
                     "mean_reject_round",
-                    profile.mean_reject_round().unwrap_or(0.0),
+                    tampered_est.mean_reject_round().unwrap_or(0.0),
                 )
                 // One-sided completeness is perfect at every t.
                 .bool("complete_ok", honest_estimate == 1.0);
@@ -517,7 +515,7 @@ fn tradeoff(rows: &mut Vec<Row>) {
                 row.bool(
                     "t1_identical",
                     honest_estimate == one_round_honest
-                        && tampered_estimate == one_round_tampered
+                        && tampered_est.acceptance() == one_round_tampered
                         && report.max_bits_per_round == one_round_bits,
                 )
             } else {
@@ -1011,7 +1009,7 @@ impl ScaleCase {
     }
 
     /// The row for `secs` per estimate; `estimate` must accept every trial.
-    fn row(&self, secs: f64, estimate: Estimate) -> Row {
+    fn row(&self, secs: f64, estimate: &Estimate) -> Row {
         Row::new("scale", self.name)
             .count("n", self.config.node_count())
             .count("ports", 2 * self.config.graph().edge_count())
@@ -1049,7 +1047,7 @@ fn scale(rows: &mut Vec<Row>) {
         // Informational: one sample after the warm-up call.
         let estimate = Cell::default();
         let secs = interleaved(1, &mut [&mut || estimate.set(case.run(None))]);
-        rows.push(case.row(secs[0][0], estimate.get()));
+        rows.push(case.row(secs[0][0], &estimate.into_inner()));
     }
 
     let workers: Vec<usize> = [2, 4].into_iter().filter(|&k| k <= cores()).collect();
@@ -1065,13 +1063,14 @@ fn scale(rows: &mut Vec<Row>) {
         .collect();
     let mut runs: Vec<&mut dyn FnMut()> = runs.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
     let secs = interleaved(rounds(), &mut runs);
+    let estimates: Vec<Estimate> = estimates.into_iter().map(Cell::into_inner).collect();
     let median = |side: usize| Spread::of(&secs[side]).median;
 
     let ratio = Spread::of_ratios(&secs[0], &secs[1]).scaled(sketched.probes() / sparse.probes());
-    rows.push(sparse.row(median(0), estimates[0].get()));
+    rows.push(sparse.row(median(0), &estimates[0]));
     rows.push(
         sketched
-            .row(median(1), estimates[1].get())
+            .row(median(1), &estimates[1])
             .spread("dense_vs_sparse_ratio", ratio)
             .bool("dense_within_2x_ok", ratio.median >= 0.5),
     );
@@ -1086,7 +1085,7 @@ fn scale(rows: &mut Vec<Row>) {
                     "thread_scaling_ratio",
                     Spread::of_ratios(&secs[0], &secs[side]),
                 )
-                .bool("par_identical", estimates[side].get() == estimates[0].get()),
+                .bool("par_identical", estimates[side] == estimates[0]),
         );
     }
 }

@@ -4,7 +4,11 @@ use crate::table::{fmt_b, fmt_f, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpls_bits::BitString;
-use rpls_core::{engine, stats, CompiledRpls, Configuration, Labeling, Pls, Rpls};
+use rpls_core::engine::RunSpec;
+use rpls_core::stats::EstimateOpts;
+use rpls_core::{
+    engine, stats, CompiledRpls, Configuration, Labeling, Pls, PrepCache, RoundScratch, Rpls,
+};
 use rpls_crossing::det_attack::det_crossing_attack;
 use rpls_crossing::families;
 use rpls_crossing::iterated::iterated_crossing;
@@ -329,9 +333,28 @@ pub fn eb_boosting() -> Table {
     t.push_note(format!(
         "single-round acceptance of the corrupted proof: {single:.3} (fingerprint collision rate)"
     ));
+    // One boosted verification is the majority of `reps` independent
+    // rounds: 2·accepts > reps of one estimate over `reps` trials. All 800
+    // boosted trials of a row share one preparation through the cache.
+    let (mut scratch, mut cache) = (RoundScratch::new(), PrepCache::new());
     for reps in [1usize, 3, 7, 15, 31] {
-        let boosted =
-            stats::boosted_acceptance_probability(&scheme, &config, &labeling, reps, 800, 0xB2);
+        let opts = EstimateOpts::new(reps);
+        let majorities = (0..800u64)
+            .filter(|&trial| {
+                let spec = RunSpec::trial(engine::mix_seed(0xB2, trial, 2));
+                let votes = stats::estimate_with(
+                    &scheme,
+                    &config,
+                    &labeling,
+                    &spec,
+                    &opts,
+                    &mut scratch,
+                    &mut cache,
+                );
+                2 * votes.accepts > reps
+            })
+            .count();
+        let boosted = majorities as f64 / 800.0;
         let bound = (-2.0 * reps as f64 * (0.5 - single).powi(2)).exp();
         t.push_row(vec![
             reps.to_string(),

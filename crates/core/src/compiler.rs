@@ -141,8 +141,9 @@ pub struct CompiledRpls<S> {
 /// tampered edge at a hub is thus caught with probability
 /// `≥ (2/3)·(1 − (1 − 1/d)^s) ≈ (2/3)·s/d` per trial — the engine's
 /// per-trial soundness bound degrades by the subsampling ratio `s/d`, and
-/// the usual amplification (more trials, or
-/// [`stats::rounds_to_reject_profile`](crate::stats)) restores any target
+/// the usual one-sided amplification (repeat, and reject if any run
+/// rejects — `accepts < trials` of a
+/// [`stats::estimate`](crate::stats::estimate)) restores any target
 /// confidence at total cost `O(d/s)` trials, still far below the `O(d)`
 /// per-trial probe cost it replaces on dense families.
 ///

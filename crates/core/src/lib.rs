@@ -26,8 +26,10 @@
 //!   reusable [`RoundScratch`] the high-throughput round loop runs on;
 //! * [`rng`] — counter-based per-(node, port) random streams
 //!   ([`PortRng`]), cheap enough to key one per directed edge per round;
-//! * [`stats`] — Monte-Carlo acceptance estimation and the footnote-1
-//!   majority boosting, serial and (feature `parallel`) thread-sharded;
+//! * [`stats`] — Monte-Carlo acceptance estimation, serial and (feature
+//!   `parallel`) thread-sharded; each estimate also carries the
+//!   rounds-to-reject histogram, and the footnote-1 majority boosting is
+//!   a tally over one estimate's trials;
 //! * [`measure`] — verification complexity (Definition 2.1) measured in
 //!   exact bits;
 //! * [`prep`] — the cross-labeling [`PrepCache`] that amortises compiled

@@ -1,21 +1,27 @@
-//! Monte-Carlo acceptance estimation and error boosting (footnote 1).
-//!
-//! The paper fixes the success probabilities at 2/3 (two-sided) and 1/2
-//! (one-sided rejection) and notes that "we can boost the probability of
-//! correctness to 1 − δ by repeating the verification procedure
-//! O(log(1/δ)) times independently and outputting the majority of
-//! outcomes." [`boosted_accepts`] implements exactly that; the experiment
-//! E-B measures the promised exponential decay.
+//! Monte-Carlo acceptance estimation, with error boosting (footnote 1) and
+//! the t-round rounds-to-reject histogram read off the same trials.
 //!
 //! # One estimator
 //!
 //! [`estimate`] / [`estimate_with`] / [`estimate_par`] take a [`RunSpec`]
 //! naming the job (rounds, pattern, stream mode, faults, seed source) plus
-//! [`EstimateOpts`] and return an [`Estimate`]; [`sweep_par`] estimates
-//! many labelings under one spec. Trial `t` always runs seed
+//! [`EstimateOpts`] and return an [`Estimate`]. Trial `t` always runs seed
 //! [`trial_seed`]`(spec.seed(), t)`, whichever of them invoked it, so all
 //! of them agree bit for bit. [`acceptance_probability`] is the paper's
 //! `Pr[accept]` for the default one-round spec.
+//!
+//! Every tally is a fold over those trials:
+//!
+//! * the acceptance probability and the fault statistics;
+//! * the round in which each rejecting trial was decided
+//!   ([`Estimate::rejects_at`]) — the t-round trade-off of the
+//!   multi-round verifier, summarised by [`Estimate::mean_reject_round`]
+//!   and [`Estimate::quantile_reject_round`];
+//! * the paper's boosting to `1 − δ` ("repeating the verification
+//!   procedure O(log(1/δ)) times independently and outputting the
+//!   majority of outcomes"): one boosted verification is `2·accepts > k`
+//!   of an estimate over `k` trials. Experiment E-B measures its
+//!   exponential decay.
 //!
 //! Every estimator prepares the labeling once — through
 //! [`Rpls::prepare_cached`], against a caller-owned [`PrepCache`] for
@@ -25,9 +31,7 @@
 //! [`PreparedRpls::run_block`] (notably
 //! [`CompiledRpls`](crate::compiler::CompiledRpls)) evaluate trials
 //! node-at-a-time; everything else runs the scalar reference. Estimates are
-//! bit-identical either way. The boosting estimators (different seed tags,
-//! majority-vote semantics) and [`rounds_to_reject_profile`] (a per-round
-//! histogram) run the same trial loop with their own seeds and tallies.
+//! bit-identical either way.
 
 use crate::buffer::RoundScratch;
 use crate::engine::{self, mix_seed, RunReport, RunSpec};
@@ -37,18 +41,17 @@ use crate::prep::PrepCache;
 use crate::scheme::{PreparedRpls, Rpls};
 use crate::state::Configuration;
 
-/// The seed-derivation tag of each estimator family, so their streams never
-/// collide.
-const TAG_ACCEPT: u64 = 0;
-const TAG_BOOST: u64 = 1;
-const TAG_BOOST_TRIALS: u64 = 2;
+/// The most rounds [`Estimate::rejects_at`] holds a bucket for. The engine
+/// accepts any schedule length (up to `usize::MAX`), so a trial decided
+/// later than this is counted in the last bucket rather than growing the
+/// histogram further.
+const MAX_REJECT_ROUNDS: usize = 1 << 20;
 
-/// The per-trial round seed of the acceptance estimators. Public so
-/// benches and golden tests can replay individual estimator trials
-/// through the engine without duplicating the tag constant.
+/// The per-trial round seed of the estimators. Public so benches and golden
+/// tests can replay individual estimator trials through the engine.
 #[must_use]
 pub fn trial_seed(seed: u64, trial: u64) -> u64 {
-    mix_seed(seed, trial, TAG_ACCEPT)
+    mix_seed(seed, trial, 0)
 }
 
 /// Options of a [`estimate`] run — everything about the Monte-Carlo
@@ -70,7 +73,7 @@ impl EstimateOpts {
 
 /// Aggregate outcome of one [`estimate`] run. The fault fields stay zero
 /// for fault-free specs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Estimate {
     /// Trials estimated.
     pub trials: usize,
@@ -84,6 +87,16 @@ pub struct Estimate {
     pub missing_messages: usize,
     /// Fault events aggregated over all trials.
     pub counts: FaultCounts,
+    /// `rejects_at[r]` counts the rejecting trials whose verdict became
+    /// known in round `r + 1` ([`RunReport::decided_round`]): parse- and
+    /// width-level garbage lands in round 1, a tampered replica in the
+    /// round whose slice covers the tampering, an inner-verifier rejection
+    /// in the last round. Accepting trials touch no bucket, so an
+    /// all-accepting estimate has none; otherwise the histogram is exactly
+    /// as long as the latest decided round, up to 2²⁰ buckets — trials
+    /// decided later than that are counted in the last one, which makes
+    /// the derived round statistics lower bounds for such schedules.
+    pub rejects_at: Vec<usize>,
 }
 
 impl Estimate {
@@ -99,27 +112,74 @@ impl Estimate {
         self.degraded_trials as f64 / self.trials as f64
     }
 
-    /// The one-trial estimate of `report`.
-    fn of_trial(report: &RunReport) -> Self {
-        let fault = report.fault.unwrap_or_default();
-        Self {
-            trials: 1,
-            accepts: usize::from(report.accepted),
-            degraded_trials: usize::from(fault.insufficient_nodes > 0),
-            missing_messages: fault.missing_messages,
-            counts: fault.counts,
+    /// The smallest 1-based round by which at least `q` (0 < q ≤ 1) of the
+    /// rejecting trials were decided — `quantile_reject_round(0.5)` is the
+    /// median rejection round. `None` when no trial rejected.
+    #[must_use]
+    pub fn quantile_reject_round(&self, q: f64) -> Option<usize> {
+        let rejects = self.trials - self.accepts;
+        let need = ((q * rejects as f64).ceil() as usize).clamp(1, rejects.max(1));
+        let mut seen = 0;
+        self.rejects_at
+            .iter()
+            .position(|&count| {
+                seen += count;
+                seen >= need
+            })
+            .map(|r| r + 1)
+    }
+
+    /// Mean 1-based rejection round over rejecting trials, `None` when no
+    /// trial rejected.
+    #[must_use]
+    pub fn mean_reject_round(&self) -> Option<f64> {
+        let rejects = self.trials - self.accepts;
+        let total: usize = self
+            .rejects_at
+            .iter()
+            .enumerate()
+            .map(|(r, &count)| (r + 1) * count)
+            .sum();
+        (rejects > 0).then(|| total as f64 / rejects as f64)
+    }
+
+    /// Folds one trial's report in place. Only a rejection past the
+    /// current histogram grows it, so a run allocates at most once per new
+    /// latest decided round, never once per trial.
+    fn record(&mut self, report: &RunReport) {
+        self.trials += 1;
+        if report.accepted {
+            self.accepts += 1;
+        } else {
+            let round = report.decided_round.clamp(1, MAX_REJECT_ROUNDS);
+            if self.rejects_at.len() < round {
+                self.rejects_at.resize(round, 0);
+            }
+            self.rejects_at[round - 1] += 1;
+        }
+        if let Some(fault) = &report.fault {
+            self.degraded_trials += usize::from(fault.insufficient_nodes > 0);
+            self.missing_messages += fault.missing_messages;
+            self.counts.absorb(fault.counts);
         }
     }
 
-    /// Adds `other`'s tallies into `self` — how trials fold into an
-    /// estimate and how worker shards merge. Every field is a sum, so the
-    /// result does not depend on how trials were split.
-    fn absorb(&mut self, other: Estimate) {
+    /// Adds `other`'s tallies into `self` — how worker shards merge. Every
+    /// field is a sum, so the result does not depend on how trials were
+    /// split.
+    #[cfg(feature = "parallel")]
+    fn absorb(&mut self, other: &Estimate) {
         self.trials += other.trials;
         self.accepts += other.accepts;
         self.degraded_trials += other.degraded_trials;
         self.missing_messages += other.missing_messages;
         self.counts.absorb(other.counts);
+        if self.rejects_at.len() < other.rejects_at.len() {
+            self.rejects_at.resize(other.rejects_at.len(), 0);
+        }
+        for (mine, theirs) in self.rejects_at.iter_mut().zip(&other.rejects_at) {
+            *mine += theirs;
+        }
     }
 }
 
@@ -136,7 +196,7 @@ fn estimate_prepared(
 ) -> Estimate {
     let mut out = Estimate::default();
     engine::run_seeded_trials(spec, prepared, config, trials, seed_of, scratch, &mut |r| {
-        out.absorb(Estimate::of_trial(&r));
+        out.record(&r);
     });
     out
 }
@@ -173,11 +233,15 @@ pub fn estimate<S: Rpls + ?Sized>(
 /// Like [`estimate`] but reuses caller-owned scratch and a [`PrepCache`]
 /// across labelings — the form sweeps use (the hill-climbing adversary,
 /// the verification service's one resident cache shared across every
-/// submitted labeling). Under the Theorem 3.1 compiler that turns
-/// per-candidate preparation from O(nodes × label bits) parsing and
-/// polynomial building into O(nodes) hash lookups. Estimates are
-/// bit-identical to [`estimate`] for any cache state; the cache only moves
-/// work, never results.
+/// submitted labeling, E-B's repeated boosted verifications). Under the
+/// Theorem 3.1 compiler that turns per-candidate preparation from
+/// O(nodes × label bits) parsing and polynomial building into O(nodes)
+/// hash lookups. Estimates are bit-identical to [`estimate`] for any cache
+/// state; the cache only moves work, never results.
+///
+/// # Panics
+///
+/// As [`estimate`].
 pub fn estimate_with<S: Rpls + ?Sized>(
     scheme: &S,
     config: &Configuration,
@@ -219,26 +283,28 @@ pub fn acceptance_probability<S: Rpls + ?Sized>(
     .acceptance()
 }
 
-/// Parallel [`estimate`]: shards trials across threads — the one-labeling
-/// case of [`sweep_par`]. Per-trial seeds are identical to the serial
-/// path, so the result is **bit-identical** to [`estimate`] for the same
-/// inputs.
+/// Parallel [`estimate`]: shards one labeling's trials across threads.
+/// Worker `w` of `k` runs exactly the trials `w, w + k, …` with the
+/// per-trial seeds the serial path derives, so the result is
+/// **bit-identical** to [`estimate`] for the same inputs.
 ///
 /// Every [`RunSpec`] parallelises, with the same transcripts trial for
 /// trial: per-round streams and fault decision words are pure functions
-/// of the trial seed, so sharding cannot move them, and degraded/missing
-/// counts merge additively. Each worker prepares through its own private
-/// [`PrepCache`] (the cache is `Rc`-based and cannot cross threads;
-/// preparation is a pure function of the labeling, so per-shard caches and
-/// any shared-cache serial run produce identical transcripts).
-/// `tests/parallel_identity.rs` pins serial ≡ parallel at 2/4/8 workers.
+/// of the trial seed, so sharding cannot move them, and every tally —
+/// the rejection histogram included — merges additively. Each worker
+/// prepares through its own private [`PrepCache`] (the cache is `Rc`-based
+/// and cannot cross threads; preparation is a pure function of the
+/// labeling, so per-worker caches and any shared-cache serial run produce
+/// identical transcripts). `tests/parallel_identity.rs` pins serial ≡
+/// parallel at 2/4/8 workers, against a serial sweep over one shared cache
+/// as well.
 ///
-/// `threads = None` uses the machine's available parallelism.
+/// `threads = None` uses the machine's available parallelism; one worker
+/// (or one trial) runs [`estimate`] itself.
 ///
 /// # Panics
 ///
-/// Panics if `opts.trials` is 0, or propagates (with worker context) any
-/// worker panic.
+/// As [`estimate`], or propagates (with worker context) any worker panic.
 #[cfg(feature = "parallel")]
 pub fn estimate_par<S: Rpls + Sync + ?Sized>(
     scheme: &S,
@@ -248,346 +314,57 @@ pub fn estimate_par<S: Rpls + Sync + ?Sized>(
     opts: &EstimateOpts,
     threads: Option<usize>,
 ) -> Estimate {
-    let mut one = sweep_par(
-        scheme,
-        config,
-        std::slice::from_ref(labeling),
-        spec,
-        opts,
-        threads,
-    );
-    one.pop().expect("one estimate per labeling")
-}
-
-/// Parallel **sweep**: estimates every labeling in `labelings` under one
-/// `spec`, sharding each candidate's trials across a pool of workers that
-/// each keep one long-lived [`PrepCache`] for the whole sweep — the
-/// parallel twin of calling [`estimate_with`] in a loop with one shared
-/// cache.
-///
-/// This is the "shard one cache per worker" answer to the cache being
-/// `Rc`-based (`!Sync`): a cache cannot cross threads, but a cache *owned
-/// by* a worker thread amortises preparation across every candidate that
-/// worker touches, exactly as the serial sweep's single cache does — an
-/// adversary sweep re-prepares only the labels that changed between
-/// candidates, in parallel. Worker `w` runs the strided trials
-/// `w, w + k, …` of every candidate with the same per-trial seeds the
-/// serial path derives, so each returned [`Estimate`] is **bit-identical**
-/// to its serial counterpart for any cache state (preparation is a pure
-/// function of label content; caches move work, never results —
-/// `tests/parallel_identity.rs` pins the shared-cache-vs-per-worker-cache
-/// identity at 2/4/8 workers).
-///
-/// `threads = None` uses the machine's available parallelism.
-///
-/// # Panics
-///
-/// Panics if `opts.trials` is 0, or propagates (with worker context) any
-/// worker panic.
-#[cfg(feature = "parallel")]
-pub fn sweep_par<S: Rpls + Sync + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labelings: &[Labeling],
-    spec: &RunSpec,
-    opts: &EstimateOpts,
-    threads: Option<usize>,
-) -> Vec<Estimate> {
     let trials = opts.trials;
-    assert!(trials > 0, "need at least one trial");
     let workers = threads
         .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         })
-        .clamp(1, trials);
-    if workers == 1 || labelings.is_empty() {
-        let mut scratch = RoundScratch::new();
-        let mut cache = PrepCache::new();
-        return labelings
-            .iter()
-            .map(|l| estimate_with(scheme, config, l, spec, opts, &mut scratch, &mut cache))
-            .collect();
+        .min(trials);
+    if workers <= 1 {
+        return estimate(scheme, config, labeling, spec, opts);
     }
-    let name = scheme.name();
     let base = spec.seed();
-    // partials[w][c] = worker w's shard of candidate c.
-    let partials: Vec<Vec<Estimate>> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
-                    let mut scratch = RoundScratch::new();
-                    // One cache per worker, alive across the whole sweep:
-                    // candidate c+1 re-prepares only the labels c didn't
-                    // share.
-                    let mut cache = PrepCache::new();
-                    let shard = (trials - w).div_ceil(workers);
-                    labelings
-                        .iter()
-                        .map(|labeling| {
-                            let prepared = scheme.prepare_cached(
-                                config,
-                                labeling,
-                                trials.div_ceil(workers),
-                                &mut cache,
-                            );
-                            estimate_prepared(
-                                &*prepared,
-                                config,
-                                spec,
-                                shard,
-                                &|i| trial_seed(base, w as u64 + i * workers as u64),
-                                &mut scratch,
-                            )
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(w, h)| {
-                // Propagate the worker's panic with enough context to find
-                // it (worker index, scheme) instead of the bare "worker"
-                // message a plain `expect` would give.
-                h.join().unwrap_or_else(|payload| {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    panic!(
-                        "estimator worker {w}/{workers} \
-                         for scheme '{name}' panicked: {msg}"
+                    let prepared = scheme.prepare_cached(
+                        config,
+                        labeling,
+                        trials.div_ceil(workers),
+                        &mut PrepCache::new(),
+                    );
+                    estimate_prepared(
+                        &*prepared,
+                        config,
+                        spec,
+                        (trials - w).div_ceil(workers),
+                        &|i| trial_seed(base, w as u64 + i * workers as u64),
+                        &mut RoundScratch::new(),
                     )
                 })
             })
-            .collect()
-    });
-    (0..labelings.len())
-        .map(|c| {
-            let mut out = Estimate::default();
-            for shard in &partials {
-                out.absorb(shard[c]);
-            }
-            out
-        })
-        .collect()
-}
-
-/// The distribution of verdict-decision rounds over a block of t-round
-/// trials: how soon the early-rejecting multi-round verifier settles, per
-/// trial. Produced by [`rounds_to_reject_profile`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RejectionProfile {
-    /// The schedule length `t` the trials ran with.
-    pub rounds: usize,
-    /// Trials that accepted (their verdict settles at round `rounds` by
-    /// definition — the last chunk must arrive before a verifier can say
-    /// yes).
-    pub accepts: usize,
-    /// `rejects_at[r]` counts the rejecting trials whose verdict became
-    /// known in round `r + 1` (1-based): parse- and width-level garbage
-    /// lands in round 1, a tampered replica in the round whose slice
-    /// covers the tampering, an inner-verifier rejection in round
-    /// `rounds`. The histogram holds at most 2²⁰ buckets — for hostile
-    /// schedules with more rounds than that, later decision rounds are
-    /// clamped into the last bucket (see [`rounds_to_reject_profile`]),
-    /// so the derived statistics are lower bounds there.
-    pub rejects_at: Vec<usize>,
-}
-
-impl RejectionProfile {
-    /// Total rejecting trials.
-    #[must_use]
-    pub fn rejects(&self) -> usize {
-        self.rejects_at.iter().sum()
-    }
-
-    /// Total trials profiled.
-    #[must_use]
-    pub fn trials(&self) -> usize {
-        self.accepts + self.rejects()
-    }
-
-    /// The smallest 1-based round by which at least `q` (0 < q ≤ 1) of the
-    /// rejecting trials were decided — `quantile_reject_round(0.5)` is the
-    /// median rejection round. `None` when no trial rejected.
-    #[must_use]
-    pub fn quantile_reject_round(&self, q: f64) -> Option<usize> {
-        let rejects = self.rejects();
-        if rejects == 0 {
-            return None;
+            .collect();
+        let mut out = Estimate::default();
+        for (w, h) in handles.into_iter().enumerate() {
+            // Propagate the worker's panic with enough context to find it
+            // (worker index, scheme) instead of the bare "worker" message a
+            // plain `expect` would give.
+            let shard = h.join().unwrap_or_else(|payload| {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                panic!(
+                    "estimator worker {w}/{workers} for scheme '{}' panicked: {msg}",
+                    scheme.name()
+                )
+            });
+            out.absorb(&shard);
         }
-        let need = (q * rejects as f64).ceil().max(1.0) as usize;
-        let mut seen = 0usize;
-        for (r, &count) in self.rejects_at.iter().enumerate() {
-            seen += count;
-            if seen >= need {
-                return Some(r + 1);
-            }
-        }
-        Some(self.rounds)
-    }
-
-    /// Mean 1-based rejection round over rejecting trials, `None` when no
-    /// trial rejected.
-    #[must_use]
-    pub fn mean_reject_round(&self) -> Option<f64> {
-        let rejects = self.rejects();
-        if rejects == 0 {
-            return None;
-        }
-        let total: usize = self
-            .rejects_at
-            .iter()
-            .enumerate()
-            .map(|(r, &count)| (r + 1) * count)
-            .sum();
-        Some(total as f64 / rejects as f64)
-    }
-}
-
-/// Profiles how many rounds the t-round verifier needs before the verdict
-/// is known, over `trials` trials with the estimator's per-trial seeds —
-/// the rounds-to-reject histogram of the trade-off experiments. Uses the
-/// same seeds as [`estimate`] of `RunSpec::trial(seed).with_rounds(rounds)`,
-/// so `accepts / trials` equals that estimate exactly.
-///
-/// The histogram allocates one bucket per round up to 2²⁰; a hostile
-/// `rounds` beyond that (the engine accepts any `t`, including
-/// `usize::MAX`) clamps later decision rounds into the last bucket rather
-/// than allocating per round, so [`RejectionProfile::mean_reject_round`]
-/// and friends become lower bounds for such schedules.
-///
-/// # Panics
-///
-/// Panics if `rounds` or `trials` is 0.
-pub fn rounds_to_reject_profile<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    rounds: usize,
-    trials: usize,
-    seed: u64,
-) -> RejectionProfile {
-    assert!(trials > 0, "need at least one trial");
-    let spec = RunSpec::trial(seed).with_rounds(rounds);
-    let prepared = scheme.prepare_cached(config, labeling, trials, &mut PrepCache::new());
-    // Hostile round counts (up to usize::MAX) must not allocate a
-    // histogram slot per round: decided rounds past the cap are clamped
-    // into the last bucket.
-    let cap = rounds.min(1 << 20);
-    let mut profile = RejectionProfile {
-        rounds,
-        accepts: 0,
-        rejects_at: vec![0; cap],
-    };
-    engine::run_seeded_trials(
-        &spec,
-        &*prepared,
-        config,
-        trials,
-        &|t| trial_seed(seed, t),
-        &mut RoundScratch::new(),
-        &mut |report| {
-            if report.accepted {
-                profile.accepts += 1;
-            } else {
-                let bucket = report.decided_round.clamp(1, cap) - 1;
-                profile.rejects_at[bucket] += 1;
-            }
-        },
-    );
-    profile
-}
-
-/// One boosted verification: run `repetitions` independent rounds and
-/// output the majority verdict (ties count as reject).
-///
-/// # Panics
-///
-/// Panics if `repetitions` is 0.
-pub fn boosted_accepts<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    repetitions: usize,
-    seed: u64,
-) -> bool {
-    let prepared = scheme.prepare_cached(config, labeling, repetitions, &mut PrepCache::new());
-    boosted_accepts_prepared(
-        &*prepared,
-        config,
-        repetitions,
-        seed,
-        &mut RoundScratch::new(),
-    )
-}
-
-/// The boosted verdict against an already-prepared scheme.
-fn boosted_accepts_prepared(
-    prepared: &dyn PreparedRpls,
-    config: &Configuration,
-    repetitions: usize,
-    seed: u64,
-    scratch: &mut RoundScratch,
-) -> bool {
-    assert!(repetitions > 0, "need at least one repetition");
-    let votes = estimate_prepared(
-        prepared,
-        config,
-        &RunSpec::trial(seed),
-        repetitions,
-        &|r| mix_seed(seed, r, TAG_BOOST),
-        scratch,
-    );
-    2 * votes.accepts > repetitions
-}
-
-/// Estimates the acceptance probability of the *boosted* verifier.
-pub fn boosted_acceptance_probability<S: Rpls + ?Sized>(
-    scheme: &S,
-    config: &Configuration,
-    labeling: &Labeling,
-    repetitions: usize,
-    trials: usize,
-    seed: u64,
-) -> f64 {
-    assert!(trials > 0, "need at least one trial");
-    let mut scratch = RoundScratch::new();
-    // One preparation covers the whole trials × repetitions sweep.
-    let prepared = scheme.prepare_cached(
-        config,
-        labeling,
-        trials.saturating_mul(repetitions),
-        &mut PrepCache::new(),
-    );
-    let accepts = (0..trials)
-        .filter(|&t| {
-            boosted_accepts_prepared(
-                &*prepared,
-                config,
-                repetitions,
-                mix_seed(seed, t as u64, TAG_BOOST_TRIALS),
-                &mut scratch,
-            )
-        })
-        .count();
-    accepts as f64 / trials as f64
-}
-
-/// A two-sided Wald-style confidence radius for an estimated probability
-/// `p_hat` over `trials` samples: `2·sqrt(p̂(1−p̂)/n) + 1/n`. The
-/// z-multiplier 2 (rounded up from the exact 95% value 1.96) and the `1/n`
-/// continuity pad make the radius deliberately conservative — it is used by
-/// tests to assert probabilistic bounds without flaking.
-#[must_use]
-pub fn confidence_radius(p_hat: f64, trials: usize) -> f64 {
-    assert!(trials > 0, "need at least one trial");
-    2.0 * (p_hat * (1.0 - p_hat) / trials as f64).sqrt() + 1.0 / trials as f64
+        out
+    })
 }
 
 /// The one-sided Clopper–Pearson upper confidence bound on a binomial
@@ -742,6 +519,37 @@ mod tests {
         }
     }
 
+    /// The acceptance probability of the footnote-1 boosted verifier over
+    /// `trials` trials: trial `t` accepts iff the majority of `repetitions`
+    /// independent verifications does (ties reject).
+    fn boosted<S: Rpls>(
+        scheme: &S,
+        config: &Configuration,
+        labeling: &Labeling,
+        repetitions: usize,
+        trials: u64,
+        seed: u64,
+    ) -> f64 {
+        let (mut scratch, mut cache) = (RoundScratch::new(), PrepCache::new());
+        let opts = EstimateOpts::new(repetitions);
+        let accepts = (0..trials)
+            .filter(|&t| {
+                let spec = RunSpec::trial(mix_seed(seed, t, 2));
+                let votes = estimate_with(
+                    scheme,
+                    config,
+                    labeling,
+                    &spec,
+                    &opts,
+                    &mut scratch,
+                    &mut cache,
+                );
+                2 * votes.accepts > repetitions
+            })
+            .count();
+        accepts as f64 / trials as f64
+    }
+
     #[test]
     fn boosting_amplifies_above_half_probabilities() {
         // Per-round acceptance ≈ 3/4 > 1/2, so majority-of-15 should push
@@ -750,8 +558,7 @@ mod tests {
         let labeling = Labeling::empty(5);
         let single = acceptance_probability(&ThreeQuarters, &config, &labeling, 1500, 3);
         assert!((single - 0.75).abs() < 0.06, "single = {single}");
-        let boosted =
-            boosted_acceptance_probability(&ThreeQuarters, &config, &labeling, 15, 400, 3);
+        let boosted = boosted(&ThreeQuarters, &config, &labeling, 15, 400, 3);
         assert!(boosted > 0.95, "boosted = {boosted}");
     }
 
@@ -782,7 +589,7 @@ mod tests {
         }
         let config = Configuration::plain(generators::cycle(5));
         let labeling = Labeling::empty(5);
-        let boosted = boosted_acceptance_probability(&OneQuarter, &config, &labeling, 15, 400, 9);
+        let boosted = boosted(&OneQuarter, &config, &labeling, 15, 400, 9);
         assert!(boosted < 0.05, "boosted = {boosted}");
     }
 
@@ -844,17 +651,21 @@ mod tests {
         let config = Configuration::plain(generators::cycle(5));
         let labeling = Labeling::empty(5);
         let trials = 600;
-        let profile = rounds_to_reject_profile(&CoinAtNodeZero, &config, &labeling, 4, trials, 11);
-        assert_eq!(profile.trials(), trials);
-        assert_eq!(profile.rounds, 4);
+        let spec = RunSpec::trial(11).with_rounds(4);
+        let est = estimate(
+            &CoinAtNodeZero,
+            &config,
+            &labeling,
+            &spec,
+            &EstimateOpts::new(trials),
+        );
         // The default splitting schedule only decides at the last round.
-        assert_eq!(profile.rejects_at[0..3], [0, 0, 0]);
-        assert!(profile.rejects() > 0 && profile.accepts > 0);
-        assert_eq!(profile.quantile_reject_round(0.5), Some(4));
-        assert_eq!(profile.mean_reject_round(), Some(4.0));
-        let p = profile.accepts as f64 / trials as f64;
-        let estimate = multiround(&CoinAtNodeZero, &labeling, 4, trials, 11);
-        assert!(p == estimate, "profile accepts must match the estimator");
+        assert_eq!(est.rejects_at[..3], [0, 0, 0]);
+        assert_eq!(est.rejects_at.iter().sum::<usize>(), trials - est.accepts);
+        assert!(est.accepts > 0 && est.accepts < trials);
+        assert_eq!(est.quantile_reject_round(0.5), Some(4));
+        assert_eq!(est.quantile_reject_round(1.0), Some(4));
+        assert_eq!(est.mean_reject_round(), Some(4.0));
     }
 
     #[test]
@@ -876,11 +687,18 @@ mod tests {
                 true
             }
         }
-        let profile = rounds_to_reject_profile(&AlwaysYes, &config, &labeling, 3, 50, 0);
-        assert_eq!(profile.accepts, 50);
-        assert_eq!(profile.rejects(), 0);
-        assert_eq!(profile.quantile_reject_round(0.5), None);
-        assert_eq!(profile.mean_reject_round(), None);
+        let spec = RunSpec::trial(0).with_rounds(3);
+        let est = estimate(
+            &AlwaysYes,
+            &config,
+            &labeling,
+            &spec,
+            &EstimateOpts::new(50),
+        );
+        assert_eq!(est.accepts, 50);
+        assert!(est.rejects_at.is_empty());
+        assert_eq!(est.quantile_reject_round(0.5), None);
+        assert_eq!(est.mean_reject_round(), None);
     }
 
     /// Every spec shape's estimate is the fold of the scalar reference,
@@ -912,7 +730,7 @@ mod tests {
                 let mut one = spec.clone();
                 one.seed_source = crate::engine::SeedSource::Trial(trial_seed(seed, t));
                 let report = engine::run_prepared(&one, &unprepared, &config, &mut scratch);
-                want.absorb(Estimate::of_trial(&report));
+                want.record(&report);
             }
             assert_eq!(got, want, "{spec:?}");
             assert_eq!(got.trials, trials);
@@ -1000,11 +818,5 @@ mod tests {
                 assert!(w[0] >= k as f64 / n as f64, "n={n} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn confidence_radius_shrinks_with_trials() {
-        assert!(confidence_radius(0.5, 10_000) < confidence_radius(0.5, 100));
-        assert!(confidence_radius(0.0, 100) > 0.0);
     }
 }

@@ -75,12 +75,17 @@ fn engine_total_bits_accounting() {
 
 #[test]
 fn boosted_verification_is_deterministic_per_seed() {
-    use rpls_core::stats;
+    use rpls_core::engine::RunSpec;
+    use rpls_core::stats::{self, EstimateOpts};
     let config = Configuration::plain(generators::cycle(5));
     let compiled = CompiledRpls::new(WideLabels);
     let labels = compiled.label(&config);
-    let a = stats::boosted_accepts(&compiled, &config, &labels, 5, 42);
-    let b = stats::boosted_accepts(&compiled, &config, &labels, 5, 42);
+    // One boosted verification: the majority of 5 independent rounds.
+    let boosted = || {
+        let spec = RunSpec::trial(42);
+        2 * stats::estimate(&compiled, &config, &labels, &spec, &EstimateOpts::new(5)).accepts > 5
+    };
+    let (a, b) = (boosted(), boosted());
     assert_eq!(a, b);
     assert!(a, "honest labels on a one-sided scheme always accept");
 }

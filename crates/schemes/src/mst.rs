@@ -629,7 +629,7 @@ mod tests {
         }
         // A corrupted replica is still rejected with good probability
         // under the t = 4 chunked-fingerprint schedule, and the
-        // rejection-round profile decides no later than round 4.
+        // rejection-round histogram decides no later than round 4.
         let mut tampered = labeling.clone();
         let node = rpls_graph::NodeId::new(3);
         let target = tampered.get(node).len() / 2;
@@ -640,9 +640,12 @@ mod tests {
             .map(|(i, b)| if i == target { !b } else { b })
             .collect();
         tampered.set(node, flipped);
-        let profile = rpls_core::stats::rounds_to_reject_profile(&scheme, &c, &tampered, 4, 300, 2);
-        assert!(profile.rejects() > 150, "rejects = {}", profile.rejects());
-        assert!(profile.quantile_reject_round(1.0) <= Some(4));
+        let spec = RunSpec::trial(2).with_rounds(4);
+        let opts = rpls_core::stats::EstimateOpts::new(300);
+        let est = rpls_core::stats::estimate(&scheme, &c, &tampered, &spec, &opts);
+        let rejects = est.trials - est.accepts;
+        assert!(rejects > 150, "rejects = {rejects}");
+        assert!(est.quantile_reject_round(1.0) <= Some(4));
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn main() {
     let compiled = CompiledRpls::new(SpanningTreePls::new());
     let exchange = rpls::core::scheme::ExchangeLabels::new(SpanningTreePls::new());
 
-    // One corrupted claimed replica for the rejection-round profiles.
+    // One corrupted claimed replica for the rejection-round histograms.
     let tamper = |labeling: &rpls::core::Labeling| {
         let mut out = labeling.clone();
         let node = NodeId::new(5);
@@ -67,29 +67,18 @@ fn main() {
             "  ----+------------+------------+---------------+-----------------+------------------"
         );
         for t in [1usize, 2, 4, 8, 16] {
-            let summary = engine::run(
-                &RunSpec::trial(seed).with_rounds(t),
-                scheme,
-                &config,
-                &honest,
-            );
+            let spec = RunSpec::trial(seed).with_rounds(t);
+            let opts = EstimateOpts::new(trials);
+            let summary = engine::run(&spec, scheme, &config, &honest);
             assert!(summary.accepted, "one-sided completeness");
-            let honest_p = stats::estimate(
-                scheme,
-                &config,
-                &honest,
-                &RunSpec::trial(seed).with_rounds(t),
-                &EstimateOpts::new(trials),
-            )
-            .acceptance();
-            let profile =
-                stats::rounds_to_reject_profile(scheme, &config, &tampered, t, trials, seed);
-            let tampered_p = profile.accepts as f64 / trials as f64;
+            let honest_p = stats::estimate(scheme, &config, &honest, &spec, &opts).acceptance();
+            let tampered_est = stats::estimate(scheme, &config, &tampered, &spec, &opts);
             println!(
-                "  {t:>3} | {:>10} | {:>10} | {honest_p:>13} | {tampered_p:>15.4} | {:>17}",
+                "  {t:>3} | {:>10} | {:>10} | {honest_p:>13} | {:>15.4} | {:>17}",
                 summary.max_bits_per_round,
                 summary.total_bits,
-                profile
+                tampered_est.acceptance(),
+                tampered_est
                     .mean_reject_round()
                     .map_or("-".to_string(), |m| format!("{m:.2}")),
             );

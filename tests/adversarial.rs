@@ -543,14 +543,39 @@ mod never_panic {
                 &EstimateOpts::new(2),
             )
             .acceptance();
-            let profile =
-                stats::rounds_to_reject_profile(&compiled, config, &labeling, 3, 2, seed ^ 8);
-            assert_eq!(profile.trials(), 2);
+            // A hostile schedule length: the rejection histogram grows only
+            // to the latest decided round, and never past 2^20 buckets.
+            let hostile = RunSpec::trial(seed ^ 8).with_rounds(usize::MAX);
+            let est = stats::estimate(
+                &compiled,
+                config,
+                &labeling,
+                &hostile,
+                &EstimateOpts::new(2),
+            );
+            let latest = (0..2)
+                .map(|t| {
+                    let trial = RunSpec::trial(stats::trial_seed(seed ^ 8, t));
+                    engine::run(&trial.with_rounds(usize::MAX), &compiled, config, &labeling)
+                })
+                .filter(|r| !r.accepted)
+                .map(|r| r.decided_round)
+                .max()
+                .unwrap_or(0);
+            assert_eq!(est.trials, 2);
+            assert!(est.rejects_at.len() <= 1 << 20);
+            assert!(est.rejects_at.len() <= latest);
+            assert!(est.accepts < est.trials || est.rejects_at.is_empty());
         }
 
         // Honest labels but corrupted certificates, then garbage labels
         // *and* corrupted certificates, through both paths.
         let honest = Rpls::label(&compiled, config);
+        // Honest labels under the hostile schedule: an estimate whose
+        // every trial accepted holds no rejection bucket.
+        let hostile = RunSpec::trial(seed ^ 8).with_rounds(usize::MAX);
+        let est = stats::estimate(&compiled, config, &honest, &hostile, &EstimateOpts::new(2));
+        assert!(est.accepts < est.trials || est.rejects_at.is_empty());
         let corrupting = CorruptingRpls { inner: compiled };
         let _ = engine::run_randomized(&corrupting, config, &honest, seed);
         let _ = stats::acceptance_probability(&corrupting, config, &honest, 2, seed ^ 1);

@@ -141,6 +141,45 @@ fn serial_and_parallel_estimates_are_identical() {
     }
 }
 
+/// The first-rejection histogram of the t-round verifier, pinned: the
+/// compiled spanning tree on the 16-cycle with one flipped mid-label bit
+/// at node 2, 400 trials at seed 0x60D. Each row is `(t, accepts,
+/// rejects_at)` with one bucket per round of the schedule; `Estimate`
+/// must reproduce it, its histogram ending at the latest decided round.
+#[test]
+fn rejection_round_histogram_is_stable() {
+    let (scheme, config, labeling) = compiled_spanning_tree_workload(16);
+    let mut tampered = labeling.clone();
+    let node = rpls::graph::NodeId::new(2);
+    let flipped: rpls::bits::BitString = tampered
+        .get(node)
+        .iter()
+        .enumerate()
+        .map(|(i, b)| if i == 208 { !b } else { b })
+        .collect();
+    tampered.set(node, flipped);
+    let golden: [(usize, usize, &[usize]); 5] = [
+        (1, 0, &[400]),
+        (2, 0, &[398, 2]),
+        (4, 0, &[0, 388, 0, 12]),
+        (8, 0, &[0, 0, 0, 400, 0, 0, 0, 0]),
+        (16, 0, &[0, 0, 0, 0, 0, 0, 400, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    ];
+    for (t, accepts, rejects_at) in golden {
+        let spec = RunSpec::trial(0x60D).with_rounds(t);
+        let est = stats::estimate(&scheme, &config, &tampered, &spec, &EstimateOpts::new(400));
+        assert_eq!(est.accepts, accepts, "t = {t}");
+        assert_ne!(
+            est.rejects_at.last(),
+            Some(&0),
+            "t = {t}: trailing empty bucket"
+        );
+        let mut padded = est.rejects_at.clone();
+        padded.resize(t, 0);
+        assert_eq!(padded, rejects_at, "t = {t}");
+    }
+}
+
 /// The prepared layer ([`Rpls::prepare`]) must be transcript-identical to
 /// the unprepared scheme: same certificates, same votes, same randomness
 /// consumption — for honest, tampered, and garbage labelings, both stream

@@ -2,14 +2,15 @@
 //! surface: every scheme kind × {one-round, multiround, faulted, cached}
 //! × both stream modes × 2/4/8 worker shards.
 //!
-//! The parallel runners ([`stats::estimate_par`], [`stats::sweep_par`])
-//! promise more than statistical agreement — worker `w` runs exactly the
-//! trials `w, w + k, …` with the same per-trial seeds the serial path
-//! derives, so the merged [`Estimate`] must equal the serial one field
-//! for field, whatever the shard count. These tests hold that promise
-//! against every run-spec dimension at once, including the
-//! shared-`PrepCache`-vs-per-worker-cache identity the cached paths rely
-//! on.
+//! The parallel runner [`stats::estimate_par`] promises more than
+//! statistical agreement — worker `w` runs exactly the trials
+//! `w, w + k, …` with the same per-trial seeds the serial path derives,
+//! so the merged [`Estimate`] (its rejection-round histogram included)
+//! must equal the serial one field for field, whatever the shard count.
+//! These tests hold that promise against every run-spec dimension at
+//! once, including the identity between a serial sweep through one shared
+//! `PrepCache` and parallel estimates whose workers each prepare through
+//! a private cache.
 #![cfg(feature = "parallel")]
 
 use rpls::bits::BitString;
@@ -148,10 +149,10 @@ fn sketched_dense_scheme_serial_equals_parallel() {
 }
 
 /// The cached path: a serial sweep through ONE shared cache must equal
-/// the parallel sweep with one PRIVATE long-lived cache per worker, for
-/// every candidate — caches move work, never results.
+/// `estimate_par` on each candidate, whose workers prepare through
+/// PRIVATE caches — caches move work, never results.
 #[test]
-fn sweep_par_matches_serial_shared_cache_sweep() {
+fn estimate_par_matches_serial_shared_cache_sweep() {
     let (scheme, config, labeling) = spanning_tree_workload();
     let candidates: Vec<Labeling> = (0..6)
         .map(|i| {
@@ -174,7 +175,10 @@ fn sweep_par_matches_serial_shared_cache_sweep() {
             })
             .collect();
         for workers in SHARDS {
-            let par = stats::sweep_par(&scheme, &config, &candidates, &spec, &opts, Some(workers));
+            let par: Vec<Estimate> = candidates
+                .iter()
+                .map(|l| stats::estimate_par(&scheme, &config, l, &spec, &opts, Some(workers)))
+                .collect();
             assert_eq!(serial, par, "sweep {name} at {workers} workers");
         }
     }
